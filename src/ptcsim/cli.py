@@ -163,7 +163,7 @@ def _out_dir(args) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": _SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_simulate(args) -> int:

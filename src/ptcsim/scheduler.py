@@ -6,12 +6,33 @@ the C cores of a tile (P = ceil(N/C) cycles) with three accumulation levels:
 parallel photocurrent summation over the C cores, capacitive integration
 over T timesteps, and digital summation of the per-epoch readouts.  Blocks
 round-robin over the R tiles.
+
+The simulator streams over readout epochs instead of cycles.  Reduction
+index n = c*P + p is driven by core c in cycle p, so readout epoch e
+integrates the columns {c*P + p : p in [eT, (e+1)T)}; every output element
+is independent, so the epoch's readout for the whole M x Q result is one
+matrix product over those columns, and the K x K block structure only
+matters for cycle accounting.  Working memory is O(M*Q + M*N + N*Q): the
+operands reordered cycle-major, the accumulated result, and one reused
+buffer of per-cycle photocurrents.
+
+Per-cycle photocurrents are still formed, a few cycles at a time, to find
+the exact peak current and a no-saturation certificate per epoch:
+dt/C_int * sum over the epoch's cycles of max |I| bounds every partial
+integrator voltage, so an epoch whose bound stays within the rail cannot
+saturate.  Only an epoch that fails the certificate is integrated cycle by
+cycle with rail clamping.
+
+When both operands sit on the quantizer lattice (quantized modes without
+noise) the epoch products are taken over the integer codes, which is exact
+in float64, and the step sizes are applied once.  ADC codes then do not
+depend on summation order, tiling or the number of rows and columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,11 +161,22 @@ class Schedule:
     p_cycles: int
     n_padded: int
     readouts_per_block: int
-    assignments: tuple = field(repr=False, default=())
+    r_tiles: int
 
     @property
     def blocks(self) -> int:
         return self.block_rows * self.block_cols
+
+    def assignments(self):
+        """Yield ((block_row, block_col), tile) in round-robin issue order."""
+        for a in range(self.block_rows):
+            for b in range(self.block_cols):
+                yield (a, b), (a * self.block_cols + b) % self.r_tiles
+
+    def cycles(self, t_rst: int) -> tuple[int, int, int]:
+        """(compute_cycles, reset_cycles, readouts) of this schedule."""
+        readouts = self.blocks * self.readouts_per_block
+        return self.rounds * self.p_cycles, readouts * t_rst, readouts
 
 
 @dataclass
@@ -163,6 +195,7 @@ class SimStats:
     schedule: Schedule
 
     def to_dict(self) -> dict:
+        """JSON-ready summary; the step sizes are None in ideal mode."""
         return {
             "mode": self.mode,
             "compute_cycles": self.compute_cycles,
@@ -171,8 +204,8 @@ class SimStats:
             "saturation_events": self.saturation_events,
             "max_abs_current_a": self.max_abs_current_a,
             "normalization_v": self.normalization_v,
-            "alpha_x": self.alpha_x,
-            "alpha_y": self.alpha_y,
+            "alpha_x": None if math.isnan(self.alpha_x) else self.alpha_x,
+            "alpha_y": None if math.isnan(self.alpha_y) else self.alpha_y,
             "blocks": self.schedule.blocks,
             "rounds": self.schedule.rounds,
             "p_cycles": self.schedule.p_cycles,
@@ -189,19 +222,14 @@ def plan(work: GemmWorkload, arch: ArchConfig) -> Schedule:
     br = math.ceil(work.m / arch.k)
     bc = math.ceil(work.q / arch.k)
     p = math.ceil(work.n / arch.c_cores)
-    rounds = math.ceil(br * bc / arch.r_tiles)
-    readouts_per_block = math.ceil(p / arch.t_int)
-    assignments = tuple(
-        ((a, b), (a * bc + b) % arch.r_tiles) for a in range(br) for b in range(bc)
-    )
     return Schedule(
         block_rows=br,
         block_cols=bc,
-        rounds=rounds,
+        rounds=math.ceil(br * bc / arch.r_tiles),
         p_cycles=p,
         n_padded=p * arch.c_cores,
-        readouts_per_block=readouts_per_block,
-        assignments=assignments,
+        readouts_per_block=math.ceil(p / arch.t_int),
+        r_tiles=arch.r_tiles,
     )
 
 
@@ -210,11 +238,7 @@ def cycle_count(work: GemmWorkload, arch: ArchConfig) -> tuple[int, int, int]:
 
     For divisible shapes compute_cycles reduces to M*Q*N / (R*C*K^2).
     """
-    sched = plan(work, arch)
-    compute = sched.rounds * sched.p_cycles
-    readouts = sched.blocks * sched.readouts_per_block
-    reset = readouts * arch.t_rst
-    return compute, reset, readouts
+    return plan(work, arch).cycles(arch.t_rst)
 
 
 def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
@@ -254,25 +278,47 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
     )
 
 
-def _pad_operands(x: np.ndarray, y: np.ndarray, work: GemmWorkload, arch: ArchConfig, sched: Schedule):
-    mb, qb = sched.block_rows * arch.k, sched.block_cols * arch.k
-    xp = np.zeros((mb, sched.n_padded))
-    yp = np.zeros((sched.n_padded, qb))
-    xp[: work.m, : work.n] = x
-    yp[: work.n, : work.q] = y
-    return xp, yp
+#: Per-cycle photocurrent elements formed per batched matmul (2 MiB).
+_CURRENT_BUFFER_ELEMS = 1 << 18
 
 
-def _sequential_clamp(currents: np.ndarray, scale: float, v_dd: float) -> tuple[np.ndarray, int]:
-    """Clamped integration of a (..., P) current stack; returns (final v, events)."""
-    v = np.zeros(currents.shape[:-1])
+def _cycle_major(x: np.ndarray, y: np.ndarray, c_cores: int, p_cycles: int):
+    """Zero-pad the reduction to C*P and index it by (cycle, core).
+
+    Returns xs of shape (M, P, C) and ys of shape (P, C, Q): reduction
+    index n = c*P + p lands at [.., p, c], so the columns of a run of
+    cycles form one contiguous slice.
+    """
+    cores, cycles = np.divmod(np.arange(x.shape[1]), p_cycles)
+    xs = np.zeros((x.shape[0], p_cycles, c_cores))
+    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
+    xs[:, cycles, cores] = x
+    ys[cycles, cores] = y
+    return xs, ys
+
+
+def _cycle_peaks(xe: np.ndarray, ye: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """max |sum over cores| of each cycle in an epoch, a buffer-full at a time."""
+    t_cycles = ye.shape[0]
+    peaks = np.empty(t_cycles)
+    for s in range(0, t_cycles, buf.shape[0]):
+        t = min(buf.shape[0], t_cycles - s)
+        out = np.matmul(xe[:, s : s + t].transpose(1, 0, 2), ye[s : s + t], out=buf[:t])
+        flat = out.reshape(t, -1)
+        np.maximum(
+            flat.max(axis=1, initial=0.0), -flat.min(axis=1, initial=0.0), out=peaks[s : s + t]
+        )
+    return peaks
+
+
+def _sequential_clamp(xe: np.ndarray, ye: np.ndarray, gain: float, v_dd: float) -> tuple[np.ndarray, int]:
+    """Clamped integration of one epoch, cycle by cycle; returns (final v, events)."""
+    v = np.zeros((xe.shape[0], ye.shape[-1]))
     events = 0
-    for p in range(currents.shape[-1]):
-        v = v + currents[..., p] * scale
-        over = v > v_dd
-        under = v < -v_dd
-        events += int(over.sum() + under.sum())
-        v = np.clip(v, -v_dd, v_dd)
+    for xp, yp in zip(xe.transpose(1, 0, 2), ye):
+        v += gain * (xp @ yp)
+        events += int(np.count_nonzero(v > v_dd) + np.count_nonzero(v < -v_dd))
+        np.clip(v, -v_dd, v_dd, out=v)
     return v, events
 
 
@@ -295,56 +341,50 @@ def simulate_gemm(
         raise ValueError(f"unknown mode {mode!r}; options: {MODES}")
     sched = plan(work, arch)
     cfg = engine_config_for(arch, cat)
-    k, c, t_int = arch.k, arch.c_cores, arch.t_int
 
     x, y = work.x, work.y
     alpha_x = alpha_y = float("nan")
+    scale = cfg.current_scale()  # amperes per unit of operand product
     if mode != "ideal":
         px = minmax_params(x, arch.bits_in)
         py = minmax_params(y, arch.bits_in)
         alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
         x = fake_quantize(x, px)
         y = fake_quantize(y, py)
-    if mode in ("quantized+noise", "quantized+noise+adc"):
-        if nm is None:
-            nm = NoiseModel()
-        x = np.clip(inject_noise(x, nm, stream=0), -1.0, 1.0)
-        y = np.clip(inject_noise(y, nm, stream=1), -1.0, 1.0)
+        on_lattice = mode == "quantized"
+        if not on_lattice:
+            if nm is None:
+                nm = NoiseModel()
+            on_lattice = not nm.enabled or nm.sigma == 0.0
+            x = np.clip(inject_noise(x, nm, stream=0), -1.0, 1.0)
+            y = np.clip(inject_noise(y, nm, stream=1), -1.0, 1.0)
+        if on_lattice:
+            # Integer codes: every partial sum below is exact in float64.
+            x, y = np.rint(x / alpha_x), np.rint(y / alpha_y)
+            scale *= alpha_x * alpha_y
 
-    xp, yp = _pad_operands(x, y, work, arch, sched)
-
-    # Reduction index n = (c-1)P + p: core axis first, cycle axis second.
-    xr = xp.reshape(sched.block_rows, k, c, sched.p_cycles)
-    yr = yp.reshape(c, sched.p_cycles, sched.block_cols, k)
-
-    scale = cfg.current_scale()
-    # Aggregated photocurrent per block, cycle, and engine: sum over cores.
-    currents = scale * np.einsum("akcp,cpbl->abpkl", xr, yr)
-    currents = np.moveaxis(currents, 2, -1)  # (br, bc, K, K, P)
-    max_abs_current = float(np.abs(currents).max(initial=0.0))
-
+    xs, ys = _cycle_major(x, y, arch.c_cores, sched.p_cycles)
     volt_scale = cfg.dt / cfg.c_int
-    n_epochs = sched.readouts_per_block
-    z_accum = np.zeros((sched.block_rows, sched.block_cols, k, k))
+    gain = scale * volt_scale  # readout volts per unit of operand product
+    tol = cfg.v_dd * (1.0 + 1e-12)
+    chunk = min(arch.t_int, sched.p_cycles, _CURRENT_BUFFER_ELEMS // max(1, work.m * work.q))
+    buf = np.empty((max(chunk, 1), work.m, work.q))
+    z_accum = np.zeros((work.m, work.q))
+    peak = 0.0
     saturation_events = 0
-    for e in range(n_epochs):
-        chunk = currents[..., e * t_int : (e + 1) * t_int]
-        cum = np.cumsum(chunk, axis=-1) * volt_scale
-        tol = cfg.v_dd * (1.0 + 1e-12)
-        if np.abs(cum).max(initial=0.0) > tol:
-            v, events = _sequential_clamp(chunk, volt_scale, cfg.v_dd)
-            saturation_events += events
+    for p0 in range(0, sched.p_cycles, arch.t_int):
+        xe, ye = xs[:, p0 : p0 + arch.t_int], ys[p0 : p0 + arch.t_int]
+        peaks = _cycle_peaks(xe, ye, buf)
+        peak = max(peak, float(peaks.max()))
+        if gain * float(peaks.sum()) <= tol:
+            cols = ye.shape[0] * arch.c_cores
+            v = gain * (xe.reshape(work.m, cols) @ ye.reshape(cols, work.q))
         else:
-            v = cum[..., -1]
+            v, events = _sequential_clamp(xe, ye, gain, cfg.v_dd)
+            saturation_events += events
         if mode == "quantized+noise+adc":
             v = adc_value(adc_sample(v, cfg.v_dd, arch.bits_out), cfg.v_dd, arch.bits_out)
         z_accum += v
-
-    norm = cfg.normalization()
-    z_full = z_accum.transpose(0, 2, 1, 3).reshape(
-        sched.block_rows * k, sched.block_cols * k
-    ) / norm
-    z_hat = z_full[: work.m, : work.q]
 
     if mode == "ideal" and saturation_events > 0:
         raise RuntimeError(
@@ -352,17 +392,18 @@ def simulate_gemm(
             "aggregated current of C cores"
         )
 
-    compute, reset_cycles, readouts = cycle_count(work, arch)
+    norm = cfg.normalization()
+    compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
     stats = SimStats(
         mode=mode,
         compute_cycles=compute,
         reset_cycles=reset_cycles,
         readouts=readouts,
         saturation_events=saturation_events,
-        max_abs_current_a=max_abs_current,
+        max_abs_current_a=scale * peak,
         normalization_v=norm,
         alpha_x=alpha_x,
         alpha_y=alpha_y,
         schedule=sched,
     )
-    return z_hat, stats
+    return z_accum / norm, stats

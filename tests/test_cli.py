@@ -32,6 +32,20 @@ class TestSimulate:
         z = np.loadtxt(tmp_path / "z_hat.csv", delimiter=",")
         assert z.shape == (16, 16)
 
+    def test_ideal_report_is_strict_json(self, tmp_path, capsys):
+        code, _, _ = run(
+            ["simulate", *ARCH_SMALL, "--workload", "rand:4x4x4", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "simulate.json").read_text()
+        stats = json.loads(text, parse_constant=reject)["stats"]
+        assert stats["alpha_x"] is None and stats["alpha_y"] is None
+
     def test_noise_mode_reports_are_byte_identical(self, tmp_path, capsys):
         args = ["simulate", *ARCH_SMALL, "--workload", "rand:8x6x8:seed2",
                 "--mode", "quantized+noise", "--sigma", "0.01", "--seed", "7"]

@@ -1,11 +1,16 @@
 """GEMM tiling, cycle accounting, and behavioral simulation modes."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scheduler_oracle import oracle_simulate_gemm
 
 from ptcsim import (
+    MODES,
     ArchConfig,
     GemmWorkload,
     NoiseModel,
@@ -13,11 +18,28 @@ from ptcsim import (
     engine_config_for,
     load_builtin_catalog,
     plan,
+    scheduler,
     simulate_gemm,
 )
 
 CAT = load_builtin_catalog("custom-sl")
 SMALL = ArchConfig(r_tiles=2, c_cores=3, k=4)
+
+
+def adc_lsb_products(arch):
+    """One ADC step of a readout, in units of the operand product."""
+    cfg = engine_config_for(arch, CAT)
+    return (cfg.v_dd / 2 ** (arch.bits_out - 1)) / cfg.normalization()
+
+
+def assert_matches_oracle(z, stats, z_ref, ref):
+    """z and max current to 1e-12 relative; every other SimStats field equal."""
+    assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+    assert stats.max_abs_current_a == pytest.approx(ref.max_abs_current_a, rel=1e-12)
+    assert stats.schedule == ref.schedule
+    d, d_ref = stats.to_dict(), ref.to_dict()
+    del d["max_abs_current_a"], d_ref["max_abs_current_a"]
+    assert d == d_ref
 
 
 class TestWorkload:
@@ -59,8 +81,7 @@ class TestPlan:
     def test_round_robin_assignment(self):
         w = GemmWorkload.random(8, 3, 8, seed=0)
         s = plan(w, SMALL)
-        tiles = [t for _, t in s.assignments]
-        assert tiles == [0, 1, 0, 1]
+        assert list(s.assignments()) == [((0, 0), 0), ((0, 1), 1), ((1, 0), 0), ((1, 1), 1)]
 
     def test_epoch_split_when_reduction_exceeds_window(self):
         arch = ArchConfig(r_tiles=1, c_cores=1, k=2, t_int=4)
@@ -159,11 +180,8 @@ class TestSimulateQuantized:
             w, arch, CAT, nm=NoiseModel(sigma=0.0), mode="quantized+noise+adc"
         )
         zq, _ = simulate_gemm(w, arch, CAT, mode="quantized")
-        # One readout per block: ADC error <= half an LSB of the full scale,
-        # expressed in product units via the normalization.
-        cfg = engine_config_for(arch, CAT)
-        lsb_products = (cfg.v_dd / 2**7) / cfg.normalization()
-        assert np.abs(za - zq).max() <= lsb_products / 2 + 1e-9
+        # One readout per block: ADC error <= half an LSB of the full scale.
+        assert np.abs(za - zq).max() <= adc_lsb_products(arch) / 2 + 1e-9
 
     def test_stats_account_cycles(self):
         w = GemmWorkload.random(8, 12, 16, seed=8)
@@ -174,3 +192,119 @@ class TestSimulateQuantized:
         )
         d = stats.to_dict()
         assert d["mode"] == "ideal" and d["blocks"] == stats.schedule.blocks
+
+
+archs = st.builds(
+    ArchConfig,
+    r_tiles=st.integers(1, 4),
+    c_cores=st.integers(1, 4),
+    k=st.integers(1, 5),
+    t_int=st.integers(1, 6),
+)
+
+
+class TestEpochStreaming:
+    """The epoch-streamed simulator against the per-cycle reference algorithm."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        archs,
+        st.integers(1, 11), st.integers(1, 30), st.integers(1, 11),
+        st.sampled_from(MODES), st.sampled_from([0.0, 0.02]), st.integers(0, 10_000),
+    )
+    def test_matches_per_cycle_oracle(self, arch, m, n, q, mode, sigma, seed):
+        w = GemmWorkload.random(m, n, q, seed=seed)
+        nm = NoiseModel(sigma=sigma, seed=seed)
+        z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        z_ref, ref = oracle_simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        if mode == "quantized+noise+adc":
+            assert np.abs(z - z_ref).max() <= adc_lsb_products(arch) * (1 + 1e-9)
+            z = z_ref  # the remaining fields must still agree exactly
+        assert_matches_oracle(z, stats, z_ref, ref)
+
+    @pytest.mark.parametrize("mode", MODES[1:])
+    def test_saturation_matches_oracle(self, monkeypatch, mode):
+        real = scheduler.engine_config_for
+
+        def half_capacitor(arch, cat):
+            cfg = real(arch, cat)
+            return dataclasses.replace(cfg, c_int=cfg.c_int / 2)
+
+        monkeypatch.setattr(scheduler, "engine_config_for", half_capacitor)
+        arch = ArchConfig(r_tiles=2, c_cores=3, k=4, t_int=4)
+        rng = np.random.default_rng(11)
+        # Same-signed operands drive the integrators into both rails.
+        x = rng.uniform(0.4, 0.97, (6, 29)) * np.array([[1], [-1], [1], [1], [-1], [1]])
+        w = GemmWorkload(x, rng.uniform(0.4, 0.95, (29, 7)))
+        nm = NoiseModel(sigma=0.01, seed=3)
+        z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        z_ref, ref = oracle_simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        assert stats.saturation_events > 0
+        assert stats.saturation_events == ref.saturation_events
+        assert_matches_oracle(z, stats, z_ref, ref)
+        with pytest.raises(RuntimeError, match="saturation in ideal mode"):
+            simulate_gemm(w, arch, CAT, mode="ideal")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 40), st.integers(1, 6),
+        st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4),
+        st.sampled_from(["quantized", "quantized+noise+adc"]), st.integers(0, 10_000),
+    )
+    def test_lattice_codes_are_independent_of_shape_and_tiling(
+        self, m, n, q, extra_rows, extra_cols, r1, r2, mode, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (m + extra_rows, n))
+        y = rng.uniform(-1, 1, (n, q + extra_cols))
+        # A full-scale entry in each operand pins the quantizer step sizes.
+        x[0, 0], y[0, 0] = rng.choice([-1.0, 1.0], size=2)
+        nm = NoiseModel(sigma=0.0)
+        base = ArchConfig(r_tiles=r1, c_cores=3, k=4, t_int=5)
+        z, _ = simulate_gemm(GemmWorkload(x[:m], y[:, :q]), base, CAT, nm=nm, mode=mode)
+        wide, _ = simulate_gemm(
+            GemmWorkload(x, y), dataclasses.replace(base, r_tiles=r2), CAT, nm=nm, mode=mode
+        )
+        assert np.array_equal(z, wide[:m, :q])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(2, 12), st.integers(1, 6),
+        st.sampled_from([(1, 12), (2, 6), (3, 4), (4, 3), (6, 2), (12, 1)]),
+        st.sampled_from(["quantized", "quantized+noise+adc"]), st.integers(0, 10_000),
+    )
+    def test_lattice_codes_are_independent_of_summation_order(self, m, n, q, cores_t, mode, seed):
+        # With C*T fixed the capacitor, and so the readout scale, is fixed;
+        # a reduction of N <= C*T is one epoch whose columns the core count
+        # only reorders.
+        w = GemmWorkload.random(m, n, q, seed=seed)
+        c, t = cores_t
+        nm = NoiseModel(sigma=0.0)
+        z, _ = simulate_gemm(w, ArchConfig(c_cores=12, k=4, t_int=1), CAT, nm=nm, mode=mode)
+        z_c, _ = simulate_gemm(w, ArchConfig(c_cores=c, k=4, t_int=t), CAT, nm=nm, mode=mode)
+        assert np.array_equal(z, z_c)
+
+    @pytest.mark.parametrize("m, n, q", [(0, 3, 2), (2, 3, 0), (2, 0, 2)])
+    def test_empty_dimensions(self, m, n, q):
+        z, stats = simulate_gemm(GemmWorkload(np.zeros((m, n)), np.zeros((n, q))), SMALL, CAT)
+        assert z.shape == (m, q) and not z.any()
+        assert stats.max_abs_current_a == 0.0
+
+    def test_plans_once_per_call(self, monkeypatch):
+        calls = []
+        real = scheduler.plan
+        monkeypatch.setattr(scheduler, "plan", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(scheduler, "cycle_count", None)
+        simulate_gemm(GemmWorkload.random(5, 7, 9, seed=0), SMALL, CAT)
+        assert len(calls) == 1
+
+    def test_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
+        tracemalloc.start()
+        try:
+            simulate_gemm(w, ArchConfig(), CAT, mode="quantized+noise+adc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
