@@ -25,6 +25,7 @@ __all__ = [
     "dump_catalog",
     "builtin_catalog_path",
     "load_builtin_catalog",
+    "variant_name",
     "beating_length",
     "mmi_length_center_fed",
     "mmi_length_paired",
@@ -297,9 +298,14 @@ def dump_catalog(cat: CatalogVariant, path: str | Path) -> None:
 _DATA_DIR = Path(__file__).parent / "data"
 
 
+def variant_name(variant: str) -> str:
+    """Canonical variant name: CLI spellings use hyphens, catalogs underscores."""
+    return variant.replace("-", "_")
+
+
 def builtin_catalog_path(variant: str) -> Path:
     """Path of a shipped catalog: 'foundry', 'foundry_sl', or 'custom_sl'."""
-    name = variant.replace("-", "_")
+    name = variant_name(variant)
     if name not in _VARIANT_NAMES:
         raise CatalogError(f"no builtin catalog {variant!r}; options: {_VARIANT_NAMES}")
     return _DATA_DIR / f"{name}.json"

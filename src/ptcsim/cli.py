@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import CatalogError, load_builtin_catalog, load_catalog
+from .catalog import CatalogError, load_builtin_catalog, load_catalog, variant_name
 from .costs import (
     CONVENTIONS,
     TOPOLOGIES,
@@ -34,6 +34,9 @@ from .scheduler import MODES, ArchConfig, GemmWorkload, simulate_gemm
 
 _SCHEMA_VERSION = 1
 _VARIANTS = ("foundry", "foundry-sl", "custom-sl")
+_EXPERIMENT_KEYS = frozenset(
+    ("arch", "catalog", "bits", "sigma_train", "trials", "epochs", "seed", "sigmas_eval")
+)
 _WORKLOAD_RE = re.compile(
     r"^rand:(\d+)x(\d+)x(\d+)(?::seed(\d+))?(?::(uniform|normal))?$"
 )
@@ -62,15 +65,23 @@ def _add_arch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", help="path to a catalog JSON file (overrides --variant)")
 
 
+def _arch_from_dict(d, source) -> ArchConfig:
+    try:
+        return ArchConfig.from_dict(d)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad arch config {source}: {e}") from e
+
+
 def _arch_from_args(args) -> ArchConfig:
     if args.arch:
         path = Path(args.arch)
         if not path.exists():
             raise ConfigError(f"arch config not found: {path}")
         try:
-            return ArchConfig.from_dict(json.loads(path.read_text()))
-        except (json.JSONDecodeError, TypeError, ValueError) as e:
+            d = json.loads(path.read_text())
+        except json.JSONDecodeError as e:
             raise ConfigError(f"bad arch config {path}: {e}") from e
+        return _arch_from_dict(d, path)
     try:
         return ArchConfig(
             r_tiles=args.tiles,
@@ -226,7 +237,7 @@ def _cmd_sweep(args) -> int:
     arch = _arch_from_args(args)
     values = _parse_sweep_values(args.axis, args.values)
     if args.axis == "variant":
-        catalogs = {str(v).replace("-", "_"): load_builtin_catalog(v) for v in values}
+        catalogs = {variant_name(v): load_builtin_catalog(v) for v in values}
     else:
         cat = _catalog_from_args(args)
         catalogs = {cat.name: cat}
@@ -276,8 +287,16 @@ def _cmd_robustness(args) -> int:
             cfg_file = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"bad experiment config {path}: {e}") from e
+        if not isinstance(cfg_file, dict):
+            raise ConfigError(f"bad experiment config {path}: expected a JSON object")
+        unknown = sorted(set(cfg_file) - _EXPERIMENT_KEYS)
+        if unknown:
+            raise ConfigError(
+                f"bad experiment config {path}: unknown keys {unknown}; "
+                f"options: {sorted(_EXPERIMENT_KEYS)}"
+            )
         if "arch" in cfg_file:
-            arch = ArchConfig.from_dict(cfg_file["arch"])
+            arch = _arch_from_dict(cfg_file["arch"], path)
         if "catalog" in cfg_file:
             cat = load_builtin_catalog(cfg_file["catalog"])
     bits = cfg_file.get("bits", args.bits_in)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from pathlib import Path
 
-from .catalog import CatalogVariant, DeviceKind, DeviceSpec, scale_1x2k_mmi
+from .catalog import CatalogVariant, DeviceKind, DeviceSpec, scale_1x2k_mmi, variant_name
 from .scheduler import ArchConfig
 
 __all__ = [
@@ -459,7 +459,7 @@ def sweep(
                 cat = catalogs[next(iter(catalogs))]
             elif axis == "variant":
                 point = arch
-                cat = catalogs[str(v).replace("-", "_")]
+                cat = catalogs[variant_name(str(v))]
             else:
                 raise ValueError(f"unknown sweep axis {axis!r}; options: K, T, variant")
             reports.append(

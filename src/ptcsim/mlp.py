@@ -52,8 +52,6 @@ class MlpConfig:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output widths")
-        if max(self.layer_sizes) > 64:
-            raise ValueError("layer widths above 64 are out of scope for this study")
         if self.bits < 2:
             raise ValueError(f"bits must be >= 2, got {self.bits}")
 

@@ -16,11 +16,16 @@ matters for cycle accounting.  Working memory is O(M*Q + M*N + N*Q): the
 operands reordered cycle-major, the accumulated result, and one reused
 buffer of per-cycle photocurrents.
 
-Per-cycle photocurrents are still formed, a few cycles at a time, to find
-the exact peak current and a no-saturation certificate per epoch:
-dt/C_int * sum over the epoch's cycles of max |I| bounds every partial
-integrator voltage, so an epoch whose bound stays within the rail cannot
-saturate.  Only an epoch that fails the certificate is integrated cycle by
+The exact peak current and a no-saturation certificate per epoch come
+from per-cycle photocurrents, formed a buffer-full at a time:
+dt/C_int * sum over the epoch's cycles of a bound on max |I| bounds every
+partial integrator voltage, so an epoch whose sum stays within the rail
+cannot saturate.  Row m of cycle p carries at most
+U = sum_c |x[m, p, c]| * max_q |y[p, c, q]|, so once a peak is known only
+the rows whose U can beat it are formed; the other rows' entries are that
+peak, which still bounds them.  An epoch that fails the certificate on
+these bounds has its exact per-cycle peaks formed before it is judged,
+and only an epoch that fails on the exact peaks is integrated cycle by
 cycle with rail clamping.
 
 When both operands sit on the quantizer lattice (quantized modes without
@@ -31,6 +36,7 @@ depend on summation order, tiling or the number of rows and columns.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -91,19 +97,7 @@ class ArchConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "r_tiles": self.r_tiles,
-            "c_cores": self.c_cores,
-            "k": self.k,
-            "clock_hz": self.clock_hz,
-            "t_int": self.t_int,
-            "t_rst": self.t_rst,
-            "bits_in": self.bits_in,
-            "bits_out": self.bits_out,
-            "share_y_modulators": self.share_y_modulators,
-            "share_readout": self.share_readout,
-            "pipelined_readout": self.pipelined_readout,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -253,29 +247,18 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
     il = insertion_loss(arch.k, cat).total_db
     pd = cat.device(DeviceKind.PHOTODETECTOR)
     laser = cat.device(DeviceKind.LASER)
-    er = cat.modulator().extinction_ratio_db
-    dt = 1.0 / arch.clock_hz
     cfg = EngineConfig(
         p_arm_w=laser.power_w * 10.0 ** (-il / 10.0),
         responsivity_a_per_w=pd.responsivity_a_per_w,
-        extinction_ratio_db=er,
+        extinction_ratio_db=cat.modulator().extinction_ratio_db,
         t_max=arch.t_int,
         t_rst=arch.t_rst,
-        dt=dt,
+        dt=1.0 / arch.clock_hz,
     )
     c_int = size_capacitor(
         arch.c_cores * cfg.current_scale(), arch.t_int, arch.clock_hz, cfg.v_dd
     )
-    return EngineConfig(
-        p_arm_w=cfg.p_arm_w,
-        responsivity_a_per_w=cfg.responsivity_a_per_w,
-        extinction_ratio_db=er,
-        v_dd=cfg.v_dd,
-        c_int=c_int,
-        t_max=arch.t_int,
-        t_rst=arch.t_rst,
-        dt=dt,
-    )
+    return dataclasses.replace(cfg, c_int=c_int)
 
 
 #: Per-cycle photocurrent elements formed per batched matmul (2 MiB).
@@ -287,27 +270,74 @@ def _cycle_major(x: np.ndarray, y: np.ndarray, c_cores: int, p_cycles: int):
 
     Returns xs of shape (M, P, C) and ys of shape (P, C, Q): reduction
     index n = c*P + p lands at [.., p, c], so the columns of a run of
-    cycles form one contiguous slice.
+    cycles form one contiguous slice.  Whole cores are copied through
+    transposed views, then the partial last core.
     """
-    cores, cycles = np.divmod(np.arange(x.shape[1]), p_cycles)
-    xs = np.zeros((x.shape[0], p_cycles, c_cores))
-    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
-    xs[:, cycles, cores] = x
-    ys[cycles, cores] = y
+    m, q = x.shape[0], y.shape[1]
+    xs = np.zeros((m, p_cycles, c_cores))
+    ys = np.zeros((p_cycles, c_cores, q))
+    if p_cycles:
+        full, rem = divmod(x.shape[1], p_cycles)
+        xt, yt = xs.transpose(0, 2, 1), ys.transpose(1, 0, 2)
+        xt[:, :full] = x[:, : full * p_cycles].reshape(m, full, p_cycles)
+        yt[:full] = y[: full * p_cycles].reshape(full, p_cycles, q)
+        if rem:
+            xt[:, full, :rem] = x[:, full * p_cycles :]
+            yt[full, :rem] = y[full * p_cycles :]
     return xs, ys
 
 
-def _cycle_peaks(xe: np.ndarray, ye: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """max |sum over cores| of each cycle in an epoch, a buffer-full at a time."""
-    t_cycles = ye.shape[0]
+def _row_bounds(xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
+    """U[p, m] = sum_c |xe[m, p, c]| * max_q |ye[p, c, q]|.
+
+    No photocurrent of row m in cycle p exceeds U[p, m].
+    """
+    y_max = np.maximum(ye.max(axis=2, initial=0.0), -ye.min(axis=2, initial=0.0))
+    return (np.abs(xe).transpose(1, 0, 2) @ y_max[:, :, None])[:, :, 0]
+
+
+def _cycle_peaks(
+    xe: np.ndarray, ye: np.ndarray, buf: np.ndarray, best: float | None = None
+) -> np.ndarray:
+    """Bounds on max |sum over cores| of each cycle in an epoch, a buffer-full at a time.
+
+    With best None every row is formed and the entries are exact.  Given
+    the best peak known so far, once it is nonzero only rows whose bound U
+    (inflated by 1e-12 for rounding) can beat it are formed, and a cycle's
+    entry is max(its formed rows, best): still an upper bound on every
+    current in the cycle, and the largest entry is the exact peak.
+    """
+    t_cycles, m, q = ye.shape[0], xe.shape[0], ye.shape[-1]
+    xt = xe.transpose(1, 0, 2)
     peaks = np.empty(t_cycles)
-    for s in range(0, t_cycles, buf.shape[0]):
-        t = min(buf.shape[0], t_cycles - s)
-        out = np.matmul(xe[:, s : s + t].transpose(1, 0, 2), ye[s : s + t], out=buf[:t])
+    bound = None
+    keep_best = 0.0  # keep is re-taken only when best rises
+    s = 0
+    while s < t_cycles:
+        t, order = min(buf.shape[0], t_cycles - s), None
+        if best:
+            if bound is None:
+                bound = _row_bounds(xe, ye) * (1.0 + 1e-12)
+            if best != keep_best:
+                keep_best, keep = best, bound > best
+                counts = keep.sum(axis=1)
+            rows = np.maximum.accumulate(counts[s:])
+            # The longest run of cycles whose kept rows fit in the buffer.
+            fits = np.arange(1, rows.size + 1) * rows * q <= buf.size
+            t = max(1, int(np.count_nonzero(fits)))
+            if rows[t - 1] < m:
+                # Kept rows first; a cycle with fewer also forms some pruned
+                # rows, whose currents cannot exceed best.
+                order = np.argsort(~keep[s : s + t], axis=1, kind="stable")[:, : rows[t - 1]]
+        xc = xt[s : s + t] if order is None else xt[s + np.arange(t)[:, None], order]
+        r = xc.shape[1]
+        out = np.matmul(xc, ye[s : s + t], out=buf.reshape(-1)[: t * r * q].reshape(t, r, q))
         flat = out.reshape(t, -1)
-        np.maximum(
-            flat.max(axis=1, initial=0.0), -flat.min(axis=1, initial=0.0), out=peaks[s : s + t]
-        )
+        cur = peaks[s : s + t]
+        np.maximum(flat.max(axis=1, initial=best or 0.0), -flat.min(axis=1, initial=0.0), out=cur)
+        if best is not None:
+            best = max(best, float(cur.max()))
+        s += t
     return peaks
 
 
@@ -364,6 +394,7 @@ def simulate_gemm(
             scale *= alpha_x * alpha_y
 
     xs, ys = _cycle_major(x, y, arch.c_cores, sched.p_cycles)
+    del x, y  # only the cycle-major copies are read from here on
     volt_scale = cfg.dt / cfg.c_int
     gain = scale * volt_scale  # readout volts per unit of operand product
     tol = cfg.v_dd * (1.0 + 1e-12)
@@ -374,9 +405,14 @@ def simulate_gemm(
     saturation_events = 0
     for p0 in range(0, sched.p_cycles, arch.t_int):
         xe, ye = xs[:, p0 : p0 + arch.t_int], ys[p0 : p0 + arch.t_int]
-        peaks = _cycle_peaks(xe, ye, buf)
+        peaks = _cycle_peaks(xe, ye, buf, best=peak)
+        certified = gain * float(peaks.sum()) <= tol
+        if not certified:
+            # Pruned entries are only bounds: decide on the exact peaks.
+            peaks = _cycle_peaks(xe, ye, buf)
+            certified = gain * float(peaks.sum()) <= tol
         peak = max(peak, float(peaks.max()))
-        if gain * float(peaks.sum()) <= tol:
+        if certified:
             cols = ye.shape[0] * arch.c_cores
             v = gain * (xe.reshape(work.m, cols) @ ye.reshape(cols, work.q))
         else:

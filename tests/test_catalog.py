@@ -22,6 +22,7 @@ from ptcsim import (
     mmi_length_paired,
     phase_shifter_delta,
     scale_1x2k_mmi,
+    variant_name,
 )
 
 
@@ -49,6 +50,11 @@ class TestCatalogIO:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_catalog(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("spelling", ["foundry-sl", "foundry_sl"])
+    def test_variant_spellings_name_one_catalog(self, spelling):
+        assert variant_name(spelling) == "foundry_sl"
+        assert load_builtin_catalog(spelling).name == "foundry_sl"
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(CatalogError, match="no builtin catalog"):

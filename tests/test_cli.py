@@ -195,6 +195,26 @@ class TestRobustness:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"arch": {"bogus": 1}}, "bad arch config"),
+            ({"arch": [6, 6, 32]}, "bad arch config"),
+            ({"trials": 1, "sigma": 0.1}, "unknown keys ['sigma']"),
+            ([1, 2], "expected a JSON object"),
+        ],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(
+            ["robustness", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestCatalogValidate:
     def test_valid_builtin_catalog(self, capsys):

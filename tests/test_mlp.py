@@ -70,9 +70,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             MlpConfig(bits=1)
 
-    def test_oversized_layer_rejected(self):
-        with pytest.raises(ValueError, match="64"):
-            MlpConfig(layer_sizes=(8, 128, 4))
+    def test_wide_hidden_layer_trains_and_runs_on_core(self):
+        model = trained_model(layer_sizes=(8, 96, 4), epochs=5)
+        tx, ty = make_blobs(64, 8, 4, seed=100)
+        acc = evaluate_via_core(model, tx, ty, ARCH, CAT, sigma=0.02, seed=0)
+        assert model.weights[0].shape == (8, 96)
+        assert np.isfinite(acc) and acc >= 0.5  # four classes: chance is 0.25
 
 
 class TestCoreForward:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestCycleCount:
         assert reset == 0
 
 
+def test_arch_config_dict_round_trip():
+    arch = ArchConfig(r_tiles=2, c_cores=3, k=4, clock_hz=2e9, share_readout=False)
+    assert list(arch.to_dict()) == [
+        "r_tiles", "c_cores", "k", "clock_hz", "t_int", "t_rst", "bits_in", "bits_out",
+        "share_y_modulators", "share_readout", "pipelined_readout",
+    ]
+    assert ArchConfig.from_dict(arch.to_dict()) == arch
+
+
 class TestEngineConfigFor:
     def test_capacitor_sized_for_aggregated_current(self):
         cfg = engine_config_for(SMALL, CAT)
@@ -194,6 +204,34 @@ class TestSimulateQuantized:
         assert d["mode"] == "ideal" and d["blocks"] == stats.schedule.blocks
 
 
+def halve_capacitor(monkeypatch):
+    """Size C_int for half the worst-case current, so integrators can saturate."""
+    real = scheduler.engine_config_for
+
+    def half_capacitor(arch, cat):
+        cfg = real(arch, cat)
+        return dataclasses.replace(cfg, c_int=cfg.c_int / 2)
+
+    monkeypatch.setattr(scheduler, "engine_config_for", half_capacitor)
+
+
+def saturating_workload():
+    """Same-signed operands that drive half-size integrators into both rails."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.4, 0.97, (6, 29)) * np.array([[1], [-1], [1], [1], [-1], [1]])
+    return GemmWorkload(x, rng.uniform(0.4, 0.95, (29, 7)))
+
+
+def old_cycle_major(x, y, c_cores, p_cycles):
+    """The fancy-index scatter that ``_cycle_major`` replaced."""
+    cores, cycles = np.divmod(np.arange(x.shape[1]), max(p_cycles, 1))
+    xs = np.zeros((x.shape[0], p_cycles, c_cores))
+    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
+    xs[:, cycles, cores] = x
+    ys[cycles, cores] = y
+    return xs, ys
+
+
 archs = st.builds(
     ArchConfig,
     r_tiles=st.integers(1, 4),
@@ -224,18 +262,9 @@ class TestEpochStreaming:
 
     @pytest.mark.parametrize("mode", MODES[1:])
     def test_saturation_matches_oracle(self, monkeypatch, mode):
-        real = scheduler.engine_config_for
-
-        def half_capacitor(arch, cat):
-            cfg = real(arch, cat)
-            return dataclasses.replace(cfg, c_int=cfg.c_int / 2)
-
-        monkeypatch.setattr(scheduler, "engine_config_for", half_capacitor)
+        halve_capacitor(monkeypatch)
         arch = ArchConfig(r_tiles=2, c_cores=3, k=4, t_int=4)
-        rng = np.random.default_rng(11)
-        # Same-signed operands drive the integrators into both rails.
-        x = rng.uniform(0.4, 0.97, (6, 29)) * np.array([[1], [-1], [1], [1], [-1], [1]])
-        w = GemmWorkload(x, rng.uniform(0.4, 0.95, (29, 7)))
+        w = saturating_workload()
         nm = NoiseModel(sigma=0.01, seed=3)
         z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
         z_ref, ref = oracle_simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
@@ -308,3 +337,132 @@ class TestEpochStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestPeakPruning:
+    """Bound-pruned peak currents against dense per-cycle peaks and the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        archs,
+        st.integers(1, 11), st.integers(2, 30), st.integers(1, 11),
+        st.sampled_from(MODES), st.sampled_from([0.0, 0.02]), st.integers(0, 10_000),
+        st.integers(1, 8),
+    )
+    def test_small_buffer_matches_per_cycle_oracle(self, arch, m, n, q, mode, sigma, seed, elems):
+        # A buffer of a few elements holds one cycle, so every epoch spans
+        # several chunks and prunes against the peak of the earlier ones.
+        w = GemmWorkload.random(m, n, q, seed=seed)
+        nm = NoiseModel(sigma=sigma, seed=seed)
+        with mock.patch.object(scheduler, "_CURRENT_BUFFER_ELEMS", elems):
+            z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        z_ref, ref = oracle_simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        if mode == "quantized+noise+adc":
+            assert np.abs(z - z_ref).max() <= adc_lsb_products(arch) * (1 + 1e-9)
+            z = z_ref
+        assert_matches_oracle(z, stats, z_ref, ref)
+
+    @pytest.mark.parametrize("mode", MODES[1:])
+    def test_small_buffer_saturation_matches_oracle(self, monkeypatch, mode):
+        halve_capacitor(monkeypatch)
+        monkeypatch.setattr(scheduler, "_CURRENT_BUFFER_ELEMS", 4)
+        arch = ArchConfig(r_tiles=2, c_cores=3, k=4, t_int=4)
+        w = saturating_workload()
+        nm = NoiseModel(sigma=0.01, seed=3)
+        z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        z_ref, ref = oracle_simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        assert stats.saturation_events > 0
+        assert stats.saturation_events == ref.saturation_events
+        assert_matches_oracle(z, stats, z_ref, ref)
+
+    def test_epoch_failing_only_on_bounds_is_not_clamped(self, monkeypatch):
+        # Cycle 0 carries the full-scale current C; the other cycles carry
+        # 1% of it and are pruned, so their entries are C and the bound sum
+        # C*T exceeds the half-size rail C*T/2 while the exact sum does not.
+        halve_capacitor(monkeypatch)
+        monkeypatch.setattr(scheduler, "_CURRENT_BUFFER_ELEMS", 1)
+        clamps = []
+        real = scheduler._sequential_clamp
+        monkeypatch.setattr(scheduler, "_sequential_clamp", lambda *a: clamps.append(1) or real(*a))
+        arch = ArchConfig(r_tiles=1, c_cores=2, k=2, t_int=4)
+        x, y = np.full((3, 8), 0.1), np.full((8, 3), 0.1)
+        x[:, [0, 4]] = y[[0, 4]] = 1.0
+        w = GemmWorkload(x, y)
+        for mode in MODES:
+            z, stats = simulate_gemm(w, arch, CAT, mode=mode)
+            z_ref, ref = oracle_simulate_gemm(w, arch, CAT, mode=mode)
+            assert stats.saturation_events == 0
+            assert_matches_oracle(z, stats, z_ref, ref)
+        assert not clamps
+
+    @staticmethod
+    def streamed_peaks(w, arch):
+        """(pruned, exact) per-cycle peaks of every epoch, as simulate_gemm forms them."""
+        p_cycles = plan(w, arch).p_cycles
+        xs, ys = scheduler._cycle_major(w.x, w.y, arch.c_cores, p_cycles)
+        buf = np.empty((1, w.m, w.q))
+        pruned, exact, best = [], [], 0.0
+        for p0 in range(0, p_cycles, arch.t_int):
+            xe, ye = xs[:, p0 : p0 + arch.t_int], ys[p0 : p0 + arch.t_int]
+            pruned.append(scheduler._cycle_peaks(xe, ye, buf, best=best))
+            exact.append(scheduler._cycle_peaks(xe, ye, buf))
+            best = max(best, pruned[-1].max())
+        return np.concatenate(pruned), np.concatenate(exact)
+
+    @staticmethod
+    def dense_peak(w, arch):
+        """max |current| over every cycle, from the full per-cycle tensor."""
+        p_cycles = plan(w, arch).p_cycles
+        xs, ys = old_cycle_major(w.x, w.y, arch.c_cores, p_cycles)
+        return np.abs(np.einsum("mpc,pcq->pmq", xs, ys)).max(initial=0.0)
+
+    @pytest.mark.parametrize("c_cores", [3, 4, 6])
+    def test_cross_core_cancelling_input(self, c_cores):
+        # x[m, n] = +-1 by core, y = 1: every row has the same current and
+        # the same bound C, so no row can be pruned.
+        arch = ArchConfig(c_cores=c_cores, t_int=5)
+        m, n, q = 16, 70, 12
+        p_cycles = plan(GemmWorkload(np.zeros((1, n)), np.zeros((n, 1))), arch).p_cycles
+        sign = np.where(np.arange(n) // p_cycles % 2 == 0, 1.0, -1.0)
+        w = GemmWorkload(np.tile(sign, (m, 1)), np.ones((n, q)))
+        pruned, exact = self.streamed_peaks(w, arch)
+        assert pruned.max() == exact.max() == self.dense_peak(w, arch)
+        assert (pruned >= exact).all()
+        _, stats = simulate_gemm(w, arch, CAT)
+        _, ref = oracle_simulate_gemm(w, arch, CAT)
+        assert stats.max_abs_current_a == pytest.approx(ref.max_abs_current_a, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 61, 65])
+    def test_peak_in_last_cycle_of_last_epoch(self, n):
+        arch = ArchConfig(c_cores=3, t_int=4)
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(-0.2, 0.2, (9, n)), rng.uniform(-0.2, 0.2, (n, 7))
+        p_cycles = plan(GemmWorkload(x, y), arch).p_cycles
+        last = np.arange(p_cycles - 1, n, p_cycles)  # cycle P-1 of every core
+        x[4, last], y[last, 2] = 1.0, -1.0
+        w = GemmWorkload(x, y)
+        pruned, exact = self.streamed_peaks(w, arch)
+        assert (pruned >= exact).all() and pruned.max() == exact.max()
+        assert exact.argmax() == p_cycles - 1
+        assert exact.max() == self.dense_peak(w, arch) == len(last)
+        _, stats = simulate_gemm(w, arch, CAT)
+        _, ref = oracle_simulate_gemm(w, arch, CAT)
+        assert stats.max_abs_current_a == pytest.approx(ref.max_abs_current_a, rel=1e-12)
+
+    def test_pruning_path_runs(self, monkeypatch):
+        calls = []
+        real = scheduler._row_bounds
+        monkeypatch.setattr(scheduler, "_row_bounds", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(scheduler, "_CURRENT_BUFFER_ELEMS", 1)
+        simulate_gemm(GemmWorkload.random(5, 40, 6, seed=0), SMALL, CAT)
+        assert calls
+
+    @pytest.mark.parametrize("c_cores, n", [(3, 7), (4, 13), (6, 2048), (5, 5), (1, 9), (4, 0)])
+    def test_cycle_major_matches_scatter(self, c_cores, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(-1, 1, (3, n)), rng.uniform(-1, 1, (n, 4))
+        p_cycles = -(-n // c_cores)
+        xs, ys = scheduler._cycle_major(x, y, c_cores, p_cycles)
+        xs_ref, ys_ref = old_cycle_major(x, y, c_cores, p_cycles)
+        assert np.array_equal(xs, xs_ref) and np.array_equal(ys, ys_ref)
+        assert xs.shape == (3, p_cycles, c_cores) and ys.shape == (p_cycles, c_cores, 4)
