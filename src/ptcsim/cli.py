@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -34,9 +35,30 @@ from .scheduler import MODES, ArchConfig, GemmWorkload, simulate_gemm
 
 _SCHEMA_VERSION = 1
 _VARIANTS = ("foundry", "foundry-sl", "custom-sl")
-_EXPERIMENT_KEYS = frozenset(
-    ("arch", "catalog", "bits", "sigma_train", "trials", "epochs", "seed", "sigmas_eval")
-)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+#: Experiment-config keys other than "arch": (expected type, check).
+_EXPERIMENT_TYPES = {
+    "catalog": ("a catalog name", lambda v: isinstance(v, str)),
+    "bits": ("an integer", _is_int),
+    "sigma_train": ("a finite number", _is_number),
+    "trials": ("an integer", _is_int),
+    "epochs": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "sigmas_eval": (
+        "a list of finite numbers",
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    ),
+}
+_EXPERIMENT_KEYS = frozenset(("arch", *_EXPERIMENT_TYPES))
 _WORKLOAD_RE = re.compile(
     r"^rand:(\d+)x(\d+)x(\d+)(?::seed(\d+))?(?::(uniform|normal))?$"
 )
@@ -295,6 +317,12 @@ def _cmd_robustness(args) -> int:
                 f"bad experiment config {path}: unknown keys {unknown}; "
                 f"options: {sorted(_EXPERIMENT_KEYS)}"
             )
+        for key, (kind, ok) in _EXPERIMENT_TYPES.items():
+            if key in cfg_file and not ok(cfg_file[key]):
+                raise ConfigError(
+                    f"bad experiment config {path}: {key} must be {kind}, "
+                    f"got {cfg_file[key]!r}"
+                )
         if "arch" in cfg_file:
             arch = _arch_from_dict(cfg_file["arch"], path)
         if "catalog" in cfg_file:
@@ -304,13 +332,21 @@ def _cmd_robustness(args) -> int:
     trials = cfg_file.get("trials", args.trials)
     epochs = cfg_file.get("epochs", 40)
     seed = cfg_file.get("seed", args.seed)
-    sigmas = cfg_file.get(
-        "sigmas_eval", [float(s) for s in args.sigmas.split(",")]
-    )
-    if any(s < 0 for s in sigmas) or train_sigma < 0:
-        raise ConfigError("noise intensities must be >= 0")
-
-    cfg = MlpConfig(bits=bits, train_sigma=train_sigma, epochs=epochs, seed=seed)
+    if "sigmas_eval" in cfg_file:
+        sigmas = cfg_file["sigmas_eval"]
+    else:
+        try:
+            sigmas = [float(s) for s in args.sigmas.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"bad --sigmas {args.sigmas!r}: {e}") from e
+    if not all(0 <= s < math.inf for s in (*sigmas, train_sigma)):
+        raise ConfigError("noise intensities must be finite and >= 0")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    try:
+        cfg = MlpConfig(bits=bits, train_sigma=train_sigma, epochs=epochs, seed=seed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     train_x, train_y = make_blobs(
         512, cfg.layer_sizes[0], cfg.layer_sizes[-1], seed=seed
     )

@@ -1,7 +1,10 @@
 """Digital-analog boundary: fake quantization, STE gradients, noise, ADC codes.
 
-Rounding ties go half-away-from-zero everywhere, keeping the symmetric
-encode range sign-symmetric.
+Rounding ties go half-away-from-zero everywhere.  The b-bit code range
+[-2^(b-1), 2^(b-1) - 1] is not sign-symmetric: with the min-max step size
+alpha = peak / 2^(b-1), a negative peak maps to code -2^(b-1) exactly, but a
+positive peak clips to code 2^(b-1) - 1, a gain error of -1/2^(b-1) (-3.1% at
+6 bits) on the largest positive entries.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ __all__ = [
     "QuantizerParams",
     "NoiseModel",
     "round_half_away",
+    "quantize_codes",
     "fake_quantize",
     "quantize_grad_ste",
     "inject_noise",
@@ -25,9 +29,9 @@ __all__ = [
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero."""
+    """Round to nearest integer, ties away from zero; -0.0 rounds to +0.0."""
     x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.copysign(np.floor(np.abs(x) + 0.5), x + 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,17 +85,36 @@ def _check_channels(x: np.ndarray, p: QuantizerParams) -> None:
         )
 
 
-def fake_quantize(x: np.ndarray, p: QuantizerParams) -> np.ndarray:
-    """Quantize-dequantize onto the per-channel lattice (q - z) * alpha.
+def quantize_codes(x: np.ndarray, p: QuantizerParams) -> np.ndarray:
+    """Integer codes q = round_half_away(clip(x / alpha + z, q_min, q_max)), as floats.
 
-    Idempotent: applying the transform twice returns the first result exactly.
+    Every pass runs in place on one result and one scratch buffer.
     """
     x = np.asarray(x, dtype=float)
     _check_channels(x, p)
     alpha = p._expand(p.alpha, x.ndim)
     z = p._expand(p.zero_point, x.ndim)
-    v = np.clip(x / alpha + z, p.q_min, p.q_max)
-    return (round_half_away(v) - z) * alpha
+    v = x / alpha
+    # z + 0.0 turns a -0.0 zero point into +0.0, which leaves the codes
+    # unchanged but keeps -0.0 out of v, so v itself carries the sign
+    # round_half_away takes from x + 0.0.
+    v += z + 0.0
+    np.clip(v, p.q_min, p.q_max, out=v)
+    q = np.abs(v)
+    q += 0.5
+    np.floor(q, out=q)
+    return np.copysign(q, v, out=q)
+
+
+def fake_quantize(x: np.ndarray, p: QuantizerParams) -> np.ndarray:
+    """Quantize-dequantize onto the per-channel lattice (q - z) * alpha.
+
+    Idempotent: applying the transform twice returns the first result exactly.
+    """
+    q = quantize_codes(x, p)
+    q -= p._expand(p.zero_point, q.ndim)
+    q *= p._expand(p.alpha, q.ndim)
+    return q
 
 
 def quantize_grad_ste(
@@ -114,18 +137,9 @@ def quantize_grad_ste(
     alpha = p._expand(p.alpha, x.ndim)
     z = p._expand(p.zero_point, x.ndim)
     v = x / alpha + z
-    below = v < p.q_min
-    above = v > p.q_max
-    in_range = ~(below | above)
-
-    grad_x = upstream * in_range
-
-    dq_dalpha = np.where(
-        in_range,
-        round_half_away(np.clip(v, p.q_min, p.q_max)) - z,
-        np.where(below, p.q_min - z, p.q_max - z),
-    )
-    weighted = upstream * dq_dalpha
+    grad_x = upstream * ~((v < p.q_min) | (v > p.q_max))
+    # quantize_codes clips before rounding, so at the rails this is the rail code minus z.
+    weighted = upstream * (quantize_codes(x, p) - z)
     if p.alpha.size == 1:
         grad_alpha = np.array([weighted.sum()])
     else:
@@ -159,8 +173,13 @@ def inject_noise(x_q: np.ndarray, nm: NoiseModel, stream: int = 0) -> np.ndarray
     x_q = np.asarray(x_q, dtype=float)
     if not nm.enabled or nm.sigma == 0.0:
         return x_q.copy()
-    rng = nm.rng(stream)
-    return x_q + rng.standard_normal(x_q.shape) * (nm.sigma * np.abs(x_q))
+    # x_q + n * (sigma * |x_q|), one pass at a time on the drawn buffer.
+    noisy = nm.rng(stream).standard_normal(x_q.shape)
+    std = np.abs(x_q)
+    std *= nm.sigma
+    noisy *= std
+    noisy += x_q
+    return noisy
 
 
 def adc_sample(v, full_scale: float, bits: int):
@@ -191,13 +210,17 @@ def adc_value(code, full_scale: float, bits: int):
 
 
 def minmax_params(x: np.ndarray, bits: int, channel_axis: int = -1, per_channel: bool = False) -> QuantizerParams:
-    """Min-max initialization of quantizer parameters (symmetric, z = 0)."""
+    """Min-max initialization of quantizer parameters (z = 0).
+
+    alpha = peak |x| / 2^(b-1); an all-zero or empty tensor (or channel) is
+    given peak 1.
+    """
     x = np.asarray(x, dtype=float)
     if per_channel:
         axes = tuple(i for i in range(x.ndim) if i != channel_axis % x.ndim)
-        peak = np.abs(x).max(axis=axes)
+        peak = np.abs(x).max(axis=axes, initial=0.0)
     else:
-        peak = np.atleast_1d(np.abs(x).max())
+        peak = np.atleast_1d(np.abs(x).max(initial=0.0))
     peak = np.where(peak > 0, peak, 1.0)
     alpha = peak / (2 ** (bits - 1))
     return QuantizerParams(

@@ -28,9 +28,10 @@ these bounds has its exact per-cycle peaks formed before it is judged,
 and only an epoch that fails on the exact peaks is integrated cycle by
 cycle with rail clamping.
 
-When both operands sit on the quantizer lattice (quantized modes without
-noise) the epoch products are taken over the integer codes, which is exact
-in float64, and the step sizes are applied once.  ADC codes then do not
+Each operand is quantized once, in place, into its integer codes.  When
+both operands sit on the quantizer lattice (quantized modes without noise)
+the epoch products are taken over those codes, which is exact in float64,
+and the step sizes are applied once.  ADC codes then do not
 depend on summation order, tiling or the number of rows and columns.
 """
 
@@ -48,9 +49,10 @@ from .quantize import (
     NoiseModel,
     adc_sample,
     adc_value,
-    fake_quantize,
+    fake_quantize,  # noqa: F401  (unused here; bench/test_bench.py rebinds scheduler.fake_quantize)
     inject_noise,
     minmax_params,
+    quantize_codes,
 )
 
 __all__ = [
@@ -116,8 +118,12 @@ class GemmWorkload:
             raise ValueError(
                 f"inner dimensions disagree: {self.x.shape} x {self.y.shape}"
             )
-        if np.abs(self.x).max(initial=0.0) > 1.0 or np.abs(self.y).max(initial=0.0) > 1.0:
-            raise ValueError("operands must be pre-normalized to [-1, 1]")
+        for name, a in (("x", self.x), ("y", self.y)):
+            peak = np.abs(a).max(initial=0.0)
+            if not np.isfinite(peak):
+                raise ValueError(f"operand {name} has non-finite entries")
+            if peak > 1.0:
+                raise ValueError("operands must be pre-normalized to [-1, 1]")
 
     @property
     def m(self) -> int:
@@ -287,6 +293,33 @@ def _cycle_major(x: np.ndarray, y: np.ndarray, c_cores: int, p_cycles: int):
     return xs, ys
 
 
+def _engine_operands(work: GemmWorkload, arch: ArchConfig, nm: NoiseModel | None, mode: str):
+    """The operands as the engine multiplies them: (x, y, alpha_x, alpha_y, on_lattice).
+
+    Each operand is quantized once, into a fresh buffer of integer codes.
+    On the quantizer lattice (quantized modes without noise) those codes are
+    returned as they are; in noise modes each buffer is dequantized in place
+    (the min-max zero point is 0, so codes * alpha is fake_quantize), given
+    multiplicative noise and clipped to [-1, 1].
+    """
+    if mode == "ideal":
+        return work.x, work.y, float("nan"), float("nan"), False
+    px = minmax_params(work.x, arch.bits_in)
+    py = minmax_params(work.y, arch.bits_in)
+    alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
+    x, y = quantize_codes(work.x, px), quantize_codes(work.y, py)
+    nm = NoiseModel() if nm is None else nm
+    if mode == "quantized" or not nm.enabled or nm.sigma == 0.0:
+        return x, y, alpha_x, alpha_y, True
+    x *= alpha_x
+    x = inject_noise(x, nm, stream=0)
+    np.clip(x, -1.0, 1.0, out=x)
+    y *= alpha_y
+    y = inject_noise(y, nm, stream=1)
+    np.clip(y, -1.0, 1.0, out=y)
+    return x, y, alpha_x, alpha_y, False
+
+
 def _row_bounds(xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
     """U[p, m] = sum_c |xe[m, p, c]| * max_q |ye[p, c, q]|.
 
@@ -372,26 +405,11 @@ def simulate_gemm(
     sched = plan(work, arch)
     cfg = engine_config_for(arch, cat)
 
-    x, y = work.x, work.y
-    alpha_x = alpha_y = float("nan")
+    x, y, alpha_x, alpha_y, on_lattice = _engine_operands(work, arch, nm, mode)
     scale = cfg.current_scale()  # amperes per unit of operand product
-    if mode != "ideal":
-        px = minmax_params(x, arch.bits_in)
-        py = minmax_params(y, arch.bits_in)
-        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
-        x = fake_quantize(x, px)
-        y = fake_quantize(y, py)
-        on_lattice = mode == "quantized"
-        if not on_lattice:
-            if nm is None:
-                nm = NoiseModel()
-            on_lattice = not nm.enabled or nm.sigma == 0.0
-            x = np.clip(inject_noise(x, nm, stream=0), -1.0, 1.0)
-            y = np.clip(inject_noise(y, nm, stream=1), -1.0, 1.0)
-        if on_lattice:
-            # Integer codes: every partial sum below is exact in float64.
-            x, y = np.rint(x / alpha_x), np.rint(y / alpha_y)
-            scale *= alpha_x * alpha_y
+    if on_lattice:
+        # Integer codes: every partial sum below is exact in float64.
+        scale *= alpha_x * alpha_y
 
     xs, ys = _cycle_major(x, y, arch.c_cores, sched.p_cycles)
     del x, y  # only the cycle-major copies are read from here on

@@ -4,6 +4,10 @@ It materializes the full (block_rows, block_cols, K, K, P) photocurrent
 tensor and integrates it with a running sum, cycle by cycle, exactly as the
 machine does.  Tests compare the epoch-streamed ``simulate_gemm`` against
 it; it is far too slow and memory-hungry for anything but small shapes.
+
+``oracle_engine_operands`` is the simulator's earlier operand front end:
+fake quantization, noise, and on the lattice the integer codes re-derived
+from the dequantized operands.
 """
 
 import numpy as np
@@ -21,6 +25,29 @@ def _sequential_clamp(currents, scale, v_dd):
         events += int((v > v_dd).sum() + (v < -v_dd).sum())
         v = np.clip(v, -v_dd, v_dd)
     return v, events
+
+
+def oracle_engine_operands(work, arch, nm, mode):
+    """(x, y, alpha_x, alpha_y, on_lattice); same contract as scheduler._engine_operands."""
+    x, y = work.x, work.y
+    alpha_x = alpha_y = float("nan")
+    on_lattice = False
+    if mode != "ideal":
+        px = minmax_params(x, arch.bits_in)
+        py = minmax_params(y, arch.bits_in)
+        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
+        x = fake_quantize(x, px)
+        y = fake_quantize(y, py)
+        on_lattice = mode == "quantized"
+        if not on_lattice:
+            if nm is None:
+                nm = NoiseModel()
+            on_lattice = not nm.enabled or nm.sigma == 0.0
+            x = np.clip(inject_noise(x, nm, stream=0), -1.0, 1.0)
+            y = np.clip(inject_noise(y, nm, stream=1), -1.0, 1.0)
+        if on_lattice:
+            x, y = np.rint(x / alpha_x), np.rint(y / alpha_y)
+    return x, y, alpha_x, alpha_y, on_lattice
 
 
 def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):

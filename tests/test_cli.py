@@ -202,6 +202,17 @@ class TestRobustness:
             ({"arch": [6, 6, 32]}, "bad arch config"),
             ({"trials": 1, "sigma": 0.1}, "unknown keys ['sigma']"),
             ([1, 2], "expected a JSON object"),
+            ({"trials": "2", "epochs": 1}, "trials must be an integer, got '2'"),
+            ({"sigmas_eval": "0.1", "epochs": 1}, "sigmas_eval must be a list of finite numbers"),
+            ({"sigmas_eval": [0.0, "0.1"]}, "sigmas_eval must be a list of finite numbers"),
+            ({"epochs": 1.5}, "epochs must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"bits": "6"}, "bits must be an integer"),
+            ({"sigma_train": "0.01"}, "sigma_train must be a finite number"),
+            ({"sigma_train": float("nan")}, "sigma_train must be a finite number"),
+            ({"catalog": 3}, "catalog must be a catalog name"),
+            ({"trials": 0, "epochs": 1}, "trials must be >= 1"),
+            ({"bits": 1, "epochs": 1}, "bits must be >= 2"),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
@@ -213,6 +224,14 @@ class TestRobustness:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("sigmas", ["0,abc", "nan", "0,inf"])
+    def test_bad_sigmas_flag_exits_2(self, tmp_path, capsys, sigmas):
+        code, _, err = run(["robustness", "--sigmas", sigmas, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
 

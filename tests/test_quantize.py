@@ -14,6 +14,7 @@ from ptcsim import (
     fake_quantize,
     inject_noise,
     minmax_params,
+    quantize_codes,
     quantize_grad_ste,
     round_half_away,
 )
@@ -23,10 +24,75 @@ def scalar_params(bits=6, alpha=0.05, z=0.0):
     return QuantizerParams(bits=bits, alpha=np.array([alpha]), zero_point=np.array([z]))
 
 
+# The earlier allocating formulas; the in-place kernels must match them bit for bit.
+def formula_round_half_away(x):
+    x = np.asarray(x)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def formula_fake_quantize(x, p):
+    x = np.asarray(x, dtype=float)
+    alpha = p._expand(p.alpha, x.ndim)
+    z = p._expand(p.zero_point, x.ndim)
+    v = np.clip(x / alpha + z, p.q_min, p.q_max)
+    return (formula_round_half_away(v) - z) * alpha
+
+
+def formula_grad_alpha_terms(x, p):
+    """upstream's factor in grad_alpha: code minus zero point, the clip code at the rails."""
+    x = np.asarray(x, dtype=float)
+    alpha = p._expand(p.alpha, x.ndim)
+    z = p._expand(p.zero_point, x.ndim)
+    v = x / alpha + z
+    below, above = v < p.q_min, v > p.q_max
+    return np.where(
+        ~(below | above),
+        formula_round_half_away(np.clip(v, p.q_min, p.q_max)) - z,
+        np.where(below, p.q_min - z, p.q_max - z),
+    )
+
+
+def formula_inject_noise(x, nm, stream):
+    rng = nm.rng(stream)
+    return x + rng.standard_normal(x.shape) * (nm.sigma * np.abs(x))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# Signed zeros, values in (-0.5, 0), ties, subnormals, out-of-range values.
+SPECIAL = np.concatenate([
+    [0.0, -0.0, -0.49999999999999994, -0.3, -1e-300, -5e-324, 0.49999999999999994, 1e-300],
+    np.arange(-40, 40) + 0.5,
+    np.nextafter(np.arange(-40, 40) + 0.5, 0.0),
+    np.linspace(-50, 50, 2001),
+])
+floats_with_signed_zeros = arrays(
+    float,
+    array_shapes(max_dims=2, max_side=16),
+    elements=st.one_of(
+        st.floats(-40, 40, allow_nan=False), st.sampled_from([0.0, -0.0, 0.125, -0.375, 0.5, -0.5])
+    ),
+)
+
+
 class TestRounding:
     def test_ties_away_from_zero(self):
         got = round_half_away(np.array([0.5, -0.5, 1.5, -1.5, 2.4, -2.4]))
         assert np.array_equal(got, [1, -1, 2, -2, 2, -2])
+
+    def test_matches_sign_floor_formula_bitwise(self):
+        x = np.concatenate([SPECIAL, [np.inf, -np.inf]])
+        assert_same_bits(round_half_away(x), formula_round_half_away(x))
+        assert_same_bits(round_half_away(-0.0), 0.0)
+        assert_same_bits(round_half_away(-0.3), -0.0)
+
+    @given(floats_with_signed_zeros)
+    def test_matches_sign_floor_formula_on_random_arrays(self, x):
+        assert_same_bits(round_half_away(x), formula_round_half_away(x))
 
 
 class TestQuantizerParams:
@@ -86,6 +152,34 @@ class TestFakeQuantize:
         with pytest.raises(ValueError, match="channel"):
             fake_quantize(np.zeros((2, 3)), p)
 
+    @pytest.mark.parametrize("bits", [2, 6, 8])
+    @pytest.mark.parametrize("z", [0.0, -0.0, 1.0, -2.5])
+    def test_per_tensor_matches_formula_bitwise(self, bits, z):
+        p = scalar_params(bits=bits, alpha=0.7 / 2 ** (bits - 1), z=z)
+        x = SPECIAL * (0.7 / 40)
+        assert_same_bits(fake_quantize(x, p), formula_fake_quantize(x, p))
+
+    @given(floats_with_signed_zeros, st.sampled_from([0.0, -0.0, 3.0, -1.5]), st.integers(2, 8))
+    def test_per_tensor_matches_formula_on_random_arrays(self, x, z, bits):
+        p = scalar_params(bits=bits, alpha=0.25, z=z)  # 0.125 lands on a tie
+        assert_same_bits(fake_quantize(x, p), formula_fake_quantize(x, p))
+        codes = quantize_codes(x, p)
+        assert_same_bits(codes, formula_round_half_away(np.clip(x / p.alpha[0] + z, p.q_min, p.q_max)))
+
+    @pytest.mark.parametrize("channel_axis", [0, -1])
+    def test_per_channel_matches_formula_bitwise(self, channel_axis):
+        x = np.random.default_rng(2).uniform(-2, 2, (6, 6))
+        x[::2, 1::3], x[1::2, ::3] = 0.0, -0.0
+        x[0, :] = [0.25, -0.25, 0.75, -0.75, -0.01, 2.0]  # ties at alpha 0.5, 0.1
+        p = QuantizerParams(
+            bits=5,
+            alpha=np.array([0.5, 0.1, 0.1, 0.5, 0.03, 1.0]),
+            zero_point=np.array([0.0, -0.0, 1.0, -2.0, -0.0, 0.5]),
+            channel_axis=channel_axis,
+        )
+        assert_same_bits(fake_quantize(x, p), formula_fake_quantize(x, p))
+
+
 
 class TestSteGradients:
     def test_grad_x_masks_clipped_entries(self):
@@ -111,6 +205,13 @@ class TestSteGradients:
             - (upstream * fake_quantize(x, scalar_params(bits=4, alpha=alpha - h))).sum()
         ) / (2 * h)
         assert ga[0] == pytest.approx(fd, rel=1e-4)
+
+    @given(floats_with_signed_zeros, st.sampled_from([0.0, -0.0, 3.0, -1.5]), st.integers(2, 8))
+    def test_grad_alpha_matches_formula_bitwise(self, x, z, bits):
+        p = scalar_params(bits=bits, alpha=0.25, z=z)  # 0.125 lands on a tie
+        upstream = np.linspace(-1, 1, x.size).reshape(x.shape)
+        _, ga = quantize_grad_ste(upstream, x, p)
+        assert_same_bits(ga, [(upstream * formula_grad_alpha_terms(x, p)).sum()])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -147,6 +248,18 @@ class TestNoise:
         a1 = inject_noise(x, nm, stream=1)
         assert not np.array_equal(a0, a1)
         assert np.array_equal(a0, inject_noise(x, nm, stream=0))
+
+    @pytest.mark.parametrize("stream", [0, 5])
+    def test_matches_formula_bitwise(self, stream):
+        nm = NoiseModel(sigma=0.0031, seed=11)
+        x = np.concatenate([SPECIAL, -SPECIAL]).reshape(2, -1) / 50
+        assert_same_bits(inject_noise(x, nm, stream=stream), formula_inject_noise(x, nm, stream))
+
+    def test_input_is_not_modified(self):
+        x = np.linspace(-1, 1, 11)
+        before = x.copy()
+        inject_noise(x, NoiseModel(sigma=0.1, seed=2))
+        assert_same_bits(x, before)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -197,6 +310,18 @@ class TestMinmaxParams:
     def test_all_zero_tensor_gets_unit_alpha(self):
         p = minmax_params(np.zeros(5), bits=6)
         assert p.alpha[0] == pytest.approx(1.0 / 32)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_tensor_gets_unit_alpha(self, shape):
+        assert minmax_params(np.zeros(shape), bits=6).alpha == pytest.approx([1.0 / 32])
+        if len(shape) == 2:
+            p = minmax_params(np.zeros(shape), bits=6, per_channel=True)
+            assert p.alpha == pytest.approx(np.full(shape[-1], 1.0 / 32))
+
+    def test_positive_peak_clips_one_code_short(self):
+        # The code range [-2^(b-1), 2^(b-1) - 1] is not sign-symmetric.
+        x = np.array([-1.0, 1.0])
+        assert np.array_equal(fake_quantize(x, minmax_params(x, bits=6)), [-1.0, 31 / 32])
 
     def test_per_channel(self):
         x = np.array([[1.0, 0.1], [-2.0, 0.2]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scheduler_oracle import oracle_simulate_gemm
+from scheduler_oracle import oracle_engine_operands, oracle_simulate_gemm
 
 from ptcsim import (
     MODES,
@@ -55,6 +55,14 @@ class TestWorkload:
     def test_unnormalized_operands_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             GemmWorkload(np.full((2, 2), 1.5), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["x", "y"])
+    def test_nonfinite_operands_rejected(self, operand, bad):
+        x, y = np.array([[0.5, 0.0]]), np.array([[0.5], [0.0]])
+        (x if operand == "x" else y)[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GemmWorkload(x, y)
 
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -315,9 +323,14 @@ class TestEpochStreaming:
 
     @pytest.mark.parametrize("m, n, q", [(0, 3, 2), (2, 3, 0), (2, 0, 2)])
     def test_empty_dimensions(self, m, n, q):
-        z, stats = simulate_gemm(GemmWorkload(np.zeros((m, n)), np.zeros((n, q))), SMALL, CAT)
-        assert z.shape == (m, q) and not z.any()
-        assert stats.max_abs_current_a == 0.0
+        w = GemmWorkload(np.zeros((m, n)), np.zeros((n, q)))
+        for mode in MODES:
+            z, stats = simulate_gemm(w, SMALL, CAT, mode=mode)
+            assert z.shape == (m, q) and not z.any()
+            assert stats.max_abs_current_a == 0.0
+            if mode != "ideal":
+                # An empty operand quantizes with peak 1.
+                assert stats.alpha_x == stats.alpha_y == 2.0 ** (1 - SMALL.bits_in)
 
     def test_plans_once_per_call(self, monkeypatch):
         calls = []
@@ -466,3 +479,50 @@ class TestPeakPruning:
         xs_ref, ys_ref = old_cycle_major(x, y, c_cores, p_cycles)
         assert np.array_equal(xs, xs_ref) and np.array_equal(ys, ys_ref)
         assert xs.shape == (3, p_cycles, c_cores) and ys.shape == (p_cycles, c_cores, 4)
+
+
+def bits_of(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestEngineOperands:
+    """Quantize-once front end against the earlier fake_quantize + np.rint one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        archs,
+        st.integers(0, 9), st.integers(0, 24), st.integers(0, 9), st.sampled_from(MODES[1:]),
+        st.sampled_from([None, (0.0, True), (0.3, False), (0.02, True)]),  # (sigma, enabled)
+        st.integers(0, 10_000),
+    )
+    def test_matches_earlier_front_end_bitwise(self, arch, m, n, q, mode, noise, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (n, q))
+        for a in (x, y):  # signed zeros, and sometimes a full-scale peak
+            a[rng.random(a.shape) < 0.2] = 0.0
+            a[rng.random(a.shape) < 0.2] = -0.0
+            if a.size and seed % 2:
+                a.flat[rng.integers(a.size)] = rng.choice([-1.0, 1.0])
+        w = GemmWorkload(x, y)
+        nm = None if noise is None else NoiseModel(sigma=noise[0], enabled=noise[1], seed=seed)
+        got = scheduler._engine_operands(w, arch, nm, mode)
+        want = oracle_engine_operands(w, arch, nm, mode)
+        for a, b in zip(got[:2], want[:2]):
+            assert a.shape == b.shape and np.array_equal(bits_of(a), bits_of(b))
+        assert got[2:] == want[2:]
+        z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        with mock.patch.object(scheduler, "_engine_operands", oracle_engine_operands):
+            z_ref, ref = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        assert np.array_equal(bits_of(z), bits_of(z_ref))
+        assert repr(stats) == repr(ref)
+
+    def test_quantizes_each_operand_once(self, monkeypatch):
+        calls = []
+        real = scheduler.quantize_codes
+        monkeypatch.setattr(scheduler, "quantize_codes", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(scheduler, "fake_quantize", None)
+        w = GemmWorkload.random(5, 7, 9, seed=0)
+        for mode in MODES:
+            calls.clear()
+            simulate_gemm(w, SMALL, CAT, nm=NoiseModel(sigma=0.02), mode=mode)
+            assert len(calls) == (0 if mode == "ideal" else 2)
