@@ -172,10 +172,8 @@ class CatalogVariant:
     devices: dict[str, DeviceSpec] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in _VARIANT_NAMES:
-            raise CatalogError(
-                f"unknown variant {self.name!r}; expected one of {_VARIANT_NAMES}"
-            )
+        if not isinstance(self.name, str) or not self.name:
+            raise CatalogError(f"variant name must be a non-empty string, got {self.name!r}")
 
     def device(self, kind: str) -> DeviceSpec:
         try:

@@ -22,8 +22,10 @@ __all__ = [
     "fake_quantize",
     "quantize_grad_ste",
     "inject_noise",
+    "apply_noise",
     "adc_sample",
     "adc_value",
+    "adc_readout",
     "minmax_params",
 ]
 
@@ -48,17 +50,24 @@ class QuantizerParams:
     channel_axis: int = -1
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.atleast_1d(np.asarray(self.alpha, dtype=float)))
-        object.__setattr__(
-            self, "zero_point", np.atleast_1d(np.asarray(self.zero_point, dtype=float))
-        )
+        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        zero_point = np.atleast_1d(np.asarray(self.zero_point, dtype=float))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "zero_point", zero_point)
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
-        if np.any(self.alpha <= 0):
+        if alpha.size == zero_point.size == 1:
+            # Per-tensor: scalar checks, far cheaper than array reductions.
+            bad_alpha = alpha.item() <= 0
+            bad_zero = not math.isfinite(zero_point.item())
+        else:
+            bad_alpha = np.any(alpha <= 0)
+            bad_zero = not np.all(np.isfinite(zero_point))
+        if bad_alpha:
             raise ValueError("alpha must be positive elementwise")
-        if not np.all(np.isfinite(self.zero_point)):
+        if bad_zero:
             raise ValueError("zero_point must be finite")
-        if self.zero_point.shape not in ((1,), self.alpha.shape):
+        if zero_point.shape not in ((1,), alpha.shape):
             raise ValueError("zero_point shape must match alpha")
 
     @property
@@ -85,10 +94,12 @@ def _check_channels(x: np.ndarray, p: QuantizerParams) -> None:
         )
 
 
-def quantize_codes(x: np.ndarray, p: QuantizerParams) -> np.ndarray:
+def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = None) -> np.ndarray:
     """Integer codes q = round_half_away(clip(x / alpha + z, q_min, q_max)), as floats.
 
-    Every pass runs in place on one result and one scratch buffer.
+    Every pass runs in place on one result and one scratch buffer.  The
+    result goes to out when given (a float array of x's shape, which may be
+    reused block after block), else to a new array.
     """
     x = np.asarray(x, dtype=float)
     _check_channels(x, p)
@@ -100,7 +111,7 @@ def quantize_codes(x: np.ndarray, p: QuantizerParams) -> np.ndarray:
     # round_half_away takes from x + 0.0.
     v += z + 0.0
     np.clip(v, p.q_min, p.q_max, out=v)
-    q = np.abs(v)
+    q = np.abs(v, out=out)
     q += 0.5
     np.floor(q, out=q)
     return np.copysign(q, v, out=q)
@@ -173,13 +184,21 @@ def inject_noise(x_q: np.ndarray, nm: NoiseModel, stream: int = 0) -> np.ndarray
     x_q = np.asarray(x_q, dtype=float)
     if not nm.enabled or nm.sigma == 0.0:
         return x_q.copy()
-    # x_q + n * (sigma * |x_q|), one pass at a time on the drawn buffer.
-    noisy = nm.rng(stream).standard_normal(x_q.shape)
+    return apply_noise(x_q, nm.rng(stream).standard_normal(x_q.shape), nm.sigma)
+
+
+def apply_noise(x_q: np.ndarray, draws: np.ndarray, sigma: float) -> np.ndarray:
+    """x_q + draws * (sigma * |x_q|), one pass at a time in place on draws.
+
+    draws holds standard normal samples of x_q's shape.  Filling it block by
+    block from one generator, in row-major order, draws the same values as
+    one whole-tensor draw, so a tensor may be perturbed a block at a time.
+    """
     std = np.abs(x_q)
-    std *= nm.sigma
-    noisy *= std
-    noisy += x_q
-    return noisy
+    std *= sigma
+    draws *= std
+    draws += x_q
+    return draws
 
 
 def adc_sample(v, full_scale: float, bits: int):
@@ -189,14 +208,8 @@ def adc_sample(v, full_scale: float, bits: int):
     (code - (2^(bits-1) - 0.5)) * full_scale / 2^(bits-1), so adc_value is
     the documented inverse.
     """
-    if not 2 <= bits <= 12:
-        raise ValueError(f"adc bits must be in [2, 12], got {bits}")
-    if full_scale <= 0:
-        raise ValueError(f"full_scale must be > 0, got {full_scale}")
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("adc input must be finite")
-    half = 2 ** (bits - 1)
+    half = _adc_half(v, full_scale, bits)
     delta = full_scale / half
     code = np.floor(v / delta) + half
     code = np.clip(code, 0, 2 * half - 1).astype(int)
@@ -209,6 +222,35 @@ def adc_value(code, full_scale: float, bits: int):
     return (np.asarray(code, dtype=float) - (half - 0.5)) * full_scale / half
 
 
+def adc_readout(v: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
+    """adc_value(adc_sample(v)), in place on the float array v; returns v.
+
+    The same float operations in the same order, so the result is equal bit
+    for bit; the codes are never cast to integers and back, which is exact
+    for them anyway.
+    """
+    half = _adc_half(v, full_scale, bits)
+    v /= full_scale / half
+    np.floor(v, out=v)
+    v += half
+    np.clip(v, 0, 2 * half - 1, out=v)
+    v -= half - 0.5
+    v *= full_scale
+    v /= half
+    return v
+
+
+def _adc_half(v: np.ndarray, full_scale: float, bits: int) -> int:
+    """Half the ADC code count, 2^(bits-1), once the arguments are checked."""
+    if not 2 <= bits <= 12:
+        raise ValueError(f"adc bits must be in [2, 12], got {bits}")
+    if full_scale <= 0:
+        raise ValueError(f"full_scale must be > 0, got {full_scale}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("adc input must be finite")
+    return 2 ** (bits - 1)
+
+
 def minmax_params(x: np.ndarray, bits: int, channel_axis: int = -1, per_channel: bool = False) -> QuantizerParams:
     """Min-max initialization of quantizer parameters (z = 0).
 
@@ -216,16 +258,18 @@ def minmax_params(x: np.ndarray, bits: int, channel_axis: int = -1, per_channel:
     given peak 1.
     """
     x = np.asarray(x, dtype=float)
+    # max(max x, -min x) is max |x| without an |x| temporary; a NaN in x
+    # makes both NaN, so it still yields peak 1.
     if per_channel:
         axes = tuple(i for i in range(x.ndim) if i != channel_axis % x.ndim)
-        peak = np.abs(x).max(axis=axes, initial=0.0)
+        peak = np.maximum(x.max(axis=axes, initial=0.0), -x.min(axis=axes, initial=0.0))
+        alpha = np.where(peak > 0, peak, 1.0) / (2 ** (bits - 1))
     else:
-        peak = np.atleast_1d(np.abs(x).max(initial=0.0))
-    peak = np.where(peak > 0, peak, 1.0)
-    alpha = peak / (2 ** (bits - 1))
+        peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+        alpha = np.array([(peak if peak > 0 else 1.0) / (2 ** (bits - 1))])
     return QuantizerParams(
         bits=bits,
         alpha=alpha,
-        zero_point=np.zeros_like(alpha),
+        zero_point=np.zeros(alpha.shape),
         channel_axis=channel_axis,
     )

@@ -13,8 +13,9 @@ integrates the columns {c*P + p : p in [eT, (e+1)T)}; every output element
 is independent, so the epoch's readout for the whole M x Q result is one
 matrix product over those columns, and the K x K block structure only
 matters for cycle accounting.  Working memory is O(M*Q + M*N + N*Q): the
-operands reordered cycle-major, the accumulated result, and one reused
-buffer of per-cycle photocurrents.
+operands in cycle-major order, the accumulated result, and one reused
+buffer of per-cycle photocurrents.  An epoch's readout is digitized in
+place, in its own buffer, before it is added to the result.
 
 The exact peak current and a no-saturation certificate per epoch come
 from per-cycle photocurrents, formed a buffer-full at a time:
@@ -26,13 +27,19 @@ the rows whose U can beat it are formed; the other rows' entries are that
 peak, which still bounds them.  An epoch that fails the certificate on
 these bounds has its exact per-cycle peaks formed before it is judged,
 and only an epoch that fails on the exact peaks is integrated cycle by
-cycle with rail clamping.
+cycle with rail clamping.  When no peak is known yet and an epoch takes more
+than one buffer-full, the current of each cycle's largest-bound row seeds
+the search, so the first epoch is pruned too.
 
-Each operand is quantized once, in place, into its integer codes.  When
-both operands sit on the quantizer lattice (quantized modes without noise)
-the epoch products are taken over those codes, which is exact in float64,
-and the step sizes are applied once.  ADC codes then do not
-depend on summation order, tiling or the number of rows and columns.
+The operand front end walks each operand in row blocks of about 256 KiB,
+which stay in cache: a block is quantized once into its integer codes, in
+noise modes dequantized, perturbed and clipped in the same buffer, and
+stored straight into the zero-padded cycle-major layout, so no other
+operand-sized buffer is made.  When both operands sit on the quantizer
+lattice (quantized modes without noise) the epoch products are taken over
+the codes, which is exact in float64, and the step sizes are applied once.
+ADC codes then do not depend on summation order, tiling or the number of
+rows and columns.
 """
 
 from __future__ import annotations
@@ -47,10 +54,10 @@ from .catalog import CatalogVariant, DeviceKind
 from .engine import EngineConfig, size_capacitor
 from .quantize import (
     NoiseModel,
-    adc_sample,
-    adc_value,
+    QuantizerParams,
+    adc_readout,
+    apply_noise,
     fake_quantize,  # noqa: F401  (unused here; bench/test_bench.py rebinds scheduler.fake_quantize)
-    inject_noise,
     minmax_params,
     quantize_codes,
 )
@@ -271,53 +278,90 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
 _CURRENT_BUFFER_ELEMS = 1 << 18
 
 
-def _cycle_major(x: np.ndarray, y: np.ndarray, c_cores: int, p_cycles: int):
-    """Zero-pad the reduction to C*P and index it by (cycle, core).
+#: Operand elements the front end carries through each pass at once (256 KiB).
+_OPERAND_BLOCK_ELEMS = 1 << 15
 
-    Returns xs of shape (M, P, C) and ys of shape (P, C, Q): reduction
-    index n = c*P + p lands at [.., p, c], so the columns of a run of
-    cycles form one contiguous slice.  Whole cores are copied through
-    transposed views, then the partial last core.
+
+def _engine_operands(
+    work: GemmWorkload, arch: ArchConfig, nm: NoiseModel | None, mode: str, p_cycles: int
+):
+    """The operands as the engine multiplies them, cycle-major: (xs, ys, alpha_x, alpha_y, on_lattice).
+
+    xs has shape (M, P, C) and ys (P, C, Q), with the reduction zero-padded
+    to C*P: index n = c*P + p lands at [.., p, c], so the columns of a run of
+    cycles form one contiguous slice.  On the quantizer lattice (quantized
+    modes without noise) the entries are integer codes; in noise modes they
+    are dequantized (the min-max zero point is 0, so codes * alpha is
+    fake_quantize), given multiplicative noise and clipped to [-1, 1].
     """
-    m, q = x.shape[0], y.shape[1]
-    xs = np.zeros((m, p_cycles, c_cores))
-    ys = np.zeros((p_cycles, c_cores, q))
+    alpha_x = alpha_y = float("nan")
+    px = py = noise = None
+    on_lattice = False
+    if mode != "ideal":
+        px = minmax_params(work.x, arch.bits_in)
+        py = minmax_params(work.y, arch.bits_in)
+        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
+        nm = NoiseModel() if nm is None else nm
+        on_lattice = mode == "quantized" or not nm.enabled or nm.sigma == 0.0
+        noise = None if on_lattice else nm
+    xs = np.zeros((work.m, p_cycles, arch.c_cores))
+    ys = np.zeros((p_cycles, arch.c_cores, work.q))
     if p_cycles:
-        full, rem = divmod(x.shape[1], p_cycles)
-        xt, yt = xs.transpose(0, 2, 1), ys.transpose(1, 0, 2)
-        xt[:, :full] = x[:, : full * p_cycles].reshape(m, full, p_cycles)
-        yt[:full] = y[: full * p_cycles].reshape(full, p_cycles, q)
-        if rem:
-            xt[:, full, :rem] = x[:, full * p_cycles :]
-            yt[full, :rem] = y[full * p_cycles :]
-    return xs, ys
+        for r0, blk in _operand_blocks(work.x, px, noise, stream=0):
+            _store_cycle_major(xs[r0 : r0 + len(blk)].transpose(2, 1, 0), blk.T, 0)
+        for n0, blk in _operand_blocks(work.y, py, noise, stream=1):
+            _store_cycle_major(ys.transpose(1, 0, 2), blk, n0)
+    return xs, ys, alpha_x, alpha_y, on_lattice
 
 
-def _engine_operands(work: GemmWorkload, arch: ArchConfig, nm: NoiseModel | None, mode: str):
-    """The operands as the engine multiplies them: (x, y, alpha_x, alpha_y, on_lattice).
+def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None, stream: int):
+    """Yield (first row, block) of operand a as the engine sees it, a row block at a time.
 
-    Each operand is quantized once, into a fresh buffer of integer codes.
-    On the quantizer lattice (quantized modes without noise) those codes are
-    returned as they are; in noise modes each buffer is dequantized in place
-    (the min-max zero point is 0, so codes * alpha is fake_quantize), given
-    multiplicative noise and clipped to [-1, 1].
+    A block is one pass of each step over about _OPERAND_BLOCK_ELEMS
+    elements, in buffers reused from block to block: quantize_codes once,
+    then in noise modes dequantize, perturb and clip in place.  The noise
+    comes from one generator per operand, drawn block by block in row-major
+    order, which gives the same values as one whole-operand draw.  Without
+    params (ideal mode) a is one block as it is.
     """
-    if mode == "ideal":
-        return work.x, work.y, float("nan"), float("nan"), False
-    px = minmax_params(work.x, arch.bits_in)
-    py = minmax_params(work.y, arch.bits_in)
-    alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
-    x, y = quantize_codes(work.x, px), quantize_codes(work.y, py)
-    nm = NoiseModel() if nm is None else nm
-    if mode == "quantized" or not nm.enabled or nm.sigma == 0.0:
-        return x, y, alpha_x, alpha_y, True
-    x *= alpha_x
-    x = inject_noise(x, nm, stream=0)
-    np.clip(x, -1.0, 1.0, out=x)
-    y *= alpha_y
-    y = inject_noise(y, nm, stream=1)
-    np.clip(y, -1.0, 1.0, out=y)
-    return x, y, alpha_x, alpha_y, False
+    if params is None:
+        yield 0, a
+        return
+    rows = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
+    rng = None if nm is None else nm.rng(stream)
+    codes = draws = None
+    for r0 in range(0, a.shape[0], rows):
+        blk = a[r0 : r0 + rows]
+        codes = quantize_codes(blk, params, None if codes is None else codes[: len(blk)])
+        if rng is None:
+            yield r0, codes
+            continue
+        codes *= params.alpha[0]
+        if draws is None:
+            draws = rng.standard_normal(codes.shape)
+        else:
+            draws = rng.standard_normal(out=draws[: len(blk)])
+        noisy = apply_noise(codes, draws, nm.sigma)
+        yield r0, np.clip(noisy, -1.0, 1.0, out=noisy)
+
+
+def _store_cycle_major(dst: np.ndarray, rows: np.ndarray, n0: int) -> None:
+    """Write reduction rows n0, n0 + 1, ... into dst, a (C, P, ...) view.
+
+    Row n lands at dst[n // P, n % P]: first the rest of a core an earlier
+    block began, then whole cores through one reshaped view, then the start
+    of the next core.
+    """
+    p = dst.shape[1]
+    c, r = divmod(n0, p)
+    if r:
+        head = rows[: p - r]
+        dst[c, r : r + len(head)] = head
+        rows, c = rows[len(head) :], c + 1
+    full = len(rows) // p
+    dst[c : c + full] = rows[: full * p].reshape(full, p, *rows.shape[1:])
+    if len(rows) > full * p:
+        dst[c + full, : len(rows) - full * p] = rows[full * p :]
 
 
 def _row_bounds(xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
@@ -344,6 +388,15 @@ def _cycle_peaks(
     xt = xe.transpose(1, 0, 2)
     peaks = np.empty(t_cycles)
     bound = None
+    if best == 0.0 and t_cycles > buf.shape[0]:
+        # No peak known and more than one buffer-full to form: seed best with
+        # the current of each cycle's largest-bound row.  This matmul may
+        # round that current differently from the buffered ones below, so
+        # best is shrunk by 1e-12: the row is formed again there, and the
+        # largest entry is still a current those matmuls formed.
+        bound = _row_bounds(xe, ye) * (1.0 + 1e-12)
+        seeds = np.matmul(xt[np.arange(t_cycles), bound.argmax(axis=1)][:, None], ye)
+        best = max(float(seeds.max()), -float(seeds.min())) * (1.0 - 1e-12)
     keep_best = 0.0  # keep is re-taken only when best rises
     s = 0
     while s < t_cycles:
@@ -405,14 +458,12 @@ def simulate_gemm(
     sched = plan(work, arch)
     cfg = engine_config_for(arch, cat)
 
-    x, y, alpha_x, alpha_y, on_lattice = _engine_operands(work, arch, nm, mode)
+    xs, ys, alpha_x, alpha_y, on_lattice = _engine_operands(work, arch, nm, mode, sched.p_cycles)
     scale = cfg.current_scale()  # amperes per unit of operand product
     if on_lattice:
         # Integer codes: every partial sum below is exact in float64.
         scale *= alpha_x * alpha_y
 
-    xs, ys = _cycle_major(x, y, arch.c_cores, sched.p_cycles)
-    del x, y  # only the cycle-major copies are read from here on
     volt_scale = cfg.dt / cfg.c_int
     gain = scale * volt_scale  # readout volts per unit of operand product
     tol = cfg.v_dd * (1.0 + 1e-12)
@@ -432,12 +483,13 @@ def simulate_gemm(
         peak = max(peak, float(peaks.max()))
         if certified:
             cols = ye.shape[0] * arch.c_cores
-            v = gain * (xe.reshape(work.m, cols) @ ye.reshape(cols, work.q))
+            v = xe.reshape(work.m, cols) @ ye.reshape(cols, work.q)
+            v *= gain
         else:
             v, events = _sequential_clamp(xe, ye, gain, cfg.v_dd)
             saturation_events += events
         if mode == "quantized+noise+adc":
-            v = adc_value(adc_sample(v, cfg.v_dd, arch.bits_out), cfg.v_dd, arch.bits_out)
+            adc_readout(v, cfg.v_dd, arch.bits_out)
         z_accum += v
 
     if mode == "ideal" and saturation_events > 0:

@@ -7,7 +7,9 @@ it; it is far too slow and memory-hungry for anything but small shapes.
 
 ``oracle_engine_operands`` is the simulator's earlier operand front end:
 fake quantization, noise, and on the lattice the integer codes re-derived
-from the dequantized operands.
+from the dequantized operands, all on whole operands.  ``oracle_cycle_major``
+scatters them into the cycle-major layout by fancy indexing, and
+``oracle_front_end`` chains the two.
 """
 
 import numpy as np
@@ -27,8 +29,24 @@ def _sequential_clamp(currents, scale, v_dd):
     return v, events
 
 
+def oracle_cycle_major(x, y, c_cores, p_cycles):
+    """(xs, ys) of shapes (M, P, C) and (P, C, Q): reduction index n = c*P + p lands at [.., p, c]."""
+    cores, cycles = np.divmod(np.arange(x.shape[1]), max(p_cycles, 1))
+    xs = np.zeros((x.shape[0], p_cycles, c_cores))
+    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
+    xs[:, cycles, cores] = x
+    ys[cycles, cores] = y
+    return xs, ys
+
+
+def oracle_front_end(work, arch, nm, mode, p_cycles):
+    """(xs, ys, alpha_x, alpha_y, on_lattice); same contract as scheduler._engine_operands."""
+    x, y, *rest = oracle_engine_operands(work, arch, nm, mode)
+    return (*oracle_cycle_major(x, y, arch.c_cores, p_cycles), *rest)
+
+
 def oracle_engine_operands(work, arch, nm, mode):
-    """(x, y, alpha_x, alpha_y, on_lattice); same contract as scheduler._engine_operands."""
+    """(x, y, alpha_x, alpha_y, on_lattice) with x and y as (M, N) and (N, Q) matrices."""
     x, y = work.x, work.y
     alpha_x = alpha_y = float("nan")
     on_lattice = False

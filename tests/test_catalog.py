@@ -56,6 +56,16 @@ class TestCatalogIO:
         assert variant_name(spelling) == "foundry_sl"
         assert load_builtin_catalog(spelling).name == "foundry_sl"
 
+    @pytest.mark.parametrize("name", ["", 7, None])
+    def test_variant_name_must_be_a_nonempty_string(self, tmp_path, name):
+        path = tmp_path / "cat.json"
+        dump_catalog(load_builtin_catalog("foundry"), path)
+        doc = json.loads(path.read_text())
+        doc["variant"] = name
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CatalogError, match="non-empty string"):
+            load_catalog(path)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(CatalogError, match="no builtin catalog"):
             builtin_catalog_path("exotic")

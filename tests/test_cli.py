@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -244,6 +245,24 @@ class TestCatalogValidate:
         )
         assert code == 0
         assert "OK" in out
+
+    def test_user_catalog_may_name_itself(self, tmp_path, capsys):
+        from ptcsim import builtin_catalog_path, dump_catalog, load_builtin_catalog
+
+        mine = tmp_path / "my_tech.json"
+        cat = load_builtin_catalog("custom-sl")
+        dump_catalog(dataclasses.replace(cat, name="my_tech"), mine)
+        code, out, _ = run(["catalog-validate", str(mine)], capsys)
+        assert code == 0
+        assert "variant my_tech" in out
+        reports = {}
+        for name, path in (("mine", mine), ("builtin", builtin_catalog_path("custom-sl"))):
+            code, _, _ = run(["cost", "--catalog", str(path), "--out", str(tmp_path / name)], capsys)
+            assert code == 0
+            reports[name] = json.loads((tmp_path / name / "cost.json").read_text())
+        assert reports["mine"].pop("variant") == "my_tech"
+        assert reports["builtin"].pop("variant") == "custom_sl"
+        assert reports["mine"] == reports["builtin"]
 
     def test_invalid_catalog_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

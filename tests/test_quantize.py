@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from ptcsim import (
     NoiseModel,
     QuantizerParams,
+    adc_readout,
     adc_sample,
     adc_value,
+    apply_noise,
     fake_quantize,
     inject_noise,
     minmax_params,
@@ -50,6 +52,16 @@ def formula_grad_alpha_terms(x, p):
         formula_round_half_away(np.clip(v, p.q_min, p.q_max)) - z,
         np.where(below, p.q_min - z, p.q_max - z),
     )
+
+
+def formula_minmax_alpha(x, bits, per_channel=False, channel_axis=-1):
+    x = np.asarray(x, dtype=float)
+    if per_channel:
+        axes = tuple(i for i in range(x.ndim) if i != channel_axis % x.ndim)
+        peak = np.abs(x).max(axis=axes, initial=0.0)
+    else:
+        peak = np.atleast_1d(np.abs(x).max(initial=0.0))
+    return np.where(peak > 0, peak, 1.0) / (2 ** (bits - 1))
 
 
 def formula_inject_noise(x, nm, stream):
@@ -113,6 +125,24 @@ class TestQuantizerParams:
         with pytest.raises(ValueError):
             scalar_params(z=np.inf)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize(
+        "alpha, z, message",
+        [(0.0, 0.0, "alpha"), (-0.1, 0.0, "alpha"), (0.1, np.inf, "zero_point"),
+         (0.1, np.nan, "zero_point"), (np.nan, 0.0, None)],
+    )
+    def test_per_tensor_and_per_channel_checks_agree(self, channels, alpha, z, message):
+        # The per-tensor checks are scalar; they must accept and reject
+        # exactly what the elementwise ones do (a NaN step size passes both).
+        def make():
+            return QuantizerParams(bits=6, alpha=np.full(channels, alpha), zero_point=np.full(channels, z))
+
+        if message is None:
+            make()
+        else:
+            with pytest.raises(ValueError, match=message):
+                make()
+
 
 class TestFakeQuantize:
     @settings(max_examples=200)
@@ -165,6 +195,17 @@ class TestFakeQuantize:
         assert_same_bits(fake_quantize(x, p), formula_fake_quantize(x, p))
         codes = quantize_codes(x, p)
         assert_same_bits(codes, formula_round_half_away(np.clip(x / p.alpha[0] + z, p.q_min, p.q_max)))
+
+    def test_codes_into_a_reused_block_buffer(self):
+        x = SPECIAL[: 36 * 60].reshape(36, 60) / 40
+        p = scalar_params(bits=6, alpha=1 / 32)
+        buf = np.full((8, 60), np.nan)
+        blocks = []
+        for r0 in range(0, len(x), 8):
+            out = quantize_codes(x[r0 : r0 + 8], p, buf[: len(x[r0 : r0 + 8])])
+            assert np.shares_memory(out, buf)
+            blocks.append(out.copy())
+        assert_same_bits(np.concatenate(blocks), quantize_codes(x, p))
 
     @pytest.mark.parametrize("channel_axis", [0, -1])
     def test_per_channel_matches_formula_bitwise(self, channel_axis):
@@ -255,6 +296,16 @@ class TestNoise:
         x = np.concatenate([SPECIAL, -SPECIAL]).reshape(2, -1) / 50
         assert_same_bits(inject_noise(x, nm, stream=stream), formula_inject_noise(x, nm, stream))
 
+    @pytest.mark.parametrize("rows", [1, 3, 37])
+    def test_block_draws_match_one_whole_draw(self, rows):
+        nm = NoiseModel(sigma=0.0031, seed=11)
+        x = np.random.default_rng(4).uniform(-1, 1, (100, 13))
+        rng, draws, blocks = nm.rng(1), np.empty((rows, 13)), []
+        for r0 in range(0, len(x), rows):
+            blk = x[r0 : r0 + rows]
+            blocks.append(apply_noise(blk, rng.standard_normal(out=draws[: len(blk)]), nm.sigma).copy())
+        assert_same_bits(np.concatenate(blocks), inject_noise(x, nm, stream=1))
+
     def test_input_is_not_modified(self):
         x = np.linspace(-1, 1, 11)
         before = x.copy()
@@ -297,6 +348,31 @@ class TestAdc:
         with pytest.raises(ValueError):
             adc_sample(np.array([np.nan]), 1.0, 6)
 
+    @pytest.mark.parametrize("fs, bits", [(1.0, 6), (0.37, 2), (2.5e-3, 8), (1.0, 12)])
+    def test_in_place_readout_matches_sample_then_value(self, fs, bits):
+        delta = fs / 2 ** (bits - 1)
+        edges = np.arange(-(2 ** (bits - 1)), 2 ** (bits - 1) + 1) * delta
+        v = np.concatenate([
+            [0.0, -0.0, fs, -fs, np.nextafter(fs, 0), np.nextafter(-fs, 0), 3 * fs, -3 * fs, 1e300, -1e300],
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            np.random.default_rng(bits).uniform(-1.2 * fs, 1.2 * fs, 500),
+        ])
+        want = adc_value(adc_sample(v, fs, bits), fs, bits)
+        got = v.copy()
+        assert adc_readout(got, fs, bits) is got
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_in_place_readout_rejects_nonfinite(self, bad):
+        v = np.array([[0.1, bad], [0.0, -0.2]])
+        with pytest.raises(ValueError, match="finite"):
+            adc_readout(v, 1.0, 6)
+
+    @pytest.mark.parametrize("fs, bits", [(1.0, 1), (1.0, 13), (0.0, 6), (-1.0, 6)])
+    def test_in_place_readout_checks_its_arguments(self, fs, bits):
+        with pytest.raises(ValueError):
+            adc_readout(np.zeros(3), fs, bits)
+
 
 class TestMinmaxParams:
     def test_symmetric_peak_mapping(self):
@@ -322,6 +398,26 @@ class TestMinmaxParams:
         # The code range [-2^(b-1), 2^(b-1) - 1] is not sign-symmetric.
         x = np.array([-1.0, 1.0])
         assert np.array_equal(fake_quantize(x, minmax_params(x, bits=6)), [-1.0, 31 / 32])
+
+    @given(
+        arrays(
+            float,
+            array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+            elements=st.one_of(
+                st.floats(-2, 2), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
+            ),
+        ),
+        st.integers(2, 8), st.booleans(),
+    )
+    def test_matches_abs_formula_bitwise(self, x, bits, per_channel):
+        want = formula_minmax_alpha(x, bits, per_channel)
+        if (want <= 0).any():  # a subnormal peak underflows to a zero step size
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                minmax_params(x, bits, per_channel=per_channel)
+            return
+        p = minmax_params(x, bits, per_channel=per_channel)
+        assert_same_bits(p.alpha, want)
+        assert_same_bits(p.zero_point, np.zeros(p.alpha.shape))
 
     def test_per_channel(self):
         x = np.array([[1.0, 0.1], [-2.0, 0.2]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scheduler_oracle import oracle_engine_operands, oracle_simulate_gemm
+from scheduler_oracle import oracle_cycle_major, oracle_front_end, oracle_simulate_gemm
 
 from ptcsim import (
     MODES,
@@ -230,16 +230,6 @@ def saturating_workload():
     return GemmWorkload(x, rng.uniform(0.4, 0.95, (29, 7)))
 
 
-def old_cycle_major(x, y, c_cores, p_cycles):
-    """The fancy-index scatter that ``_cycle_major`` replaced."""
-    cores, cycles = np.divmod(np.arange(x.shape[1]), max(p_cycles, 1))
-    xs = np.zeros((x.shape[0], p_cycles, c_cores))
-    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
-    xs[:, cycles, cores] = x
-    ys[cycles, cores] = y
-    return xs, ys
-
-
 archs = st.builds(
     ArchConfig,
     r_tiles=st.integers(1, 4),
@@ -412,7 +402,7 @@ class TestPeakPruning:
     def streamed_peaks(w, arch):
         """(pruned, exact) per-cycle peaks of every epoch, as simulate_gemm forms them."""
         p_cycles = plan(w, arch).p_cycles
-        xs, ys = scheduler._cycle_major(w.x, w.y, arch.c_cores, p_cycles)
+        xs, ys = scheduler._engine_operands(w, arch, None, "ideal", p_cycles)[:2]
         buf = np.empty((1, w.m, w.q))
         pruned, exact, best = [], [], 0.0
         for p0 in range(0, p_cycles, arch.t_int):
@@ -426,7 +416,7 @@ class TestPeakPruning:
     def dense_peak(w, arch):
         """max |current| over every cycle, from the full per-cycle tensor."""
         p_cycles = plan(w, arch).p_cycles
-        xs, ys = old_cycle_major(w.x, w.y, arch.c_cores, p_cycles)
+        xs, ys = oracle_cycle_major(w.x, w.y, arch.c_cores, p_cycles)
         return np.abs(np.einsum("mpc,pcq->pmq", xs, ys)).max(initial=0.0)
 
     @pytest.mark.parametrize("c_cores", [3, 4, 6])
@@ -470,13 +460,40 @@ class TestPeakPruning:
         simulate_gemm(GemmWorkload.random(5, 40, 6, seed=0), SMALL, CAT)
         assert calls
 
+    @pytest.mark.parametrize("elems, seeded", [(1 << 18, False), (40 * 30, True)])
+    def test_first_epoch_is_seeded_only_when_it_spans_buffers(self, monkeypatch, elems, seeded):
+        # One epoch of 60 cycles; a 40x30 buffer holds one cycle of all rows.
+        shapes = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, **kw):
+                shapes.append(a.shape)
+                return np.matmul(a, b, **kw)
+
+        monkeypatch.setattr(scheduler, "np", Numpy())
+        monkeypatch.setattr(scheduler, "_CURRENT_BUFFER_ELEMS", elems)
+        w = GemmWorkload.random(40, 360, 30, seed=1)
+        _, stats = simulate_gemm(w, ArchConfig(), CAT)
+        _, ref = oracle_simulate_gemm(w, ArchConfig(), CAT)
+        assert stats.max_abs_current_a == pytest.approx(ref.max_abs_current_a, rel=1e-12)
+        if seeded:
+            # One row per cycle seeds the search, then no chunk forms every row.
+            assert shapes[0] == (60, 1, 6)
+            assert all(r < 40 for _, r, _ in shapes[1:])
+        else:
+            assert shapes == [(60, 40, 6)]
+
     @pytest.mark.parametrize("c_cores, n", [(3, 7), (4, 13), (6, 2048), (5, 5), (1, 9), (4, 0)])
     def test_cycle_major_matches_scatter(self, c_cores, n):
         rng = np.random.default_rng(n)
         x, y = rng.uniform(-1, 1, (3, n)), rng.uniform(-1, 1, (n, 4))
         p_cycles = -(-n // c_cores)
-        xs, ys = scheduler._cycle_major(x, y, c_cores, p_cycles)
-        xs_ref, ys_ref = old_cycle_major(x, y, c_cores, p_cycles)
+        arch = ArchConfig(c_cores=c_cores)
+        xs, ys = scheduler._engine_operands(GemmWorkload(x, y), arch, None, "ideal", p_cycles)[:2]
+        xs_ref, ys_ref = oracle_cycle_major(x, y, c_cores, p_cycles)
         assert np.array_equal(xs, xs_ref) and np.array_equal(ys, ys_ref)
         assert xs.shape == (3, p_cycles, c_cores) and ys.shape == (p_cycles, c_cores, 4)
 
@@ -486,16 +503,16 @@ def bits_of(a):
 
 
 class TestEngineOperands:
-    """Quantize-once front end against the earlier fake_quantize + np.rint one."""
+    """Blocked front end against whole-operand fake_quantize + np.rint and a scatter."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         archs,
-        st.integers(0, 9), st.integers(0, 24), st.integers(0, 9), st.sampled_from(MODES[1:]),
+        st.integers(0, 9), st.integers(0, 24), st.integers(0, 9), st.sampled_from(MODES),
         st.sampled_from([None, (0.0, True), (0.3, False), (0.02, True)]),  # (sigma, enabled)
-        st.integers(0, 10_000),
+        st.integers(0, 10_000), st.integers(1, 3),
     )
-    def test_matches_earlier_front_end_bitwise(self, arch, m, n, q, mode, noise, seed):
+    def test_matches_earlier_front_end_bitwise(self, arch, m, n, q, mode, noise, seed, y_rows):
         rng = np.random.default_rng(seed)
         x, y = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (n, q))
         for a in (x, y):  # signed zeros, and sometimes a full-scale peak
@@ -505,16 +522,34 @@ class TestEngineOperands:
                 a.flat[rng.integers(a.size)] = rng.choice([-1.0, 1.0])
         w = GemmWorkload(x, y)
         nm = None if noise is None else NoiseModel(sigma=noise[0], enabled=noise[1], seed=seed)
-        got = scheduler._engine_operands(w, arch, nm, mode)
-        want = oracle_engine_operands(w, arch, nm, mode)
+        p_cycles = plan(w, arch).p_cycles
+        # Blocks of 1-3 rows of y straddle core boundaries, and both
+        # operands draw their noise a few rows at a time.
+        with mock.patch.object(scheduler, "_OPERAND_BLOCK_ELEMS", y_rows * max(q, 1)):
+            got = scheduler._engine_operands(w, arch, nm, mode, p_cycles)
+            z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        want = oracle_front_end(w, arch, nm, mode, p_cycles)
         for a, b in zip(got[:2], want[:2]):
             assert a.shape == b.shape and np.array_equal(bits_of(a), bits_of(b))
-        assert got[2:] == want[2:]
-        z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
-        with mock.patch.object(scheduler, "_engine_operands", oracle_engine_operands):
+        assert repr(got[2:]) == repr(want[2:])
+        with mock.patch.object(scheduler, "_engine_operands", oracle_front_end):
             z_ref, ref = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
         assert np.array_equal(bits_of(z), bits_of(z_ref))
         assert repr(stats) == repr(ref)
+
+    def test_quantized_modes_add_at_most_one_block_of_memory(self):
+        rng = np.random.default_rng(0)
+        w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
+        peaks = {}
+        for mode in MODES:
+            tracemalloc.start()
+            try:
+                simulate_gemm(w, ArchConfig(), CAT, mode=mode)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block = scheduler._OPERAND_BLOCK_ELEMS * 8
+        assert all(peaks[mode] <= peaks["ideal"] + block for mode in MODES[1:]), peaks
 
     def test_quantizes_each_operand_once(self, monkeypatch):
         calls = []
