@@ -206,7 +206,10 @@ def _cmd_simulate(args) -> int:
     if args.sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {args.sigma}")
     nm = NoiseModel(sigma=args.sigma, seed=args.seed)
-    z_hat, stats = simulate_gemm(work, arch, cat, nm=nm, mode=args.mode)
+    try:
+        z_hat, stats = simulate_gemm(work, arch, cat, nm=nm, mode=args.mode)
+    except ValueError as e:  # the mode's bit widths, checked before any work
+        raise ConfigError(str(e)) from e
     exact = work.x @ work.y
     rel_err = float(
         np.linalg.norm(z_hat - exact) / max(np.linalg.norm(exact), 1e-30)

@@ -3,8 +3,10 @@
 The engine encodes a pair of operands onto two optical field amplitudes,
 interferes them in a 50:50 coupler behind a -pi/2 phase shifter, detects the
 two outputs on a balanced photodetector pair, and accumulates the signed
-photocurrent on a capacitive integrator.  All functions are pure; integrator
-state is an explicit value owned by one engine sequence at a time.
+photocurrent on a capacitive integrator.  All functions are pure.
+EngineConfig folds the chain into one current per unit operand product,
+which the scheduler integrates for a whole GEMM at once; size_capacitor
+sets the integrator so that a full-scale ramp lands exactly on the rail.
 
 Field amplitudes are complex numbers in sqrt(W), so |E|^2 is optical power in
 watts and detected currents come out in amperes.
@@ -13,23 +15,17 @@ watts and detected currents come out in amperes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = [
     "FieldPair",
     "EngineOutput",
-    "IntegratorState",
     "EngineConfig",
     "er_amplitude_factor",
     "mzm_encode",
     "engine_transfer",
     "balanced_detect",
-    "integrate_step",
     "size_capacitor",
-    "reset",
-    "run_engine_sequence",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -50,19 +46,6 @@ class EngineOutput:
     i_out: float
     p_out1: float
     p_out2: float
-
-
-@dataclass(frozen=True)
-class IntegratorState:
-    """Capacitive integrator state with symmetric saturation rails."""
-
-    v: float = 0.0
-    c_int: float = 5.5e-12
-    v_dd: float = 0.24
-    steps_accumulated: int = 0
-    t_max: int = 60
-    t_rst: int = 2
-    saturated_flag: bool = False
 
 
 def er_amplitude_factor(extinction_ratio_db: float | None) -> float:
@@ -122,28 +105,6 @@ def balanced_detect(
     return EngineOutput(i_out=responsivity * (p1 - p2), p_out1=p1, p_out2=p2)
 
 
-def integrate_step(state: IntegratorState, i_in: float, dt: float) -> IntegratorState:
-    """Accumulate one timestep of photocurrent, clamping at the +-v_dd rails."""
-    if state.steps_accumulated >= state.t_max:
-        raise RuntimeError(
-            f"integrator stepped past t_max={state.t_max}; scheduler must read out and reset"
-        )
-    v = state.v + i_in * dt / state.c_int
-    saturated = state.saturated_flag
-    if v > state.v_dd:
-        v = state.v_dd
-        saturated = True
-    elif v < -state.v_dd:
-        v = -state.v_dd
-        saturated = True
-    return replace(
-        state,
-        v=v,
-        steps_accumulated=state.steps_accumulated + 1,
-        saturated_flag=saturated,
-    )
-
-
 def size_capacitor(i_pd_max: float, t_steps: int, clock_hz: float, v_dd: float) -> float:
     """Integration capacitance that places a full-rate ramp exactly at the rail.
 
@@ -155,41 +116,30 @@ def size_capacitor(i_pd_max: float, t_steps: int, clock_hz: float, v_dd: float) 
     return i_pd_max * t_steps / (clock_hz * v_dd)
 
 
-def reset(state: IntegratorState) -> IntegratorState:
-    """Discharge the integrator.  The t_rst timestep cost is tracked by the scheduler."""
-    return replace(state, v=0.0, steps_accumulated=0, saturated_flag=False)
-
-
 @dataclass(frozen=True)
 class EngineConfig:
-    """Physical constants of one dot-product engine sequence.
+    """Physical constants of one dot-product engine.
 
     p_arm_w is the optical power arriving at each modulator arm (laser power
-    after the distribution loss chain).  loss_db is any residual loss between
-    the coupler outputs and the detectors not already folded into p_arm_w.
+    after the distribution loss chain).
     """
 
     p_arm_w: float = 1.0
     responsivity_a_per_w: float = 1.0
-    loss_db: float = 0.0
     extinction_ratio_db: float | None = None
     v_dd: float = 0.24
     c_int: float = 5.5e-12
-    t_max: int = 60
-    t_rst: int = 2
     dt: float = 0.2e-9
 
     def current_scale(self) -> float:
         """Photocurrent (A) produced by a unit product x*y = 1.
 
-        The balanced output of the coupler gives I = 2 R P_arm x y before
-        losses; the ER compression acts on both encoded amplitudes.
+        The balanced output of the coupler gives I = 2 R P_arm x y; the ER
+        compression acts on both encoded amplitudes.
         """
-        loss = 10.0 ** (-self.loss_db / 10.0)
         return (
             2.0
             * self.responsivity_a_per_w
-            * loss
             * self.p_arm_w
             * er_amplitude_factor(self.extinction_ratio_db) ** 2
         )
@@ -201,41 +151,3 @@ class EngineConfig:
         arithmetic sum of products.
         """
         return self.current_scale() * self.dt / self.c_int
-
-    @classmethod
-    def from_peak_current(cls, i_peak_a: float, **kwargs) -> "EngineConfig":
-        """Build a config whose unit-product current equals a measured peak."""
-        probe = cls(p_arm_w=1.0, **kwargs)
-        return replace(probe, p_arm_w=i_peak_a / probe.current_scale())
-
-    def fresh_state(self) -> IntegratorState:
-        return IntegratorState(
-            c_int=self.c_int, v_dd=self.v_dd, t_max=self.t_max, t_rst=self.t_rst
-        )
-
-
-def run_engine_sequence(x, y, cfg: EngineConfig) -> float:
-    """Stream two equal-length operand vectors through one engine.
-
-    Returns the integrator readout voltage after len(x) timesteps.  With no
-    saturation the readout divided by cfg.normalization() equals the exact
-    dot product to floating-point accuracy.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"operand vectors must be equal-length 1-D, got {x.shape} and {y.shape}")
-    if len(x) > cfg.t_max:
-        raise ValueError(f"sequence length {len(x)} exceeds integration window T={cfg.t_max}")
-    amp = math.sqrt(cfg.p_arm_w)
-    state = cfg.fresh_state()
-    for xv, yv in zip(x, y):
-        e1 = mzm_encode(float(xv), amp, cfg.extinction_ratio_db)
-        e2 = mzm_encode(float(yv), amp, cfg.extinction_ratio_db)
-        out = balanced_detect(
-            engine_transfer(FieldPair(e1, e2)),
-            cfg.responsivity_a_per_w,
-            loss_db=cfg.loss_db,
-        )
-        state = integrate_step(state, out.i_out, cfg.dt)
-    return state.v

@@ -2,8 +2,9 @@
 
 It materializes the full (block_rows, block_cols, K, K, P) photocurrent
 tensor and integrates it with a running sum, cycle by cycle, exactly as the
-machine does.  Tests compare the epoch-streamed ``simulate_gemm`` against
-it; it is far too slow and memory-hungry for anything but small shapes.
+machine does, and raises if any partial voltage passes the rail.  Tests
+compare the epoch-streamed ``simulate_gemm`` against it; it is far too slow
+and memory-hungry for anything but small shapes.
 
 ``oracle_engine_operands`` is the simulator's earlier operand front end:
 fake quantization, noise, and on the lattice the integer codes re-derived
@@ -16,17 +17,6 @@ import numpy as np
 
 from ptcsim import scheduler
 from ptcsim.quantize import NoiseModel, adc_sample, adc_value, fake_quantize, inject_noise, minmax_params
-
-
-def _sequential_clamp(currents, scale, v_dd):
-    """Clamped integration of a (..., P) current stack; returns (final v, events)."""
-    v = np.zeros(currents.shape[:-1])
-    events = 0
-    for p in range(currents.shape[-1]):
-        v = v + currents[..., p] * scale
-        events += int((v > v_dd).sum() + (v < -v_dd).sum())
-        v = np.clip(v, -v_dd, v_dd)
-    return v, events
 
 
 def oracle_cycle_major(x, y, c_cores, p_cycles):
@@ -96,15 +86,12 @@ def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):
     volt_scale = cfg.dt / cfg.c_int
     tol = cfg.v_dd * (1.0 + 1e-12)
     z_accum = np.zeros((sched.block_rows, sched.block_cols, k, k))
-    saturation_events = 0
     for e in range(sched.readouts_per_block):
         chunk = currents[..., e * t_int : (e + 1) * t_int]
         cum = np.cumsum(chunk, axis=-1) * volt_scale
         if np.abs(cum).max(initial=0.0) > tol:
-            v, events = _sequential_clamp(chunk, volt_scale, cfg.v_dd)
-            saturation_events += events
-        else:
-            v = cum[..., -1]
+            raise RuntimeError("a partial integrator voltage passes the rail")
+        v = cum[..., -1]
         if mode == "quantized+noise+adc":
             v = adc_value(adc_sample(v, cfg.v_dd, arch.bits_out), cfg.v_dd, arch.bits_out)
         z_accum += v
@@ -117,7 +104,7 @@ def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):
         compute_cycles=compute,
         reset_cycles=reset_cycles,
         readouts=readouts,
-        saturation_events=saturation_events,
+        saturation_events=0,
         max_abs_current_a=float(np.abs(currents).max(initial=0.0)),
         normalization_v=norm,
         alpha_x=alpha_x,

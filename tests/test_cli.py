@@ -17,6 +17,21 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def strict_json(path):
+    """Parse an artifact, rejecting the NaN/Infinity constants json.loads allows."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def assert_one_line_exit_2(code, err, out_dir):
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 class TestSimulate:
     def test_ideal_run_reports_tiny_error(self, tmp_path, capsys):
         code, out, _ = run(
@@ -39,12 +54,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 0
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        text = (tmp_path / "simulate.json").read_text()
-        stats = json.loads(text, parse_constant=reject)["stats"]
+        stats = strict_json(tmp_path / "simulate.json")["stats"]
         assert stats["alpha_x"] is None and stats["alpha_y"] is None
 
     def test_noise_mode_reports_are_byte_identical(self, tmp_path, capsys):
@@ -98,6 +108,34 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("clock", ["nan", "inf", "-inf", "1e300"])
+    @pytest.mark.parametrize("command", ["simulate", "cost"])
+    def test_nonfinite_clock_exits_2(self, tmp_path, capsys, command, clock):
+        args = [command, f"--clock-ghz={clock}", "--out", str(tmp_path / "o")]
+        if command == "simulate":
+            args += ["--workload", "rand:4x4x4"]
+        code, _, err = run(args, capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert "clock_hz must be finite" in err
+
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("quantized", "--bits-in", "9"),
+            ("quantized+noise", "--bits-in", "1"),
+            ("quantized+noise+adc", "--bits-out", "0"),
+            ("quantized+noise+adc", "--bits-out", "13"),
+        ],
+    )
+    def test_out_of_range_bit_width_exits_2(self, tmp_path, capsys, mode, flag, value):
+        code, _, err = run(
+            ["simulate", *ARCH_SMALL, "--workload", "rand:4x4x4", "--mode", mode,
+             flag, value, "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert f"{flag[2:].replace('-', '_')} must be in" in err
+
 
 class TestCost:
     def test_headline_report(self, tmp_path, capsys):
@@ -106,7 +144,7 @@ class TestCost:
         )
         assert code == 0
         assert "368.64 TOPS" in out
-        report = json.loads((tmp_path / "cost.json").read_text())
+        report = strict_json(tmp_path / "cost.json")
         assert report["area_mm2"]["total"] == pytest.approx(321, rel=0.10)
         assert report["power_w"]["total"] == pytest.approx(17.5, rel=0.20)
         assert (tmp_path / "cost.txt").exists()
@@ -142,6 +180,7 @@ class TestSweep:
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # header + K in {2,4,8,16,32,64}
+        assert strict_json(tmp_path / "sweep.json")
         areas = [float(line.split(",")[3]) for line in lines[1:]]
         powers = [float(line.split(",")[4]) for line in lines[1:]]
         assert areas == sorted(areas) and powers == sorted(powers)
@@ -171,6 +210,7 @@ class TestRobustness:
         assert (tmp_path / "a/robustness.json").read_bytes() == (
             tmp_path / "b/robustness.json"
         ).read_bytes()
+        assert strict_json(tmp_path / "a/robustness.json")
         csv_lines = (tmp_path / "a/robustness.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "sigma,mean_accuracy,std_accuracy"
         assert len(csv_lines) == 3

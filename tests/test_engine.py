@@ -1,23 +1,17 @@
-"""Dot-product engine physics: encode, interfere, detect, integrate."""
+"""Dot-product engine physics: encode, interfere, detect, size the integrator."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptcsim import (
-    EngineConfig,
     FieldPair,
-    IntegratorState,
     balanced_detect,
     engine_transfer,
     er_amplitude_factor,
-    integrate_step,
     mzm_encode,
-    reset,
-    run_engine_sequence,
     size_capacitor,
 )
 
@@ -75,77 +69,9 @@ class TestTransfer:
 
 
 class TestIntegrator:
-    def test_accumulates_charge(self):
-        s = IntegratorState(c_int=1e-12, v_dd=1.0)
-        s = integrate_step(s, 1e-6, 1e-9)
-        assert s.v == pytest.approx(1e-3)
-        assert s.steps_accumulated == 1
-        assert not s.saturated_flag
-
-    def test_clamps_at_rails_and_flags(self):
-        s = IntegratorState(c_int=1e-12, v_dd=0.1)
-        s = integrate_step(s, 1e-3, 1e-9)  # would reach 1 V
-        assert s.v == 0.1
-        assert s.saturated_flag
-        s = integrate_step(s, -1e-2, 1e-9)
-        assert s.v == -0.1
-        assert s.saturated_flag  # flag is sticky until reset
-
-    def test_stepping_past_window_raises(self):
-        s = IntegratorState(t_max=2)
-        s = integrate_step(s, 0.0, 1e-9)
-        s = integrate_step(s, 0.0, 1e-9)
-        with pytest.raises(RuntimeError, match="t_max"):
-            integrate_step(s, 0.0, 1e-9)
-
-    def test_reset_clears_state(self):
-        s = IntegratorState(v=0.2, steps_accumulated=5, saturated_flag=True)
-        r = reset(s)
-        assert (r.v, r.steps_accumulated, r.saturated_flag) == (0.0, 0, False)
-
     def test_size_capacitor_anchor_and_errors(self):
         assert size_capacitor(110e-6, 60, 5e9, 0.24) == pytest.approx(5.5e-12)
         with pytest.raises(ValueError):
             size_capacitor(0.0, 60, 5e9, 0.24)
         with pytest.raises(ValueError):
             size_capacitor(110e-6, 60, 5e9, -0.1)
-
-
-class TestEngineSequence:
-    def test_sequence_recovers_dot_product(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-1, 1, 40)
-        y = rng.uniform(-1, 1, 40)
-        cfg = EngineConfig(p_arm_w=1e-4, c_int=1e-12, v_dd=10.0, t_max=60)
-        v = run_engine_sequence(x, y, cfg)
-        assert v / cfg.normalization() == pytest.approx(float(x @ y), rel=1e-12)
-
-    def test_sequence_with_finite_er_still_exact_after_normalization(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(-1, 1, 20)
-        y = rng.uniform(-1, 1, 20)
-        cfg = EngineConfig(p_arm_w=1e-4, c_int=1e-12, v_dd=10.0, extinction_ratio_db=6.0)
-        v = run_engine_sequence(x, y, cfg)
-        assert v / cfg.normalization() == pytest.approx(float(x @ y), rel=1e-12)
-
-    def test_sequence_longer_than_window_rejected(self):
-        cfg = EngineConfig(t_max=4)
-        with pytest.raises(ValueError, match="integration window"):
-            run_engine_sequence(np.ones(5), np.ones(5), cfg)
-
-    def test_mismatched_operands_rejected(self):
-        with pytest.raises(ValueError):
-            run_engine_sequence(np.ones(3), np.ones(4), EngineConfig())
-
-    def test_from_peak_current_calibration(self):
-        cfg = EngineConfig.from_peak_current(110e-6, extinction_ratio_db=6.0)
-        assert cfg.current_scale() == pytest.approx(110e-6)
-
-    def test_full_scale_ramp_lands_exactly_at_rail(self):
-        # C_int sized from the unit-product current puts a T-step full-scale
-        # ramp exactly at v_dd without tripping the clamp.
-        probe = EngineConfig(p_arm_w=1e-4, v_dd=0.24, t_max=60)
-        c_int = size_capacitor(probe.current_scale(), 60, 5e9, 0.24)
-        cfg = EngineConfig(p_arm_w=1e-4, v_dd=0.24, t_max=60, c_int=c_int, dt=0.2e-9)
-        v = run_engine_sequence(np.ones(60), np.ones(60), cfg)
-        assert v == pytest.approx(0.24, rel=1e-12)
