@@ -31,7 +31,7 @@ from .costs import (
 )
 from .mlp import MlpConfig, TinyMlp, make_blobs, robustness_table, train
 from .quantize import NoiseModel
-from .scheduler import MODES, ArchConfig, GemmWorkload, simulate_gemm
+from .scheduler import MODES, ArchConfig, GemmWorkload, _check_widths, simulate_gemm
 
 _SCHEMA_VERSION = 1
 _VARIANTS = ("foundry", "foundry-sl", "custom-sl")
@@ -348,6 +348,7 @@ def _cmd_robustness(args) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     try:
         cfg = MlpConfig(bits=bits, train_sigma=train_sigma, epochs=epochs, seed=seed)
+        _check_widths(arch, "quantized+noise")  # the core's mode, checked before training
     except ValueError as e:
         raise ConfigError(str(e)) from e
     train_x, train_y = make_blobs(

@@ -5,6 +5,13 @@ same quantization and multiplicative-noise transforms the analog core
 applies, then evaluated by routing every layer's matrix product through the
 behavioral core simulation.  The study output is an accuracy-versus-noise
 table with mean and standard deviation across evaluation seeds.
+
+A study is one pass of scheduler.simulate_chain over its (sigma, seed)
+trials: the engine configuration is built once per study, each layer's
+weights are scaled, validated, planned and quantized once, and each trial
+runs through every layer before the next starts.  The sigma = 0 trial has
+no noise, so it runs once and serves every seed.  forward_via_core is the
+one-trial case of the same pass.
 """
 
 from __future__ import annotations
@@ -16,7 +23,11 @@ import numpy as np
 
 from .catalog import CatalogVariant
 from .quantize import NoiseModel, fake_quantize, inject_noise, minmax_params
-from .scheduler import ArchConfig, GemmWorkload, simulate_gemm
+from .scheduler import (
+    ArchConfig,
+    simulate_chain,
+    simulate_gemm,  # noqa: F401  (unused here; bench/test_bench.py rebinds mlp.simulate_gemm)
+)
 
 __all__ = [
     "MlpConfig",
@@ -34,7 +45,8 @@ __all__ = [
 class MlpConfig:
     """Training hyperparameters for the robustness-study MLP.
 
-    bits >= 16 disables quantization entirely (full-precision baseline).
+    bits is in [2, 8], the quantizer's range, or >= 16, which disables
+    quantization entirely (full-precision baseline).
     train_sigma > 0 injects multiplicative Gaussian noise into every
     quantized tensor during training, which is what makes the trained
     network noise-aware.
@@ -54,6 +66,8 @@ class MlpConfig:
             raise ValueError("layer_sizes needs at least input and output widths")
         if self.bits < 2:
             raise ValueError(f"bits must be >= 2, got {self.bits}")
+        if 8 < self.bits < 16:
+            raise ValueError(f"bits must be at most 8, or >= 16 for full precision, got {self.bits}")
 
 
 class TinyMlp:
@@ -188,6 +202,29 @@ def evaluate(model: TinyMlp, x: np.ndarray, y: np.ndarray, nm: NoiseModel | None
     return float((model.predict(x, nm) == y).mean())
 
 
+def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVariant, trials):
+    """Logits of each (sigma, seed) trial, computed one trial at a time on the core.
+
+    Layer i of trial (sigma, seed) draws its noise from seed (seed << 8) + i;
+    biases and activations stay digital.
+    """
+    last = len(model.weights) - 1
+
+    def digital(i, z):
+        z += model.biases[i]
+        return z if i == last else np.maximum(z, 0.0)
+
+    noise = (
+        tuple(NoiseModel(sigma=sigma, seed=(seed << 8) + i, enabled=sigma > 0) for i in range(last + 1))
+        for sigma, seed in trials
+    )
+    return simulate_chain(x, model.weights, arch, cat, noise, digital)
+
+
+def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
+    return float((logits.argmax(axis=1) == y).mean())
+
+
 def forward_via_core(
     model: TinyMlp,
     x: np.ndarray,
@@ -202,17 +239,7 @@ def forward_via_core(
     multiplied on the simulated core in quantized+noise mode, and rescaled;
     biases and activations stay digital.
     """
-    h = np.asarray(x, dtype=float)
-    n_layers = len(model.weights)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        sx = max(float(np.abs(h).max()), 1e-30)
-        sw = max(float(np.abs(w).max()), 1e-30)
-        work = GemmWorkload(h / sx, w / sw)
-        nm = NoiseModel(sigma=sigma, seed=(seed << 8) + i, enabled=sigma > 0)
-        z_hat, _ = simulate_gemm(work, arch, cat, nm=nm, mode="quantized+noise")
-        z = z_hat * (sx * sw) + b
-        h = z if i == n_layers - 1 else np.maximum(z, 0.0)
-    return h
+    return next(_core_logits(model, x, arch, cat, [(sigma, seed)]))
 
 
 def evaluate_via_core(
@@ -224,8 +251,7 @@ def evaluate_via_core(
     sigma: float,
     seed: int,
 ) -> float:
-    logits = forward_via_core(model, x, arch, cat, sigma, seed)
-    return float((logits.argmax(axis=1) == y).mean())
+    return _accuracy(forward_via_core(model, x, arch, cat, sigma, seed), y)
 
 
 def robustness_table(
@@ -244,12 +270,10 @@ def robustness_table(
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    logits = _core_logits(model, x, arch, cat, ((s, seed) for s in sigmas for seed in range(n_seeds)))
     rows = []
     for sigma in sigmas:
-        accs = [
-            evaluate_via_core(model, x, y, arch, cat, sigma, seed)
-            for seed in range(n_seeds)
-        ]
+        accs = [_accuracy(next(logits), y) for _ in range(n_seeds)]
         rows.append(
             {
                 "sigma": float(sigma),

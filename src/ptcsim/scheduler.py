@@ -39,6 +39,14 @@ lattice (quantized modes without noise) the epoch products are taken over
 the codes, which is exact in float64, and the step sizes are applied once.
 ADC codes then do not depend on summation order, tiling or the number of
 rows and columns.
+
+simulate_chain runs a chain of such products, the layers of a robustness
+study, over many noise trials in quantized+noise mode.  The work the trials
+share is done once: the engine configuration per study, and per layer the
+weights' scale, validation, plan, quantizer params and codes.  Each trial
+then streams through the same front end and epoch loop, one layer after
+the other.  The exact peak current is formed only where the full-scale
+bound, C units of product for min(T, P) cycles, does not clear the rail.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ __all__ = [
     "plan",
     "cycle_count",
     "simulate_gemm",
+    "simulate_chain",
     "engine_config_for",
 ]
 
@@ -93,6 +102,15 @@ class ArchConfig:
     pipelined_readout: bool = True
 
     def __post_init__(self):
+        # type(v) is int rejects bool too.  One chained test keeps the common
+        # case cheap: the cost model builds an ArchConfig per sweep point.
+        if not (
+            type(self.r_tiles) is type(self.c_cores) is type(self.k) is type(self.t_int)
+            is type(self.t_rst) is type(self.bits_in) is type(self.bits_out) is int
+        ):
+            for name in ("r_tiles", "c_cores", "k", "t_int", "t_rst", "bits_in", "bits_out"):
+                if type(getattr(self, name)) is not int:
+                    raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.r_tiles, self.c_cores, self.k) < 1:
             raise ValueError("r_tiles, c_cores, k must all be >= 1")
         if self.t_int < 1 or self.t_rst < 0:
@@ -305,29 +323,47 @@ def _engine_operands(
         py = minmax_params(work.y, arch.bits_in)
         alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
         nm = NoiseModel() if nm is None else nm
-        on_lattice = mode == "quantized" or not nm.enabled or nm.sigma == 0.0
+        on_lattice = mode == "quantized" or not _noisy(nm)
         noise = None if on_lattice else nm
     xs = np.zeros((work.m, p_cycles, arch.c_cores))
     ys = np.zeros((p_cycles, arch.c_cores, work.q))
-    if p_cycles:
-        for r0, blk in _operand_blocks(work.x, px, noise, stream=0):
-            _store_cycle_major(xs[r0 : r0 + len(blk)].transpose(2, 1, 0), blk.T, 0)
-        for n0, blk in _operand_blocks(work.y, py, noise, stream=1):
-            _store_cycle_major(ys.transpose(1, 0, 2), blk, n0)
+    _store_x(xs, work.x, px, noise)
+    _store_y(ys, work.y, py, noise)
     return xs, ys, alpha_x, alpha_y, on_lattice
+
+
+def _noisy(nm: NoiseModel) -> bool:
+    """Whether nm perturbs anything; without noise the operands stay on the lattice."""
+    return nm.enabled and nm.sigma != 0.0
+
+
+def _store_x(xs: np.ndarray, x: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None) -> None:
+    """Store the left operand as the engine sees it (see _operand_blocks) into xs, of shape (M, P, C)."""
+    if xs.shape[1]:
+        for r0, blk in _operand_blocks(x, params, nm, stream=0):
+            _store_cycle_major(xs[r0 : r0 + len(blk)].transpose(2, 1, 0), blk.T, 0)
+
+
+def _store_y(ys: np.ndarray, y: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None) -> None:
+    """Store the right operand as the engine sees it (see _operand_blocks) into ys, of shape (P, C, Q)."""
+    if ys.shape[0]:
+        for n0, blk in _operand_blocks(y, params, nm, stream=1):
+            _store_cycle_major(ys.transpose(1, 0, 2), blk, n0)
 
 
 def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None, stream: int):
     """Yield (first row, block) of operand a as the engine sees it, a row block at a time.
 
     A block is one pass of each step over about _OPERAND_BLOCK_ELEMS
-    elements, in buffers reused from block to block: quantize_codes once,
-    then in noise modes dequantize, perturb and clip in place.  The noise
-    comes from one generator per operand, drawn block by block in row-major
-    order, which gives the same values as one whole-operand draw.  Without
-    params (ideal mode) a is one block as it is.
+    elements, in buffers reused from block to block: with params,
+    quantize_codes once, dequantized in place when nm is given; without
+    params, a as it is (ideal-mode values, or the dequantized codes of an
+    operand quantized beforehand).  With nm the block is then perturbed
+    and clipped.  The noise comes from one generator per operand, drawn
+    block by block in row-major order, which gives the same values as one
+    whole-operand draw.  With neither, a is one block as it is.
     """
-    if params is None:
+    if params is None and nm is None:
         yield 0, a
         return
     rows = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
@@ -335,16 +371,18 @@ def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseMode
     codes = draws = None
     for r0 in range(0, a.shape[0], rows):
         blk = a[r0 : r0 + rows]
-        codes = quantize_codes(blk, params, None if codes is None else codes[: len(blk)])
-        if rng is None:
-            yield r0, codes
-            continue
-        codes *= params.alpha[0]
+        if params is not None:
+            codes = quantize_codes(blk, params, None if codes is None else codes[: len(blk)])
+            if rng is None:
+                yield r0, codes
+                continue
+            codes *= params.alpha[0]
+            blk = codes
         if draws is None:
-            draws = rng.standard_normal(codes.shape)
+            draws = rng.standard_normal(blk.shape)
         else:
             draws = rng.standard_normal(out=draws[: len(blk)])
-        noisy = apply_noise(codes, draws, nm.sigma)
+        noisy = apply_noise(blk, draws, nm.sigma)
         yield r0, np.clip(noisy, -1.0, 1.0, out=noisy)
 
 
@@ -420,6 +458,65 @@ def _epoch_peak(xe: np.ndarray, ye: np.ndarray, buf: np.ndarray, best: float) ->
     return best
 
 
+def _check_widths(arch: ArchConfig, mode: str) -> None:
+    """Reject a mode, or a bit width the mode uses, the engine cannot run, before any work."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; options: {MODES}")
+    if mode != "ideal" and not 2 <= arch.bits_in <= 8:
+        raise ValueError(f"bits_in must be in [2, 8] in mode {mode!r}, got {arch.bits_in}")
+    if mode == "quantized+noise+adc" and not 2 <= arch.bits_out <= 12:
+        raise ValueError(f"bits_out must be in [2, 12] in mode {mode!r}, got {arch.bits_out}")
+
+
+def _integrate(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    step: float,
+    arch: ArchConfig,
+    cfg: EngineConfig,
+    adc: bool,
+    full_scale: float | None = None,
+) -> tuple[np.ndarray, float]:
+    """Run the readout epochs of cycle-major operands: (summed readouts in volts, peak current in A).
+
+    Each epoch is one matmul over its cycles' columns, scaled by the gain,
+    digitized in place when adc is set, and added to the accumulator.  step
+    is the operand product of one engine unit: alpha_x * alpha_y when xs and
+    ys hold integer codes, else 1.  The peak current is formed (see
+    _epoch_peak) and checked against the rail, unless full_scale, a bound
+    the operands' per-cycle |sum over cores| cannot pass even in rounding,
+    already clears the rail; then it is reported as 0.
+    """
+    m, p_cycles, q = xs.shape[0], xs.shape[1], ys.shape[-1]
+    scale = cfg.current_scale() * step  # amperes per engine unit of product
+    gain = scale * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
+    window = min(arch.t_int, p_cycles)
+    rail = cfg.v_dd * (1.0 + 1e-12)
+    buf = None
+    if full_scale is None or gain * full_scale * window > rail:
+        chunk = min(arch.t_int, p_cycles, _CURRENT_BUFFER_ELEMS // max(1, m * q))
+        buf = np.empty((max(chunk, 1), m, q))
+    z_accum = np.zeros((m, q))
+    peak = 0.0
+    for p0 in range(0, p_cycles, arch.t_int):
+        xe, ye = xs[:, p0 : p0 + arch.t_int], ys[p0 : p0 + arch.t_int]
+        if buf is not None:
+            peak = _epoch_peak(xe, ye, buf, peak)
+        cols = ye.shape[0] * arch.c_cores
+        v = xe.reshape(m, cols) @ ye.reshape(cols, q)
+        v *= gain
+        if adc:
+            adc_readout(v, cfg.v_dd, arch.bits_out)
+        z_accum += v
+
+    if gain * peak * window > rail:
+        raise RuntimeError(
+            "integrator under-provisioned: T cycles of the peak current pass the "
+            "rail, so C_int is too small for the aggregated current of C cores"
+        )
+    return z_accum, scale * peak
+
+
 def simulate_gemm(
     work: GemmWorkload,
     arch: ArchConfig,
@@ -435,41 +532,14 @@ def simulate_gemm(
     modes add the multiplicative Gaussian perturbation after quantization,
     and the adc mode digitizes every integrator readout at bits_out.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; options: {MODES}")
-    if mode != "ideal" and not 2 <= arch.bits_in <= 8:
-        raise ValueError(f"bits_in must be in [2, 8] in mode {mode!r}, got {arch.bits_in}")
-    if mode == "quantized+noise+adc" and not 2 <= arch.bits_out <= 12:
-        raise ValueError(f"bits_out must be in [2, 12] in mode {mode!r}, got {arch.bits_out}")
+    _check_widths(arch, mode)
     sched = plan(work, arch)
     cfg = engine_config_for(arch, cat)
 
     xs, ys, alpha_x, alpha_y, on_lattice = _engine_operands(work, arch, nm, mode, sched.p_cycles)
-    scale = cfg.current_scale()  # amperes per unit of operand product
-    if on_lattice:
-        # Integer codes: every partial sum below is exact in float64.
-        scale *= alpha_x * alpha_y
-
-    gain = scale * (cfg.dt / cfg.c_int)  # readout volts per unit of operand product
-    chunk = min(arch.t_int, sched.p_cycles, _CURRENT_BUFFER_ELEMS // max(1, work.m * work.q))
-    buf = np.empty((max(chunk, 1), work.m, work.q))
-    z_accum = np.zeros((work.m, work.q))
-    peak = 0.0
-    for p0 in range(0, sched.p_cycles, arch.t_int):
-        xe, ye = xs[:, p0 : p0 + arch.t_int], ys[p0 : p0 + arch.t_int]
-        peak = _epoch_peak(xe, ye, buf, peak)
-        cols = ye.shape[0] * arch.c_cores
-        v = xe.reshape(work.m, cols) @ ye.reshape(cols, work.q)
-        v *= gain
-        if mode == "quantized+noise+adc":
-            adc_readout(v, cfg.v_dd, arch.bits_out)
-        z_accum += v
-
-    if gain * peak * min(arch.t_int, sched.p_cycles) > cfg.v_dd * (1.0 + 1e-12):
-        raise RuntimeError(
-            "integrator under-provisioned: T cycles of the peak current pass the "
-            "rail, so C_int is too small for the aggregated current of C cores"
-        )
+    # On the lattice the operands are integer codes: every partial sum is exact in float64.
+    step = alpha_x * alpha_y if on_lattice else 1.0
+    z_accum, peak_current = _integrate(xs, ys, step, arch, cfg, mode == "quantized+noise+adc")
 
     norm = cfg.normalization()
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
@@ -479,10 +549,96 @@ def simulate_gemm(
         reset_cycles=reset_cycles,
         readouts=readouts,
         saturation_events=0,
-        max_abs_current_a=scale * peak,
+        max_abs_current_a=peak_current,
         normalization_v=norm,
         alpha_x=alpha_x,
         alpha_y=alpha_y,
         schedule=sched,
     )
     return z_accum / norm, stats
+
+
+def _encodable(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """(a / s, s) with s = max(peak |a|, 1e-30), so that a / s lies in [-1, 1].
+
+    Raises as GemmWorkload does if a has a non-finite entry (s is then NaN
+    or infinite).
+    """
+    s = max(float(np.abs(a).max()), 1e-30)
+    if not math.isfinite(s):
+        raise ValueError(f"operand {name} has non-finite entries")
+    return a / s, s
+
+
+class _ChainLayer:
+    """One weight matrix of simulate_chain, with the work its trials share."""
+
+    def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig, cfg: EngineConfig):
+        y, self.sw = _encodable(np.asarray(w, dtype=float), "y")
+        work = GemmWorkload(x, y)
+        _check_widths(arch, "quantized+noise")
+        self.arch, self.cfg, self.norm = arch, cfg, cfg.normalization()
+        self.p_cycles = plan(work, arch).p_cycles
+        self.params = minmax_params(y, arch.bits_in)
+        codes = quantize_codes(y, self.params)
+        self.codes = np.zeros((self.p_cycles, arch.c_cores, y.shape[1]))
+        _store_y(self.codes, codes, None, None)
+        self.values = codes * self.params.alpha[0]  # fake_quantize(y): the zero point is 0
+
+    def product(self, x: np.ndarray, nm: NoiseModel) -> np.ndarray:
+        """z_hat of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise") for x in [-1, 1]."""
+        arch, c = self.arch, self.arch.c_cores
+        noisy = _noisy(nm)
+        px = minmax_params(x, arch.bits_in)
+        xs = np.zeros((x.shape[0], self.p_cycles, c))
+        _store_x(xs, x, px, nm if noisy else None)
+        if noisy:
+            ys = np.zeros_like(self.codes)
+            _store_y(ys, self.values, None, nm)
+            # Operands clipped to [-1, 1]: no per-cycle sum over C cores passes C.
+            step, full_scale = 1.0, float(c)
+        else:
+            ys = self.codes
+            step = float(px.alpha[0]) * float(self.params.alpha[0])
+            # Integer codes of at most 2^(b-1) in magnitude, summed exactly.
+            full_scale = float(c * px.q_min * self.params.q_min)
+        z_accum, _ = _integrate(xs, ys, step, arch, self.cfg, False, full_scale)
+        return z_accum / self.norm
+
+
+def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
+    """Yield, trial by trial, the output of a chain of matrix products on the core.
+
+    Layer i scales its input and weights[i] into [-1, 1] by their peaks,
+    multiplies them as simulate_gemm does in quantized+noise mode, and
+    undoes both scales; digital(i, z) turns that product into the next
+    layer's input, or the last layer's into the trial's output.  A trial is
+    a sequence of one NoiseModel per layer.  The outputs, and the errors raised, are those
+    of one simulate_gemm call per layer and trial, bit for bit.
+
+    The work trials share is done once: engine_config_for per chain; per
+    layer, when the first trial reaches it, the weights' scale, validation,
+    plan, quantizer params and codes.  Each trial runs through every layer
+    before the next one starts, so one trial's activations are live at a
+    time.  A trial without noise in any layer does not depend on its seeds:
+    the first one runs, and later ones yield its output again (the same
+    array).  No SimStats is built, and the exact peak current is formed
+    only for a product whose full-scale bound does not clear the rail.
+    """
+    cfg = engine_config_for(arch, cat)
+    layers: list[_ChainLayer] = []
+    clean = None
+    for trial in trials:
+        noisy = any(map(_noisy, trial))
+        if clean is not None and not noisy:
+            yield clean
+            continue
+        h = np.asarray(x, dtype=float)
+        for i, (w, nm) in enumerate(zip(weights, trial, strict=True)):
+            xq, sx = _encodable(h, "x")
+            if i == len(layers):
+                layers.append(_ChainLayer(xq, w, arch, cfg))
+            h = digital(i, layers[i].product(xq, nm) * (sx * layers[i].sw))
+        if not noisy:
+            clean = h
+        yield h

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ptcsim import cli
 from ptcsim.cli import main
 
 ARCH_SMALL = ["--tiles", "2", "--cores", "3", "-k", "4"]
@@ -162,6 +163,18 @@ class TestCost:
         report = json.loads((tmp_path / "cost.json").read_text())
         assert report["arch"]["k"] == 8 and report["arch"]["r_tiles"] == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "cost"])
+    @pytest.mark.parametrize("field, value", [("c_cores", 2.5), ("k", True), ("t_int", "60")])
+    def test_non_integer_arch_field_exits_2(self, tmp_path, capsys, command, field, value):
+        arch_file = tmp_path / "arch.json"
+        arch_file.write_text(json.dumps({field: value}))
+        args = [command, "--arch", str(arch_file), "--out", str(tmp_path / "o")]
+        if command == "simulate":
+            args += ["--workload", "rand:4x4x4"]
+        code, _, err = run(args, capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert f"{field} must be an integer" in err
+
     def test_bad_arch_file_exits_2(self, tmp_path, capsys):
         arch_file = tmp_path / "arch.json"
         arch_file.write_text("{not json")
@@ -267,6 +280,28 @@ class TestRobustness:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--bits-in", "12"], "bits must be at most 8, or >= 16"),
+            (["--bits-in", "16"], "bits_in must be in [2, 8]"),
+            (["--config", {"bits": 9}], "bits must be at most 8, or >= 16"),
+            (["--config", {"arch": {"bits_in": 9}}], "bits_in must be in [2, 8]"),
+        ],
+    )
+    def test_bit_widths_checked_before_training(self, tmp_path, capsys, monkeypatch, args, message):
+        def no_training(*_):
+            raise AssertionError("train ran before the bit widths were checked")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        if args[0] == "--config":
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps(args[1]))
+            args = ["--config", str(cfg)]
+        code, _, err = run(["robustness", *args, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert message in err
 
     @pytest.mark.parametrize("sigmas", ["0,abc", "nan", "0,inf"])
     def test_bad_sigmas_flag_exits_2(self, tmp_path, capsys, sigmas):

@@ -1,7 +1,12 @@
 """Noise-aware MLP training and core-in-the-loop robustness evaluation."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from mlp_oracle import oracle_forward_via_core, oracle_robustness_table
+from test_scheduler import halve_capacitor
 
 from ptcsim import (
     ArchConfig,
@@ -12,12 +17,16 @@ from ptcsim import (
     forward_via_core,
     load_builtin_catalog,
     make_blobs,
+    mlp,
     robustness_table,
+    scheduler,
     train,
 )
 
 CAT = load_builtin_catalog("custom-sl")
 ARCH = ArchConfig(r_tiles=2, c_cores=3, k=8)
+#: ARCH with a two-cycle window: an 11-cycle layer takes six readout epochs.
+MULTI_EPOCH = dataclasses.replace(ARCH, t_int=2)
 
 
 def trained_model(**overrides):
@@ -70,6 +79,15 @@ class TestTraining:
         with pytest.raises(ValueError):
             MlpConfig(bits=1)
 
+    @pytest.mark.parametrize("bits", [9, 12, 15])
+    def test_bits_the_quantizer_cannot_run_rejected(self, bits):
+        with pytest.raises(ValueError, match="at most 8, or >= 16"):
+            MlpConfig(bits=bits)
+
+    @pytest.mark.parametrize("bits", [2, 8, 16, 32])
+    def test_quantizer_and_full_precision_bits_accepted(self, bits):
+        assert MlpConfig(bits=bits).bits == bits
+
     def test_wide_hidden_layer_trains_and_runs_on_core(self):
         model = trained_model(layer_sizes=(8, 96, 4), epochs=5)
         tx, ty = make_blobs(64, 8, 4, seed=100)
@@ -118,3 +136,107 @@ class TestRobustnessTable:
         tx, ty = make_blobs(16, 8, 4, seed=100)
         with pytest.raises(ValueError):
             robustness_table(model, tx, ty, ARCH, CAT, [0.0], n_seeds=0)
+
+
+@functools.lru_cache(maxsize=None)
+def study_model(layer_sizes):
+    """A briefly trained model, shared by the tests: none of them changes its weights."""
+    return trained_model(layer_sizes=layer_sizes, epochs=5)
+
+
+def study_set(layer_sizes):
+    return make_blobs(64, layer_sizes[0], layer_sizes[-1], seed=100)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+class TestStudyPass:
+    """robustness_table's one pass against a simulate_gemm call per layer and trial."""
+
+    @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
+    @pytest.mark.parametrize("sizes", [(8, 32, 32, 4), (8, 13, 7, 4)])
+    def test_every_trial_matches_oracle_bitwise(self, sizes, arch):
+        model = study_model(sizes)
+        tx, ty = study_set(sizes)
+        trials = [(sigma, seed) for sigma in (0.0, 0.0031, 0.08) for seed in range(3)]
+        for (sigma, seed), logits in zip(trials, mlp._core_logits(model, tx, arch, CAT, trials), strict=True):
+            want = oracle_forward_via_core(model, tx, arch, CAT, sigma, seed)
+            assert logits.shape == want.shape and logits.tobytes() == want.tobytes(), (sigma, seed)
+        sigmas = [0.0, 0.0031, 0.08]
+        assert robustness_table(model, tx, ty, arch, CAT, sigmas, 3) == oracle_robustness_table(
+            model, tx, ty, arch, CAT, sigmas, 3
+        )
+
+    def test_noise_free_trial_runs_once_per_study(self, monkeypatch):
+        model = study_model((8, 32, 32, 4))
+        tx, ty = study_set((8, 32, 32, 4))
+        sigmas = [0.0, 0.02, 0.0]
+        want = oracle_robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3)
+        passes = count_calls(monkeypatch, scheduler, "_integrate")
+        configs = count_calls(monkeypatch, scheduler, "engine_config_for")
+        plans = count_calls(monkeypatch, scheduler, "plan")
+        peaks = count_calls(monkeypatch, scheduler, "_epoch_peak")
+        assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3) == want
+        # One noise-free trial and three noisy ones, each through 3 layers.
+        assert len(passes) == (1 + 3) * 3
+        assert len(configs) == 1 and len(plans) == 3
+        # The full-scale bound clears the rail on a correctly sized integrator.
+        assert peaks == []
+
+    @pytest.mark.parametrize(
+        "sizes, sigmas, raises",
+        [
+            ((8, 32, 32, 4), [0.0, 0.0031], False),
+            ((8, 32, 32, 4), [0.0, 0.08], True),
+            ((8, 13, 7, 4), [0.0], True),
+        ],
+    )
+    def test_under_provisioned_integrator_raises_where_oracle_does(self, monkeypatch, sizes, sigmas, raises):
+        # With half the capacitor and a two-cycle window, on the wide model
+        # some sigma = 0.08 trials pass the rail and the others do not; on
+        # the narrow one the noise-free trial passes it too.
+        halve_capacitor(monkeypatch)
+        peaks = count_calls(monkeypatch, scheduler, "_epoch_peak")
+        model = study_model(sizes)
+        tx, ty = study_set(sizes)
+        outcomes = []
+        for sigma in sigmas:
+            for seed in range(3):
+                try:
+                    oracle_forward_via_core(model, tx, MULTI_EPOCH, CAT, sigma, seed)
+                    want = "ok"
+                except RuntimeError as e:
+                    want = str(e)
+                try:
+                    forward_via_core(model, tx, MULTI_EPOCH, CAT, sigma, seed)
+                    got = "ok"
+                except RuntimeError as e:
+                    got = str(e)
+                assert got == want, (sigma, seed)
+                outcomes.append(got)
+        assert any("integrator under-provisioned" in o for o in outcomes) == raises
+        assert peaks  # the bound fails, so the exact peak is formed
+        if raises:
+            with pytest.raises(RuntimeError, match="integrator under-provisioned"):
+                robustness_table(model, tx, ty, MULTI_EPOCH, CAT, sigmas, 3)
+        else:
+            assert robustness_table(model, tx, ty, MULTI_EPOCH, CAT, sigmas, 3) == (
+                oracle_robustness_table(model, tx, ty, MULTI_EPOCH, CAT, sigmas, 3)
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("layer", [0, 2])
+    def test_nonfinite_weight_raises(self, layer, bad):
+        model = TinyMlp(MlpConfig())
+        model.weights[layer][3, 1] = bad
+        tx, ty = study_set(MlpConfig().layer_sizes)
+        # The oracle scales an infinite weight to inf / inf before its check.
+        with pytest.raises(ValueError, match="operand y has non-finite entries"), np.errstate(invalid="ignore"):
+            oracle_forward_via_core(model, tx, ARCH, CAT, 0.02, 0)
+        with pytest.raises(ValueError, match="operand y has non-finite entries"):
+            robustness_table(model, tx, ty, ARCH, CAT, [0.0, 0.02], 2)

@@ -130,6 +130,13 @@ def test_arch_config_rejects_bad_clock(clock_hz):
         ArchConfig(clock_hz=clock_hz)
 
 
+@pytest.mark.parametrize("value", [2.5, 6.0, True, "6", None])
+@pytest.mark.parametrize("field", ["r_tiles", "c_cores", "k", "t_int", "t_rst", "bits_in", "bits_out"])
+def test_arch_config_rejects_non_integer_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ArchConfig(**{field: value})
+
+
 class TestEngineConfigFor:
     def test_capacitor_sized_for_aggregated_current(self):
         cfg = engine_config_for(SMALL, CAT)
