@@ -203,9 +203,10 @@ def _cmd_simulate(args) -> int:
     arch = _arch_from_args(args)
     cat = _catalog_from_args(args)
     work = _parse_workload(args.workload)
-    if args.sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {args.sigma}")
-    nm = NoiseModel(sigma=args.sigma, seed=args.seed)
+    try:
+        nm = NoiseModel(sigma=args.sigma, seed=args.seed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     try:
         z_hat, stats = simulate_gemm(work, arch, cat, nm=nm, mode=args.mode)
     except ValueError as e:  # the mode's bit widths, checked before any work

@@ -7,11 +7,12 @@ behavioral core simulation.  The study output is an accuracy-versus-noise
 table with mean and standard deviation across evaluation seeds.
 
 A study is one pass of scheduler.simulate_chain over its (sigma, seed)
-trials: the engine configuration is built once per study, each layer's
-weights are scaled, validated, planned and quantized once, and each trial
-runs through every layer before the next starts.  The sigma = 0 trial has
-no noise, so it runs once and serves every seed.  forward_via_core is the
-one-trial case of the same pass.
+trials: the bit widths are checked and the engine configuration is built
+once per study, each layer's weights are scaled, validated, planned and
+given their quantizer params once, and each trial runs every layer's
+product through the routine simulate_gemm uses, one layer after the other.
+The sigma = 0 trial has no noise, so it runs once and serves every seed.
+forward_via_core is the one-trial case of the same pass.
 """
 
 from __future__ import annotations

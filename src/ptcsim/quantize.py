@@ -172,8 +172,8 @@ class NoiseModel:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:  # also rejects NaN
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])

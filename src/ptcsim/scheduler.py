@@ -41,12 +41,15 @@ ADC codes then do not depend on summation order, tiling or the number of
 rows and columns.
 
 simulate_chain runs a chain of such products, the layers of a robustness
-study, over many noise trials in quantized+noise mode.  The work the trials
-share is done once: the engine configuration per study, and per layer the
-weights' scale, validation, plan, quantizer params and codes.  Each trial
-then streams through the same front end and epoch loop, one layer after
-the other.  The exact peak current is formed only where the full-scale
-bound, C units of product for min(T, P) cycles, does not clear the rail.
+study, over many noise trials in quantized+noise mode.  Both run every
+product through one routine, _product: the front end, the lattice choice,
+the epoch loop and the rail guard.  The work the trials share is done once:
+the width check and engine configuration per study, and per layer the
+weights' scale, validation, plan and quantizer params.  Each trial then
+quantizes its input and the weights block by block, as simulate_gemm does,
+one layer after the other.  The exact peak current is formed only where
+the full-scale bound, the largest per-cycle sum over the C cores for
+min(T, P) cycles, does not clear the rail.
 """
 
 from __future__ import annotations
@@ -111,10 +114,16 @@ class ArchConfig:
             for name in ("r_tiles", "c_cores", "k", "t_int", "t_rst", "bits_in", "bits_out"):
                 if type(getattr(self, name)) is not int:
                     raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not type(self.share_y_modulators) is type(self.share_readout) is type(self.pipelined_readout) is bool:
+            for name in ("share_y_modulators", "share_readout", "pipelined_readout"):
+                if type(getattr(self, name)) is not bool:
+                    raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if min(self.r_tiles, self.c_cores, self.k) < 1:
             raise ValueError("r_tiles, c_cores, k must all be >= 1")
         if self.t_int < 1 or self.t_rst < 0:
             raise ValueError("t_int must be >= 1 and t_rst >= 0")
+        if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
+            raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
         if not math.isfinite(self.clock_hz) or self.clock_hz <= 0:
             raise ValueError(f"clock_hz must be finite and > 0, got {self.clock_hz}")
 
@@ -304,32 +313,28 @@ _OPERAND_BLOCK_ELEMS = 1 << 15
 
 
 def _engine_operands(
-    work: GemmWorkload, arch: ArchConfig, nm: NoiseModel | None, mode: str, p_cycles: int
-):
-    """The operands as the engine multiplies them, cycle-major: (xs, ys, alpha_x, alpha_y, on_lattice).
+    x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
+    noise: NoiseModel | None, c_cores: int, p_cycles: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The operands as the engine multiplies them, cycle-major: (xs, ys).
 
     xs has shape (M, P, C) and ys (P, C, Q), with the reduction zero-padded
     to C*P: index n = c*P + p lands at [.., p, c], so the columns of a run of
-    cycles form one contiguous slice.  On the quantizer lattice (quantized
-    modes without noise) the entries are integer codes; in noise modes they
-    are dequantized (the min-max zero point is 0, so codes * alpha is
-    fake_quantize), given multiplicative noise and clipped to [-1, 1].
+    cycles form one contiguous slice.  px and py are the operands' quantizer
+    params, None in ideal mode, and noise the NoiseModel that perturbs them,
+    None if nothing does.  With params and no noise the entries are integer
+    codes, on the quantizer lattice; with noise they are dequantized (the
+    min-max zero point is 0, so codes * alpha is fake_quantize), given
+    multiplicative noise and clipped to [-1, 1].
     """
-    alpha_x = alpha_y = float("nan")
-    px = py = noise = None
-    on_lattice = False
-    if mode != "ideal":
-        px = minmax_params(work.x, arch.bits_in)
-        py = minmax_params(work.y, arch.bits_in)
-        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
-        nm = NoiseModel() if nm is None else nm
-        on_lattice = mode == "quantized" or not _noisy(nm)
-        noise = None if on_lattice else nm
-    xs = np.zeros((work.m, p_cycles, arch.c_cores))
-    ys = np.zeros((p_cycles, arch.c_cores, work.q))
-    _store_x(xs, work.x, px, noise)
-    _store_y(ys, work.y, py, noise)
-    return xs, ys, alpha_x, alpha_y, on_lattice
+    xs = np.zeros((x.shape[0], p_cycles, c_cores))
+    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
+    if p_cycles:
+        for r0, blk in _operand_blocks(x, px, noise, stream=0):
+            _store_cycle_major(xs[r0 : r0 + len(blk)].transpose(2, 1, 0), blk.T, 0)
+        for n0, blk in _operand_blocks(y, py, noise, stream=1):
+            _store_cycle_major(ys.transpose(1, 0, 2), blk, n0)
+    return xs, ys
 
 
 def _noisy(nm: NoiseModel) -> bool:
@@ -337,33 +342,17 @@ def _noisy(nm: NoiseModel) -> bool:
     return nm.enabled and nm.sigma != 0.0
 
 
-def _store_x(xs: np.ndarray, x: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None) -> None:
-    """Store the left operand as the engine sees it (see _operand_blocks) into xs, of shape (M, P, C)."""
-    if xs.shape[1]:
-        for r0, blk in _operand_blocks(x, params, nm, stream=0):
-            _store_cycle_major(xs[r0 : r0 + len(blk)].transpose(2, 1, 0), blk.T, 0)
-
-
-def _store_y(ys: np.ndarray, y: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None) -> None:
-    """Store the right operand as the engine sees it (see _operand_blocks) into ys, of shape (P, C, Q)."""
-    if ys.shape[0]:
-        for n0, blk in _operand_blocks(y, params, nm, stream=1):
-            _store_cycle_major(ys.transpose(1, 0, 2), blk, n0)
-
-
 def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None, stream: int):
     """Yield (first row, block) of operand a as the engine sees it, a row block at a time.
 
-    A block is one pass of each step over about _OPERAND_BLOCK_ELEMS
-    elements, in buffers reused from block to block: with params,
-    quantize_codes once, dequantized in place when nm is given; without
-    params, a as it is (ideal-mode values, or the dequantized codes of an
-    operand quantized beforehand).  With nm the block is then perturbed
-    and clipped.  The noise comes from one generator per operand, drawn
-    block by block in row-major order, which gives the same values as one
-    whole-operand draw.  With neither, a is one block as it is.
+    Without params (ideal mode) a is one block as it is.  Otherwise a block
+    is one pass of each step over about _OPERAND_BLOCK_ELEMS elements, in
+    buffers reused from block to block: quantize_codes once, then with nm
+    dequantized, perturbed and clipped.  The noise comes from one generator
+    per operand, drawn block by block in row-major order, which gives the
+    same values as one whole-operand draw.
     """
-    if params is None and nm is None:
+    if params is None:
         yield 0, a
         return
     rows = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
@@ -371,18 +360,16 @@ def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseMode
     codes = draws = None
     for r0 in range(0, a.shape[0], rows):
         blk = a[r0 : r0 + rows]
-        if params is not None:
-            codes = quantize_codes(blk, params, None if codes is None else codes[: len(blk)])
-            if rng is None:
-                yield r0, codes
-                continue
-            codes *= params.alpha[0]
-            blk = codes
+        codes = quantize_codes(blk, params, None if codes is None else codes[: len(blk)])
+        if rng is None:
+            yield r0, codes
+            continue
+        codes *= params.alpha[0]
         if draws is None:
             draws = rng.standard_normal(blk.shape)
         else:
             draws = rng.standard_normal(out=draws[: len(blk)])
-        noisy = apply_noise(blk, draws, nm.sigma)
+        noisy = apply_noise(codes, draws, nm.sigma)
         yield r0, np.clip(noisy, -1.0, 1.0, out=noisy)
 
 
@@ -468,32 +455,38 @@ def _check_widths(arch: ArchConfig, mode: str) -> None:
         raise ValueError(f"bits_out must be in [2, 12] in mode {mode!r}, got {arch.bits_out}")
 
 
-def _integrate(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    step: float,
-    arch: ArchConfig,
-    cfg: EngineConfig,
-    adc: bool,
-    full_scale: float | None = None,
+def _product(
+    x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
+    noise: NoiseModel | None, p_cycles: int, arch: ArchConfig, cfg: EngineConfig,
+    adc: bool = False, exact_peak: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """Run the readout epochs of cycle-major operands: (summed readouts in volts, peak current in A).
+    """x @ y on the engine: (summed readouts in volts, peak current in A).
 
-    Each epoch is one matmul over its cycles' columns, scaled by the gain,
-    digitized in place when adc is set, and added to the accumulator.  step
-    is the operand product of one engine unit: alpha_x * alpha_y when xs and
-    ys hold integer codes, else 1.  The peak current is formed (see
-    _epoch_peak) and checked against the rail, unless full_scale, a bound
-    the operands' per-cycle |sum over cores| cannot pass even in rounding,
-    already clears the rail; then it is reported as 0.
+    The operands go through the front end (see _engine_operands) and then
+    through the readout epochs: each is one matmul over its cycles' columns,
+    scaled by the gain, digitized in place when adc is set, and added to the
+    accumulator.  On the lattice the operands are integer codes, so every
+    partial sum is exact in float64 and the step sizes alpha_x * alpha_y go
+    into the gain once.  With exact_peak the peak current is formed (see
+    _epoch_peak) and checked against the rail.  Without it the peak is
+    formed only if the full-scale bound, the largest per-cycle |sum over
+    cores| the operands can give even in rounding, does not clear the rail;
+    if it does, the peak is reported as 0.
     """
-    m, p_cycles, q = xs.shape[0], xs.shape[1], ys.shape[-1]
+    xs, ys = _engine_operands(x, y, px, py, noise, arch.c_cores, p_cycles)
+    if px is not None and noise is None:
+        # Integer codes of at most 2^(b-1) in magnitude.
+        step, full_scale = float(px.alpha[0]) * float(py.alpha[0]), arch.c_cores * px.q_min * py.q_min
+    else:
+        # Operands in [-1, 1]: no per-cycle sum over C cores passes C.
+        step, full_scale = 1.0, arch.c_cores
+    m, q = xs.shape[0], ys.shape[-1]
     scale = cfg.current_scale() * step  # amperes per engine unit of product
     gain = scale * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
     window = min(arch.t_int, p_cycles)
     rail = cfg.v_dd * (1.0 + 1e-12)
     buf = None
-    if full_scale is None or gain * full_scale * window > rail:
+    if exact_peak or gain * full_scale * window > rail:
         chunk = min(arch.t_int, p_cycles, _CURRENT_BUFFER_ELEMS // max(1, m * q))
         buf = np.empty((max(chunk, 1), m, q))
     z_accum = np.zeros((m, q))
@@ -536,10 +529,16 @@ def simulate_gemm(
     sched = plan(work, arch)
     cfg = engine_config_for(arch, cat)
 
-    xs, ys, alpha_x, alpha_y, on_lattice = _engine_operands(work, arch, nm, mode, sched.p_cycles)
-    # On the lattice the operands are integer codes: every partial sum is exact in float64.
-    step = alpha_x * alpha_y if on_lattice else 1.0
-    z_accum, peak_current = _integrate(xs, ys, step, arch, cfg, mode == "quantized+noise+adc")
+    px = py = noise = None
+    alpha_x = alpha_y = float("nan")
+    if mode != "ideal":
+        px, py = minmax_params(work.x, arch.bits_in), minmax_params(work.y, arch.bits_in)
+        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
+        nm = NoiseModel() if nm is None else nm
+        noise = nm if mode != "quantized" and _noisy(nm) else None
+    z_accum, peak_current = _product(
+        work.x, work.y, px, py, noise, sched.p_cycles, arch, cfg, mode == "quantized+noise+adc", exact_peak=True
+    )
 
     norm = cfg.normalization()
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
@@ -571,39 +570,23 @@ def _encodable(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
 
 
 class _ChainLayer:
-    """One weight matrix of simulate_chain, with the work its trials share."""
+    """One weight matrix of simulate_chain, with what its trials share.
 
-    def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig, cfg: EngineConfig):
-        y, self.sw = _encodable(np.asarray(w, dtype=float), "y")
-        work = GemmWorkload(x, y)
-        _check_widths(arch, "quantized+noise")
-        self.arch, self.cfg, self.norm = arch, cfg, cfg.normalization()
-        self.p_cycles = plan(work, arch).p_cycles
-        self.params = minmax_params(y, arch.bits_in)
-        codes = quantize_codes(y, self.params)
-        self.codes = np.zeros((self.p_cycles, arch.c_cores, y.shape[1]))
-        _store_y(self.codes, codes, None, None)
-        self.values = codes * self.params.alpha[0]  # fake_quantize(y): the zero point is 0
+    That is the weights scaled into [-1, 1] (y), their scale (sw), their
+    quantizer params and the plan's cycle count.  They are validated
+    together with x, the first trial's input to the layer, as GemmWorkload
+    validates the operands of a simulate_gemm call.
+    """
 
-    def product(self, x: np.ndarray, nm: NoiseModel) -> np.ndarray:
-        """z_hat of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise") for x in [-1, 1]."""
-        arch, c = self.arch, self.arch.c_cores
-        noisy = _noisy(nm)
+    def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig):
+        self.y, self.sw = _encodable(np.asarray(w, dtype=float), "y")
+        self.p_cycles = plan(GemmWorkload(x, self.y), arch).p_cycles
+        self.params = minmax_params(self.y, arch.bits_in)
+
+    def product(self, x: np.ndarray, nm: NoiseModel, arch: ArchConfig, cfg: EngineConfig) -> np.ndarray:
+        """Summed readouts in volts of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
         px = minmax_params(x, arch.bits_in)
-        xs = np.zeros((x.shape[0], self.p_cycles, c))
-        _store_x(xs, x, px, nm if noisy else None)
-        if noisy:
-            ys = np.zeros_like(self.codes)
-            _store_y(ys, self.values, None, nm)
-            # Operands clipped to [-1, 1]: no per-cycle sum over C cores passes C.
-            step, full_scale = 1.0, float(c)
-        else:
-            ys = self.codes
-            step = float(px.alpha[0]) * float(self.params.alpha[0])
-            # Integer codes of at most 2^(b-1) in magnitude, summed exactly.
-            full_scale = float(c * px.q_min * self.params.q_min)
-        z_accum, _ = _integrate(xs, ys, step, arch, self.cfg, False, full_scale)
-        return z_accum / self.norm
+        return _product(x, self.y, px, self.params, nm if _noisy(nm) else None, self.p_cycles, arch, cfg)[0]
 
 
 def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
@@ -613,19 +596,23 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
     multiplies them as simulate_gemm does in quantized+noise mode, and
     undoes both scales; digital(i, z) turns that product into the next
     layer's input, or the last layer's into the trial's output.  A trial is
-    a sequence of one NoiseModel per layer.  The outputs, and the errors raised, are those
-    of one simulate_gemm call per layer and trial, bit for bit.
+    a sequence of one NoiseModel per layer.  The outputs, and the errors
+    raised, are those of one simulate_gemm call per layer and trial, bit for
+    bit, except that a bit width the mode cannot run is rejected first.
 
-    The work trials share is done once: engine_config_for per chain; per
-    layer, when the first trial reaches it, the weights' scale, validation,
-    plan, quantizer params and codes.  Each trial runs through every layer
-    before the next one starts, so one trial's activations are live at a
-    time.  A trial without noise in any layer does not depend on its seeds:
-    the first one runs, and later ones yield its output again (the same
-    array).  No SimStats is built, and the exact peak current is formed
-    only for a product whose full-scale bound does not clear the rail.
+    The work trials share is done once: the width check and
+    engine_config_for per chain; per layer, when the first trial reaches
+    it, the weights' scale, validation, plan and quantizer params.  Each
+    trial runs through every layer before the next one starts, so one
+    trial's activations are live at a time.  A trial without noise in any
+    layer does not depend on its seeds: the first one runs, and later ones
+    yield its output again (the same array).  No SimStats is built, and the
+    exact peak current is formed only for a product whose full-scale bound
+    does not clear the rail.
     """
+    _check_widths(arch, "quantized+noise")
     cfg = engine_config_for(arch, cat)
+    norm = cfg.normalization()
     layers: list[_ChainLayer] = []
     clean = None
     for trial in trials:
@@ -637,8 +624,9 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
         for i, (w, nm) in enumerate(zip(weights, trial, strict=True)):
             xq, sx = _encodable(h, "x")
             if i == len(layers):
-                layers.append(_ChainLayer(xq, w, arch, cfg))
-            h = digital(i, layers[i].product(xq, nm) * (sx * layers[i].sw))
+                layers.append(_ChainLayer(xq, w, arch))
+            layer = layers[i]
+            h = digital(i, layer.product(xq, nm, arch, cfg) / norm * (sx * layer.sw))
         if not noisy:
             clean = h
         yield h

@@ -7,10 +7,10 @@ compare the epoch-streamed ``simulate_gemm`` against it; it is far too slow
 and memory-hungry for anything but small shapes.
 
 ``oracle_engine_operands`` is the simulator's earlier operand front end:
-fake quantization, noise, and on the lattice the integer codes re-derived
-from the dequantized operands, all on whole operands.  ``oracle_cycle_major``
-scatters them into the cycle-major layout by fancy indexing, and
-``oracle_front_end`` chains the two.
+fake quantization, noise, and on the lattice (params, no noise) the
+integer codes re-derived from the dequantized operands, all on whole
+operands.  ``oracle_cycle_major`` scatters them into the cycle-major layout
+by fancy indexing, and ``oracle_front_end`` chains the two.
 """
 
 import numpy as np
@@ -29,33 +29,19 @@ def oracle_cycle_major(x, y, c_cores, p_cycles):
     return xs, ys
 
 
-def oracle_front_end(work, arch, nm, mode, p_cycles):
-    """(xs, ys, alpha_x, alpha_y, on_lattice); same contract as scheduler._engine_operands."""
-    x, y, *rest = oracle_engine_operands(work, arch, nm, mode)
-    return (*oracle_cycle_major(x, y, arch.c_cores, p_cycles), *rest)
+def oracle_front_end(x, y, px, py, noise, c_cores, p_cycles):
+    """(xs, ys); same contract as scheduler._engine_operands."""
+    return oracle_cycle_major(*oracle_engine_operands(x, y, px, py, noise), c_cores, p_cycles)
 
 
-def oracle_engine_operands(work, arch, nm, mode):
-    """(x, y, alpha_x, alpha_y, on_lattice) with x and y as (M, N) and (N, Q) matrices."""
-    x, y = work.x, work.y
-    alpha_x = alpha_y = float("nan")
-    on_lattice = False
-    if mode != "ideal":
-        px = minmax_params(x, arch.bits_in)
-        py = minmax_params(y, arch.bits_in)
-        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
-        x = fake_quantize(x, px)
-        y = fake_quantize(y, py)
-        on_lattice = mode == "quantized"
-        if not on_lattice:
-            if nm is None:
-                nm = NoiseModel()
-            on_lattice = not nm.enabled or nm.sigma == 0.0
-            x = np.clip(inject_noise(x, nm, stream=0), -1.0, 1.0)
-            y = np.clip(inject_noise(y, nm, stream=1), -1.0, 1.0)
-        if on_lattice:
-            x, y = np.rint(x / alpha_x), np.rint(y / alpha_y)
-    return x, y, alpha_x, alpha_y, on_lattice
+def oracle_engine_operands(x, y, px, py, noise):
+    """(x, y) as the engine multiplies them, as (M, N) and (N, Q) matrices."""
+    if px is None:
+        return x, y
+    x, y = fake_quantize(x, px), fake_quantize(y, py)
+    if noise is None:
+        return np.rint(x / float(px.alpha[0])), np.rint(y / float(py.alpha[0]))
+    return np.clip(inject_noise(x, noise, stream=0), -1.0, 1.0), np.clip(inject_noise(y, noise, stream=1), -1.0, 1.0)
 
 
 def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):

@@ -109,6 +109,17 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, sigma):
+        monkeypatch.setattr(cli, "simulate_gemm", None)
+        code, _, err = run(
+            ["simulate", "--workload", "rand:4x4x4", "--mode", "quantized+noise",
+             f"--sigma={sigma}", "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert "sigma must be finite and >= 0" in err
+
     @pytest.mark.parametrize("clock", ["nan", "inf", "-inf", "1e300"])
     @pytest.mark.parametrize("command", ["simulate", "cost"])
     def test_nonfinite_clock_exits_2(self, tmp_path, capsys, command, clock):
@@ -174,6 +185,27 @@ class TestCost:
         code, _, err = run(args, capsys)
         assert_one_line_exit_2(code, err, tmp_path / "o")
         assert f"{field} must be an integer" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "cost"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("clock_hz", True, "clock_hz must be a number"),
+            ("clock_hz", "5e9", "clock_hz must be a number"),
+            ("share_readout", "no", "share_readout must be true or false"),
+            ("share_y_modulators", 1, "share_y_modulators must be true or false"),
+            ("pipelined_readout", None, "pipelined_readout must be true or false"),
+        ],
+    )
+    def test_mistyped_arch_field_exits_2(self, tmp_path, capsys, command, field, value, message):
+        arch_file = tmp_path / "arch.json"
+        arch_file.write_text(json.dumps({field: value}))
+        args = [command, "--arch", str(arch_file), "--out", str(tmp_path / "o")]
+        if command == "simulate":
+            args += ["--workload", "rand:4x4x4"]
+        code, _, err = run(args, capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert message in err
 
     def test_bad_arch_file_exits_2(self, tmp_path, capsys):
         arch_file = tmp_path / "arch.json"

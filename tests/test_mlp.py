@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 from mlp_oracle import oracle_forward_via_core, oracle_robustness_table
+from scheduler_oracle import oracle_front_end
 from test_scheduler import halve_capacitor
 
 from ptcsim import (
@@ -177,16 +178,37 @@ class TestStudyPass:
         tx, ty = study_set((8, 32, 32, 4))
         sigmas = [0.0, 0.02, 0.0]
         want = oracle_robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3)
-        passes = count_calls(monkeypatch, scheduler, "_integrate")
+        passes = count_calls(monkeypatch, scheduler, "_product")
         configs = count_calls(monkeypatch, scheduler, "engine_config_for")
+        widths = count_calls(monkeypatch, scheduler, "_check_widths")
         plans = count_calls(monkeypatch, scheduler, "plan")
         peaks = count_calls(monkeypatch, scheduler, "_epoch_peak")
         assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3) == want
         # One noise-free trial and three noisy ones, each through 3 layers.
         assert len(passes) == (1 + 3) * 3
-        assert len(configs) == 1 and len(plans) == 3
+        assert len(configs) == len(widths) == 1 and len(plans) == 3
         # The full-scale bound clears the rail on a correctly sized integrator.
         assert peaks == []
+
+    @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
+    def test_runs_the_one_front_end(self, monkeypatch, arch):
+        # The study pass prepares its operands through the front end that
+        # simulate_gemm uses: swapping in the whole-operand oracle leaves
+        # every trial's logits unchanged, bit for bit.
+        sizes = (8, 13, 7, 4)
+        model = study_model(sizes)
+        tx, _ = study_set(sizes)
+        trials = [(sigma, seed) for sigma in (0.0, 0.0031, 0.08) for seed in range(3)]
+        want = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
+        calls = []
+        monkeypatch.setattr(scheduler, "_engine_operands", lambda *a: calls.append(a) or oracle_front_end(*a))
+        got = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
+        assert got == want
+        # Once per (trial, layer); the three noise-free trials run once.
+        assert len(calls) == (1 + 6) * 3
+        # Each layer passes the same cached weights and params to every trial.
+        for i in range(3):
+            assert len({(id(a[1]), id(a[3])) for a in calls[i::3]}) == 1
 
     @pytest.mark.parametrize(
         "sizes, sigmas, raises",

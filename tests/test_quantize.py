@@ -316,6 +316,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            NoiseModel(sigma=sigma, enabled=False)
+
 
 class TestAdc:
     def test_codes_span_full_range(self):

@@ -137,6 +137,24 @@ def test_arch_config_rejects_non_integer_fields(field, value):
         ArchConfig(**{field: value})
 
 
+@pytest.mark.parametrize("clock_hz", [True, False, "5e9", None, [5e9]])
+def test_arch_config_rejects_non_number_clock(clock_hz):
+    with pytest.raises(ValueError, match="clock_hz must be a number"):
+        ArchConfig(clock_hz=clock_hz)
+
+
+def test_arch_config_accepts_integer_and_numpy_clock():
+    assert ArchConfig(clock_hz=2_000_000_000).clock_hz == 2e9
+    assert ArchConfig(clock_hz=np.float64(2e9)).clock_hz == 2e9
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+@pytest.mark.parametrize("field", ["share_y_modulators", "share_readout", "pipelined_readout"])
+def test_arch_config_rejects_non_bool_flags(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be true or false"):
+        ArchConfig(**{field: value})
+
+
 class TestEngineConfigFor:
     def test_capacitor_sized_for_aggregated_current(self):
         cfg = engine_config_for(SMALL, CAT)
@@ -421,7 +439,7 @@ class TestPeakPruning:
     def streamed_peaks(w, arch):
         """(streamed, per_cycle): the peak as simulate_gemm forms it, and each cycle's own exact peak."""
         p_cycles = plan(w, arch).p_cycles
-        xs, ys = scheduler._engine_operands(w, arch, None, "ideal", p_cycles)[:2]
+        xs, ys = scheduler._engine_operands(w.x, w.y, None, None, None, arch.c_cores, p_cycles)
         buf = np.empty((1, w.m, w.q))
         streamed = 0.0
         for p0 in range(0, p_cycles, arch.t_int):
@@ -509,7 +527,7 @@ class TestPeakPruning:
         x, y = rng.uniform(-1, 1, (3, n)), rng.uniform(-1, 1, (n, 4))
         p_cycles = -(-n // c_cores)
         arch = ArchConfig(c_cores=c_cores)
-        xs, ys = scheduler._engine_operands(GemmWorkload(x, y), arch, None, "ideal", p_cycles)[:2]
+        xs, ys = scheduler._engine_operands(x, y, None, None, None, c_cores, p_cycles)
         xs_ref, ys_ref = oracle_cycle_major(x, y, c_cores, p_cycles)
         assert np.array_equal(xs, xs_ref) and np.array_equal(ys, ys_ref)
         assert xs.shape == (3, p_cycles, c_cores) and ys.shape == (p_cycles, c_cores, 4)
@@ -539,16 +557,28 @@ class TestEngineOperands:
                 a.flat[rng.integers(a.size)] = rng.choice([-1.0, 1.0])
         w = GemmWorkload(x, y)
         nm = None if noise is None else NoiseModel(sigma=noise[0], enabled=noise[1], seed=seed)
-        p_cycles = plan(w, arch).p_cycles
+        calls = []
+        real = scheduler._engine_operands
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
         # Blocks of 1-3 rows of y straddle core boundaries, and both
         # operands draw their noise a few rows at a time.
-        with mock.patch.object(scheduler, "_OPERAND_BLOCK_ELEMS", y_rows * max(q, 1)):
-            got = scheduler._engine_operands(w, arch, nm, mode, p_cycles)
+        with mock.patch.object(scheduler, "_OPERAND_BLOCK_ELEMS", y_rows * max(q, 1)), mock.patch.object(
+            scheduler, "_engine_operands", spy
+        ):
             z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
-        want = oracle_front_end(w, arch, nm, mode, p_cycles)
-        for a, b in zip(got[:2], want[:2]):
+        ((args, got),) = calls
+        px, py, noisy = args[2:5]
+        assert (px is None) == (py is None) == (mode == "ideal")
+        # The default NoiseModel has sigma = 0.0031; quantized mode draws no noise.
+        assert (noisy is not None) == (mode in MODES[2:] and (noise is None or (noise[0] > 0 and noise[1])))
+        assert args[5:] == (arch.c_cores, plan(w, arch).p_cycles)
+        want = oracle_front_end(*args)
+        for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape and np.array_equal(bits_of(a), bits_of(b))
-        assert repr(got[2:]) == repr(want[2:])
         with mock.patch.object(scheduler, "_engine_operands", oracle_front_end):
             z_ref, ref = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
         assert np.array_equal(bits_of(z), bits_of(z_ref))
