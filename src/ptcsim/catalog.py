@@ -303,10 +303,9 @@ def variant_name(variant: str) -> str:
 
 def builtin_catalog_path(variant: str) -> Path:
     """Path of a shipped catalog: 'foundry', 'foundry_sl', or 'custom_sl'."""
-    name = variant_name(variant)
-    if name not in _VARIANT_NAMES:
-        raise CatalogError(f"no builtin catalog {variant!r}; options: {_VARIANT_NAMES}")
-    return _DATA_DIR / f"{name}.json"
+    if not isinstance(variant, str) or variant_name(variant) not in _VARIANT_NAMES:
+        raise CatalogError(f"no builtin catalog {variant!r}; a builtin catalog must be a catalog name: {_VARIANT_NAMES}")
+    return _DATA_DIR / f"{variant_name(variant)}.json"
 
 
 def load_builtin_catalog(variant: str) -> CatalogVariant:

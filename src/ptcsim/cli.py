@@ -1,9 +1,13 @@
 """Command-line front end: simulate, cost, sweep, robustness, catalog-validate.
 
-Exit codes: 0 success, 1 runtime error, 2 usage or configuration error.
-Every report embeds the resolved configuration and a schema version; file
-outputs land in the directory named by --out (timestamp-free, so CI runs
-diff cleanly).
+Each command runs in two steps.  The resolve step turns every input into the
+object that checks it (ArchConfig, the device catalog, GemmWorkload,
+NoiseModel, MlpConfig, every sweep point) before any work; the run step does
+the work and writes the reports.  Exit codes: 0 success, 1 an error while
+running, 2 bad input: any error of the resolve step, reported on one
+`error:` line before anything is written.  Every report embeds the resolved
+configuration and a schema version; file outputs land in the directory named
+by --out (timestamp-free, so CI runs diff cleanly).
 """
 
 from __future__ import annotations
@@ -12,21 +16,21 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import CatalogError, load_builtin_catalog, load_catalog, variant_name
+from .catalog import _VARIANT_NAMES, load_builtin_catalog, load_catalog, variant_name
 from .costs import (
     CONVENTIONS,
     TOPOLOGIES,
     cost_report,
     pareto_csv,
     report_to_text,
-    sweep,
+    sweep_points,
     sweep_to_csv,
 )
 from .mlp import MlpConfig, TinyMlp, make_blobs, robustness_table, train
@@ -34,38 +38,12 @@ from .quantize import NoiseModel
 from .scheduler import MODES, ArchConfig, GemmWorkload, _check_widths, simulate_gemm
 
 _SCHEMA_VERSION = 1
-_VARIANTS = ("foundry", "foundry-sl", "custom-sl")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
-
-
-#: Experiment-config keys other than "arch": (expected type, check).
-_EXPERIMENT_TYPES = {
-    "catalog": ("a catalog name", lambda v: isinstance(v, str)),
-    "bits": ("an integer", _is_int),
-    "sigma_train": ("a finite number", _is_number),
-    "trials": ("an integer", _is_int),
-    "epochs": ("an integer", _is_int),
-    "seed": ("an integer", _is_int),
-    "sigmas_eval": (
-        "a list of finite numbers",
-        lambda v: isinstance(v, list) and all(map(_is_number, v)),
-    ),
-}
-_EXPERIMENT_KEYS = frozenset(("arch", *_EXPERIMENT_TYPES))
+_VARIANTS = tuple(name.replace("_", "-") for name in _VARIANT_NAMES)
+#: Experiment-config keys; "sigma_train" is MlpConfig's train_sigma.
+_EXPERIMENT_KEYS = frozenset(("arch", "catalog", "bits", "sigma_train", "trials", "epochs", "seed", "sigmas_eval"))
 _WORKLOAD_RE = re.compile(
     r"^rand:(\d+)x(\d+)x(\d+)(?::seed(\d+))?(?::(uniform|normal))?$"
 )
-
-
-class ConfigError(ValueError):
-    """Bad user-supplied configuration (exit code 2)."""
 
 
 def _add_arch_args(p: argparse.ArgumentParser) -> None:
@@ -87,43 +65,43 @@ def _add_arch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", help="path to a catalog JSON file (overrides --variant)")
 
 
+def _load_json(path: str, what: str):
+    path = Path(path)
+    if not path.exists():
+        raise ValueError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"bad {what} {path}: {e}") from e
+
+
 def _arch_from_dict(d, source) -> ArchConfig:
     try:
         return ArchConfig.from_dict(d)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad arch config {source}: {e}") from e
+    except (TypeError, ValueError) as e:  # TypeError: not a mapping, or an unknown field
+        raise ValueError(f"bad arch config {source}: {e}") from e
 
 
 def _arch_from_args(args) -> ArchConfig:
     if args.arch:
-        path = Path(args.arch)
-        if not path.exists():
-            raise ConfigError(f"arch config not found: {path}")
-        try:
-            d = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"bad arch config {path}: {e}") from e
-        return _arch_from_dict(d, path)
-    try:
-        return ArchConfig(
-            r_tiles=args.tiles,
-            c_cores=args.cores,
-            k=args.size,
-            clock_hz=args.clock_ghz * 1e9,
-            t_int=args.t_int,
-            t_rst=args.t_rst,
-            bits_in=args.bits_in,
-            bits_out=args.bits_out,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        return _arch_from_dict(_load_json(args.arch, "arch config"), args.arch)
+    return ArchConfig(
+        r_tiles=args.tiles,
+        c_cores=args.cores,
+        k=args.size,
+        clock_hz=args.clock_ghz * 1e9,
+        t_int=args.t_int,
+        t_rst=args.t_rst,
+        bits_in=args.bits_in,
+        bits_out=args.bits_out,
+    )
 
 
 def _catalog_from_args(args):
     if getattr(args, "catalog", None):
         path = Path(args.catalog)
         if not path.exists():
-            raise ConfigError(f"catalog not found: {path}")
+            raise ValueError(f"catalog not found: {path}")
         return load_catalog(path)
     return load_builtin_catalog(args.variant)
 
@@ -146,21 +124,23 @@ def _parse_workload(spec: str) -> GemmWorkload:
     if spec.endswith(".npz"):
         path = Path(spec)
         if not path.exists():
-            raise ConfigError(f"workload file not found: {path}")
-        data = np.load(path)
-        if "x" not in data or "y" not in data:
-            raise ConfigError(f"workload {path} must contain arrays 'x' and 'y'")
-        return GemmWorkload(data["x"], data["y"])
+            raise ValueError(f"workload file not found: {path}")
+        if not zipfile.is_zipfile(path):
+            raise ValueError(f"workload {path} is not an .npz archive")
+        with np.load(path) as data:
+            if "x" not in data or "y" not in data:
+                raise ValueError(f"workload {path} must contain arrays 'x' and 'y'")
+            return GemmWorkload(data["x"], data["y"])
     if "," in spec:
         x_path, y_path = (Path(p.strip()) for p in spec.split(",", 1))
         for p in (x_path, y_path):
             if not p.exists():
-                raise ConfigError(f"workload file not found: {p}")
+                raise ValueError(f"workload file not found: {p}")
         return GemmWorkload(
             np.loadtxt(x_path, delimiter=",", ndmin=2),
             np.loadtxt(y_path, delimiter=",", ndmin=2),
         )
-    raise ConfigError(
+    raise ValueError(
         f"bad workload spec {spec!r}; expected rand:MxNxQ[:seedS][:uniform|normal], "
         "an .npz file, or 'x.csv,y.csv'"
     )
@@ -171,12 +151,12 @@ def _parse_sweep_values(axis: str, text: str) -> list:
     if axis == "variant":
         return text.split(",") if text else list(_VARIANTS)
     if not text:
-        raise ConfigError(f"--values is required for axis {axis}")
+        raise ValueError(f"--values is required for axis {axis}")
     range_m = re.match(r"^(\d+)\.\.(\d+)$", text)
     if range_m:
         lo, hi = int(range_m.group(1)), int(range_m.group(2))
         if lo < 1 or hi < lo:
-            raise ConfigError(f"bad range {text!r}")
+            raise ValueError(f"bad range {text!r}")
         values, v = [], lo
         while v <= hi:
             values.append(v)
@@ -185,7 +165,19 @@ def _parse_sweep_values(axis: str, text: str) -> list:
     try:
         return [int(v) for v in text.split(",")]
     except ValueError as e:
-        raise ConfigError(f"bad values {text!r}: {e}") from e
+        raise ValueError(f"bad values {text!r}: {e}") from e
+
+
+def _noise_levels(sigmas, source: str) -> list:
+    """sigmas, a list of noise intensities, once each has built the NoiseModel that checks it."""
+    try:
+        if isinstance(sigmas, list):
+            for s in sigmas:
+                NoiseModel(sigma=s)
+            return sigmas
+    except ValueError:
+        pass
+    raise ValueError(f"{source} must be a list of finite numbers >= 0, got {sigmas!r}")
 
 
 def _out_dir(args) -> Path:
@@ -199,67 +191,70 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     arch = _arch_from_args(args)
     cat = _catalog_from_args(args)
     work = _parse_workload(args.workload)
-    try:
-        nm = NoiseModel(sigma=args.sigma, seed=args.seed)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    try:
+    nm = NoiseModel(sigma=args.sigma, seed=args.seed)
+    _check_widths(arch, args.mode)
+
+    def run() -> int:
         z_hat, stats = simulate_gemm(work, arch, cat, nm=nm, mode=args.mode)
-    except ValueError as e:  # the mode's bit widths, checked before any work
-        raise ConfigError(str(e)) from e
-    exact = work.x @ work.y
-    rel_err = float(
-        np.linalg.norm(z_hat - exact) / max(np.linalg.norm(exact), 1e-30)
-    )
-    out = _out_dir(args)
-    np.savetxt(out / "z_hat.csv", z_hat, delimiter=",")
-    _write_json(
-        out / "simulate.json",
-        {
-            "workload": args.workload,
-            "arch": arch.to_dict(),
-            "variant": cat.name,
-            "mode": args.mode,
-            "sigma": args.sigma,
-            "seed": args.seed,
-            "relative_error_frobenius": rel_err,
-            "stats": stats.to_dict(),
-        },
-    )
-    print(f"mode={stats.mode}  relative error (Frobenius): {rel_err:.3e}")
-    print(
-        f"compute cycles: {stats.compute_cycles}  reset cycles: {stats.reset_cycles}  "
-        f"readouts: {stats.readouts}  saturation events: {stats.saturation_events}"
-    )
-    print(f"wrote {out / 'simulate.json'} and {out / 'z_hat.csv'}")
-    return 0
+        exact = work.x @ work.y
+        rel_err = float(
+            np.linalg.norm(z_hat - exact) / max(np.linalg.norm(exact), 1e-30)
+        )
+        out = _out_dir(args)
+        np.savetxt(out / "z_hat.csv", z_hat, delimiter=",")
+        _write_json(
+            out / "simulate.json",
+            {
+                "workload": args.workload,
+                "arch": arch.to_dict(),
+                "variant": cat.name,
+                "mode": args.mode,
+                "sigma": args.sigma,
+                "seed": args.seed,
+                "relative_error_frobenius": rel_err,
+                "stats": stats.to_dict(),
+            },
+        )
+        print(f"mode={stats.mode}  relative error (Frobenius): {rel_err:.3e}")
+        print(
+            f"compute cycles: {stats.compute_cycles}  reset cycles: {stats.reset_cycles}  "
+            f"readouts: {stats.readouts}  saturation events: {stats.saturation_events}"
+        )
+        print(f"wrote {out / 'simulate.json'} and {out / 'z_hat.csv'}")
+        return 0
+
+    return run
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args):
     arch = _arch_from_args(args)
     cat = _catalog_from_args(args)
-    report = cost_report(
-        arch,
-        cat,
-        include_memory=args.include_memory,
-        convention=args.convention,
-        topology=args.topology,
-    )
-    out = _out_dir(args)
-    _write_json(out / "cost.json", report.to_dict())
-    text = report_to_text(report)
-    (out / "cost.txt").write_text(text)
-    (out / "pareto.csv").write_text(pareto_csv([report]))
-    print(text, end="")
-    print(f"wrote {out / 'cost.json'}, {out / 'cost.txt'}, {out / 'pareto.csv'}")
-    return 0
+
+    def run() -> int:
+        report = cost_report(
+            arch,
+            cat,
+            include_memory=args.include_memory,
+            convention=args.convention,
+            topology=args.topology,
+        )
+        out = _out_dir(args)
+        _write_json(out / "cost.json", report.to_dict())
+        text = report_to_text(report)
+        (out / "cost.txt").write_text(text)
+        (out / "pareto.csv").write_text(pareto_csv([report]))
+        print(text, end="")
+        print(f"wrote {out / 'cost.json'}, {out / 'cost.txt'}, {out / 'pareto.csv'}")
+        return 0
+
+    return run
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     arch = _arch_from_args(args)
     values = _parse_sweep_values(args.axis, args.values)
     if args.axis == "variant":
@@ -267,137 +262,129 @@ def _cmd_sweep(args) -> int:
     else:
         cat = _catalog_from_args(args)
         catalogs = {cat.name: cat}
-    reports = sweep(
-        arch,
-        catalogs,
-        axis=args.axis,
-        values=values,
-        include_memory=args.include_memory,
-        convention=args.convention,
-        topology=args.topology,
-    )
-    out = _out_dir(args)
-    csv_text = sweep_to_csv(reports)
-    (out / "sweep.csv").write_text(csv_text)
-    _write_json(
-        out / "sweep.json",
-        {
-            "axis": args.axis,
-            "values": [str(v) for v in values],
-            "arch": arch.to_dict(),
-            "points": [r.to_dict() for r in reports],
-        },
-    )
-    print(csv_text, end="")
-    if args.axis == "variant" and len(reports) > 1:
-        ref = reports[-1]
-        for r in reports[:-1]:
-            print(
-                f"{r.variant} vs {ref.variant}: "
-                f"{r.total_area_mm2 / ref.total_area_mm2:.2f}x area, "
-                f"{r.total_power_w / ref.total_power_w:.2f}x power"
+    points = sweep_points(arch, catalogs, args.axis, values)
+
+    def run() -> int:
+        reports = [
+            cost_report(
+                point,
+                cat,
+                include_memory=args.include_memory,
+                convention=args.convention,
+                topology=args.topology,
             )
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
-    return 0
+            for point, cat in points
+        ]
+        out = _out_dir(args)
+        csv_text = sweep_to_csv(reports)
+        (out / "sweep.csv").write_text(csv_text)
+        _write_json(
+            out / "sweep.json",
+            {
+                "axis": args.axis,
+                "values": [str(v) for v in values],
+                "arch": arch.to_dict(),
+                "points": [r.to_dict() for r in reports],
+            },
+        )
+        print(csv_text, end="")
+        if args.axis == "variant" and len(reports) > 1:
+            ref = reports[-1]
+            for r in reports[:-1]:
+                print(
+                    f"{r.variant} vs {ref.variant}: "
+                    f"{r.total_area_mm2 / ref.total_area_mm2:.2f}x area, "
+                    f"{r.total_power_w / ref.total_power_w:.2f}x power"
+                )
+        print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
+        return 0
+
+    return run
 
 
-def _cmd_robustness(args) -> int:
+def _cmd_robustness(args):
     arch = _arch_from_args(args)
     cat = _catalog_from_args(args)
-    cfg_file = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"experiment config not found: {path}")
-        try:
-            cfg_file = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"bad experiment config {path}: {e}") from e
-        if not isinstance(cfg_file, dict):
-            raise ConfigError(f"bad experiment config {path}: expected a JSON object")
-        unknown = sorted(set(cfg_file) - _EXPERIMENT_KEYS)
-        if unknown:
-            raise ConfigError(
-                f"bad experiment config {path}: unknown keys {unknown}; "
-                f"options: {sorted(_EXPERIMENT_KEYS)}"
-            )
-        for key, (kind, ok) in _EXPERIMENT_TYPES.items():
-            if key in cfg_file and not ok(cfg_file[key]):
-                raise ConfigError(
-                    f"bad experiment config {path}: {key} must be {kind}, "
-                    f"got {cfg_file[key]!r}"
-                )
-        if "arch" in cfg_file:
-            arch = _arch_from_dict(cfg_file["arch"], path)
-        if "catalog" in cfg_file:
-            cat = load_builtin_catalog(cfg_file["catalog"])
-    bits = cfg_file.get("bits", args.bits_in)
-    train_sigma = cfg_file.get("sigma_train", args.train_sigma)
+    cfg_file = _load_json(args.config, "experiment config") if args.config else {}
+    if not isinstance(cfg_file, dict):
+        raise ValueError(f"bad experiment config {args.config}: expected a JSON object")
+    unknown = sorted(set(cfg_file) - _EXPERIMENT_KEYS)
+    if unknown:
+        raise ValueError(
+            f"bad experiment config {args.config}: unknown keys {unknown}; "
+            f"options: {sorted(_EXPERIMENT_KEYS)}"
+        )
+    if "arch" in cfg_file:
+        arch = _arch_from_dict(cfg_file["arch"], args.config)
+    if "catalog" in cfg_file:
+        cat = load_builtin_catalog(cfg_file["catalog"])
     trials = cfg_file.get("trials", args.trials)
-    epochs = cfg_file.get("epochs", 40)
-    seed = cfg_file.get("seed", args.seed)
-    if "sigmas_eval" in cfg_file:
-        sigmas = cfg_file["sigmas_eval"]
-    else:
-        try:
-            sigmas = [float(s) for s in args.sigmas.split(",")]
-        except ValueError as e:
-            raise ConfigError(f"bad --sigmas {args.sigmas!r}: {e}") from e
-    if not all(0 <= s < math.inf for s in (*sigmas, train_sigma)):
-        raise ConfigError("noise intensities must be finite and >= 0")
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    try:
-        cfg = MlpConfig(bits=bits, train_sigma=train_sigma, epochs=epochs, seed=seed)
-        _check_widths(arch, "quantized+noise")  # the core's mode, checked before training
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    train_x, train_y = make_blobs(
-        512, cfg.layer_sizes[0], cfg.layer_sizes[-1], seed=seed
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    cfg = MlpConfig(
+        bits=cfg_file.get("bits", args.bits_in),
+        train_sigma=cfg_file.get("sigma_train", args.train_sigma),
+        epochs=cfg_file.get("epochs", 40),
+        seed=cfg_file.get("seed", args.seed),
     )
-    model = TinyMlp(cfg)
-    train(model, train_x, train_y)
-    test_x, test_y = make_blobs(
-        256, cfg.layer_sizes[0], cfg.layer_sizes[-1], seed=seed + 100
-    )
-    rows = robustness_table(model, test_x, test_y, arch, cat, sigmas, n_seeds=trials)
+    _check_widths(arch, "quantized+noise")  # the core's mode
+    if "sigmas_eval" in cfg_file:
+        sigmas = _noise_levels(cfg_file["sigmas_eval"], "sigmas_eval")
+    else:
+        sigmas = _noise_levels([float(s) for s in args.sigmas.split(",")], "--sigmas")
 
-    out = _out_dir(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sigma", "mean_accuracy", "std_accuracy"])
-    for row in rows:
-        writer.writerow(
-            [row["sigma"], f"{row['mean_accuracy']:.6f}", f"{row['std_accuracy']:.6f}"]
+    def run() -> int:
+        sizes = cfg.layer_sizes
+        train_x, train_y = make_blobs(512, sizes[0], sizes[-1], seed=cfg.seed)
+        model = TinyMlp(cfg)
+        train(model, train_x, train_y)
+        test_x, test_y = make_blobs(256, sizes[0], sizes[-1], seed=cfg.seed + 100)
+        rows = robustness_table(model, test_x, test_y, arch, cat, sigmas, n_seeds=trials)
+
+        out = _out_dir(args)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["sigma", "mean_accuracy", "std_accuracy"])
+        for row in rows:
+            writer.writerow(
+                [row["sigma"], f"{row['mean_accuracy']:.6f}", f"{row['std_accuracy']:.6f}"]
+            )
+        (out / "robustness.csv").write_text(buf.getvalue())
+        _write_json(
+            out / "robustness.json",
+            {
+                "arch": arch.to_dict(),
+                "variant": cat.name,
+                "bits": cfg.bits,
+                "epochs": cfg.epochs,
+                "train_sigma": cfg.train_sigma,
+                "trials": trials,
+                "seed": cfg.seed,
+                "rows": rows,
+            },
         )
-    (out / "robustness.csv").write_text(buf.getvalue())
-    _write_json(
-        out / "robustness.json",
-        {
-            "arch": arch.to_dict(),
-            "variant": cat.name,
-            "bits": bits,
-            "epochs": epochs,
-            "train_sigma": train_sigma,
-            "trials": trials,
-            "seed": seed,
-            "rows": rows,
-        },
-    )
-    print(f"{'sigma':>10}{'mean acc':>12}{'std':>10}")
-    for row in rows:
-        print(
-            f"{row['sigma']:>10.4f}{row['mean_accuracy']:>12.4f}"
-            f"{row['std_accuracy']:>10.4f}"
-        )
-    print(f"wrote {out / 'robustness.json'} and {out / 'robustness.csv'}")
-    return 0
+        print(f"{'sigma':>10}{'mean acc':>12}{'std':>10}")
+        for row in rows:
+            print(
+                f"{row['sigma']:>10.4f}{row['mean_accuracy']:>12.4f}"
+                f"{row['std_accuracy']:>10.4f}"
+            )
+        print(f"wrote {out / 'robustness.json'} and {out / 'robustness.csv'}")
+        return 0
+
+    return run
 
 
-def _cmd_catalog_validate(args) -> int:
+def _cmd_catalog_validate(args):
     cat = load_catalog(args.path)
-    print(f"OK: {args.path} (variant {cat.name}, {len(cat.devices)} devices)")
-    return 0
+
+    def run() -> int:
+        print(f"OK: {args.path} (variant {cat.name}, {len(cat.devices)} devices)")
+        return 0
+
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,11 +456,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, CatalogError, FileNotFoundError, LookupError) as e:
+        run = args.func(args)  # the resolve step: every input, before any work
+    except (ValueError, LookupError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as e:
+    try:
+        return run()
+    except (ValueError, LookupError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

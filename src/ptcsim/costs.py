@@ -46,6 +46,7 @@ __all__ = [
     "metrics",
     "cost_report",
     "sweep",
+    "sweep_points",
     "report_to_text",
     "sweep_to_csv",
     "pareto_csv",
@@ -431,6 +432,25 @@ def cost_report(
     )
 
 
+def sweep_points(
+    arch: ArchConfig, catalogs: dict[str, CatalogVariant], axis: str, values: list
+) -> list[tuple[ArchConfig, CatalogVariant]]:
+    """The (arch, catalog) of each point along one axis: 'K', 'T', or 'variant'.
+
+    For 'variant', values are catalog names looked up in ``catalogs``; for
+    'K' and 'T' a single catalog keyed by the template's variant is used.
+    Every point's ArchConfig is built, and so checked, here.
+    """
+    if not values:
+        raise ValueError("sweep requires at least one value")
+    if axis not in ("K", "T", "variant"):
+        raise ValueError(f"unknown sweep axis {axis!r}; options: K, T, variant")
+    if axis == "variant":
+        return [(arch, catalogs[variant_name(str(v))]) for v in values]
+    cat = catalogs[next(iter(catalogs))]
+    return [(replace(arch, k=int(v)) if axis == "K" else replace(arch, t_int=int(v)), cat) for v in values]
+
+
 def sweep(
     arch: ArchConfig,
     catalogs: dict[str, CatalogVariant],
@@ -440,42 +460,11 @@ def sweep(
     convention: str = "peak",
     topology: str = "embedded_uneven",
 ) -> list[CostReport]:
-    """Evaluate the cost model along one axis: 'K', 'T', or 'variant'.
-
-    For 'variant', values are catalog names looked up in ``catalogs``; for
-    'K' and 'T' a single catalog keyed by the template's variant is used.
-    Per-point failures are re-raised with the failing point identified.
-    """
-    if not values:
-        raise ValueError("sweep requires at least one value")
-    reports = []
-    for v in values:
-        try:
-            if axis == "K":
-                point = replace(arch, k=int(v))
-                cat = catalogs[next(iter(catalogs))]
-            elif axis == "T":
-                point = replace(arch, t_int=int(v))
-                cat = catalogs[next(iter(catalogs))]
-            elif axis == "variant":
-                point = arch
-                cat = catalogs[variant_name(str(v))]
-            else:
-                raise ValueError(f"unknown sweep axis {axis!r}; options: K, T, variant")
-            reports.append(
-                cost_report(
-                    point,
-                    cat,
-                    include_memory=include_memory,
-                    convention=convention,
-                    topology=topology,
-                )
-            )
-        except ValueError:
-            raise
-        except Exception as e:
-            raise RuntimeError(f"sweep failed at {axis}={v!r}: {e}") from e
-    return reports
+    """A cost report for each of sweep_points(arch, catalogs, axis, values)."""
+    return [
+        cost_report(point, cat, include_memory=include_memory, convention=convention, topology=topology)
+        for point, cat in sweep_points(arch, catalogs, axis, values)
+    ]
 
 
 def report_to_text(report: CostReport) -> str:

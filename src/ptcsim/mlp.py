@@ -50,7 +50,9 @@ class MlpConfig:
     quantization entirely (full-precision baseline).
     train_sigma > 0 injects multiplicative Gaussian noise into every
     quantized tensor during training, which is what makes the trained
-    network noise-aware.
+    network noise-aware.  Every field is type-checked at construction;
+    train_sigma must be finite and >= 0, epochs and batch_size >= 1 and
+    seed >= 0.
     """
 
     layer_sizes: tuple = (8, 32, 32, 4)
@@ -63,10 +65,21 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # type(v) is int rejects bool too.
+        if not isinstance(self.layer_sizes, tuple) or not all(type(n) is int and n >= 1 for n in self.layer_sizes):
+            raise ValueError(f"layer_sizes must be a tuple of integers >= 1, got {self.layer_sizes!r}")
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output widths")
-        if self.bits < 2:
-            raise ValueError(f"bits must be >= 2, got {self.bits}")
+        for name in ("bits", "epochs", "batch_size", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("train_sigma", "learning_rate", "momentum"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        for name, low in (("bits", 2), ("epochs", 1), ("batch_size", 1), ("seed", 0), ("train_sigma", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if 8 < self.bits < 16:
             raise ValueError(f"bits must be at most 8, or >= 16 for full precision, got {self.bits}")
 

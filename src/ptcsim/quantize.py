@@ -165,6 +165,7 @@ class NoiseModel:
 
     The default intensity is the value measured in modulator chip testing.
     Parallel workers draw from independent substreams of the same seed.
+    sigma must be a finite number >= 0 and seed an integer >= 0.
     """
 
     sigma: float = 0.0031
@@ -172,8 +173,11 @@ class NoiseModel:
     enabled: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:  # also rejects NaN
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        # type(v) is int rejects bool too; NaN fails the chained comparison.
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float)) or not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])

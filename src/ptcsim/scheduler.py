@@ -122,6 +122,12 @@ class ArchConfig:
             raise ValueError("r_tiles, c_cores, k must all be >= 1")
         if self.t_int < 1 or self.t_rst < 0:
             raise ValueError("t_int must be >= 1 and t_rst >= 0")
+        # The converter range the catalog allows for rated_bits; _check_widths
+        # narrows it to what each simulator mode can run.
+        if not (1 <= self.bits_in <= 16 and 1 <= self.bits_out <= 16):
+            for name in ("bits_in", "bits_out"):
+                if not 1 <= getattr(self, name) <= 16:
+                    raise ValueError(f"{name} must be in [1, 16], got {getattr(self, name)}")
         if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
         if not math.isfinite(self.clock_hz) or self.clock_hz <= 0:
@@ -194,17 +200,10 @@ class Schedule:
     p_cycles: int
     n_padded: int
     readouts_per_block: int
-    r_tiles: int
 
     @property
     def blocks(self) -> int:
         return self.block_rows * self.block_cols
-
-    def assignments(self):
-        """Yield ((block_row, block_col), tile) in round-robin issue order."""
-        for a in range(self.block_rows):
-            for b in range(self.block_cols):
-                yield (a, b), (a * self.block_cols + b) % self.r_tiles
 
     def cycles(self, t_rst: int) -> tuple[int, int, int]:
         """(compute_cycles, reset_cycles, readouts) of this schedule."""
@@ -234,21 +233,12 @@ class SimStats:
     schedule: Schedule
 
     def to_dict(self) -> dict:
-        """JSON-ready summary; the step sizes are None in ideal mode."""
-        return {
-            "mode": self.mode,
-            "compute_cycles": self.compute_cycles,
-            "reset_cycles": self.reset_cycles,
-            "readouts": self.readouts,
-            "saturation_events": self.saturation_events,
-            "max_abs_current_a": self.max_abs_current_a,
-            "normalization_v": self.normalization_v,
-            "alpha_x": None if math.isnan(self.alpha_x) else self.alpha_x,
-            "alpha_y": None if math.isnan(self.alpha_y) else self.alpha_y,
-            "blocks": self.schedule.blocks,
-            "rounds": self.schedule.rounds,
-            "p_cycles": self.schedule.p_cycles,
-        }
+        """JSON-ready summary: the fields, NaN as None (the step sizes in
+        ideal mode), with the schedule flattened to blocks, rounds, p_cycles."""
+        d = dataclasses.asdict(self)
+        sched = d.pop("schedule")
+        d.update(blocks=self.schedule.blocks, rounds=sched["rounds"], p_cycles=sched["p_cycles"])
+        return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in d.items()}
 
 
 def plan(work: GemmWorkload, arch: ArchConfig) -> Schedule:
@@ -268,7 +258,6 @@ def plan(work: GemmWorkload, arch: ArchConfig) -> Schedule:
         p_cycles=p,
         n_padded=p * arch.c_cores,
         readouts_per_block=math.ceil(p / arch.t_int),
-        r_tiles=arch.r_tiles,
     )
 
 
@@ -446,7 +435,10 @@ def _epoch_peak(xe: np.ndarray, ye: np.ndarray, buf: np.ndarray, best: float) ->
 
 
 def _check_widths(arch: ArchConfig, mode: str) -> None:
-    """Reject a mode, or a bit width the mode uses, the engine cannot run, before any work."""
+    """Reject a mode, or a bit width the mode uses, the engine cannot run, before any work.
+
+    The ranges are the simulator's, narrower than ArchConfig's [1, 16].
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; options: {MODES}")
     if mode != "ideal" and not 2 <= arch.bits_in <= 8:

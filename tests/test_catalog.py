@@ -70,6 +70,11 @@ class TestCatalogIO:
         with pytest.raises(CatalogError, match="no builtin catalog"):
             builtin_catalog_path("exotic")
 
+    @pytest.mark.parametrize("variant", [3, None, b"foundry"])
+    def test_non_string_variant_rejected(self, variant):
+        with pytest.raises(CatalogError, match="no builtin catalog"):
+            load_builtin_catalog(variant)
+
     def test_roundtrip_through_dump(self, tmp_path, catalog):
         path = tmp_path / "cat.json"
         dump_catalog(catalog, path)

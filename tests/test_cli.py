@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from ptcsim import cli
 from ptcsim.cli import main
 
 ARCH_SMALL = ["--tiles", "2", "--cores", "3", "-k", "4"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args, capsys):
@@ -136,6 +141,7 @@ class TestSimulate:
             ("quantized", "--bits-in", "9"),
             ("quantized+noise", "--bits-in", "1"),
             ("quantized+noise+adc", "--bits-out", "0"),
+            ("quantized+noise+adc", "--bits-out", "1"),
             ("quantized+noise+adc", "--bits-out", "13"),
         ],
     )
@@ -294,8 +300,8 @@ class TestRobustness:
             ({"epochs": 1.5}, "epochs must be an integer"),
             ({"seed": True}, "seed must be an integer"),
             ({"bits": "6"}, "bits must be an integer"),
-            ({"sigma_train": "0.01"}, "sigma_train must be a finite number"),
-            ({"sigma_train": float("nan")}, "sigma_train must be a finite number"),
+            ({"sigma_train": "0.01"}, "train_sigma must be a finite number"),
+            ({"sigma_train": float("nan")}, "train_sigma must be a finite number"),
             ({"catalog": 3}, "catalog must be a catalog name"),
             ({"trials": 0, "epochs": 1}, "trials must be >= 1"),
             ({"bits": 1, "epochs": 1}, "bits must be >= 2"),
@@ -378,3 +384,87 @@ class TestCatalogValidate:
         code, _, err = run(["catalog-validate", str(bad)], capsys)
         assert code == 2
         assert "missing required field" in err
+
+
+def write_probe_files(d):
+    """Operand and experiment files the bad-input probes name, written under d."""
+    np.savetxt(d / "x.csv", np.full((2, 2), 0.5), delimiter=",")
+    (d / "y_two.csv").write_text("0.5,2\n0.5,0.5\n")
+    (d / "y_nan.csv").write_text("0.5,nan\n0.5,0.5\n")
+    (d / "y_text.csv").write_text("0.5,abc\n0.5,0.5\n")
+    np.savez(d / "mismatch.npz", x=np.zeros((2, 3)), y=np.zeros((2, 2)))
+    (d / "not_zip.npz").write_text("x,y\n")
+    (d / "epochs_0.json").write_text(json.dumps({"epochs": 0}))
+    (d / "epochs_neg.json").write_text(json.dumps({"epochs": -1}))
+
+
+#: Bad inputs that once exited 1, or 0 after pricing or training on nonsense.
+PROBES = {
+    "sweep-k-0": ["sweep", "--axis", "K", "--values", "0"],
+    "sweep-t-0": ["sweep", "--axis", "T", "--values", "0"],
+    "sweep-k-4-0": ["sweep", "--axis", "K", "--values", "4,0"],
+    "cost-bits-out-0": ["cost", "--bits-out", "0"],
+    "cost-bits-out-40": ["cost", "--bits-out", "40"],
+    "cost-bits-in-0": ["cost", "--bits-in", "0"],
+    "cost-bits-in-40": ["cost", "--bits-in", "40"],
+    "csv-entry-2": ["simulate", "--workload", "{d}/x.csv,{d}/y_two.csv"],
+    "csv-entry-nan": ["simulate", "--workload", "{d}/x.csv,{d}/y_nan.csv"],
+    "csv-entry-text": ["simulate", "--workload", "{d}/x.csv,{d}/y_text.csv"],
+    "npz-inner-dims": ["simulate", "--workload", "{d}/mismatch.npz"],
+    "npz-not-zip": ["simulate", "--workload", "{d}/not_zip.npz"],
+    "robustness-seed-neg": ["robustness", "--seed", "-1"],
+    "simulate-seed-neg": ["simulate", "--workload", "rand:4x4x4", "--mode", "quantized+noise", "--seed", "-1"],
+    "epochs-0": ["robustness", "--config", "{d}/epochs_0.json"],
+    "epochs-neg": ["robustness", "--config", "{d}/epochs_neg.json"],
+}
+
+
+def no_work(*_, **__):
+    raise AssertionError("work ran before every input was resolved")
+
+
+class TestInputBoundary:
+    """Bad input exits 2 before any work; an error raised by the work exits 1."""
+
+    @pytest.mark.parametrize("probe", list(PROBES))
+    def test_bad_input_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, probe):
+        for name in ("simulate_gemm", "cost_report", "train"):
+            monkeypatch.setattr(cli, name, no_work)
+        write_probe_files(tmp_path)
+        args = [a.format(d=tmp_path) for a in PROBES[probe]]
+        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=["ValueError", "KeyError"])
+    @pytest.mark.parametrize(
+        "args, target",
+        [
+            (["simulate", *ARCH_SMALL, "--workload", "rand:4x4x4", "--mode", "quantized"], "simulate_gemm"),
+            (["cost"], "cost_report"),
+            (["sweep", "--axis", "K", "--values", "4,8"], "cost_report"),
+            (["robustness", "--trials", "1"], "train"),
+        ],
+        ids=["simulate", "cost", "sweep", "robustness"],
+    )
+    def test_error_during_work_exits_1(self, tmp_path, capsys, monkeypatch, args, target, error):
+        def fail(*_, **__):
+            raise error
+
+        monkeypatch.setattr(cli, target, fail)
+        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "boom" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("probe", ["csv-entry-2", "sweep-k-0"])
+    def test_module_entry_point_exits_2_without_traceback(self, tmp_path, probe):
+        write_probe_files(tmp_path)
+        args = [a.format(d=tmp_path) for a in PROBES[probe]]
+        result = subprocess.run(
+            [sys.executable, "-m", "ptcsim.cli", *args, "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert "Traceback" not in result.stderr
+        assert_one_line_exit_2(result.returncode, result.stderr, tmp_path / "o")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,30 @@ class TestTraining:
     @pytest.mark.parametrize("bits", [2, 8, 16, 32])
     def test_quantizer_and_full_precision_bits_accepted(self, bits):
         assert MlpConfig(bits=bits).bits == bits
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("layer_sizes", [8, 4], "layer_sizes must be a tuple of integers >= 1"),
+            ("layer_sizes", (8, 0), "layer_sizes must be a tuple of integers >= 1"),
+            ("bits", 6.0, "bits must be an integer"),
+            ("epochs", True, "epochs must be an integer"),
+            ("batch_size", "32", "batch_size must be an integer"),
+            ("seed", None, "seed must be an integer"),
+            ("train_sigma", "0.01", "train_sigma must be a finite number"),
+            ("train_sigma", float("inf"), "train_sigma must be a finite number"),
+            ("learning_rate", float("nan"), "learning_rate must be a finite number"),
+            ("momentum", False, "momentum must be a finite number"),
+            ("epochs", 0, "epochs must be >= 1"),
+            ("epochs", -1, "epochs must be >= 1"),
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("seed", -1, "seed must be >= 0"),
+            ("train_sigma", -0.1, "train_sigma must be >= 0"),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MlpConfig(**{field: value})
 
     def test_wide_hidden_layer_trains_and_runs_on_core(self):
         model = trained_model(layer_sizes=(8, 96, 4), epochs=5)

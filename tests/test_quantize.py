@@ -321,6 +321,16 @@ class TestNoise:
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             NoiseModel(sigma=sigma, enabled=False)
 
+    @pytest.mark.parametrize("sigma", ["0.1", True, None])
+    def test_non_number_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            NoiseModel(sigma=sigma)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            NoiseModel(seed=seed)
+
 
 class TestAdc:
     def test_codes_span_full_range(self):

@@ -87,11 +87,6 @@ class TestPlan:
         assert s.rounds == 5  # ceil(9 blocks / 2 tiles)
         assert s.readouts_per_block == 1
 
-    def test_round_robin_assignment(self):
-        w = GemmWorkload.random(8, 3, 8, seed=0)
-        s = plan(w, SMALL)
-        assert list(s.assignments()) == [((0, 0), 0), ((0, 1), 1), ((1, 0), 0), ((1, 1), 1)]
-
     def test_epoch_split_when_reduction_exceeds_window(self):
         arch = ArchConfig(r_tiles=1, c_cores=1, k=2, t_int=4)
         w = GemmWorkload.random(2, 10, 2, seed=0)
@@ -122,6 +117,19 @@ def test_arch_config_dict_round_trip():
         "share_y_modulators", "share_readout", "pipelined_readout",
     ]
     assert ArchConfig.from_dict(arch.to_dict()) == arch
+
+
+@pytest.mark.parametrize("value", [0, -1, 17, 40])
+@pytest.mark.parametrize("field", ["bits_in", "bits_out"])
+def test_arch_config_rejects_bit_width_no_converter_has(field, value):
+    with pytest.raises(ValueError, match=rf"{field} must be in \[1, 16\], got {value}"):
+        ArchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1, 16])
+@pytest.mark.parametrize("field", ["bits_in", "bits_out"])
+def test_arch_config_accepts_every_converter_bit_width(field, value):
+    assert getattr(ArchConfig(**{field: value}), field) == value
 
 
 @pytest.mark.parametrize("clock_hz", [float("nan"), float("inf"), -float("inf"), 0.0, -5e9])
@@ -193,7 +201,7 @@ class TestSimulateIdeal:
         [
             ("quantized", "bits_in", 9),
             ("quantized+noise", "bits_in", 1),
-            ("quantized+noise+adc", "bits_out", 0),
+            ("quantized+noise+adc", "bits_out", 1),
             ("quantized+noise+adc", "bits_out", 13),
         ],
     )
@@ -205,8 +213,8 @@ class TestSimulateIdeal:
 
     def test_bit_widths_a_mode_does_not_use_are_free(self):
         w = GemmWorkload.random(2, 3, 2, seed=0)
-        simulate_gemm(w, dataclasses.replace(SMALL, bits_in=9, bits_out=0), CAT, mode="ideal")
-        simulate_gemm(w, dataclasses.replace(SMALL, bits_out=0), CAT, mode="quantized+noise")
+        simulate_gemm(w, dataclasses.replace(SMALL, bits_in=9, bits_out=1), CAT, mode="ideal")
+        simulate_gemm(w, dataclasses.replace(SMALL, bits_out=16), CAT, mode="quantized+noise")
 
     def test_unknown_mode_rejected(self):
         w = GemmWorkload.random(2, 2, 2, seed=0)
@@ -261,6 +269,23 @@ class TestSimulateQuantized:
         )
         d = stats.to_dict()
         assert d["mode"] == "ideal" and d["blocks"] == stats.schedule.blocks
+
+    @pytest.mark.parametrize("mode", ["ideal", "quantized"])
+    def test_stats_dict_keys_and_values(self, mode):
+        _, stats = simulate_gemm(GemmWorkload.random(8, 12, 16, seed=8), SMALL, CAT, mode=mode)
+        d = stats.to_dict()
+        assert list(d) == [
+            "mode", "compute_cycles", "reset_cycles", "readouts", "saturation_events",
+            "max_abs_current_a", "normalization_v", "alpha_x", "alpha_y",
+            "blocks", "rounds", "p_cycles",
+        ]
+        sched = stats.schedule
+        assert (d["blocks"], d["rounds"], d["p_cycles"]) == (sched.blocks, sched.rounds, sched.p_cycles)
+        assert d["max_abs_current_a"] == stats.max_abs_current_a
+        if mode == "ideal":
+            assert d["alpha_x"] is None and d["alpha_y"] is None
+        else:
+            assert (d["alpha_x"], d["alpha_y"]) == (stats.alpha_x, stats.alpha_y)
 
 
 def halve_capacitor(monkeypatch):
