@@ -27,8 +27,6 @@ from .costs import (
     TOPOLOGIES,
     CostReport,
     LossBudget,
-    MemorySpec,
-    NodeLayout,
     area_estimate,
     comparison_points,
     cost_report,

@@ -98,13 +98,20 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
 
 _VARIANT_NAMES = ("foundry", "foundry_sl", "custom_sl")
 
+#: DeviceSpec fields that must be integers, and those that must be >= 0.
+_INTEGER_FIELDS = ("rated_bits", "fanout_n")
+_NON_NEGATIVE = frozenset(("power_w", "area_um2", "length_um", "width_um", "insertion_loss_db"))
+
 
 @dataclass(frozen=True)
 class DeviceSpec:
     """Tabulated parameters of one component class.
 
     Units are fixed: um, um^2, W, Hz, dB, dBm, A/W, A, J/bit.  For SRAM the
-    power/area entries are densities per MB of capacity.
+    power/area entries are densities per MB of capacity.  Each numeric field
+    that is present is checked by its type: rated_bits and fanout_n are
+    integers, the others finite real numbers (not bools), except that
+    extinction_ratio_db may be +inf, the ideal modulator.
     """
 
     kind: str
@@ -134,10 +141,18 @@ class DeviceSpec:
         self._check_physical()
 
     def _check_physical(self):
-        nonneg = ("power_w", "area_um2", "length_um", "width_um", "insertion_loss_db")
-        for name in nonneg:
+        for name in _NUMERIC_FIELDS:
             v = getattr(self, name)
-            if v is not None and v < 0:
+            if v is None:
+                continue
+            if name in _INTEGER_FIELDS:
+                if type(v) is not int:  # rejects bool too
+                    raise CatalogError(f"device {self.name!r}: {name} must be an integer, got {v!r}")
+            elif isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+                math.isfinite(v) or (v == math.inf and name == "extinction_ratio_db")
+            ):
+                raise CatalogError(f"device {self.name!r}: {name} must be a finite number, got {v!r}")
+            elif v < 0 and name in _NON_NEGATIVE:
                 raise CatalogError(f"device {self.name!r}: {name} must be >= 0, got {v}")
         if self.responsivity_a_per_w is not None and self.responsivity_a_per_w <= 0:
             raise CatalogError(f"device {self.name!r}: responsivity must be > 0")
@@ -162,6 +177,10 @@ class DeviceSpec:
         if self.length_um is not None and self.width_um is not None:
             return self.length_um * self.width_um
         raise CatalogError(f"device {self.name!r}: no area information")
+
+
+#: DeviceSpec's numeric fields (all but kind and name), checked by type in one pass.
+_NUMERIC_FIELDS = tuple(f.name for f in fields(DeviceSpec))[2:]
 
 
 @dataclass(frozen=True)
@@ -208,9 +227,6 @@ class MmiDesign:
     l_mmi_um: float
     w_mmi_um: float
     il_db: float
-    n_eff: float | None = None
-    lambda0_um: float | None = None
-    order_i: int = 1
 
     def __post_init__(self):
         if self.fanout_n < 2:
@@ -257,6 +273,8 @@ def load_catalog(path: str | Path) -> CatalogVariant:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise CatalogError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise CatalogError(f"{path}: a catalog must be a JSON object, got {type(doc).__name__}")
     allowed_top = {"schema_version", "variant", "devices"}
     unknown = set(doc) - allowed_top
     if unknown:
@@ -265,6 +283,8 @@ def load_catalog(path: str | Path) -> CatalogVariant:
         raise CatalogError(f"{path}: unsupported schema_version {doc['schema_version']}")
     if "variant" not in doc or "devices" not in doc:
         raise CatalogError(f"{path}: requires 'variant' and 'devices'")
+    if not isinstance(doc["devices"], list):
+        raise CatalogError(f"{path}: 'devices' must be a list of objects, got {type(doc['devices']).__name__}")
     devices: dict[str, DeviceSpec] = {}
     for entry in doc["devices"]:
         spec = _spec_from_dict(entry)

@@ -77,7 +77,7 @@ def _load_json(path: str, what: str):
 
 def _arch_from_dict(d, source) -> ArchConfig:
     try:
-        return ArchConfig.from_dict(d)
+        return ArchConfig(**d)
     except (TypeError, ValueError) as e:  # TypeError: not a mapping, or an unknown field
         raise ValueError(f"bad arch config {source}: {e}") from e
 

@@ -18,7 +18,9 @@ K^2 integrator/TIA/ADC chains.  At the architecture level (R tiles x C cores):
   exactly.
 
 Laser power is off-chip and reported separately from on-chip power; memory
-enters as fixed global + per-tile SRAM adders.
+enters as fixed global + per-tile SRAM adders (GLOBAL_SRAM_MB, LOCAL_SRAM_MB).
+The crossbar node's area is its layout bounding box, with a fixed bend radius
+and node spacing (BEND_RADIUS_UM, NODE_SPACING_UM).
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .scheduler import ArchConfig
 __all__ = [
     "LossBudget",
     "CostReport",
-    "NodeLayout",
-    "MemorySpec",
     "insertion_loss",
     "min_laser_power",
     "dac_power_scale",
@@ -63,6 +63,12 @@ UM2_PER_MM2 = 1e6
 #: Global / per-tile buffer capacities (MB) used when memory is included.
 GLOBAL_SRAM_MB = 2.0
 LOCAL_SRAM_MB = 4.0 / 1024.0
+
+#: Crossbar-node layout (um): the bend radius, and the spacing that covers
+#: routing between neighboring nodes, a layout calibration input (the
+#: published breakdown fixes it near 35 um).
+BEND_RADIUS_UM = 5.0
+NODE_SPACING_UM = 35.0
 
 
 @dataclass(frozen=True)
@@ -160,52 +166,31 @@ def dac_power_scale(p0: float, b0: int, fs0: float, b: int, f: float) -> float:
     return p0 * b0 * 2.0**b * f / (2.0**b0 * b * fs0)
 
 
-@dataclass(frozen=True)
-class NodeLayout:
-    """Bounding-box parameters of one crossbar node (all um).
+def _node_area_um2(cat: CatalogVariant) -> float:
+    """Bounding-box area of one crossbar node (um^2).
 
     The box packs the tap coupler, bends, phase shifter, and the PD pair:
-    length = L_coupler + 4*WBR + W_PD + W_coupler + L_spacing,
-    width  = W_coupler + WBR + W_PS + L_PD + W_spacing.
-    Spacing covers routing between neighboring nodes and is a layout
-    calibration input (the published breakdown fixes it near 35 um).
+    length = L_coupler + 4*WBR + W_PD + W_coupler + spacing,
+    width  = W_coupler + WBR + W_PS + L_PD + spacing.
     """
-
-    bend_radius_um: float = 5.0
-    l_spacing_um: float = 35.0
-    w_spacing_um: float = 35.0
-
-    def node_area_um2(self, cat: CatalogVariant) -> float:
-        coupler = cat.device(DeviceKind.COUPLER_2X2)
-        pd = cat.device(DeviceKind.PHOTODETECTOR)
-        ps = cat.device(DeviceKind.PHASE_SHIFTER)
-        pd_w, pd_l = pd.width_um, pd.length_um
-        length = (
-            coupler.length_um
-            + 4.0 * self.bend_radius_um
-            + pd_w
-            + coupler.width_um
-            + self.l_spacing_um
-        )
-        width = (
-            coupler.width_um
-            + self.bend_radius_um
-            + ps.width_um
-            + pd_l
-            + self.w_spacing_um
-        )
-        return length * width
-
-
-@dataclass(frozen=True)
-class MemorySpec:
-    """On-chip SRAM sizing: one global buffer plus one local buffer per tile."""
-
-    global_mb: float = GLOBAL_SRAM_MB
-    local_mb_per_tile: float = LOCAL_SRAM_MB
-
-    def total_mb(self, r_tiles: int) -> float:
-        return self.global_mb + r_tiles * self.local_mb_per_tile
+    coupler = cat.device(DeviceKind.COUPLER_2X2)
+    pd = cat.device(DeviceKind.PHOTODETECTOR)
+    ps = cat.device(DeviceKind.PHASE_SHIFTER)
+    length = (
+        coupler.length_um
+        + 4.0 * BEND_RADIUS_UM
+        + pd.width_um
+        + coupler.width_um
+        + NODE_SPACING_UM
+    )
+    width = (
+        coupler.width_um
+        + BEND_RADIUS_UM
+        + ps.width_um
+        + pd.length_um
+        + NODE_SPACING_UM
+    )
+    return length * width
 
 
 def _input_chain_counts(arch: ArchConfig) -> tuple[int, int]:
@@ -228,8 +213,6 @@ def area_estimate(
     arch: ArchConfig,
     cat: CatalogVariant,
     include_memory: bool = False,
-    layout: NodeLayout = NodeLayout(),
-    memory: MemorySpec = MemorySpec(),
 ) -> dict[str, float]:
     """Per-component area breakdown in mm^2.
 
@@ -250,7 +233,7 @@ def area_estimate(
         "dac": (x_in + y_in) * dac.footprint_um2 / UM2_PER_MM2,
         "modulator": (x_in + y_in) * mod.footprint_um2 / UM2_PER_MM2,
         "fanout_mmi": n_cores * mmi.area_um2 / UM2_PER_MM2,
-        "crossbar_node": nodes * layout.node_area_um2(cat) / UM2_PER_MM2,
+        "crossbar_node": nodes * _node_area_um2(cat) / UM2_PER_MM2,
         "integrator": readout * cat.device(DeviceKind.INTEGRATOR).footprint_um2 / UM2_PER_MM2,
         "tia": readout * cat.device(DeviceKind.TIA).footprint_um2 / UM2_PER_MM2,
         "adc": readout * cat.device(DeviceKind.ADC).footprint_um2 / UM2_PER_MM2,
@@ -258,7 +241,7 @@ def area_estimate(
     if include_memory:
         sram = cat.device(DeviceKind.SRAM)
         breakdown["memory"] = (
-            memory.total_mb(arch.r_tiles) * sram.footprint_um2 / UM2_PER_MM2
+            (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.footprint_um2 / UM2_PER_MM2
         )
     return breakdown
 
@@ -267,7 +250,6 @@ def power_estimate(
     arch: ArchConfig,
     cat: CatalogVariant,
     include_memory: bool = False,
-    memory: MemorySpec = MemorySpec(),
 ) -> dict[str, float]:
     """Per-component on-chip power breakdown in W.
 
@@ -308,7 +290,7 @@ def power_estimate(
     }
     if include_memory:
         sram = cat.device(DeviceKind.SRAM)
-        breakdown["memory"] = memory.total_mb(arch.r_tiles) * sram.power_w
+        breakdown["memory"] = (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.power_w
     return breakdown
 
 
@@ -400,12 +382,10 @@ def cost_report(
     include_memory: bool = False,
     convention: str = "peak",
     topology: str = "embedded_uneven",
-    layout: NodeLayout = NodeLayout(),
-    memory: MemorySpec = MemorySpec(),
 ) -> CostReport:
     """Assemble the full cost report for one architecture point."""
-    area = area_estimate(arch, cat, include_memory, layout=layout, memory=memory)
-    power = power_estimate(arch, cat, include_memory, memory=memory)
+    area = area_estimate(arch, cat, include_memory)
+    power = power_estimate(arch, cat, include_memory)
     loss = insertion_loss(arch.k, cat, topology)
     pd = cat.device(DeviceKind.PHOTODETECTOR)
     er = cat.modulator().extinction_ratio_db

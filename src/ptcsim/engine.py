@@ -88,7 +88,6 @@ def engine_transfer(fields: FieldPair) -> FieldPair:
 def balanced_detect(
     fields: FieldPair,
     responsivity: float,
-    dark_current: float = 0.0,
     loss_db: float = 0.0,
 ) -> EngineOutput:
     """Differential photocurrent of the balanced pair.

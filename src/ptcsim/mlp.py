@@ -41,6 +41,11 @@ __all__ = [
     "robustness_table",
 ]
 
+#: SGD-with-momentum settings of train.
+LEARNING_RATE = 0.1
+MOMENTUM = 0.9
+BATCH_SIZE = 32
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -51,17 +56,13 @@ class MlpConfig:
     train_sigma > 0 injects multiplicative Gaussian noise into every
     quantized tensor during training, which is what makes the trained
     network noise-aware.  Every field is type-checked at construction;
-    train_sigma must be finite and >= 0, epochs and batch_size >= 1 and
-    seed >= 0.
+    train_sigma must be finite and >= 0, epochs >= 1 and seed >= 0.
     """
 
     layer_sizes: tuple = (8, 32, 32, 4)
     bits: int = 6
     train_sigma: float = 0.0031
-    learning_rate: float = 0.1
-    momentum: float = 0.9
     epochs: int = 40
-    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -70,14 +71,13 @@ class MlpConfig:
             raise ValueError(f"layer_sizes must be a tuple of integers >= 1, got {self.layer_sizes!r}")
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output widths")
-        for name in ("bits", "epochs", "batch_size", "seed"):
+        for name in ("bits", "epochs", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("train_sigma", "learning_rate", "momentum"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        for name, low in (("bits", 2), ("epochs", 1), ("batch_size", 1), ("seed", 0), ("train_sigma", 0)):
+        v = self.train_sigma
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"train_sigma must be a finite number, got {v!r}")
+        for name, low in (("bits", 2), ("epochs", 1), ("seed", 0), ("train_sigma", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if 8 < self.bits < 16:
@@ -105,7 +105,7 @@ class TinyMlp:
     def _transform(self, t: np.ndarray, nm: NoiseModel | None, stream: int) -> np.ndarray:
         if self.quantized:
             t = fake_quantize(t, minmax_params(t, self.cfg.bits))
-        if nm is not None and nm.enabled and nm.sigma > 0:
+        if nm is not None and nm.sigma > 0:
             t = inject_noise(t, nm, stream=stream)
         return t
 
@@ -188,8 +188,8 @@ def train(
         order = rng.permutation(len(x))
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, len(x), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, len(x), BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             logits, cache = model.forward(x[idx], nm)
             loss, grad = _softmax_xent_grad(logits, y[idx])
             if not math.isfinite(loss):
@@ -203,8 +203,8 @@ def train(
                 gw = h_t.T @ grad
                 gb = grad.sum(axis=0)
                 grad = grad @ w_t.T
-                velocity_w[i] = cfg.momentum * velocity_w[i] - cfg.learning_rate * gw
-                velocity_b[i] = cfg.momentum * velocity_b[i] - cfg.learning_rate * gb
+                velocity_w[i] = MOMENTUM * velocity_w[i] - LEARNING_RATE * gw
+                velocity_b[i] = MOMENTUM * velocity_b[i] - LEARNING_RATE * gb
                 model.weights[i] = np.clip(model.weights[i] + velocity_w[i], -1.0, 1.0)
                 model.biases[i] = model.biases[i] + velocity_b[i]
         losses.append(epoch_loss / max(n_batches, 1))
@@ -229,7 +229,7 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
         return z if i == last else np.maximum(z, 0.0)
 
     noise = (
-        tuple(NoiseModel(sigma=sigma, seed=(seed << 8) + i, enabled=sigma > 0) for i in range(last + 1))
+        tuple(NoiseModel(sigma=sigma, seed=(seed << 8) + i) for i in range(last + 1))
         for sigma, seed in trials
     )
     return simulate_chain(x, model.weights, arch, cat, noise, digital)

@@ -1,5 +1,9 @@
 """Digital-analog boundary: fake quantization, STE gradients, noise, ADC codes.
 
+The quantizer is per-tensor: one step size alpha and one zero point for a
+whole tensor, since the core scales each operand by one peak.  Noise with
+sigma = 0 is no noise.
+
 Rounding ties go half-away-from-zero everywhere.  The b-bit code range
 [-2^(b-1), 2^(b-1) - 1] is not sign-symmetric: with the min-max step size
 alpha = peak / 2^(b-1), a negative peak maps to code -2^(b-1) exactly, but a
@@ -38,37 +42,30 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizerParams:
-    """Per-channel learnable-step-size quantizer parameters.
+    """Per-tensor learnable-step-size quantizer parameters.
 
-    alpha and zero_point are broadcast along channel_axis; b-bit signed codes
-    span [-2^(b-1), 2^(b-1)-1].
+    alpha (the step size) and zero_point are floats, one per tensor; a
+    size-1 array is taken as its one value.  b-bit signed codes span
+    [-2^(b-1), 2^(b-1)-1].
     """
 
     bits: int
-    alpha: np.ndarray
-    zero_point: np.ndarray
-    channel_axis: int = -1
+    alpha: float
+    zero_point: float
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        zero_point = np.atleast_1d(np.asarray(self.zero_point, dtype=float))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "zero_point", zero_point)
+        if not type(self.alpha) is type(self.zero_point) is float:
+            for name in ("alpha", "zero_point"):
+                v = np.asarray(getattr(self, name), dtype=float)
+                if v.size != 1:
+                    raise ValueError(f"{name} must be one number (the quantizer is per-tensor), got {v.size} values")
+                object.__setattr__(self, name, v.item())
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
-        if alpha.size == zero_point.size == 1:
-            # Per-tensor: scalar checks, far cheaper than array reductions.
-            bad_alpha = alpha.item() <= 0
-            bad_zero = not math.isfinite(zero_point.item())
-        else:
-            bad_alpha = np.any(alpha <= 0)
-            bad_zero = not np.all(np.isfinite(zero_point))
-        if bad_alpha:
-            raise ValueError("alpha must be positive elementwise")
-        if bad_zero:
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if not math.isfinite(self.zero_point):
             raise ValueError("zero_point must be finite")
-        if zero_point.shape not in ((1,), alpha.shape):
-            raise ValueError("zero_point shape must match alpha")
 
     @property
     def q_min(self) -> int:
@@ -77,21 +74,6 @@ class QuantizerParams:
     @property
     def q_max(self) -> int:
         return 2 ** (self.bits - 1) - 1
-
-    def _expand(self, vec: np.ndarray, ndim: int) -> np.ndarray:
-        if vec.size == 1:
-            return vec.reshape(())
-        shape = [1] * ndim
-        shape[self.channel_axis] = vec.size
-        return vec.reshape(shape)
-
-
-def _check_channels(x: np.ndarray, p: QuantizerParams) -> None:
-    if p.alpha.size not in (1, x.shape[p.channel_axis]):
-        raise ValueError(
-            f"alpha length {p.alpha.size} does not match tensor channel dim "
-            f"{x.shape[p.channel_axis]}"
-        )
 
 
 def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = None) -> np.ndarray:
@@ -102,14 +84,11 @@ def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = N
     reused block after block), else to a new array.
     """
     x = np.asarray(x, dtype=float)
-    _check_channels(x, p)
-    alpha = p._expand(p.alpha, x.ndim)
-    z = p._expand(p.zero_point, x.ndim)
-    v = x / alpha
+    v = x / p.alpha
     # z + 0.0 turns a -0.0 zero point into +0.0, which leaves the codes
     # unchanged but keeps -0.0 out of v, so v itself carries the sign
     # round_half_away takes from x + 0.0.
-    v += z + 0.0
+    v += p.zero_point + 0.0
     np.clip(v, p.q_min, p.q_max, out=v)
     q = np.abs(v, out=out)
     q += 0.5
@@ -118,13 +97,13 @@ def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = N
 
 
 def fake_quantize(x: np.ndarray, p: QuantizerParams) -> np.ndarray:
-    """Quantize-dequantize onto the per-channel lattice (q - z) * alpha.
+    """Quantize-dequantize onto the lattice (q - z) * alpha.
 
     Idempotent: applying the transform twice returns the first result exactly.
     """
     q = quantize_codes(x, p)
-    q -= p._expand(p.zero_point, q.ndim)
-    q *= p._expand(p.alpha, q.ndim)
+    q -= p.zero_point
+    q *= p.alpha
     return q
 
 
@@ -137,26 +116,19 @@ def quantize_grad_ste(
     x/alpha + z lands inside the clip range, zero outside.  grad_alpha is the
     exact local derivative of the quantizer output with respect to alpha
     (rounded code minus zero-point inside the range, the clip code at the
-    rails), reduced over all non-channel axes; this is the quantity a central
-    finite difference on fake_quantize measures.
+    rails), summed over the tensor into an array of shape (1,); this is the
+    quantity a central finite difference on fake_quantize measures.
     """
     upstream = np.asarray(upstream, dtype=float)
     x = np.asarray(x, dtype=float)
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != x shape {x.shape}")
-    _check_channels(x, p)
-    alpha = p._expand(p.alpha, x.ndim)
-    z = p._expand(p.zero_point, x.ndim)
-    v = x / alpha + z
+    z = p.zero_point
+    v = x / p.alpha + z
     grad_x = upstream * ~((v < p.q_min) | (v > p.q_max))
     # quantize_codes clips before rounding, so at the rails this is the rail code minus z.
     weighted = upstream * (quantize_codes(x, p) - z)
-    if p.alpha.size == 1:
-        grad_alpha = np.array([weighted.sum()])
-    else:
-        axes = tuple(i for i in range(x.ndim) if i != p.channel_axis % x.ndim)
-        grad_alpha = weighted.sum(axis=axes)
-    return grad_x, grad_alpha
+    return grad_x, np.array([weighted.sum()])
 
 
 @dataclass(frozen=True)
@@ -170,7 +142,6 @@ class NoiseModel:
 
     sigma: float = 0.0031
     seed: int = 0
-    enabled: bool = True
 
     def __post_init__(self):
         # type(v) is int rejects bool too; NaN fails the chained comparison.
@@ -186,7 +157,7 @@ class NoiseModel:
 def inject_noise(x_q: np.ndarray, nm: NoiseModel, stream: int = 0) -> np.ndarray:
     """Add zero-mean Gaussian noise with elementwise std sigma * |x_q|."""
     x_q = np.asarray(x_q, dtype=float)
-    if not nm.enabled or nm.sigma == 0.0:
+    if nm.sigma == 0.0:
         return x_q.copy()
     return apply_noise(x_q, nm.rng(stream).standard_normal(x_q.shape), nm.sigma)
 
@@ -255,25 +226,18 @@ def _adc_half(v: np.ndarray, full_scale: float, bits: int) -> int:
     return 2 ** (bits - 1)
 
 
-def minmax_params(x: np.ndarray, bits: int, channel_axis: int = -1, per_channel: bool = False) -> QuantizerParams:
-    """Min-max initialization of quantizer parameters (z = 0).
+def minmax_params(x: np.ndarray, bits: int) -> QuantizerParams:
+    """Min-max initialization of per-tensor quantizer parameters (z = 0).
 
-    alpha = peak |x| / 2^(b-1); an all-zero or empty tensor (or channel) is
-    given peak 1.
+    alpha = peak |x| / 2^(b-1); an all-zero or empty tensor is given peak 1.
     """
     x = np.asarray(x, dtype=float)
     # max(max x, -min x) is max |x| without an |x| temporary; a NaN in x
     # makes both NaN, so it still yields peak 1.
-    if per_channel:
-        axes = tuple(i for i in range(x.ndim) if i != channel_axis % x.ndim)
-        peak = np.maximum(x.max(axis=axes, initial=0.0), -x.min(axis=axes, initial=0.0))
-        alpha = np.where(peak > 0, peak, 1.0) / (2 ** (bits - 1))
-    else:
-        peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
-        alpha = np.array([(peak if peak > 0 else 1.0) / (2 ** (bits - 1))])
+    peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+    alpha = (peak if peak > 0 else 1.0) / (2 ** (bits - 1))
     return QuantizerParams(
         bits=bits,
         alpha=alpha,
-        zero_point=np.zeros(alpha.shape),
-        channel_axis=channel_axis,
+        zero_point=0.0,
     )

@@ -102,7 +102,6 @@ class ArchConfig:
     bits_out: int = 6
     share_y_modulators: bool = False
     share_readout: bool = True
-    pipelined_readout: bool = True
 
     def __post_init__(self):
         # type(v) is int rejects bool too.  One chained test keeps the common
@@ -114,14 +113,14 @@ class ArchConfig:
             for name in ("r_tiles", "c_cores", "k", "t_int", "t_rst", "bits_in", "bits_out"):
                 if type(getattr(self, name)) is not int:
                     raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not type(self.share_y_modulators) is type(self.share_readout) is type(self.pipelined_readout) is bool:
-            for name in ("share_y_modulators", "share_readout", "pipelined_readout"):
+        if not type(self.share_y_modulators) is type(self.share_readout) is bool:
+            for name in ("share_y_modulators", "share_readout"):
                 if type(getattr(self, name)) is not bool:
                     raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if min(self.r_tiles, self.c_cores, self.k) < 1:
-            raise ValueError("r_tiles, c_cores, k must all be >= 1")
-        if self.t_int < 1 or self.t_rst < 0:
-            raise ValueError("t_int must be >= 1 and t_rst >= 0")
+        if min(self.r_tiles, self.c_cores, self.k, self.t_int) < 1 or self.t_rst < 0:
+            for name, low in (("r_tiles", 1), ("c_cores", 1), ("k", 1), ("t_int", 1), ("t_rst", 0)):
+                if getattr(self, name) < low:
+                    raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # The converter range the catalog allows for rated_bits; _check_widths
         # narrows it to what each simulator mode can run.
         if not (1 <= self.bits_in <= 16 and 1 <= self.bits_out <= 16):
@@ -132,10 +131,6 @@ class ArchConfig:
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
         if not math.isfinite(self.clock_hz) or self.clock_hz <= 0:
             raise ValueError(f"clock_hz must be finite and > 0, got {self.clock_hz}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(**d)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -326,11 +321,6 @@ def _engine_operands(
     return xs, ys
 
 
-def _noisy(nm: NoiseModel) -> bool:
-    """Whether nm perturbs anything; without noise the operands stay on the lattice."""
-    return nm.enabled and nm.sigma != 0.0
-
-
 def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None, stream: int):
     """Yield (first row, block) of operand a as the engine sees it, a row block at a time.
 
@@ -353,7 +343,7 @@ def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseMode
         if rng is None:
             yield r0, codes
             continue
-        codes *= params.alpha[0]
+        codes *= params.alpha
         if draws is None:
             draws = rng.standard_normal(blk.shape)
         else:
@@ -468,7 +458,7 @@ def _product(
     xs, ys = _engine_operands(x, y, px, py, noise, arch.c_cores, p_cycles)
     if px is not None and noise is None:
         # Integer codes of at most 2^(b-1) in magnitude.
-        step, full_scale = float(px.alpha[0]) * float(py.alpha[0]), arch.c_cores * px.q_min * py.q_min
+        step, full_scale = px.alpha * py.alpha, arch.c_cores * px.q_min * py.q_min
     else:
         # Operands in [-1, 1]: no per-cycle sum over C cores passes C.
         step, full_scale = 1.0, arch.c_cores
@@ -525,9 +515,9 @@ def simulate_gemm(
     alpha_x = alpha_y = float("nan")
     if mode != "ideal":
         px, py = minmax_params(work.x, arch.bits_in), minmax_params(work.y, arch.bits_in)
-        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
+        alpha_x, alpha_y = px.alpha, py.alpha
         nm = NoiseModel() if nm is None else nm
-        noise = nm if mode != "quantized" and _noisy(nm) else None
+        noise = nm if mode != "quantized" and nm.sigma != 0.0 else None
     z_accum, peak_current = _product(
         work.x, work.y, px, py, noise, sched.p_cycles, arch, cfg, mode == "quantized+noise+adc", exact_peak=True
     )
@@ -578,7 +568,7 @@ class _ChainLayer:
     def product(self, x: np.ndarray, nm: NoiseModel, arch: ArchConfig, cfg: EngineConfig) -> np.ndarray:
         """Summed readouts in volts of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
         px = minmax_params(x, arch.bits_in)
-        return _product(x, self.y, px, self.params, nm if _noisy(nm) else None, self.p_cycles, arch, cfg)[0]
+        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None, self.p_cycles, arch, cfg)[0]
 
 
 def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
@@ -608,7 +598,7 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
     layers: list[_ChainLayer] = []
     clean = None
     for trial in trials:
-        noisy = any(map(_noisy, trial))
+        noisy = any(nm.sigma != 0.0 for nm in trial)
         if clean is not None and not noisy:
             yield clean
             continue

@@ -20,7 +20,7 @@ def oracle_forward_via_core(model, x, arch, cat, sigma, seed):
         sx = max(float(np.abs(h).max()), 1e-30)
         sw = max(float(np.abs(w).max()), 1e-30)
         work = GemmWorkload(h / sx, w / sw)
-        nm = NoiseModel(sigma=sigma, seed=(seed << 8) + i, enabled=sigma > 0)
+        nm = NoiseModel(sigma=sigma, seed=(seed << 8) + i)
         z_hat, _ = simulate_gemm(work, arch, cat, nm=nm, mode="quantized+noise")
         z = z_hat * (sx * sw) + b
         h = z if i == n_layers - 1 else np.maximum(z, 0.0)

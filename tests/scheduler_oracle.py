@@ -40,7 +40,7 @@ def oracle_engine_operands(x, y, px, py, noise):
         return x, y
     x, y = fake_quantize(x, px), fake_quantize(y, py)
     if noise is None:
-        return np.rint(x / float(px.alpha[0])), np.rint(y / float(py.alpha[0]))
+        return np.rint(x / px.alpha), np.rint(y / py.alpha)
     return np.clip(inject_noise(x, noise, stream=0), -1.0, 1.0), np.clip(inject_noise(y, noise, stream=1), -1.0, 1.0)
 
 
@@ -53,7 +53,7 @@ def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):
     alpha_x = alpha_y = float("nan")
     if mode != "ideal":
         px, py = minmax_params(x, arch.bits_in), minmax_params(y, arch.bits_in)
-        alpha_x, alpha_y = float(px.alpha[0]), float(py.alpha[0])
+        alpha_x, alpha_y = px.alpha, py.alpha
         x, y = fake_quantize(x, px), fake_quantize(y, py)
     if mode in ("quantized+noise", "quantized+noise+adc"):
         nm = NoiseModel() if nm is None else nm

@@ -1,5 +1,6 @@
 """Catalog loading, schema validation, and photonic geometry formulas."""
 
+import dataclasses
 import json
 import math
 
@@ -146,6 +147,33 @@ class TestDeviceSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(CatalogError, match="unknown device kind"):
             DeviceSpec(kind="gizmo", name="g")
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("laser", "power_w", "0.1", "must be a finite number"),
+            ("laser", "power_w", True, "must be a finite number"),
+            ("laser", "power_w", math.nan, "must be a finite number"),
+            ("laser", "power_w", math.inf, "must be a finite number"),
+            ("crossing", "insertion_loss_db", -math.inf, "must be a finite number"),
+            ("slmzm", "extinction_ratio_db", math.nan, "must be a finite number"),
+            ("slmzm", "extinction_ratio_db", -math.inf, "must be a finite number"),
+            ("photodetector", "dark_current_a", [1e-9], "must be a finite number"),
+            ("dac", "rated_bits", 6.5, "must be an integer"),
+            ("dac", "rated_bits", 6.0, "must be an integer"),
+            ("dac", "rated_bits", True, "must be an integer"),
+            ("splitter_1xn", "fanout_n", 4.0, "must be an integer"),
+            ("slmzm", "extinction_ratio_db", math.inf, None),
+        ],
+    )
+    def test_numeric_fields_checked_by_type(self, kind, field, value, message):
+        # +inf extinction ratio is the ideal modulator, the one infinity allowed.
+        spec = load_builtin_catalog("custom-sl").device(kind)
+        if message is None:
+            assert getattr(dataclasses.replace(spec, **{field: value}), field) == value
+            return
+        with pytest.raises(CatalogError, match=f"{field} {message}"):
+            dataclasses.replace(spec, **{field: value})
 
 
 class TestMmiGeometry:

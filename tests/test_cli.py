@@ -200,7 +200,7 @@ class TestCost:
             ("clock_hz", "5e9", "clock_hz must be a number"),
             ("share_readout", "no", "share_readout must be true or false"),
             ("share_y_modulators", 1, "share_y_modulators must be true or false"),
-            ("pipelined_readout", None, "pipelined_readout must be true or false"),
+            ("pipelined_readout", True, "unexpected keyword argument 'pipelined_readout'"),
         ],
     )
     def test_mistyped_arch_field_exits_2(self, tmp_path, capsys, command, field, value, message):
@@ -245,6 +245,14 @@ class TestSweep:
         assert code == 0
         assert "foundry vs custom_sl" in out
         assert "7.18x area" in out and "8.89x power" in out
+
+    @pytest.mark.parametrize(
+        "axis, values, message", [("K", "4,0", "k must be >= 1, got 0"), ("T", "0", "t_int must be >= 1, got 0")]
+    )
+    def test_bad_point_names_field_and_value(self, tmp_path, capsys, axis, values, message):
+        code, _, err = run(["sweep", "--axis", axis, "--values", values, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert err == f"error: {message}\n"
 
     def test_missing_values_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["sweep", "--axis", "K", "--out", str(tmp_path)], capsys)
@@ -305,6 +313,7 @@ class TestRobustness:
             ({"catalog": 3}, "catalog must be a catalog name"),
             ({"trials": 0, "epochs": 1}, "trials must be >= 1"),
             ({"bits": 1, "epochs": 1}, "bits must be >= 2"),
+            ({"arch": {"pipelined_readout": True}}, "unexpected keyword argument 'pipelined_readout'"),
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
@@ -384,6 +393,33 @@ class TestCatalogValidate:
         code, _, err = run(["catalog-validate", str(bad)], capsys)
         assert code == 2
         assert "missing required field" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[1, 2]", "a catalog must be a JSON object"),
+            ('{"variant": "foundry", "devices": 5}', "'devices' must be a list of objects"),
+            ('{"variant": "foundry", "devices": [{"kind": "laser", "name": "l", "power_w": "abc"}]}',
+             "power_w must be a finite number, got 'abc'"),
+            ('{"variant": "foundry", "devices": [{"kind": "laser", "name": "l", "power_w": NaN}]}',
+             "power_w must be a finite number, got nan"),
+            ('{"variant": "foundry", "devices": [{"kind": "dac", "name": "d", "power_w": 0.1, '
+             '"rated_frequency_hz": 1e9, "rated_bits": 6.5, "area_um2": 1.0}]}',
+             "rated_bits must be an integer, got 6.5"),
+        ],
+        ids=["top-level-list", "devices-5", "power-abc", "power-nan", "rated-bits-6.5"],
+    )
+    @pytest.mark.parametrize("command", ["catalog-validate", "cost"])
+    def test_mistyped_catalog_exits_2(self, tmp_path, capsys, command, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        if command == "cost":
+            args = ["cost", "--catalog", str(bad), "--out", str(tmp_path / "o")]
+        else:
+            args = ["catalog-validate", str(bad)]
+        code, _, err = run(args, capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert message in err
 
 
 def write_probe_files(d):

@@ -1,0 +1,37 @@
+"""The package's public names: every __all__ entry exists, and the package
+re-exports only names its modules declare public."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import ptcsim
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ptcsim.__path__))
+
+
+def reexports() -> dict[str, list[str]]:
+    """{module: names} of every `from .module import ...` in ptcsim/__init__.py."""
+    tree = ast.parse(Path(ptcsim.__file__).read_text())
+    found: dict[str, list[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(f"ptcsim.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"ptcsim.{name}.__all__ names what the module lacks: {missing}"
+
+
+@pytest.mark.parametrize("name", sorted(reexports()))
+def test_package_reexports_only_public_names(name):
+    module = importlib.import_module(f"ptcsim.{name}")
+    private = [n for n in reexports()[name] if n not in module.__all__]
+    assert not private, f"ptcsim re-exports names not in ptcsim.{name}.__all__: {private}"

@@ -97,15 +97,11 @@ class TestTraining:
             ("layer_sizes", (8, 0), "layer_sizes must be a tuple of integers >= 1"),
             ("bits", 6.0, "bits must be an integer"),
             ("epochs", True, "epochs must be an integer"),
-            ("batch_size", "32", "batch_size must be an integer"),
             ("seed", None, "seed must be an integer"),
             ("train_sigma", "0.01", "train_sigma must be a finite number"),
             ("train_sigma", float("inf"), "train_sigma must be a finite number"),
-            ("learning_rate", float("nan"), "learning_rate must be a finite number"),
-            ("momentum", False, "momentum must be a finite number"),
             ("epochs", 0, "epochs must be >= 1"),
             ("epochs", -1, "epochs must be >= 1"),
-            ("batch_size", 0, "batch_size must be >= 1"),
             ("seed", -1, "seed must be >= 0"),
             ("train_sigma", -0.1, "train_sigma must be >= 0"),
         ],

@@ -34,8 +34,7 @@ def formula_round_half_away(x):
 
 def formula_fake_quantize(x, p):
     x = np.asarray(x, dtype=float)
-    alpha = p._expand(p.alpha, x.ndim)
-    z = p._expand(p.zero_point, x.ndim)
+    alpha, z = p.alpha, p.zero_point
     v = np.clip(x / alpha + z, p.q_min, p.q_max)
     return (formula_round_half_away(v) - z) * alpha
 
@@ -43,9 +42,8 @@ def formula_fake_quantize(x, p):
 def formula_grad_alpha_terms(x, p):
     """upstream's factor in grad_alpha: code minus zero point, the clip code at the rails."""
     x = np.asarray(x, dtype=float)
-    alpha = p._expand(p.alpha, x.ndim)
-    z = p._expand(p.zero_point, x.ndim)
-    v = x / alpha + z
+    z = p.zero_point
+    v = x / p.alpha + z
     below, above = v < p.q_min, v > p.q_max
     return np.where(
         ~(below | above),
@@ -54,13 +52,8 @@ def formula_grad_alpha_terms(x, p):
     )
 
 
-def formula_minmax_alpha(x, bits, per_channel=False, channel_axis=-1):
-    x = np.asarray(x, dtype=float)
-    if per_channel:
-        axes = tuple(i for i in range(x.ndim) if i != channel_axis % x.ndim)
-        peak = np.abs(x).max(axis=axes, initial=0.0)
-    else:
-        peak = np.atleast_1d(np.abs(x).max(initial=0.0))
+def formula_minmax_alpha(x, bits):
+    peak = np.abs(np.asarray(x, dtype=float)).max(initial=0.0)
     return np.where(peak > 0, peak, 1.0) / (2 ** (bits - 1))
 
 
@@ -125,20 +118,24 @@ class TestQuantizerParams:
         with pytest.raises(ValueError):
             scalar_params(z=np.inf)
 
-    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize(
         "alpha, z, message",
         [(0.0, 0.0, "alpha"), (-0.1, 0.0, "alpha"), (0.1, np.inf, "zero_point"),
-         (0.1, np.nan, "zero_point"), (np.nan, 0.0, None)],
+         (0.1, np.nan, "zero_point"), (np.nan, 0.0, None), (0.1, -0.0, None),
+         ([0.1, 0.1, 0.1], 0.0, "alpha must be one number"), (0.1, [0.0, 0.0], "zero_point must be one number")],
     )
-    def test_per_tensor_and_per_channel_checks_agree(self, channels, alpha, z, message):
-        # The per-tensor checks are scalar; they must accept and reject
-        # exactly what the elementwise ones do (a NaN step size passes both).
+    def test_per_tensor_checks(self, as_array, alpha, z, message):
+        # Floats and size-1 arrays are checked alike (a NaN step size
+        # passes); the params are per-tensor, so a longer array is rejected.
         def make():
-            return QuantizerParams(bits=6, alpha=np.full(channels, alpha), zero_point=np.full(channels, z))
+            if as_array:
+                return QuantizerParams(bits=6, alpha=np.atleast_1d(alpha), zero_point=np.atleast_1d(z))
+            return QuantizerParams(bits=6, alpha=alpha, zero_point=z)
 
         if message is None:
-            make()
+            p = make()
+            assert type(p.alpha) is type(p.zero_point) is float
         else:
             with pytest.raises(ValueError, match=message):
                 make()
@@ -166,22 +163,6 @@ class TestFakeQuantize:
         assert np.allclose(codes, np.round(codes), atol=1e-12)
         assert codes.min() >= p.q_min and codes.max() <= p.q_max
 
-    def test_per_channel_alpha(self):
-        p = QuantizerParams(
-            bits=4, alpha=np.array([0.1, 1.0]), zero_point=np.array([0.0, 0.0])
-        )
-        x = np.array([[0.26, 2.6]])
-        q = fake_quantize(x, p)
-        assert q[0, 0] == pytest.approx(0.3)
-        assert q[0, 1] == pytest.approx(3.0)
-
-    def test_channel_mismatch_rejected(self):
-        p = QuantizerParams(
-            bits=4, alpha=np.array([0.1, 1.0]), zero_point=np.array([0.0, 0.0])
-        )
-        with pytest.raises(ValueError, match="channel"):
-            fake_quantize(np.zeros((2, 3)), p)
-
     @pytest.mark.parametrize("bits", [2, 6, 8])
     @pytest.mark.parametrize("z", [0.0, -0.0, 1.0, -2.5])
     def test_per_tensor_matches_formula_bitwise(self, bits, z):
@@ -194,7 +175,7 @@ class TestFakeQuantize:
         p = scalar_params(bits=bits, alpha=0.25, z=z)  # 0.125 lands on a tie
         assert_same_bits(fake_quantize(x, p), formula_fake_quantize(x, p))
         codes = quantize_codes(x, p)
-        assert_same_bits(codes, formula_round_half_away(np.clip(x / p.alpha[0] + z, p.q_min, p.q_max)))
+        assert_same_bits(codes, formula_round_half_away(np.clip(x / p.alpha + z, p.q_min, p.q_max)))
 
     def test_codes_into_a_reused_block_buffer(self):
         x = SPECIAL[: 36 * 60].reshape(36, 60) / 40
@@ -206,20 +187,6 @@ class TestFakeQuantize:
             assert np.shares_memory(out, buf)
             blocks.append(out.copy())
         assert_same_bits(np.concatenate(blocks), quantize_codes(x, p))
-
-    @pytest.mark.parametrize("channel_axis", [0, -1])
-    def test_per_channel_matches_formula_bitwise(self, channel_axis):
-        x = np.random.default_rng(2).uniform(-2, 2, (6, 6))
-        x[::2, 1::3], x[1::2, ::3] = 0.0, -0.0
-        x[0, :] = [0.25, -0.25, 0.75, -0.75, -0.01, 2.0]  # ties at alpha 0.5, 0.1
-        p = QuantizerParams(
-            bits=5,
-            alpha=np.array([0.5, 0.1, 0.1, 0.5, 0.03, 1.0]),
-            zero_point=np.array([0.0, -0.0, 1.0, -2.0, -0.0, 0.5]),
-            channel_axis=channel_axis,
-        )
-        assert_same_bits(fake_quantize(x, p), formula_fake_quantize(x, p))
-
 
 
 class TestSteGradients:
@@ -258,22 +225,13 @@ class TestSteGradients:
         with pytest.raises(ValueError, match="shape"):
             quantize_grad_ste(np.ones(3), np.ones(4), scalar_params())
 
-    def test_per_channel_grad_alpha_shape(self):
-        p = QuantizerParams(
-            bits=4, alpha=np.array([0.1, 0.2, 0.3]), zero_point=np.zeros(3)
-        )
-        x = np.random.default_rng(0).uniform(-1, 1, (5, 3))
-        _, ga = quantize_grad_ste(np.ones((5, 3)), x, p)
-        assert ga.shape == (3,)
-
 
 class TestNoise:
     def test_zero_sigma_or_disabled_is_identity_copy(self):
+        # sigma = 0 is how noise is disabled.
         x = np.ones(10)
         out = inject_noise(x, NoiseModel(sigma=0.0))
         assert np.array_equal(out, x) and out is not x
-        out = inject_noise(x, NoiseModel(sigma=0.1, enabled=False))
-        assert np.array_equal(out, x)
 
     def test_std_proportional_to_magnitude(self):
         nm = NoiseModel(sigma=0.05, seed=1)
@@ -319,7 +277,7 @@ class TestNoise:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
-            NoiseModel(sigma=sigma, enabled=False)
+            NoiseModel(sigma=sigma)
 
     @pytest.mark.parametrize("sigma", ["0.1", True, None])
     def test_non_number_sigma_rejected(self, sigma):
@@ -393,21 +351,18 @@ class TestMinmaxParams:
     def test_symmetric_peak_mapping(self):
         x = np.array([-0.8, 0.5])
         p = minmax_params(x, bits=6)
-        assert p.alpha[0] == pytest.approx(0.8 / 32)
-        assert p.zero_point[0] == 0.0
+        assert p.alpha == pytest.approx(0.8 / 32)
+        assert p.zero_point == 0.0
         # The peak value is representable after quantization.
         assert fake_quantize(x, p)[0] == pytest.approx(-0.8)
 
     def test_all_zero_tensor_gets_unit_alpha(self):
         p = minmax_params(np.zeros(5), bits=6)
-        assert p.alpha[0] == pytest.approx(1.0 / 32)
+        assert p.alpha == pytest.approx(1.0 / 32)
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
     def test_empty_tensor_gets_unit_alpha(self, shape):
-        assert minmax_params(np.zeros(shape), bits=6).alpha == pytest.approx([1.0 / 32])
-        if len(shape) == 2:
-            p = minmax_params(np.zeros(shape), bits=6, per_channel=True)
-            assert p.alpha == pytest.approx(np.full(shape[-1], 1.0 / 32))
+        assert minmax_params(np.zeros(shape), bits=6).alpha == pytest.approx(1.0 / 32)
 
     def test_positive_peak_clips_one_code_short(self):
         # The code range [-2^(b-1), 2^(b-1) - 1] is not sign-symmetric.
@@ -422,19 +377,14 @@ class TestMinmaxParams:
                 st.floats(-2, 2), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
             ),
         ),
-        st.integers(2, 8), st.booleans(),
+        st.integers(2, 8),
     )
-    def test_matches_abs_formula_bitwise(self, x, bits, per_channel):
-        want = formula_minmax_alpha(x, bits, per_channel)
-        if (want <= 0).any():  # a subnormal peak underflows to a zero step size
+    def test_matches_abs_formula_bitwise(self, x, bits):
+        want = formula_minmax_alpha(x, bits)
+        if want <= 0:  # a subnormal peak underflows to a zero step size
             with pytest.raises(ValueError, match="alpha must be positive"):
-                minmax_params(x, bits, per_channel=per_channel)
+                minmax_params(x, bits)
             return
-        p = minmax_params(x, bits, per_channel=per_channel)
+        p = minmax_params(x, bits)
         assert_same_bits(p.alpha, want)
-        assert_same_bits(p.zero_point, np.zeros(p.alpha.shape))
-
-    def test_per_channel(self):
-        x = np.array([[1.0, 0.1], [-2.0, 0.2]])
-        p = minmax_params(x, bits=4, per_channel=True)
-        assert p.alpha == pytest.approx([2.0 / 8, 0.2 / 8])
+        assert_same_bits(p.zero_point, 0.0)

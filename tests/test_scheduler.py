@@ -114,15 +114,30 @@ def test_arch_config_dict_round_trip():
     arch = ArchConfig(r_tiles=2, c_cores=3, k=4, clock_hz=2e9, share_readout=False)
     assert list(arch.to_dict()) == [
         "r_tiles", "c_cores", "k", "clock_hz", "t_int", "t_rst", "bits_in", "bits_out",
-        "share_y_modulators", "share_readout", "pipelined_readout",
+        "share_y_modulators", "share_readout",
     ]
-    assert ArchConfig.from_dict(arch.to_dict()) == arch
+    assert ArchConfig(**arch.to_dict()) == arch
 
 
 @pytest.mark.parametrize("value", [0, -1, 17, 40])
 @pytest.mark.parametrize("field", ["bits_in", "bits_out"])
 def test_arch_config_rejects_bit_width_no_converter_has(field, value):
     with pytest.raises(ValueError, match=rf"{field} must be in \[1, 16\], got {value}"):
+        ArchConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("r_tiles", 0, "r_tiles must be >= 1, got 0"),
+        ("c_cores", -1, "c_cores must be >= 1, got -1"),
+        ("k", 0, "k must be >= 1, got 0"),
+        ("t_int", 0, "t_int must be >= 1, got 0"),
+        ("t_rst", -1, "t_rst must be >= 0, got -1"),
+    ],
+)
+def test_arch_config_range_error_names_field_and_value(field, value, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         ArchConfig(**{field: value})
 
 
@@ -157,7 +172,7 @@ def test_arch_config_accepts_integer_and_numpy_clock():
 
 
 @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
-@pytest.mark.parametrize("field", ["share_y_modulators", "share_readout", "pipelined_readout"])
+@pytest.mark.parametrize("field", ["share_y_modulators", "share_readout"])
 def test_arch_config_rejects_non_bool_flags(field, value):
     with pytest.raises(ValueError, match=f"{field} must be true or false"):
         ArchConfig(**{field: value})
@@ -569,7 +584,7 @@ class TestEngineOperands:
     @given(
         archs,
         st.integers(0, 9), st.integers(0, 24), st.integers(0, 9), st.sampled_from(MODES),
-        st.sampled_from([None, (0.0, True), (0.3, False), (0.02, True)]),  # (sigma, enabled)
+        st.sampled_from([None, 0.0, 0.02]),  # sigma
         st.integers(0, 10_000), st.integers(1, 3),
     )
     def test_matches_earlier_front_end_bitwise(self, arch, m, n, q, mode, noise, seed, y_rows):
@@ -581,7 +596,7 @@ class TestEngineOperands:
             if a.size and seed % 2:
                 a.flat[rng.integers(a.size)] = rng.choice([-1.0, 1.0])
         w = GemmWorkload(x, y)
-        nm = None if noise is None else NoiseModel(sigma=noise[0], enabled=noise[1], seed=seed)
+        nm = None if noise is None else NoiseModel(sigma=noise, seed=seed)
         calls = []
         real = scheduler._engine_operands
 
@@ -599,7 +614,7 @@ class TestEngineOperands:
         px, py, noisy = args[2:5]
         assert (px is None) == (py is None) == (mode == "ideal")
         # The default NoiseModel has sigma = 0.0031; quantized mode draws no noise.
-        assert (noisy is not None) == (mode in MODES[2:] and (noise is None or (noise[0] > 0 and noise[1])))
+        assert (noisy is not None) == (mode in MODES[2:] and (noise is None or noise > 0))
         assert args[5:] == (arch.c_cores, plan(w, arch).p_cycles)
         want = oracle_front_end(*args)
         for a, b in zip(got, want, strict=True):
