@@ -3,16 +3,25 @@
 A catalog file is a strict-schema JSON document listing one device spec per
 component kind (converters, modulators, splitters, detectors, ...).  Three
 catalogs ship with the package (foundry, foundry_sl, custom_sl) covering the
-modeled technology variants.  Geometry helpers compute multimode-interference
-splitter dimensions, directional-coupler coupling lengths, and phase-shifter
-arm imbalance from the underlying design formulas.
+modeled technology variants.  This module owns every rule of a valid device
+and catalog, so a catalog that loads is one the cost model and the simulator
+can run.  Each kind has its required fields and each numeric field its type
+and range (_FIELD_RULES): powers, areas, losses, dark current and energy per
+bit >= 0; lengths, widths, rated frequency and responsivity > 0; extinction
+ratio > 0 or +inf (ideal); rated_bits in CONVERTER_BITS; fanout_n >= 2; the
+DAC's and the laser's power > 0.  A catalog holds every kind, one of mzm and
+slmzm being enough, and a photodetector with a length and width.
+
+Geometry helpers compute multimode-interference splitter dimensions,
+directional-coupler coupling lengths, and phase-shifter arm imbalance from
+the underlying design formulas.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 __all__ = [
@@ -68,23 +77,16 @@ class DeviceKind:
     )
 
 
+_MODULATOR_FIELDS = ("power_w", "insertion_loss_db", "area_um2", "extinction_ratio_db", "energy_per_bit_j")
+
 # Fields that must be present for each kind, beyond "kind" and "name".
 _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     DeviceKind.DAC: ("power_w", "rated_frequency_hz", "rated_bits", "area_um2"),
     DeviceKind.ADC: ("power_w", "rated_frequency_hz", "rated_bits", "area_um2"),
-    DeviceKind.PHOTODETECTOR: (
-        "power_w", "area_um2", "responsivity_a_per_w", "sensitivity_dbm",
-        "dark_current_a",
-    ),
+    DeviceKind.PHOTODETECTOR: ("power_w", "area_um2", "responsivity_a_per_w", "sensitivity_dbm", "dark_current_a"),
     DeviceKind.TIA: ("power_w", "rated_frequency_hz", "area_um2"),
-    DeviceKind.MZM: (
-        "power_w", "insertion_loss_db", "area_um2", "extinction_ratio_db",
-        "energy_per_bit_j",
-    ),
-    DeviceKind.SLMZM: (
-        "power_w", "insertion_loss_db", "area_um2", "extinction_ratio_db",
-        "energy_per_bit_j",
-    ),
+    DeviceKind.MZM: _MODULATOR_FIELDS,
+    DeviceKind.SLMZM: _MODULATOR_FIELDS,
     DeviceKind.COUPLER_2X2: ("insertion_loss_db", "length_um", "width_um"),
     DeviceKind.PHASE_SHIFTER: ("power_w", "insertion_loss_db", "length_um", "width_um"),
     DeviceKind.SPLITTER_1XN: ("insertion_loss_db", "length_um", "width_um", "fanout_n"),
@@ -98,9 +100,21 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
 
 _VARIANT_NAMES = ("foundry", "foundry_sl", "custom_sl")
 
-#: DeviceSpec fields that must be integers, and those that must be >= 0.
-_INTEGER_FIELDS = ("rated_bits", "fanout_n")
-_NON_NEGATIVE = frozenset(("power_w", "area_um2", "length_um", "width_um", "insertion_loss_db"))
+#: The bit-width range of a converter: a DAC's or ADC's rated_bits, and
+#: ArchConfig's bits_in and bits_out.
+CONVERTER_BITS = (1, 16)
+
+#: Fields a device needs in a catalog beyond _REQUIRED_FIELDS: the crossbar
+#: node's layout places the detector pair by its length and width.
+_CATALOG_FIELDS: dict[str, tuple[str, ...]] = {DeviceKind.PHOTODETECTOR: ("length_um", "width_um")}
+
+#: The kinds a complete catalog holds, each as its alternatives: every kind,
+#: with one input modulator of either kind.
+_CATALOG_KINDS = tuple(
+    (DeviceKind.MZM, DeviceKind.SLMZM) if kind == DeviceKind.MZM else (kind,)
+    for kind in DeviceKind.ALL
+    if kind != DeviceKind.SLMZM
+)
 
 
 @dataclass(frozen=True)
@@ -109,9 +123,8 @@ class DeviceSpec:
 
     Units are fixed: um, um^2, W, Hz, dB, dBm, A/W, A, J/bit.  For SRAM the
     power/area entries are densities per MB of capacity.  Each numeric field
-    that is present is checked by its type: rated_bits and fanout_n are
-    integers, the others finite real numbers (not bools), except that
-    extinction_ratio_db may be +inf, the ideal modulator.
+    that is present is checked against its kind's rule for it, a type and a
+    range (_KIND_RULES).
     """
 
     kind: str
@@ -133,33 +146,31 @@ class DeviceSpec:
     def __post_init__(self):
         if self.kind not in DeviceKind.ALL:
             raise CatalogError(f"unknown device kind {self.kind!r}")
-        for name in _REQUIRED_FIELDS[self.kind]:
+        self._require(_REQUIRED_FIELDS[self.kind])
+        self._check_physical()
+
+    def _require(self, names: tuple[str, ...]) -> None:
+        for name in names:
             if getattr(self, name) is None:
                 raise CatalogError(
                     f"device {self.name!r} (kind {self.kind}): missing required field {name!r}"
                 )
-        self._check_physical()
 
     def _check_physical(self):
-        for name in _NUMERIC_FIELDS:
+        for name, (number, low, strict, high) in _KIND_RULES[self.kind].items():
             v = getattr(self, name)
             if v is None:
                 continue
-            if name in _INTEGER_FIELDS:
+            if number is int:
                 if type(v) is not int:  # rejects bool too
                     raise CatalogError(f"device {self.name!r}: {name} must be an integer, got {v!r}")
             elif isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-                math.isfinite(v) or (v == math.inf and name == "extinction_ratio_db")
+                math.isfinite(v) or v == high == math.inf
             ):
                 raise CatalogError(f"device {self.name!r}: {name} must be a finite number, got {v!r}")
-            elif v < 0 and name in _NON_NEGATIVE:
-                raise CatalogError(f"device {self.name!r}: {name} must be >= 0, got {v}")
-        if self.responsivity_a_per_w is not None and self.responsivity_a_per_w <= 0:
-            raise CatalogError(f"device {self.name!r}: responsivity must be > 0")
-        if self.rated_bits is not None and not 1 <= self.rated_bits <= 16:
-            raise CatalogError(f"device {self.name!r}: rated_bits must be in [1, 16]")
-        if self.rated_frequency_hz is not None and self.rated_frequency_hz <= 0:
-            raise CatalogError(f"device {self.name!r}: rated_frequency_hz must be > 0")
+            if not (v > low if strict else v >= low) or (high is not None and v > high):
+                bound = f"{'>' if strict else '>='} {low}" if high in (None, math.inf) else f"in [{low}, {high}]"
+                raise CatalogError(f"device {self.name!r}: {name} must be {bound}, got {v!r}")
         # 0.5% slack covers rounded table entries.
         if self.area_um2 is not None and self.length_um is not None and self.width_um is not None:
             prod = self.length_um * self.width_um
@@ -179,28 +190,57 @@ class DeviceSpec:
         raise CatalogError(f"device {self.name!r}: no area information")
 
 
-#: DeviceSpec's numeric fields (all but kind and name), checked by type in one pass.
-_NUMERIC_FIELDS = tuple(f.name for f in fields(DeviceSpec))[2:]
+#: The rule of each numeric field of DeviceSpec: (type, low, strict, high).
+#: An int field holds an integer and a float field a finite number, neither a
+#: bool; a high of +inf admits +inf itself (the ideal modulator).  The value
+#: must be > low when strict, else >= low, and <= high unless high is None.
+_FIELD_RULES: dict[str, tuple] = {
+    "power_w": (float, 0, False, None),
+    "rated_frequency_hz": (float, 0, True, None),
+    "rated_bits": (int, CONVERTER_BITS[0], False, CONVERTER_BITS[1]),
+    "area_um2": (float, 0, False, None),
+    "length_um": (float, 0, True, None),
+    "width_um": (float, 0, True, None),
+    "insertion_loss_db": (float, 0, False, None),
+    "extinction_ratio_db": (float, 0, True, math.inf),
+    "responsivity_a_per_w": (float, 0, True, None),
+    "sensitivity_dbm": (float, -math.inf, False, None),
+    "dark_current_a": (float, 0, False, None),
+    "energy_per_bit_j": (float, 0, False, None),
+    "fanout_n": (int, 2, False, None),
+}
+
+#: Each kind's rules: _FIELD_RULES, except that the DAC's power sets the input
+#: chains' power scale and the laser's the engine's photocurrent, so neither
+#: may be zero.
+_KIND_RULES: dict[str, dict[str, tuple]] = {kind: dict(_FIELD_RULES) for kind in DeviceKind.ALL}
+_KIND_RULES[DeviceKind.DAC]["power_w"] = _KIND_RULES[DeviceKind.LASER]["power_w"] = (float, 0, True, None)
 
 
 @dataclass(frozen=True)
 class CatalogVariant:
-    """A complete device catalog for one technology variant."""
+    """A complete device catalog for one technology variant.
+
+    Complete means it holds a device of every kind, with one input modulator
+    (mzm or slmzm) enough, and each device the fields the models read.
+    """
 
     name: str
-    devices: dict[str, DeviceSpec] = field(default_factory=dict)
+    devices: dict[str, DeviceSpec]
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise CatalogError(f"variant name must be a non-empty string, got {self.name!r}")
+        for kinds in _CATALOG_KINDS:
+            if self.devices.keys().isdisjoint(kinds):
+                raise CatalogError(
+                    f"catalog {self.name!r} has no device of kind {' or '.join(map(repr, kinds))}"
+                )
+        for kind, names in _CATALOG_FIELDS.items():
+            self.devices[kind]._require(names)
 
     def device(self, kind: str) -> DeviceSpec:
-        try:
-            return self.devices[kind]
-        except KeyError:
-            raise CatalogError(
-                f"catalog {self.name!r} has no device of kind {kind!r}"
-            ) from None
+        return self.devices[kind]
 
     def modulator(self) -> DeviceSpec:
         """The input-encoding modulator: slow-light variant when present."""

@@ -30,6 +30,7 @@ from .costs import (
     cost_report,
     pareto_csv,
     report_to_text,
+    sweep,
     sweep_points,
     sweep_to_csv,
 )
@@ -86,24 +87,13 @@ def _arch_from_args(args) -> ArchConfig:
     if args.arch:
         return _arch_from_dict(_load_json(args.arch, "arch config"), args.arch)
     return ArchConfig(
-        r_tiles=args.tiles,
-        c_cores=args.cores,
-        k=args.size,
-        clock_hz=args.clock_ghz * 1e9,
-        t_int=args.t_int,
-        t_rst=args.t_rst,
-        bits_in=args.bits_in,
-        bits_out=args.bits_out,
+        r_tiles=args.tiles, c_cores=args.cores, k=args.size, clock_hz=args.clock_ghz * 1e9,
+        t_int=args.t_int, t_rst=args.t_rst, bits_in=args.bits_in, bits_out=args.bits_out,
     )
 
 
 def _catalog_from_args(args):
-    if getattr(args, "catalog", None):
-        path = Path(args.catalog)
-        if not path.exists():
-            raise ValueError(f"catalog not found: {path}")
-        return load_catalog(path)
-    return load_builtin_catalog(args.variant)
+    return load_catalog(args.catalog) if args.catalog else load_builtin_catalog(args.variant)
 
 
 def _parse_workload(spec: str) -> GemmWorkload:
@@ -236,11 +226,7 @@ def _cmd_cost(args):
 
     def run() -> int:
         report = cost_report(
-            arch,
-            cat,
-            include_memory=args.include_memory,
-            convention=args.convention,
-            topology=args.topology,
+            arch, cat, include_memory=args.include_memory, convention=args.convention, topology=args.topology
         )
         out = _out_dir(args)
         _write_json(out / "cost.json", report.to_dict())
@@ -262,19 +248,13 @@ def _cmd_sweep(args):
     else:
         cat = _catalog_from_args(args)
         catalogs = {cat.name: cat}
-    points = sweep_points(arch, catalogs, args.axis, values)
+    sweep_points(arch, catalogs, args.axis, values)  # builds, and so checks, every point
 
     def run() -> int:
-        reports = [
-            cost_report(
-                point,
-                cat,
-                include_memory=args.include_memory,
-                convention=args.convention,
-                topology=args.topology,
-            )
-            for point, cat in points
-        ]
+        reports = sweep(
+            arch, catalogs, args.axis, values,
+            include_memory=args.include_memory, convention=args.convention, topology=args.topology,
+        )
         out = _out_dir(args)
         csv_text = sweep_to_csv(reports)
         (out / "sweep.csv").write_text(csv_text)

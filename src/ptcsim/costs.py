@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 from pathlib import Path
 
-from .catalog import CatalogVariant, DeviceKind, DeviceSpec, scale_1x2k_mmi, variant_name
+from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind, DeviceSpec, scale_1x2k_mmi, variant_name
+from .engine import _er_power_factor
 from .scheduler import ArchConfig
 
 __all__ = [
@@ -86,13 +87,8 @@ class LossBudget:
     @property
     def total_db(self) -> float:
         return (
-            self.il_couple
-            + self.split_fanout_db
-            + self.il_mzm
-            + self.il_cross_total
-            + self.il_split_total
-            + self.il_ps
-            + self.il_dc
+            self.il_couple + self.split_fanout_db + self.il_mzm + self.il_cross_total
+            + self.il_split_total + self.il_ps + self.il_dc
         )
 
 
@@ -122,15 +118,7 @@ def insertion_loss(
     else:
         cross_total = (k - 1) ** 2 * cross
         split_total = cat.device(DeviceKind.SPLITTER_1XN).insertion_loss_db
-    return LossBudget(
-        il_couple=couple,
-        split_fanout_db=fanout,
-        il_mzm=mzm,
-        il_cross_total=cross_total,
-        il_split_total=split_total,
-        il_ps=ps,
-        il_dc=dc,
-    )
+    return LossBudget(couple, fanout, mzm, cross_total, split_total, ps, dc)
 
 
 def min_laser_power(
@@ -139,18 +127,14 @@ def min_laser_power(
     """Minimum laser power (W) for b-bit output resolution at a given loss.
 
     Solves P * (1 - 10^(-ER/10)) / 10^(IL/10) = I_noise/R_PD + 2^b * 10^(S/10)
-    at equality, with the PD sensitivity S in dBm.
+    at equality, with the PD sensitivity S in dBm; the photodetector spec
+    brings its fields checked, and the ER penalty is the engine's.
     """
     if bits_out < 1:
         raise ValueError(f"bits_out must be >= 1, got {bits_out}")
-    if pd.responsivity_a_per_w is None or pd.responsivity_a_per_w <= 0:
-        raise ValueError("photodetector spec requires a positive responsivity")
-    if pd.sensitivity_dbm is None or pd.dark_current_a is None:
-        raise ValueError("photodetector spec requires sensitivity and dark current")
     noise_floor_mw = pd.dark_current_a / pd.responsivity_a_per_w * 1e3
     sensitivity_mw = 2.0**bits_out * 10.0 ** (pd.sensitivity_dbm / 10.0)
-    penalty = 1.0 - 10.0 ** (-er_db / 10.0) if math.isfinite(er_db) else 1.0
-    p_mw = (noise_floor_mw + sensitivity_mw) * 10.0 ** (il_db / 10.0) / penalty
+    p_mw = (noise_floor_mw + sensitivity_mw) * 10.0 ** (il_db / 10.0) / _er_power_factor(er_db)
     return p_mw / 1e3
 
 
@@ -161,7 +145,7 @@ def dac_power_scale(p0: float, b0: int, fs0: float, b: int, f: float) -> float:
     """
     if min(p0, fs0, f) <= 0 or b0 <= 0 or b <= 0:
         raise ValueError("dac_power_scale arguments must be positive")
-    if b > 16:
+    if b > CONVERTER_BITS[1]:
         raise ValueError(f"bit width out of range: {b}")
     return p0 * b0 * 2.0**b * f / (2.0**b0 * b * fs0)
 
@@ -176,31 +160,15 @@ def _node_area_um2(cat: CatalogVariant) -> float:
     coupler = cat.device(DeviceKind.COUPLER_2X2)
     pd = cat.device(DeviceKind.PHOTODETECTOR)
     ps = cat.device(DeviceKind.PHASE_SHIFTER)
-    length = (
-        coupler.length_um
-        + 4.0 * BEND_RADIUS_UM
-        + pd.width_um
-        + coupler.width_um
-        + NODE_SPACING_UM
-    )
-    width = (
-        coupler.width_um
-        + BEND_RADIUS_UM
-        + ps.width_um
-        + pd.length_um
-        + NODE_SPACING_UM
-    )
+    length = coupler.length_um + 4.0 * BEND_RADIUS_UM + pd.width_um + coupler.width_um + NODE_SPACING_UM
+    width = coupler.width_um + BEND_RADIUS_UM + ps.width_um + pd.length_um + NODE_SPACING_UM
     return length * width
 
 
 def _input_chain_counts(arch: ArchConfig) -> tuple[int, int]:
     """(x_side, y_side) DAC+modulator chain counts."""
     x_side = arch.r_tiles * arch.c_cores * arch.k
-    if arch.share_y_modulators:
-        y_side = arch.c_cores * arch.k
-    else:
-        y_side = arch.r_tiles * arch.c_cores * arch.k
-    return x_side, y_side
+    return x_side, arch.c_cores * arch.k if arch.share_y_modulators else x_side
 
 
 def _readout_chain_count(arch: ArchConfig) -> int:
@@ -389,9 +357,7 @@ def cost_report(
     loss = insertion_loss(arch.k, cat, topology)
     pd = cat.device(DeviceKind.PHOTODETECTOR)
     er = cat.modulator().extinction_ratio_db
-    laser_req = arch.r_tiles * arch.c_cores * min_laser_power(
-        loss.total_db, pd, er, arch.bits_out
-    )
+    laser_req = arch.r_tiles * arch.c_cores * min_laser_power(loss.total_db, pd, er, arch.bits_out)
     total_area = sum(area.values())
     total_power = sum(power.values())
     tops, tpw, tpmm2 = metrics(arch, total_area, total_power, convention)
@@ -499,17 +465,10 @@ def comparison_points() -> list[dict]:
     density frontier export; approximate peak figures from vendor datasheets.
     """
     with open(_COMPARISON_POINTS_PATH, newline="") as f:
-        rows = []
-        for row in csv.DictReader(f):
-            rows.append(
-                {
-                    "name": row["name"],
-                    "category": row["category"],
-                    "tops_per_w": float(row["tops_per_w"]),
-                    "tops_per_mm2": float(row["tops_per_mm2"]),
-                }
-            )
-    return rows
+        return [
+            {**row, "tops_per_w": float(row["tops_per_w"]), "tops_per_mm2": float(row["tops_per_mm2"])}
+            for row in csv.DictReader(f)
+        ]
 
 
 def pareto_csv(reports: list[CostReport]) -> str:
@@ -518,14 +477,9 @@ def pareto_csv(reports: list[CostReport]) -> str:
     writer = csv.writer(buf)
     writer.writerow(["name", "category", "tops_per_w", "tops_per_mm2"])
     for row in comparison_points():
-        writer.writerow(
-            [row["name"], row["category"], row["tops_per_w"], row["tops_per_mm2"]]
-        )
+        writer.writerow([row["name"], row["category"], row["tops_per_w"], row["tops_per_mm2"]])
     for r in reports:
-        writer.writerow(
-            [f"this_work_{r.variant}", "photonic",
-             f"{r.tops_per_w:.6g}", f"{r.tops_per_mm2:.6g}"]
-        )
+        writer.writerow([f"this_work_{r.variant}", "photonic", f"{r.tops_per_w:.6g}", f"{r.tops_per_mm2:.6g}"])
     return buf.getvalue()
 
 

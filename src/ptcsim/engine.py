@@ -48,6 +48,19 @@ class EngineOutput:
     p_out2: float
 
 
+def _er_power_factor(extinction_ratio_db: float | None) -> float:
+    """1 - 10^(-ER/10), the laser power penalty; 1 for None or +inf ER (ideal).
+
+    An ER so close to 0 that the factor rounds to 0 is rejected as ER <= 0 is.
+    """
+    if extinction_ratio_db is None or extinction_ratio_db == math.inf:
+        return 1.0
+    factor = 1.0 - 10.0 ** (-extinction_ratio_db / 10.0) if extinction_ratio_db > 0 else 0.0
+    if not factor > 0:
+        raise ValueError(f"extinction ratio must be > 0 dB, got {extinction_ratio_db}")
+    return factor
+
+
 def er_amplitude_factor(extinction_ratio_db: float | None) -> float:
     """Amplitude-range compression from a finite modulator extinction ratio.
 
@@ -55,11 +68,7 @@ def er_amplitude_factor(extinction_ratio_db: float | None) -> float:
     amplitude-level equivalent of the laser power penalty term.  None or
     infinite ER means an ideal modulator (factor 1).
     """
-    if extinction_ratio_db is None or math.isinf(extinction_ratio_db):
-        return 1.0
-    if extinction_ratio_db <= 0:
-        raise ValueError(f"extinction ratio must be > 0 dB, got {extinction_ratio_db}")
-    return math.sqrt(1.0 - 10.0 ** (-extinction_ratio_db / 10.0))
+    return math.sqrt(_er_power_factor(extinction_ratio_db))
 
 
 def mzm_encode(value: float, e_in: complex, extinction_ratio_db: float | None = None) -> complex:

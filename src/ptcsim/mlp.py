@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import CatalogVariant
-from .quantize import NoiseModel, fake_quantize, inject_noise, minmax_params
+from .quantize import QUANTIZER_BITS, NoiseModel, fake_quantize, inject_noise, minmax_params
 from .scheduler import (
     ArchConfig,
     simulate_chain,
@@ -77,11 +77,11 @@ class MlpConfig:
         v = self.train_sigma
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValueError(f"train_sigma must be a finite number, got {v!r}")
-        for name, low in (("bits", 2), ("epochs", 1), ("seed", 0), ("train_sigma", 0)):
+        for name, low in (("bits", QUANTIZER_BITS[0]), ("epochs", 1), ("seed", 0), ("train_sigma", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if 8 < self.bits < 16:
-            raise ValueError(f"bits must be at most 8, or >= 16 for full precision, got {self.bits}")
+        if QUANTIZER_BITS[1] < self.bits < 16:
+            raise ValueError(f"bits must be at most {QUANTIZER_BITS[1]}, or >= 16 for full precision, got {self.bits}")
 
 
 class TinyMlp:

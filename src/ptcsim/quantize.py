@@ -33,6 +33,10 @@ __all__ = [
     "minmax_params",
 ]
 
+#: The bit widths the quantizer's signed codes and the ADC's codes span.
+QUANTIZER_BITS = (2, 8)
+ADC_BITS = (2, 12)
+
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero; -0.0 rounds to +0.0."""
@@ -60,8 +64,8 @@ class QuantizerParams:
                 if v.size != 1:
                     raise ValueError(f"{name} must be one number (the quantizer is per-tensor), got {v.size} values")
                 object.__setattr__(self, name, v.item())
-        if not 2 <= self.bits <= 8:
-            raise ValueError(f"bits must be in [2, 8], got {self.bits}")
+        if not QUANTIZER_BITS[0] <= self.bits <= QUANTIZER_BITS[1]:
+            raise ValueError(f"bits must be in [{QUANTIZER_BITS[0]}, {QUANTIZER_BITS[1]}], got {self.bits}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if not math.isfinite(self.zero_point):
@@ -217,8 +221,8 @@ def adc_readout(v: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
 
 def _adc_half(v: np.ndarray, full_scale: float, bits: int) -> int:
     """Half the ADC code count, 2^(bits-1), once the arguments are checked."""
-    if not 2 <= bits <= 12:
-        raise ValueError(f"adc bits must be in [2, 12], got {bits}")
+    if not ADC_BITS[0] <= bits <= ADC_BITS[1]:
+        raise ValueError(f"adc bits must be in [{ADC_BITS[0]}, {ADC_BITS[1]}], got {bits}")
     if full_scale <= 0:
         raise ValueError(f"full_scale must be > 0, got {full_scale}")
     if not np.all(np.isfinite(v)):

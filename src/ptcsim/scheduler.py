@@ -60,9 +60,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogVariant, DeviceKind
+from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind
 from .engine import EngineConfig, size_capacitor
 from .quantize import (
+    ADC_BITS,
+    QUANTIZER_BITS,
     NoiseModel,
     QuantizerParams,
     adc_readout,
@@ -123,10 +125,11 @@ class ArchConfig:
                     raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # The converter range the catalog allows for rated_bits; _check_widths
         # narrows it to what each simulator mode can run.
-        if not (1 <= self.bits_in <= 16 and 1 <= self.bits_out <= 16):
+        lo, hi = CONVERTER_BITS
+        if not (lo <= self.bits_in <= hi and lo <= self.bits_out <= hi):
             for name in ("bits_in", "bits_out"):
-                if not 1 <= getattr(self, name) <= 16:
-                    raise ValueError(f"{name} must be in [1, 16], got {getattr(self, name)}")
+                if not lo <= getattr(self, name) <= hi:
+                    raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
         if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
         if not math.isfinite(self.clock_hz) or self.clock_hz <= 0:
@@ -427,14 +430,17 @@ def _epoch_peak(xe: np.ndarray, ye: np.ndarray, buf: np.ndarray, best: float) ->
 def _check_widths(arch: ArchConfig, mode: str) -> None:
     """Reject a mode, or a bit width the mode uses, the engine cannot run, before any work.
 
-    The ranges are the simulator's, narrower than ArchConfig's [1, 16].
+    The ranges are the quantizer's and the ADC's, narrower than ArchConfig's
+    CONVERTER_BITS.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; options: {MODES}")
-    if mode != "ideal" and not 2 <= arch.bits_in <= 8:
-        raise ValueError(f"bits_in must be in [2, 8] in mode {mode!r}, got {arch.bits_in}")
-    if mode == "quantized+noise+adc" and not 2 <= arch.bits_out <= 12:
-        raise ValueError(f"bits_out must be in [2, 12] in mode {mode!r}, got {arch.bits_out}")
+    for name, (lo, hi), used in (
+        ("bits_in", QUANTIZER_BITS, mode != "ideal"),
+        ("bits_out", ADC_BITS, mode == "quantized+noise+adc"),
+    ):
+        if used and not lo <= getattr(arch, name) <= hi:
+            raise ValueError(f"{name} must be in [{lo}, {hi}] in mode {mode!r}, got {getattr(arch, name)}")
 
 
 def _product(

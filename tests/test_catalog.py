@@ -9,6 +9,7 @@ import pytest
 from ptcsim import (
     COUPLING_LENGTH_TABLE_UM,
     CatalogError,
+    CatalogVariant,
     DeviceKind,
     DeviceSpec,
     beating_length,
@@ -25,6 +26,7 @@ from ptcsim import (
     scale_1x2k_mmi,
     variant_name,
 )
+from ptcsim.catalog import _FIELD_RULES, _KIND_RULES
 
 
 @pytest.fixture(params=["foundry", "foundry-sl", "custom-sl"])
@@ -164,16 +166,58 @@ class TestDeviceSpec:
             ("dac", "rated_bits", True, "must be an integer"),
             ("splitter_1xn", "fanout_n", 4.0, "must be an integer"),
             ("slmzm", "extinction_ratio_db", math.inf, None),
+            ("slmzm", "extinction_ratio_db", 0, "must be > 0, got 0"),
+            ("slmzm", "extinction_ratio_db", -3, "must be > 0, got -3"),
+            ("splitter_1xn", "fanout_n", 1, "must be >= 2, got 1"),
+            ("splitter_1xn", "length_um", 0, "must be > 0, got 0"),
+            ("photodetector", "dark_current_a", -1e-3, "must be >= 0, got -0.001"),
+            ("slmzm", "energy_per_bit_j", -1e-12, "must be >= 0, got -1e-12"),
+            ("dac", "rated_bits", 17, r"must be in \[1, 16\], got 17"),
+            ("dac", "power_w", 0.0, "must be > 0, got 0.0"),
+            ("laser", "power_w", 0.0, "must be > 0, got 0.0"),
+            ("phase_shifter", "power_w", 0.0, None),
+            ("photodetector", "sensitivity_dbm", -1e3, None),
         ],
     )
     def test_numeric_fields_checked_by_type(self, kind, field, value, message):
-        # +inf extinction ratio is the ideal modulator, the one infinity allowed.
+        # +inf extinction ratio is the ideal modulator, the one infinity allowed;
+        # only the DAC and the laser must draw power.
         spec = load_builtin_catalog("custom-sl").device(kind)
         if message is None:
             assert getattr(dataclasses.replace(spec, **{field: value}), field) == value
             return
         with pytest.raises(CatalogError, match=f"{field} {message}"):
             dataclasses.replace(spec, **{field: value})
+
+
+    def test_every_numeric_field_has_one_rule(self):
+        numeric = {f.name for f in dataclasses.fields(DeviceSpec)} - {"kind", "name"}
+        assert set(_FIELD_RULES) == numeric
+        assert all(rules.keys() == numeric for rules in _KIND_RULES.values())
+
+
+class TestCompleteCatalog:
+    @pytest.mark.parametrize("kind", [k for k in DeviceKind.ALL if k not in ("mzm", "slmzm")])
+    def test_every_kind_is_required(self, kind):
+        devices = dict(load_builtin_catalog("custom-sl").devices)
+        del devices[kind]
+        with pytest.raises(CatalogError, match=f"catalog 'c' has no device of kind '{kind}'$"):
+            CatalogVariant("c", devices)
+
+    def test_one_modulator_of_either_kind_is_enough(self):
+        custom, foundry = load_builtin_catalog("custom-sl"), load_builtin_catalog("foundry")
+        assert DeviceKind.MZM not in custom.devices and DeviceKind.SLMZM not in foundry.devices
+        devices = dict(custom.devices)
+        del devices[DeviceKind.SLMZM]
+        with pytest.raises(CatalogError, match="no device of kind 'mzm' or 'slmzm'"):
+            CatalogVariant("c", devices)
+
+    @pytest.mark.parametrize("field", ["length_um", "width_um"])
+    def test_photodetector_needs_its_geometry_in_a_catalog(self, field):
+        cat = load_builtin_catalog("custom-sl")
+        pd = dataclasses.replace(cat.device(DeviceKind.PHOTODETECTOR), **{field: None})
+        with pytest.raises(CatalogError, match=f"'ge_pd' \\(kind photodetector\\): missing required field '{field}'"):
+            CatalogVariant("c", {**cat.devices, DeviceKind.PHOTODETECTOR: pd})
 
 
 class TestMmiGeometry:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptcsim import cli
+from ptcsim import MODES, builtin_catalog_path, cli, load_builtin_catalog
+from ptcsim.catalog import _FIELD_RULES, _KIND_RULES
 from ptcsim.cli import main
 
 ARCH_SMALL = ["--tiles", "2", "--cores", "3", "-k", "4"]
@@ -386,6 +388,28 @@ class TestCatalogValidate:
         assert reports["builtin"].pop("variant") == "custom_sl"
         assert reports["mine"] == reports["builtin"]
 
+    def test_catalog_at_its_bounds_runs_every_command(self, tmp_path, capsys):
+        # Each field at the edge of its rule: the bound itself, or just above
+        # an excluded one.  A catalog that validates must price and simulate.
+        doc = json.loads(builtin_catalog_path("custom-sl").read_text())
+        for entry in doc["devices"]:
+            for field in set(entry) & set(_FIELD_RULES):
+                number, low, strict, _ = _KIND_RULES[entry["kind"]][field]
+                if low != -math.inf:
+                    entry[field] = low + (1 if number is int else 1e-3) * strict
+            if {"area_um2", "length_um", "width_um"} <= set(entry):
+                entry["area_um2"] = entry["length_um"] * entry["width_um"]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        commands = [["catalog-validate", str(path)], ["cost", "--include-memory"]]
+        commands += [["sweep", "--axis", axis, "--values", "2..8"] for axis in ("K", "T")]
+        commands += [["simulate", *ARCH_SMALL, "--workload", "rand:8x6x8", "--mode", mode] for mode in MODES]
+        for i, args in enumerate(commands):
+            if args[0] != "catalog-validate":
+                args += ["--catalog", str(path), "--out", str(tmp_path / str(i))]
+            code, _, err = run(args, capsys)
+            assert code == 0, (args, err)
+
     def test_invalid_catalog_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 1, "variant": "foundry", "devices": ['
@@ -422,13 +446,35 @@ class TestCatalogValidate:
         assert message in err
 
 
+#: Catalogs that each break one device rule, {file stem: (kind, field, value)},
+#: made from custom_sl.json; a field of None drops the whole device.
+BAD_CATALOGS = {
+    "er_0": ("slmzm", "extinction_ratio_db", 0),
+    "er_neg": ("slmzm", "extinction_ratio_db", -3),
+    "dark_current_neg": ("photodetector", "dark_current_a", -1e-3),
+    "energy_per_bit_neg": ("slmzm", "energy_per_bit_j", -1e-12),
+    "fanout_1": ("splitter_1xn", "fanout_n", 1),
+    "splitter_length_0": ("splitter_1xn", "length_um", 0),
+    "no_adc": ("adc", None, None),
+}
+
+
 def write_probe_files(d):
-    """Operand and experiment files the bad-input probes name, written under d."""
+    """Operand, experiment and catalog files the bad-input probes name, written under d."""
+    for stem, (kind, field, value) in BAD_CATALOGS.items():
+        doc = json.loads(builtin_catalog_path("custom-sl").read_text())
+        entry = next(e for e in doc["devices"] if e["kind"] == kind)
+        if field is None:
+            doc["devices"].remove(entry)
+        else:
+            entry[field] = value
+        (d / f"{stem}.json").write_text(json.dumps(doc))
     np.savetxt(d / "x.csv", np.full((2, 2), 0.5), delimiter=",")
     (d / "y_two.csv").write_text("0.5,2\n0.5,0.5\n")
     (d / "y_nan.csv").write_text("0.5,nan\n0.5,0.5\n")
     (d / "y_text.csv").write_text("0.5,abc\n0.5,0.5\n")
     np.savez(d / "mismatch.npz", x=np.zeros((2, 3)), y=np.zeros((2, 2)))
+    np.savez(d / "no_xy.npz", a=np.zeros((2, 2)))
     (d / "not_zip.npz").write_text("x,y\n")
     (d / "epochs_0.json").write_text(json.dumps({"epochs": 0}))
     (d / "epochs_neg.json").write_text(json.dumps({"epochs": -1}))
@@ -452,7 +498,24 @@ PROBES = {
     "simulate-seed-neg": ["simulate", "--workload", "rand:4x4x4", "--mode", "quantized+noise", "--seed", "-1"],
     "epochs-0": ["robustness", "--config", "{d}/epochs_0.json"],
     "epochs-neg": ["robustness", "--config", "{d}/epochs_neg.json"],
+    "arch-file-missing": ["cost", "--arch", "{d}/none.json"],
+    "npz-missing": ["simulate", "--workload", "{d}/none.npz"],
+    "npz-no-x-y": ["simulate", "--workload", "{d}/no_xy.npz"],
+    "csv-operand-missing": ["simulate", "--workload", "{d}/x.csv,{d}/none.csv"],
+    "sweep-values-8..4": ["sweep", "--axis", "K", "--values", "8..4"],
+    "sweep-values-a,b": ["sweep", "--axis", "K", "--values", "a,b"],
 }
+#: Each bad catalog through every command that reads a catalog file.
+CATALOG_COMMANDS = {
+    "catalog-validate": ["catalog-validate", "{d}/{stem}.json"],
+    "cost": ["cost", "--catalog", "{d}/{stem}.json"],
+    "simulate": ["simulate", "--workload", "rand:4x4x4", "--catalog", "{d}/{stem}.json"],
+}
+PROBES.update(
+    (f"catalog-{stem}-{command}", [a.replace("{stem}", stem) for a in args])
+    for stem in BAD_CATALOGS
+    for command, args in CATALOG_COMMANDS.items()
+)
 
 
 def no_work(*_, **__):
@@ -464,12 +527,30 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("probe", list(PROBES))
     def test_bad_input_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, probe):
-        for name in ("simulate_gemm", "cost_report", "train"):
+        for name in ("simulate_gemm", "cost_report", "sweep", "train"):
             monkeypatch.setattr(cli, name, no_work)
         write_probe_files(tmp_path)
         args = [a.format(d=tmp_path) for a in PROBES[probe]]
-        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        if args[0] != "catalog-validate":  # the one command without --out
+            args += ["--out", str(tmp_path / "o")]
+        code, _, err = run(args, capsys)
         assert_one_line_exit_2(code, err, tmp_path / "o")
+
+    @pytest.mark.parametrize("command", list(CATALOG_COMMANDS))
+    @pytest.mark.parametrize("stem", list(BAD_CATALOGS))
+    def test_bad_catalog_error_names_device_and_field(self, tmp_path, capsys, stem, command):
+        write_probe_files(tmp_path)
+        kind, field, _ = BAD_CATALOGS[stem]
+        name = load_builtin_catalog("custom-sl").devices[kind].name
+        args = [a.format(d=tmp_path) for a in PROBES[f"catalog-{stem}-{command}"]]
+        if command != "catalog-validate":
+            args += ["--out", str(tmp_path / "o")]
+        code, _, err = run(args, capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        if field is None:
+            assert err == f"error: catalog 'custom_sl' has no device of kind {kind!r}\n"
+        else:
+            assert f"device {name!r}: {field} must be " in err
 
     @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=["ValueError", "KeyError"])
     @pytest.mark.parametrize(
@@ -477,7 +558,7 @@ class TestInputBoundary:
         [
             (["simulate", *ARCH_SMALL, "--workload", "rand:4x4x4", "--mode", "quantized"], "simulate_gemm"),
             (["cost"], "cost_report"),
-            (["sweep", "--axis", "K", "--values", "4,8"], "cost_report"),
+            (["sweep", "--axis", "K", "--values", "4,8"], "sweep"),
             (["robustness", "--trials", "1"], "train"),
         ],
         ids=["simulate", "cost", "sweep", "robustness"],

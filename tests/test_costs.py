@@ -76,6 +76,11 @@ class TestLaserPower:
         p7 = min_laser_power(0.0, pd, math.inf, 7) - noise
         assert p7 / p6 == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("er", [0.0, -3.0])
+    def test_nonpositive_er_rejected(self, er):
+        with pytest.raises(ValueError, match="extinction ratio must be > 0 dB"):
+            min_laser_power(20.0, CUSTOM.device(DeviceKind.PHOTODETECTOR), er, 6)
+
     def test_invalid_bits_rejected(self):
         with pytest.raises(ValueError):
             min_laser_power(20.0, CUSTOM.device(DeviceKind.PHOTODETECTOR), 10.0, 0)

@@ -40,6 +40,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             er_amplitude_factor(0.0)
 
+    @pytest.mark.parametrize("er", [-1e6, -math.inf, math.nan, 1e-300])
+    def test_er_without_power_to_encode_rejected(self, er):
+        # -1e6 would overflow 10^(-ER/10); 1e-300 rounds 1 - 10^(-ER/10) to 0.
+        with pytest.raises(ValueError, match="extinction ratio must be > 0 dB"):
+            er_amplitude_factor(er)
+
 
 class TestTransfer:
     @settings(max_examples=200)
