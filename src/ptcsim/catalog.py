@@ -5,11 +5,13 @@ component kind (converters, modulators, splitters, detectors, ...).  Three
 catalogs ship with the package (foundry, foundry_sl, custom_sl) covering the
 modeled technology variants.  This module owns every rule of a valid device
 and catalog, so a catalog that loads is one the cost model and the simulator
-can run.  Each kind has its required fields and each numeric field its type
+can run, unless its losses take the laser power or current out of the float
+range.  Each kind has its required fields and each numeric field its type
 and range (_FIELD_RULES): powers, areas, losses, dark current and energy per
 bit >= 0; lengths, widths, rated frequency and responsivity > 0; extinction
-ratio > 0 or +inf (ideal); rated_bits in CONVERTER_BITS; fanout_n >= 2; the
-DAC's and the laser's power > 0.  A catalog holds every kind, one of mzm and
+ratio > 0 or +inf (ideal), with the engine's 1 - 10^(-ER/10) > 0;
+rated_bits in CONVERTER_BITS; fanout_n >= 2; the DAC's and the laser's
+power > 0.  A catalog holds every kind, one of mzm and
 slmzm being enough, and a photodetector with a length and width.
 
 Geometry helpers compute multimode-interference splitter dimensions,
@@ -23,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+from .engine import _er_power_factor
 
 __all__ = [
     "CatalogError",
@@ -171,6 +175,13 @@ class DeviceSpec:
             if not (v > low if strict else v >= low) or (high is not None and v > high):
                 bound = f"{'>' if strict else '>='} {low}" if high in (None, math.inf) else f"in [{low}, {high}]"
                 raise CatalogError(f"device {self.name!r}: {name} must be {bound}, got {v!r}")
+        er = self.extinction_ratio_db
+        if er is not None:
+            try:
+                _er_power_factor(er)  # the engine's own rule, so the two cannot drift
+            except ValueError:
+                raise CatalogError(f"device {self.name!r}: extinction_ratio_db must be > 0 with 1 - 10^(-ER/10) > 0, "
+                                   f"got {er!r}") from None
         # 0.5% slack covers rounded table entries.
         if self.area_um2 is not None and self.length_um is not None and self.width_um is not None:
             prod = self.length_um * self.width_um

@@ -2,12 +2,13 @@
 
 Each command runs in two steps.  The resolve step turns every input into the
 object that checks it (ArchConfig, the device catalog, GemmWorkload,
-NoiseModel, MlpConfig, every sweep point) before any work; the run step does
-the work and writes the reports.  Exit codes: 0 success, 1 an error while
-running, 2 bad input: any error of the resolve step, reported on one
-`error:` line before anything is written.  Every report embeds the resolved
-configuration and a schema version; file outputs land in the directory named
-by --out (timestamp-free, so CI runs diff cleanly).
+NoiseModel, MlpConfig, every sweep point, the simulator's EngineConfig)
+before any work; the run step does the work and writes the reports.  Exit
+codes: 0 success, 1 an error while running, 2 bad input: any error of the
+resolve step, reported on one `error:` line before anything is written.
+Every report embeds the resolved configuration and a schema version; file
+outputs land in the directory named by --out (timestamp-free, so CI runs
+diff cleanly).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .costs import (
 )
 from .mlp import MlpConfig, TinyMlp, make_blobs, robustness_table, train
 from .quantize import NoiseModel
-from .scheduler import MODES, ArchConfig, GemmWorkload, _check_widths, simulate_gemm
+from .scheduler import MODES, ArchConfig, GemmWorkload, _check_widths, engine_config_for, simulate_gemm
 
 _SCHEMA_VERSION = 1
 _VARIANTS = tuple(name.replace("_", "-") for name in _VARIANT_NAMES)
@@ -187,6 +188,7 @@ def _cmd_simulate(args):
     work = _parse_workload(args.workload)
     nm = NoiseModel(sigma=args.sigma, seed=args.seed)
     _check_widths(arch, args.mode)
+    engine_config_for(arch, cat)
 
     def run() -> int:
         z_hat, stats = simulate_gemm(work, arch, cat, nm=nm, mode=args.mode)
@@ -310,6 +312,7 @@ def _cmd_robustness(args):
         seed=cfg_file.get("seed", args.seed),
     )
     _check_widths(arch, "quantized+noise")  # the core's mode
+    engine_config_for(arch, cat)
     if "sigmas_eval" in cfg_file:
         sigmas = _noise_levels(cfg_file["sigmas_eval"], "sigmas_eval")
     else:

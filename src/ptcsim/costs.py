@@ -128,13 +128,22 @@ def min_laser_power(
 
     Solves P * (1 - 10^(-ER/10)) / 10^(IL/10) = I_noise/R_PD + 2^b * 10^(S/10)
     at equality, with the PD sensitivity S in dBm; the photodetector spec
-    brings its fields checked, and the ER penalty is the engine's.
+    brings its fields checked, and the ER penalty is the engine's.  Raises
+    ValueError, naming the loss and the sensitivity, if P overflows a float.
     """
     if bits_out < 1:
         raise ValueError(f"bits_out must be >= 1, got {bits_out}")
     noise_floor_mw = pd.dark_current_a / pd.responsivity_a_per_w * 1e3
-    sensitivity_mw = 2.0**bits_out * 10.0 ** (pd.sensitivity_dbm / 10.0)
-    p_mw = (noise_floor_mw + sensitivity_mw) * 10.0 ** (il_db / 10.0) / _er_power_factor(er_db)
+    try:  # 10^(x/10) raises past the float range; a product gives inf
+        sensitivity_mw = 2.0**bits_out * 10.0 ** (pd.sensitivity_dbm / 10.0)
+        p_mw = (noise_floor_mw + sensitivity_mw) * 10.0 ** (il_db / 10.0) / _er_power_factor(er_db)
+    except OverflowError:
+        p_mw = math.inf
+    if p_mw == math.inf:
+        raise ValueError(
+            f"the laser power for {il_db} dB of insertion loss and {pd.sensitivity_dbm} dBm "
+            "photodetector sensitivity overflows a float"
+        )
     return p_mw / 1e3
 
 

@@ -13,22 +13,14 @@ integrates the columns {c*P + p : p in [eT, (e+1)T)}; every output element
 is independent, so the epoch's readout for the whole M x Q result is one
 matrix product over those columns, and the K x K block structure only
 matters for cycle accounting.  Working memory is O(M*Q + M*N + N*Q): the
-operands in cycle-major order, the accumulated result, and one reused
-buffer of per-cycle photocurrents.  An epoch's readout is digitized in
-place, in its own buffer, before it is added to the result.
+operands in cycle-major order and the accumulated result.  An epoch's
+readout is digitized in place, in its own buffer, before it is added to the
+result.
 
 engine_config_for sizes the integration capacitor so that a full-scale
-C-core, T-cycle ramp lands exactly on the rail, and every operand the
-engine multiplies is bounded by 1, so no readout can saturate.  The rail is
-therefore a checked invariant, not a modeled event: once the exact peak
-current is known, one guard raises if T cycles of it could pass V_DD.
-
-The exact peak current comes from per-cycle photocurrents, formed a
-buffer-full at a time.  Row m of cycle p carries at most
-U = sum_c |x[m, p, c]| * max_q |y[p, c, q]|, so once a peak is known only
-the rows whose U can beat it are formed.  When no peak is known yet and an
-epoch takes more than one buffer-full, the current of each cycle's
-largest-bound row seeds the search, so the first epoch is pruned too.
+C-core, T-cycle ramp lands exactly on the rail, and checks once that it
+does.  Every operand the engine multiplies is bounded by 1, so no readout
+can pass the rail and nothing is clamped.
 
 The operand front end walks each operand in row blocks of about 256 KiB,
 which stay in cache: a block is quantized once into its integer codes, in
@@ -42,14 +34,12 @@ rows and columns.
 
 simulate_chain runs a chain of such products, the layers of a robustness
 study, over many noise trials in quantized+noise mode.  Both run every
-product through one routine, _product: the front end, the lattice choice,
-the epoch loop and the rail guard.  The work the trials share is done once:
+product through one routine, _product: the front end, the lattice choice
+and the epoch loop.  The work the trials share is done once:
 the width check and engine configuration per study, and per layer the
 weights' scale, validation, plan and quantizer params.  Each trial then
 quantizes its input and the weights block by block, as simulate_gemm does,
-one layer after the other.  The exact peak current is formed only where
-the full-scale bound, the largest per-cycle sum over the C cores for
-min(T, P) cycles, does not clear the rail.
+one layer after the other.
 """
 
 from __future__ import annotations
@@ -213,10 +203,10 @@ class Schedule:
 class SimStats:
     """Run accounting emitted alongside the simulated result.
 
-    saturation_events is always 0: the capacitor is sized so that no input
-    reaches the rail, and simulate_gemm raises instead of clamping if one
-    could.  The field stays because the CLI summary and the benchmark's
-    span counters (bench/spans.py) read it.
+    saturation_events is always 0: engine_config_for sizes the capacitor so
+    that no input reaches the rail.  The field stays because the CLI summary
+    and the benchmark's span counters (bench/spans.py) read it.  No field
+    depends on the BLAS kernel or its thread count.
     """
 
     mode: str
@@ -224,7 +214,6 @@ class SimStats:
     reset_cycles: int
     readouts: int
     saturation_events: int
-    max_abs_current_a: float
     normalization_v: float
     alpha_x: float
     alpha_y: float
@@ -272,7 +261,10 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
 
     Per-arm power follows the laser through the distribution loss chain; the
     integration capacitor is sized for the aggregated current of C cores so
-    that full-scale operands integrate exactly to the rail.
+    that a full-scale ramp, normalization() * C * T, lands on the rail.  No
+    operand the engine multiplies passes 1, so no readout can pass it either.
+    Raises ValueError if the ramp misses V_DD by more than 1e-12 relative,
+    which only a current outside the normal float range does.
     """
     from .costs import insertion_loss  # local import to avoid a cycle
 
@@ -285,14 +277,13 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
         extinction_ratio_db=cat.modulator().extinction_ratio_db,
         dt=1.0 / arch.clock_hz,
     )
-    c_int = size_capacitor(
-        arch.c_cores * cfg.current_scale(), arch.t_int, arch.clock_hz, cfg.v_dd
-    )
-    return dataclasses.replace(cfg, c_int=c_int)
-
-
-#: Per-cycle photocurrent elements formed per batched matmul (2 MiB).
-_CURRENT_BUFFER_ELEMS = 1 << 18
+    i_max = arch.c_cores * cfg.current_scale()
+    c_int = size_capacitor(i_max, arch.t_int, arch.clock_hz, cfg.v_dd) if i_max > 0 else 0.0
+    cfg = dataclasses.replace(cfg, c_int=c_int)
+    if not (c_int > 0 and math.isclose(cfg.normalization() * arch.c_cores * arch.t_int, cfg.v_dd, rel_tol=1e-12)):
+        raise ValueError(f"laser power {laser.power_w} W through {il} dB of insertion loss gives a full-scale "
+                         f"current of {i_max} A, outside the float range the integrator can be sized for")
+    return cfg
 
 
 #: Operand elements the front end carries through each pass at once (256 KiB).
@@ -374,59 +365,6 @@ def _store_cycle_major(dst: np.ndarray, rows: np.ndarray, n0: int) -> None:
         dst[c + full, : len(rows) - full * p] = rows[full * p :]
 
 
-def _row_bounds(xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
-    """U[p, m] = sum_c |xe[m, p, c]| * max_q |ye[p, c, q]|.
-
-    No photocurrent of row m in cycle p exceeds U[p, m].
-    """
-    y_max = np.maximum(ye.max(axis=2, initial=0.0), -ye.min(axis=2, initial=0.0))
-    return (np.abs(xe).transpose(1, 0, 2) @ y_max[:, :, None])[:, :, 0]
-
-
-def _epoch_peak(xe: np.ndarray, ye: np.ndarray, buf: np.ndarray, best: float) -> float:
-    """max(best, max |sum over cores| of every cycle in an epoch), a buffer-full at a time.
-
-    Once best is nonzero only rows whose bound U (inflated by 1e-12 for
-    rounding) can beat it are formed: the other rows cannot raise it.
-    """
-    t_cycles, m, q = ye.shape[0], xe.shape[0], ye.shape[-1]
-    xt = xe.transpose(1, 0, 2)
-    bound = None
-    if best == 0.0 and t_cycles > buf.shape[0]:
-        # No peak known and more than one buffer-full to form: seed best with
-        # the current of each cycle's largest-bound row.  This matmul may
-        # round that current differently from the buffered ones below, so
-        # best is shrunk by 1e-12: the row is formed again there, and the
-        # result is still a current those matmuls formed.
-        bound = _row_bounds(xe, ye) * (1.0 + 1e-12)
-        seeds = np.matmul(xt[np.arange(t_cycles), bound.argmax(axis=1)][:, None], ye)
-        best = max(best, float(seeds.max()), -float(seeds.min())) * (1.0 - 1e-12)
-    keep_best = 0.0  # keep is re-taken only when best rises
-    s = 0
-    while s < t_cycles:
-        t, order = min(buf.shape[0], t_cycles - s), None
-        if best:
-            if bound is None:
-                bound = _row_bounds(xe, ye) * (1.0 + 1e-12)
-            if best != keep_best:
-                keep_best, keep = best, bound > best
-                counts = keep.sum(axis=1)
-            rows = np.maximum.accumulate(counts[s:])
-            # The longest run of cycles whose kept rows fit in the buffer.
-            fits = np.arange(1, rows.size + 1) * rows * q <= buf.size
-            t = max(1, int(np.count_nonzero(fits)))
-            if rows[t - 1] < m:
-                # Kept rows first; a cycle with fewer also forms some pruned
-                # rows, whose currents cannot exceed best.
-                order = np.argsort(~keep[s : s + t], axis=1, kind="stable")[:, : rows[t - 1]]
-        xc = xt[s : s + t] if order is None else xt[s + np.arange(t)[:, None], order]
-        r = xc.shape[1]
-        out = np.matmul(xc, ye[s : s + t], out=buf.reshape(-1)[: t * r * q].reshape(t, r, q))
-        best = max(best, float(out.max(initial=0.0)), -float(out.min(initial=0.0)))
-        s += t
-    return best
-
-
 def _check_widths(arch: ArchConfig, mode: str) -> None:
     """Reject a mode, or a bit width the mode uses, the engine cannot run, before any work.
 
@@ -445,57 +383,31 @@ def _check_widths(arch: ArchConfig, mode: str) -> None:
 
 def _product(
     x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
-    noise: NoiseModel | None, p_cycles: int, arch: ArchConfig, cfg: EngineConfig,
-    adc: bool = False, exact_peak: bool = False,
-) -> tuple[np.ndarray, float]:
-    """x @ y on the engine: (summed readouts in volts, peak current in A).
+    noise: NoiseModel | None, p_cycles: int, arch: ArchConfig, cfg: EngineConfig, adc: bool = False,
+) -> np.ndarray:
+    """x @ y on the engine, as the summed readouts in volts.
 
     The operands go through the front end (see _engine_operands) and then
     through the readout epochs: each is one matmul over its cycles' columns,
     scaled by the gain, digitized in place when adc is set, and added to the
     accumulator.  On the lattice the operands are integer codes, so every
     partial sum is exact in float64 and the step sizes alpha_x * alpha_y go
-    into the gain once.  With exact_peak the peak current is formed (see
-    _epoch_peak) and checked against the rail.  Without it the peak is
-    formed only if the full-scale bound, the largest per-cycle |sum over
-    cores| the operands can give even in rounding, does not clear the rail;
-    if it does, the peak is reported as 0.
+    into the gain once.
     """
     xs, ys = _engine_operands(x, y, px, py, noise, arch.c_cores, p_cycles)
-    if px is not None and noise is None:
-        # Integer codes of at most 2^(b-1) in magnitude.
-        step, full_scale = px.alpha * py.alpha, arch.c_cores * px.q_min * py.q_min
-    else:
-        # Operands in [-1, 1]: no per-cycle sum over C cores passes C.
-        step, full_scale = 1.0, arch.c_cores
+    step = px.alpha * py.alpha if px is not None and noise is None else 1.0  # 1.0: operands in [-1, 1]
     m, q = xs.shape[0], ys.shape[-1]
-    scale = cfg.current_scale() * step  # amperes per engine unit of product
-    gain = scale * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
-    window = min(arch.t_int, p_cycles)
-    rail = cfg.v_dd * (1.0 + 1e-12)
-    buf = None
-    if exact_peak or gain * full_scale * window > rail:
-        chunk = min(arch.t_int, p_cycles, _CURRENT_BUFFER_ELEMS // max(1, m * q))
-        buf = np.empty((max(chunk, 1), m, q))
+    gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
     z_accum = np.zeros((m, q))
-    peak = 0.0
     for p0 in range(0, p_cycles, arch.t_int):
         xe, ye = xs[:, p0 : p0 + arch.t_int], ys[p0 : p0 + arch.t_int]
-        if buf is not None:
-            peak = _epoch_peak(xe, ye, buf, peak)
         cols = ye.shape[0] * arch.c_cores
         v = xe.reshape(m, cols) @ ye.reshape(cols, q)
         v *= gain
         if adc:
             adc_readout(v, cfg.v_dd, arch.bits_out)
         z_accum += v
-
-    if gain * peak * window > rail:
-        raise RuntimeError(
-            "integrator under-provisioned: T cycles of the peak current pass the "
-            "rail, so C_int is too small for the aggregated current of C cores"
-        )
-    return z_accum, scale * peak
+    return z_accum
 
 
 def simulate_gemm(
@@ -524,9 +436,7 @@ def simulate_gemm(
         alpha_x, alpha_y = px.alpha, py.alpha
         nm = NoiseModel() if nm is None else nm
         noise = nm if mode != "quantized" and nm.sigma != 0.0 else None
-    z_accum, peak_current = _product(
-        work.x, work.y, px, py, noise, sched.p_cycles, arch, cfg, mode == "quantized+noise+adc", exact_peak=True
-    )
+    z_accum = _product(work.x, work.y, px, py, noise, sched.p_cycles, arch, cfg, mode == "quantized+noise+adc")
 
     norm = cfg.normalization()
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
@@ -536,7 +446,6 @@ def simulate_gemm(
         reset_cycles=reset_cycles,
         readouts=readouts,
         saturation_events=0,
-        max_abs_current_a=peak_current,
         normalization_v=norm,
         alpha_x=alpha_x,
         alpha_y=alpha_y,
@@ -574,7 +483,7 @@ class _ChainLayer:
     def product(self, x: np.ndarray, nm: NoiseModel, arch: ArchConfig, cfg: EngineConfig) -> np.ndarray:
         """Summed readouts in volts of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
         px = minmax_params(x, arch.bits_in)
-        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None, self.p_cycles, arch, cfg)[0]
+        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None, self.p_cycles, arch, cfg)
 
 
 def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
@@ -594,9 +503,7 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
     trial runs through every layer before the next one starts, so one
     trial's activations are live at a time.  A trial without noise in any
     layer does not depend on its seeds: the first one runs, and later ones
-    yield its output again (the same array).  No SimStats is built, and the
-    exact peak current is formed only for a product whose full-scale bound
-    does not clear the rail.
+    yield its output again (the same array).  No SimStats is built.
     """
     _check_widths(arch, "quantized+noise")
     cfg = engine_config_for(arch, cat)

@@ -91,7 +91,6 @@ def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):
         reset_cycles=reset_cycles,
         readouts=readouts,
         saturation_events=0,
-        max_abs_current_a=float(np.abs(currents).max(initial=0.0)),
         normalization_v=norm,
         alpha_x=alpha_x,
         alpha_y=alpha_y,

@@ -12,6 +12,7 @@ from ptcsim import (
     CatalogVariant,
     DeviceKind,
     DeviceSpec,
+    MmiDesign,
     beating_length,
     beta_for_width,
     builtin_catalog_path,
@@ -145,6 +146,8 @@ class TestDeviceSpec:
             length_um=30, width_um=6,
         )
         assert spec.footprint_um2 == 180.0
+        with pytest.raises(CatalogError, match="'l': no area information"):
+            DeviceSpec(kind="laser", name="l", power_w=0.1).footprint_um2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(CatalogError, match="unknown device kind"):
@@ -168,6 +171,8 @@ class TestDeviceSpec:
             ("slmzm", "extinction_ratio_db", math.inf, None),
             ("slmzm", "extinction_ratio_db", 0, "must be > 0, got 0"),
             ("slmzm", "extinction_ratio_db", -3, "must be > 0, got -3"),
+            ("slmzm", "extinction_ratio_db", 1e-300, r"must be > 0 with 1 - 10\^\(-ER/10\) > 0, got 1e-300"),
+            ("slmzm", "extinction_ratio_db", 1e-15, None),
             ("splitter_1xn", "fanout_n", 1, "must be >= 2, got 1"),
             ("splitter_1xn", "length_um", 0, "must be > 0, got 0"),
             ("photodetector", "dark_current_a", -1e-3, "must be >= 0, got -0.001"),
@@ -249,6 +254,24 @@ class TestMmiGeometry:
         base = load_builtin_catalog("custom-sl").mmi_base()
         with pytest.raises(ValueError):
             scale_1x2k_mmi(base, 1)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: MmiDesign(1, 30.0, 6.0, 0.1), "MMI fanout must be >= 2, got 1"),
+            (lambda: MmiDesign(4, 0.0, 6.0, 0.1), "MMI dimensions must be > 0"),
+            (lambda: MmiDesign(4, 30.0, -6.0, 0.1), "MMI dimensions must be > 0"),
+            (lambda: beating_length(0.0, 13.7, 1.55), "beating_length arguments must be > 0"),
+            (lambda: beating_length(2.8, 13.7, -1.55), "beating_length arguments must be > 0"),
+            (lambda: mmi_length_center_fed(100.0, 1), "fanout_k must be >= 2, got 1"),
+            (lambda: mmi_length_center_fed(100.0, 8, 0), "order_i must be >= 1, got 0"),
+            (lambda: mmi_length_paired(100.0, 1), "k must be >= 2, got 1"),
+            (lambda: mmi_length_paired(100.0, 8, 0), "order_i must be >= 1, got 0"),
+        ],
+    )
+    def test_degenerate_design_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 class TestSplitterTable:

@@ -430,8 +430,14 @@ class TestCatalogValidate:
             ('{"variant": "foundry", "devices": [{"kind": "dac", "name": "d", "power_w": 0.1, '
              '"rated_frequency_hz": 1e9, "rated_bits": 6.5, "area_um2": 1.0}]}',
              "rated_bits must be an integer, got 6.5"),
+            ('{"variant": "foundry", "devices": [', "not valid JSON"),
+            ('{"devices": []}', "requires 'variant' and 'devices'"),
+            ('{"variant": "foundry", "devices": [5]}', "device entry must be an object, got int"),
+            ('{"variant": "foundry", "devices": [{"kind": "laser", "power_w": 0.1}]}',
+             "device entry requires 'kind' and 'name'"),
         ],
-        ids=["top-level-list", "devices-5", "power-abc", "power-nan", "rated-bits-6.5"],
+        ids=["top-level-list", "devices-5", "power-abc", "power-nan", "rated-bits-6.5", "truncated",
+             "no-variant", "entry-5", "entry-no-name"],
     )
     @pytest.mark.parametrize("command", ["catalog-validate", "cost"])
     def test_mistyped_catalog_exits_2(self, tmp_path, capsys, command, doc, message):
@@ -451,17 +457,26 @@ class TestCatalogValidate:
 BAD_CATALOGS = {
     "er_0": ("slmzm", "extinction_ratio_db", 0),
     "er_neg": ("slmzm", "extinction_ratio_db", -3),
+    "er_tiny": ("slmzm", "extinction_ratio_db", 1e-300),
     "dark_current_neg": ("photodetector", "dark_current_a", -1e-3),
     "energy_per_bit_neg": ("slmzm", "energy_per_bit_j", -1e-12),
     "fanout_1": ("splitter_1xn", "fanout_n", 1),
     "splitter_length_0": ("splitter_1xn", "length_um", 0),
     "no_adc": ("adc", None, None),
 }
+#: Catalogs that pass every device rule, but whose laser current cannot
+#: size the integrator (the simulator's resolve step), or whose required
+#: laser power overflows a float (the cost model's run step).
+RUN_CATALOGS = {
+    "loss_1e6": ("fiber_coupling", "insertion_loss_db", 1e6),
+    "laser_1e-305": ("laser", "power_w", 1e-305),
+    "sensitivity_1e4": ("photodetector", "sensitivity_dbm", 1e4),
+}
 
 
 def write_probe_files(d):
     """Operand, experiment and catalog files the bad-input probes name, written under d."""
-    for stem, (kind, field, value) in BAD_CATALOGS.items():
+    for stem, (kind, field, value) in {**BAD_CATALOGS, **RUN_CATALOGS}.items():
         doc = json.loads(builtin_catalog_path("custom-sl").read_text())
         entry = next(e for e in doc["devices"] if e["kind"] == kind)
         if field is None:
@@ -504,6 +519,10 @@ PROBES = {
     "csv-operand-missing": ["simulate", "--workload", "{d}/x.csv,{d}/none.csv"],
     "sweep-values-8..4": ["sweep", "--axis", "K", "--values", "8..4"],
     "sweep-values-a,b": ["sweep", "--axis", "K", "--values", "a,b"],
+    "engine-loss-simulate": ["simulate", "--workload", "rand:4x4x4", "--catalog", "{d}/loss_1e6.json"],
+    "engine-loss-robustness": ["robustness", "--catalog", "{d}/loss_1e6.json"],
+    "engine-laser-simulate": ["simulate", "--workload", "rand:4x4x4", "--catalog", "{d}/laser_1e-305.json"],
+    "engine-laser-robustness": ["robustness", "--catalog", "{d}/laser_1e-305.json"],
 }
 #: Each bad catalog through every command that reads a catalog file.
 CATALOG_COMMANDS = {
@@ -551,6 +570,34 @@ class TestInputBoundary:
             assert err == f"error: catalog 'custom_sl' has no device of kind {kind!r}\n"
         else:
             assert f"device {name!r}: {field} must be " in err
+
+    @pytest.mark.parametrize("probe", [p for p in PROBES if p.startswith("engine-")])
+    def test_engine_error_names_laser_power_and_loss(self, tmp_path, capsys, probe):
+        write_probe_files(tmp_path)
+        args = [a.format(d=tmp_path) for a in PROBES[probe]]
+        code, _, _ = run(["catalog-validate", args[-1]], capsys)
+        assert code == 0  # the device rules hold; the loss chain is what fails
+        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        laser, loss = ("1e-305", "47.33") if "laser" in probe else ("0.1", "1000045.33")
+        assert err.startswith(f"error: laser power {laser} W through {loss}")
+        assert "dB of insertion loss" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cost", "-k", "100000", "--topology", "double_layer"],
+            ["cost", "--catalog", "{d}/sensitivity_1e4.json"],
+            ["cost", "--catalog", "{d}/loss_1e6.json"],
+        ],
+        ids=["k-100000", "sensitivity-1e4", "loss-1e6"],
+    )
+    def test_laser_power_overflow_exits_1(self, tmp_path, capsys, args):
+        write_probe_files(tmp_path)
+        code, _, err = run([*(a.format(d=tmp_path) for a in args), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert err.startswith("error: the laser power for ") and len(err.strip().splitlines()) == 1
+        assert err.rstrip().endswith("photodetector sensitivity overflows a float")
 
     @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=["ValueError", "KeyError"])
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Analytical cost model: loss chain, laser power, area/power, metrics, sweeps."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,8 @@ class TestInsertionLoss:
         assert totals == sorted(totals)
 
     def test_unknown_topology_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            insertion_loss(0, CUSTOM)
         with pytest.raises(ValueError, match="topology"):
             insertion_loss(8, CUSTOM, "mesh")
 
@@ -85,6 +88,19 @@ class TestLaserPower:
         with pytest.raises(ValueError):
             min_laser_power(20.0, CUSTOM.device(DeviceKind.PHOTODETECTOR), 10.0, 0)
 
+    @pytest.mark.parametrize(
+        "il_db, sensitivity_dbm",
+        [(1e6, -27.0), (3080.0, 30.0), (0.0, 1e4), (0.0, 3079.0)],
+        ids=["loss-power", "loss-product", "sensitivity-power", "sensitivity-product"],
+    )
+    def test_overflow_names_loss_and_sensitivity(self, il_db, sensitivity_dbm):
+        # 10^(x/10) raises OverflowError past about 3083 dB; a product past
+        # the float range gives inf instead.  Both are one ValueError.
+        pd = replace(CUSTOM.device(DeviceKind.PHOTODETECTOR), sensitivity_dbm=sensitivity_dbm)
+        message = f"the laser power for {il_db} dB of insertion loss and {sensitivity_dbm} dBm photodetector"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} sensitivity overflows a float$"):
+            min_laser_power(il_db, pd, 10.0, 6)
+
 
 class TestDacPowerScale:
     def test_rated_point_is_identity(self):
@@ -100,6 +116,8 @@ class TestDacPowerScale:
             dac_power_scale(0.05, 8, 14e9, 0, 5e9)
         with pytest.raises(ValueError):
             dac_power_scale(-0.05, 8, 14e9, 6, 5e9)
+        with pytest.raises(ValueError, match="bit width out of range: 17"):
+            dac_power_scale(0.05, 8, 14e9, 17, 5e9)
 
 
 class TestBreakdowns:
