@@ -2,10 +2,11 @@
 
 Each command runs in two steps.  The resolve step turns every input into the
 object that checks it (ArchConfig, the device catalog, GemmWorkload,
-NoiseModel, MlpConfig, every sweep point, the simulator's EngineConfig)
-before any work; the run step does the work and writes the reports.  Exit
-codes: 0 success, 1 an error while running, 2 bad input: any error of the
-resolve step, reported on one `error:` line before anything is written.
+NoiseModel, MlpConfig, every sweep point, the simulator's EngineConfig, the
+cost model's laser power) before any work; the run step does the work and
+writes the reports.  Exit codes: 0 success, 1 an error while running, 2 bad
+input: any error of the resolve step, reported on one `error:` line before
+anything is written.
 Every report embeds the resolved configuration and a schema version; file
 outputs land in the directory named by --out (timestamp-free, so CI runs
 diff cleanly).
@@ -29,6 +30,8 @@ from .costs import (
     CONVENTIONS,
     TOPOLOGIES,
     cost_report,
+    insertion_loss,
+    laser_power_required,
     pareto_csv,
     report_to_text,
     sweep,
@@ -50,14 +53,14 @@ _WORKLOAD_RE = re.compile(
 
 def _add_arch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", help="JSON file with architecture fields (overrides flags)")
-    p.add_argument("--tiles", type=int, default=6, help="tile count R")
-    p.add_argument("--cores", type=int, default=6, help="cores per tile C")
-    p.add_argument("-k", "--size", type=int, default=32, help="core size K")
-    p.add_argument("--clock-ghz", type=float, default=5.0, help="clock rate (GHz)")
-    p.add_argument("--t-int", type=int, default=60, help="integration window T")
-    p.add_argument("--t-rst", type=int, default=2, help="reset cycles")
-    p.add_argument("--bits-in", type=int, default=6, help="input bit width")
-    p.add_argument("--bits-out", type=int, default=6, help="output bit width")
+    p.add_argument("--tiles", type=int, default=ArchConfig.r_tiles, help="tile count R")
+    p.add_argument("--cores", type=int, default=ArchConfig.c_cores, help="cores per tile C")
+    p.add_argument("-k", "--size", type=int, default=ArchConfig.k, help="core size K")
+    p.add_argument("--clock-ghz", type=float, default=ArchConfig.clock_hz / 1e9, help="clock rate (GHz)")
+    p.add_argument("--t-int", type=int, default=ArchConfig.t_int, help="integration window T")
+    p.add_argument("--t-rst", type=int, default=ArchConfig.t_rst, help="reset cycles")
+    p.add_argument("--bits-in", type=int, default=ArchConfig.bits_in, help="input bit width")
+    p.add_argument("--bits-out", type=int, default=ArchConfig.bits_out, help="output bit width")
     p.add_argument(
         "--variant",
         choices=_VARIANTS,
@@ -159,6 +162,12 @@ def _parse_sweep_values(axis: str, text: str) -> list:
         raise ValueError(f"bad values {text!r}: {e}") from e
 
 
+def _check_laser_power(points, topology: str) -> None:
+    """Price the laser of each (arch, catalog) point, which raises if it overflows a float."""
+    for arch, cat in points:
+        laser_power_required(arch, cat, insertion_loss(arch.k, cat, topology).total_db)
+
+
 def _noise_levels(sigmas, source: str) -> list:
     """sigmas, a list of noise intensities, once each has built the NoiseModel that checks it."""
     try:
@@ -225,6 +234,7 @@ def _cmd_simulate(args):
 def _cmd_cost(args):
     arch = _arch_from_args(args)
     cat = _catalog_from_args(args)
+    _check_laser_power([(arch, cat)], args.topology)
 
     def run() -> int:
         report = cost_report(
@@ -250,7 +260,8 @@ def _cmd_sweep(args):
     else:
         cat = _catalog_from_args(args)
         catalogs = {cat.name: cat}
-    sweep_points(arch, catalogs, args.axis, values)  # builds, and so checks, every point
+    # sweep_points builds, and so checks, every point; then each laser is priced.
+    _check_laser_power(sweep_points(arch, catalogs, args.axis, values), args.topology)
 
     def run() -> int:
         reports = sweep(
@@ -308,7 +319,7 @@ def _cmd_robustness(args):
     cfg = MlpConfig(
         bits=cfg_file.get("bits", args.bits_in),
         train_sigma=cfg_file.get("sigma_train", args.train_sigma),
-        epochs=cfg_file.get("epochs", 40),
+        epochs=cfg_file.get("epochs", MlpConfig.epochs),
         seed=cfg_file.get("seed", args.seed),
     )
     _check_widths(arch, "quantized+noise")  # the core's mode
@@ -388,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="rand:MxNxQ[:seedS][:uniform|normal], an .npz file, or 'x.csv,y.csv'",
     )
     p.add_argument("--mode", choices=MODES, default="ideal")
-    p.add_argument("--sigma", type=float, default=0.0031, help="noise intensity")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=float, default=NoiseModel.sigma, help="noise intensity")
+    p.add_argument("--seed", type=int, default=NoiseModel.seed)
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
@@ -422,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sigmas", default="0,0.0031,0.02,0.04,0.08", help="comma-separated noise levels"
     )
-    p.add_argument("--train-sigma", type=float, default=0.0031)
+    p.add_argument("--train-sigma", type=float, default=MlpConfig.train_sigma)
     p.add_argument("--trials", type=int, default=5, help="evaluation seeds per sigma")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MlpConfig.seed)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_robustness)
 

@@ -1,21 +1,15 @@
 """Analytical system cost model: loss chain, laser power, area, power, metrics.
 
-Counting conventions
---------------------
-Per K x K core, the input side needs 2K DAC+modulator chains and one 1x2K
-fanout MMI; the crossbar holds K^2 dot-product nodes; the readout side holds
-K^2 integrator/TIA/ADC chains.  At the architecture level (R tiles x C cores):
-
-* X-side and Y-side input chains are each counted per core (R*C*K).  When
-  ``share_y_modulators`` is set, the Y-side arrays are counted once per
-  column (C*K) and broadcast.  The headline calibration keeps this flag off:
-  the published system totals only close with both sides fully counted.
-* Readout chains are counted once per tile (R*K^2) when ``share_readout`` is
-  set, since the C cores of a tile sum their photocurrents into one
-  integrator array.  TIA and ADC dynamic power additionally scales by
-  f / (T * f_rated): temporal integration divides the conversion rate by T.
-* Disabling both flags reproduces R*C times the single-core closed forms
-  exactly.
+Counting convention
+-------------------
+The cost model prices the machine the simulator runs.  Per K x K core, the
+input side needs 2K DAC+modulator chains, K for X and K for Y, and one 1x2K
+fanout MMI; the crossbar holds K^2 dot-product nodes.  The C cores of a tile
+sum their photocurrents into one integrator array, so at the architecture
+level (R tiles x C cores) there are 2*R*C*K DAC+modulator chains, R*C*K^2
+nodes and R*K^2 integrator/TIA/ADC readout chains.  TIA and ADC dynamic
+power additionally scales by f / (T * f_rated): temporal integration divides
+the conversion rate by T.
 
 Laser power is off-chip and reported separately from on-chip power; memory
 enters as fixed global + per-tile SRAM adders (GLOBAL_SRAM_MB, LOCAL_SRAM_MB).
@@ -29,18 +23,21 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind, DeviceSpec, scale_1x2k_mmi, variant_name
 from .engine import _er_power_factor
-from .scheduler import ArchConfig
+
+if TYPE_CHECKING:
+    from .scheduler import ArchConfig
 
 __all__ = [
     "LossBudget",
     "CostReport",
     "insertion_loss",
     "min_laser_power",
+    "laser_power_required",
     "dac_power_scale",
     "area_estimate",
     "power_estimate",
@@ -147,6 +144,14 @@ def min_laser_power(
     return p_mw / 1e3
 
 
+def laser_power_required(arch: ArchConfig, cat: CatalogVariant, il_db: float) -> float:
+    """Laser power (W) of the R*C cores: per core, min_laser_power at il_db dB,
+    bits_out bits and the catalog's photodetector and modulator ER."""
+    pd = cat.device(DeviceKind.PHOTODETECTOR)
+    er = cat.modulator().extinction_ratio_db
+    return arch.r_tiles * arch.c_cores * min_laser_power(il_db, pd, er, arch.bits_out)
+
+
 def dac_power_scale(p0: float, b0: int, fs0: float, b: int, f: float) -> float:
     """Rescale a rated DAC power to another bit width and update rate.
 
@@ -174,18 +179,6 @@ def _node_area_um2(cat: CatalogVariant) -> float:
     return length * width
 
 
-def _input_chain_counts(arch: ArchConfig) -> tuple[int, int]:
-    """(x_side, y_side) DAC+modulator chain counts."""
-    x_side = arch.r_tiles * arch.c_cores * arch.k
-    return x_side, arch.c_cores * arch.k if arch.share_y_modulators else x_side
-
-
-def _readout_chain_count(arch: ArchConfig) -> int:
-    if arch.share_readout:
-        return arch.r_tiles * arch.k**2
-    return arch.r_tiles * arch.c_cores * arch.k**2
-
-
 def area_estimate(
     arch: ArchConfig,
     cat: CatalogVariant,
@@ -194,21 +187,21 @@ def area_estimate(
     """Per-component area breakdown in mm^2.
 
     Single-core closed form: A = 2K*A_DAC + 2K*A_mod + A_1x2K_MMI
-    + K^2 (A_node + A_int + A_TIA + A_ADC), scaled to R*C cores with the
-    sharing deductions described in the module docstring.
+    + K^2 (A_node + A_int + A_TIA + A_ADC), scaled to R*C cores, except
+    that the readout chains are counted per tile (module docstring).
     """
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
     dac = cat.device(DeviceKind.DAC)
     mod = cat.modulator()
     mmi = scale_1x2k_mmi(cat.mmi_base(), max(2 * k, 2))
-    x_in, y_in = _input_chain_counts(arch)
-    readout = _readout_chain_count(arch)
+    inputs = 2 * n_cores * k
+    readout = arch.r_tiles * k**2
     nodes = n_cores * k**2
 
     breakdown = {
-        "dac": (x_in + y_in) * dac.footprint_um2 / UM2_PER_MM2,
-        "modulator": (x_in + y_in) * mod.footprint_um2 / UM2_PER_MM2,
+        "dac": inputs * dac.footprint_um2 / UM2_PER_MM2,
+        "modulator": inputs * mod.footprint_um2 / UM2_PER_MM2,
         "fanout_mmi": n_cores * mmi.area_um2 / UM2_PER_MM2,
         "crossbar_node": nodes * _node_area_um2(cat) / UM2_PER_MM2,
         "integrator": readout * cat.device(DeviceKind.INTEGRATOR).footprint_um2 / UM2_PER_MM2,
@@ -232,7 +225,8 @@ def power_estimate(
 
     Single-core closed form: P = 2K (P_DAC + P_mod) + K^2 (2 P_PD + P_PS
     + P_int + P_TIA + P_ADC), with DAC power rescaled to the configured bit
-    width and clock, and TIA/ADC scaled by f / (T * f_rated).
+    width and clock, and TIA/ADC scaled by f / (T * f_rated); scaled to R*C
+    cores, except that the readout chains are counted per tile.
     """
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
@@ -252,13 +246,13 @@ def power_estimate(
     p_tia = tia.power_w * f / (arch.t_int * tia.rated_frequency_hz)
     p_adc = adc.power_w * f / (arch.t_int * adc.rated_frequency_hz)
 
-    x_in, y_in = _input_chain_counts(arch)
-    readout = _readout_chain_count(arch)
+    inputs = 2 * n_cores * k
+    readout = arch.r_tiles * k**2
     nodes = n_cores * k**2
 
     breakdown = {
-        "dac": (x_in + y_in) * p_dac,
-        "modulator": (x_in + y_in) * p_mod,
+        "dac": inputs * p_dac,
+        "modulator": inputs * p_mod,
         "photodetector": nodes * 2 * pd.power_w,
         "phase_shifter": nodes * ps.power_w,
         "integrator": readout * integ.power_w,
@@ -364,9 +358,7 @@ def cost_report(
     area = area_estimate(arch, cat, include_memory)
     power = power_estimate(arch, cat, include_memory)
     loss = insertion_loss(arch.k, cat, topology)
-    pd = cat.device(DeviceKind.PHOTODETECTOR)
-    er = cat.modulator().extinction_ratio_db
-    laser_req = arch.r_tiles * arch.c_cores * min_laser_power(loss.total_db, pd, er, arch.bits_out)
+    laser_req = laser_power_required(arch, cat, loss.total_db)
     total_area = sum(area.values())
     total_power = sum(power.values())
     tops, tpw, tpmm2 = metrics(arch, total_area, total_power, convention)
@@ -424,7 +416,6 @@ def sweep(
 
 def report_to_text(report: CostReport) -> str:
     """Human-readable aligned table for one cost report."""
-    d = report.to_dict()
     lines = [
         f"variant: {report.variant}   "
         f"R={report.arch.r_tiles} C={report.arch.c_cores} K={report.arch.k} "

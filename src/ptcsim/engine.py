@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = [
     "FieldPair",
@@ -94,22 +95,18 @@ def engine_transfer(fields: FieldPair) -> FieldPair:
     return FieldPair(out1, out2)
 
 
-def balanced_detect(
-    fields: FieldPair,
-    responsivity: float,
-    loss_db: float = 0.0,
-) -> EngineOutput:
+def balanced_detect(fields: FieldPair, responsivity: float) -> EngineOutput:
     """Differential photocurrent of the balanced pair.
 
-    Dark current sets the detection noise floor used in laser-power sizing;
-    its mean cancels in the balanced subtraction, so it does not appear as a
+    The per-arm power (EngineConfig.p_arm_w) already carries the loss.  Dark
+    current sets the detection noise floor used in laser-power sizing; its
+    mean cancels in the balanced subtraction, so it does not appear as a
     deterministic offset here.
     """
     if responsivity <= 0:
         raise ValueError(f"responsivity must be > 0, got {responsivity}")
-    loss = 10.0 ** (-loss_db / 10.0)
-    p1 = abs(fields.e1) ** 2 * loss
-    p2 = abs(fields.e2) ** 2 * loss
+    p1 = abs(fields.e1) ** 2
+    p2 = abs(fields.e2) ** 2
     return EngineOutput(i_out=responsivity * (p1 - p2), p_out1=p1, p_out2=p2)
 
 
@@ -117,7 +114,7 @@ def size_capacitor(i_pd_max: float, t_steps: int, clock_hz: float, v_dd: float) 
     """Integration capacitance that places a full-rate ramp exactly at the rail.
 
     C_int = I_max * T / (f * V_DD).  I_max is the post-aggregation maximum
-    current into the integrator (C engines summed when cores share readout).
+    current into the integrator: the C cores of a tile sum into one.
     """
     if i_pd_max <= 0 or t_steps <= 0 or clock_hz <= 0 or v_dd <= 0:
         raise ValueError("size_capacitor arguments must all be > 0")
@@ -129,13 +126,15 @@ class EngineConfig:
     """Physical constants of one dot-product engine.
 
     p_arm_w is the optical power arriving at each modulator arm (laser power
-    after the distribution loss chain).
+    after the distribution loss chain).  v_dd, the integrator rail in volts,
+    is a constant of the modeled circuit, not a field.
     """
+
+    v_dd: ClassVar[float] = 0.24
 
     p_arm_w: float = 1.0
     responsivity_a_per_w: float = 1.0
     extinction_ratio_db: float | None = None
-    v_dd: float = 0.24
     c_int: float = 5.5e-12
     dt: float = 0.2e-9
 

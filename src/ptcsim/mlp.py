@@ -136,16 +136,15 @@ def make_blobs(
     n_classes: int,
     seed: int = 0,
     spread: float = 0.35,
-    centers_seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic Gaussian-blob classification set with inputs in [-1, 1].
 
-    centers_seed fixes the class geometry; seed varies only the sampled
-    points, so train and test splits drawn with different seeds share the
-    same task.
+    The class centres are always drawn from seed 0, so the geometry is fixed;
+    seed varies only the sampled points, so train and test splits drawn with
+    different seeds share the same task.
     """
     rng = np.random.default_rng(seed)
-    centers = np.random.default_rng(centers_seed).uniform(
+    centers = np.random.default_rng(0).uniform(
         -0.7, 0.7, size=(n_classes, n_features)
     )
     labels = rng.integers(0, n_classes, size=n_samples)

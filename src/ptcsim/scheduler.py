@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind
+from .costs import insertion_loss
 from .engine import EngineConfig, size_capacitor
 from .quantize import (
     ADC_BITS,
@@ -92,8 +93,6 @@ class ArchConfig:
     t_rst: int = 2
     bits_in: int = 6
     bits_out: int = 6
-    share_y_modulators: bool = False
-    share_readout: bool = True
 
     def __post_init__(self):
         # type(v) is int rejects bool too.  One chained test keeps the common
@@ -105,10 +104,6 @@ class ArchConfig:
             for name in ("r_tiles", "c_cores", "k", "t_int", "t_rst", "bits_in", "bits_out"):
                 if type(getattr(self, name)) is not int:
                     raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not type(self.share_y_modulators) is type(self.share_readout) is bool:
-            for name in ("share_y_modulators", "share_readout"):
-                if type(getattr(self, name)) is not bool:
-                    raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if min(self.r_tiles, self.c_cores, self.k, self.t_int) < 1 or self.t_rst < 0:
             for name, low in (("r_tiles", 1), ("c_cores", 1), ("k", 1), ("t_int", 1), ("t_rst", 0)):
                 if getattr(self, name) < low:
@@ -266,8 +261,6 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
     Raises ValueError if the ramp misses V_DD by more than 1e-12 relative,
     which only a current outside the normal float range does.
     """
-    from .costs import insertion_loss  # local import to avoid a cycle
-
     il = insertion_loss(arch.k, cat).total_db
     pd = cat.device(DeviceKind.PHOTODETECTOR)
     laser = cat.device(DeviceKind.LASER)

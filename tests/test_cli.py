@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes, determinism."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptcsim import MODES, builtin_catalog_path, cli, load_builtin_catalog
+from ptcsim import MODES, ArchConfig, MlpConfig, NoiseModel, builtin_catalog_path, cli, load_builtin_catalog
 from ptcsim.catalog import _FIELD_RULES, _KIND_RULES
 from ptcsim.cli import main
 
@@ -200,8 +201,8 @@ class TestCost:
         [
             ("clock_hz", True, "clock_hz must be a number"),
             ("clock_hz", "5e9", "clock_hz must be a number"),
-            ("share_readout", "no", "share_readout must be true or false"),
-            ("share_y_modulators", 1, "share_y_modulators must be true or false"),
+            ("share_readout", True, "unexpected keyword argument 'share_readout'"),
+            ("share_y_modulators", False, "unexpected keyword argument 'share_y_modulators'"),
             ("pipelined_readout", True, "unexpected keyword argument 'pipelined_readout'"),
         ],
     )
@@ -465,8 +466,8 @@ BAD_CATALOGS = {
     "no_adc": ("adc", None, None),
 }
 #: Catalogs that pass every device rule, but whose laser current cannot
-#: size the integrator (the simulator's resolve step), or whose required
-#: laser power overflows a float (the cost model's run step).
+#: size the integrator, or whose required laser power overflows a float:
+#: the simulator's and the cost model's resolve steps.
 RUN_CATALOGS = {
     "loss_1e6": ("fiber_coupling", "insertion_loss_db", 1e6),
     "laser_1e-305": ("laser", "power_w", 1e-305),
@@ -523,6 +524,10 @@ PROBES = {
     "engine-loss-robustness": ["robustness", "--catalog", "{d}/loss_1e6.json"],
     "engine-laser-simulate": ["simulate", "--workload", "rand:4x4x4", "--catalog", "{d}/laser_1e-305.json"],
     "engine-laser-robustness": ["robustness", "--catalog", "{d}/laser_1e-305.json"],
+    "laser-k-100000-cost": ["cost", "-k", "100000", "--topology", "double_layer"],
+    "laser-k-100000-sweep": ["sweep", "--axis", "K", "--values", "4,100000", "--topology", "double_layer"],
+    "laser-sensitivity-cost": ["cost", "--catalog", "{d}/sensitivity_1e4.json"],
+    "laser-loss-cost": ["cost", "--catalog", "{d}/loss_1e6.json"],
 }
 #: Each bad catalog through every command that reads a catalog file.
 CATALOG_COMMANDS = {
@@ -583,20 +588,13 @@ class TestInputBoundary:
         assert err.startswith(f"error: laser power {laser} W through {loss}")
         assert "dB of insertion loss" in err
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["cost", "-k", "100000", "--topology", "double_layer"],
-            ["cost", "--catalog", "{d}/sensitivity_1e4.json"],
-            ["cost", "--catalog", "{d}/loss_1e6.json"],
-        ],
-        ids=["k-100000", "sensitivity-1e4", "loss-1e6"],
-    )
-    def test_laser_power_overflow_exits_1(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("probe", [p for p in PROBES if p.startswith("laser-")])
+    def test_laser_power_overflow_names_loss_and_sensitivity(self, tmp_path, capsys, probe):
         write_probe_files(tmp_path)
-        code, _, err = run([*(a.format(d=tmp_path) for a in args), "--out", str(tmp_path / "o")], capsys)
-        assert code == 1
-        assert err.startswith("error: the laser power for ") and len(err.strip().splitlines()) == 1
+        args = [a.format(d=tmp_path) for a in PROBES[probe]]
+        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert err.startswith("error: the laser power for ")
         assert err.rstrip().endswith("photodetector sensitivity overflows a float")
 
     @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=["ValueError", "KeyError"])
@@ -632,3 +630,19 @@ class TestInputBoundary:
         )
         assert "Traceback" not in result.stderr
         assert_one_line_exit_2(result.returncode, result.stderr, tmp_path / "o")
+
+
+@pytest.mark.parametrize(
+    "args, defaults",
+    [
+        (["simulate", "--workload", "rand:4x4x4"], {"arch": ArchConfig(), "nm": NoiseModel()}),
+        (["cost"], {"arch": ArchConfig()}),
+        (["sweep", "--axis", "K", "--values", "8"], {"arch": ArchConfig()}),
+        (["robustness"], {"arch": ArchConfig(), "cfg": MlpConfig()}),
+    ],
+    ids=["simulate", "cost", "sweep", "robustness"],
+)
+def test_no_flags_resolve_to_library_defaults(args, defaults):
+    parsed = cli.build_parser().parse_args(args)
+    resolved = inspect.getclosurevars(parsed.func(parsed)).nonlocals  # what the run step works on
+    assert {name: resolved[name] for name in defaults} == defaults

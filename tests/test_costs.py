@@ -15,6 +15,7 @@ from ptcsim import (
     cost_report,
     dac_power_scale,
     insertion_loss,
+    laser_power_required,
     load_builtin_catalog,
     metrics,
     min_laser_power,
@@ -88,6 +89,16 @@ class TestLaserPower:
         with pytest.raises(ValueError):
             min_laser_power(20.0, CUSTOM.device(DeviceKind.PHOTODETECTOR), 10.0, 0)
 
+    @pytest.mark.parametrize("topology", ["embedded_uneven", "double_layer"])
+    def test_report_prices_every_core_at_its_loss(self, topology):
+        arch = ArchConfig(r_tiles=2, c_cores=3, k=8, bits_out=5)
+        il_db = insertion_loss(arch.k, CUSTOM, topology).total_db
+        per_core = min_laser_power(
+            il_db, CUSTOM.device(DeviceKind.PHOTODETECTOR), CUSTOM.modulator().extinction_ratio_db, 5
+        )
+        assert laser_power_required(arch, CUSTOM, il_db) == 6 * per_core
+        assert cost_report(arch, CUSTOM, topology=topology).laser_power_required_w == 6 * per_core
+
     @pytest.mark.parametrize(
         "il_db, sensitivity_dbm",
         [(1e6, -27.0), (3080.0, 30.0), (0.0, 1e4), (0.0, 3079.0)],
@@ -131,34 +142,25 @@ class TestBreakdowns:
         assert "memory" in area_estimate(ARCH, CUSTOM, include_memory=True)
         assert "memory" in power_estimate(ARCH, CUSTOM, include_memory=True)
 
-    def test_no_sharing_reproduces_per_core_closed_forms(self):
-        arch = replace(ARCH, share_readout=False, share_y_modulators=False)
-        area = area_estimate(arch, CUSTOM)
-        power = power_estimate(arch, CUSTOM)
-        n_cores = arch.r_tiles * arch.c_cores
-        k = arch.k
-        # Single-core closed forms, scaled by R*C.
-        dac = CUSTOM.device(DeviceKind.DAC)
-        adc = CUSTOM.device(DeviceKind.ADC)
-        assert area["dac"] * 1e6 == pytest.approx(n_cores * 2 * k * dac.footprint_um2)
-        assert area["adc"] * 1e6 == pytest.approx(n_cores * k**2 * adc.footprint_um2)
-        p_adc = adc.power_w * arch.clock_hz / (arch.t_int * adc.rated_frequency_hz)
-        assert power["adc"] == pytest.approx(n_cores * k**2 * p_adc)
-
-    def test_readout_sharing_divides_by_core_count(self):
-        shared = area_estimate(ARCH, CUSTOM)
-        unshared = area_estimate(replace(ARCH, share_readout=False), CUSTOM)
-        for part in ("adc", "tia", "integrator"):
-            assert unshared[part] / shared[part] == pytest.approx(ARCH.c_cores)
-
-    def test_y_modulator_sharing_reduces_input_chains(self):
-        shared = power_estimate(replace(ARCH, share_y_modulators=True), CUSTOM)
-        full = power_estimate(ARCH, CUSTOM)
-        # X side: R*C*K chains; shared Y side: C*K chains.
-        expect = (ARCH.r_tiles * ARCH.c_cores + ARCH.c_cores) / (
-            2 * ARCH.r_tiles * ARCH.c_cores
-        )
-        assert shared["dac"] / full["dac"] == pytest.approx(expect)
+    def test_counts_reproduce_closed_forms(self):
+        # 2*R*C*K DAC+modulator chains; the C cores of a tile sum into one
+        # readout array, so R*K^2 integrator/TIA/ADC chains.
+        inputs = 2 * ARCH.r_tiles * ARCH.c_cores * ARCH.k
+        readout = ARCH.r_tiles * ARCH.k**2
+        f = ARCH.clock_hz
+        area = area_estimate(ARCH, CUSTOM)
+        power = power_estimate(ARCH, CUSTOM)
+        dac, mod = CUSTOM.device(DeviceKind.DAC), CUSTOM.modulator()
+        p_dac = dac_power_scale(dac.power_w, dac.rated_bits, dac.rated_frequency_hz, ARCH.bits_in, f)
+        assert area["dac"] * 1e6 == pytest.approx(inputs * dac.footprint_um2)
+        assert area["modulator"] * 1e6 == pytest.approx(inputs * mod.footprint_um2)
+        assert power["dac"] == pytest.approx(inputs * p_dac)
+        assert power["modulator"] == pytest.approx(inputs * (mod.power_w + mod.energy_per_bit_j * f))
+        for part in (DeviceKind.INTEGRATOR, DeviceKind.TIA, DeviceKind.ADC):
+            dev = CUSTOM.device(part)
+            rate = 1.0 if part == DeviceKind.INTEGRATOR else f / (ARCH.t_int * dev.rated_frequency_hz)
+            assert area[part] * 1e6 == pytest.approx(readout * dev.footprint_um2)
+            assert power[part] == pytest.approx(readout * dev.power_w * rate)
 
     def test_adc_power_scales_inversely_with_integration_window(self):
         p1 = power_estimate(replace(ARCH, t_int=1), CUSTOM)

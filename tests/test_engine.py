@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptcsim import (
+    EngineConfig,
     FieldPair,
     balanced_detect,
     engine_transfer,
@@ -73,12 +74,6 @@ class TestTransfer:
         out = balanced_detect(engine_transfer(FieldPair(x * amp, y * amp)), 1.1)
         assert out.i_out == pytest.approx(2 * 1.1 * amp**2 * x * y, abs=10 * math.ulp(2.2))
 
-    def test_detection_loss_scales_power(self):
-        fields = engine_transfer(FieldPair(1.0, 0.5))
-        clean = balanced_detect(fields, 1.0)
-        lossy = balanced_detect(fields, 1.0, loss_db=3.0)
-        assert lossy.i_out == pytest.approx(clean.i_out * 10 ** -0.3)
-
     def test_nonpositive_responsivity_rejected(self):
         with pytest.raises(ValueError):
             balanced_detect(FieldPair(1.0, 0.0), 0.0)
@@ -91,3 +86,8 @@ class TestIntegrator:
             size_capacitor(0.0, 60, 5e9, 0.24)
         with pytest.raises(ValueError):
             size_capacitor(110e-6, 60, 5e9, -0.1)
+
+    def test_rail_is_a_constant(self):
+        assert EngineConfig().v_dd == 0.24
+        with pytest.raises(TypeError, match="v_dd"):
+            EngineConfig(v_dd=0.3)

@@ -35,3 +35,15 @@ def test_package_reexports_only_public_names(name):
     module = importlib.import_module(f"ptcsim.{name}")
     private = [n for n in reexports()[name] if n not in module.__all__]
     assert not private, f"ptcsim re-exports names not in ptcsim.{name}.__all__: {private}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    """Every import is at module level, so an import cycle fails when the package loads."""
+    tree = ast.parse(Path(importlib.import_module(f"ptcsim.{name}").__file__).read_text())
+    nested = [
+        f"line {node.lineno}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, f"ptcsim.{name} imports inside a function at {nested}"

@@ -133,10 +133,9 @@ class TestCycleCount:
 
 
 def test_arch_config_dict_round_trip():
-    arch = ArchConfig(r_tiles=2, c_cores=3, k=4, clock_hz=2e9, share_readout=False)
+    arch = ArchConfig(r_tiles=2, c_cores=3, k=4, clock_hz=2e9)
     assert list(arch.to_dict()) == [
         "r_tiles", "c_cores", "k", "clock_hz", "t_int", "t_rst", "bits_in", "bits_out",
-        "share_y_modulators", "share_readout",
     ]
     assert ArchConfig(**arch.to_dict()) == arch
 
@@ -191,13 +190,6 @@ def test_arch_config_rejects_non_number_clock(clock_hz):
 def test_arch_config_accepts_integer_and_numpy_clock():
     assert ArchConfig(clock_hz=2_000_000_000).clock_hz == 2e9
     assert ArchConfig(clock_hz=np.float64(2e9)).clock_hz == 2e9
-
-
-@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
-@pytest.mark.parametrize("field", ["share_y_modulators", "share_readout"])
-def test_arch_config_rejects_non_bool_flags(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be true or false"):
-        ArchConfig(**{field: value})
 
 
 class TestEngineConfigFor:
