@@ -2,24 +2,14 @@
 multi-tile photonic tensor-core accelerator."""
 
 from .catalog import (
-    COUPLING_LENGTH_TABLE_UM,
     CatalogError,
     CatalogVariant,
     DeviceKind,
     DeviceSpec,
-    MmiDesign,
-    beating_length,
-    beta_for_width,
     builtin_catalog_path,
-    coupling_length_for_ratio,
     dump_catalog,
     load_builtin_catalog,
     load_catalog,
-    mmi_length_center_fed,
-    mmi_length_general,
-    mmi_length_paired,
-    phase_shifter_delta,
-    scale_1x2k_mmi,
     variant_name,
 )
 from .costs import (
@@ -55,7 +45,6 @@ from .mlp import (
     MlpConfig,
     TinyMlp,
     evaluate,
-    evaluate_via_core,
     forward_via_core,
     make_blobs,
     robustness_table,

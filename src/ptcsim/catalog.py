@@ -1,4 +1,4 @@
-"""Device catalog: parameter tables, validation, and photonic geometry formulas.
+"""Device catalog: parameter tables and validation.
 
 A catalog file is a strict-schema JSON document listing one device spec per
 component kind (converters, modulators, splitters, detectors, ...).  Three
@@ -13,17 +13,13 @@ ratio > 0 or +inf (ideal), with the engine's 1 - 10^(-ER/10) > 0;
 rated_bits in CONVERTER_BITS; fanout_n >= 2; the DAC's and the laser's
 power > 0.  A catalog holds every kind, one of mzm and
 slmzm being enough, and a photodetector with a length and width.
-
-Geometry helpers compute multimode-interference splitter dimensions,
-directional-coupler coupling lengths, and phase-shifter arm imbalance from
-the underlying design formulas.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import _er_power_factor
@@ -33,21 +29,11 @@ __all__ = [
     "DeviceKind",
     "DeviceSpec",
     "CatalogVariant",
-    "MmiDesign",
     "load_catalog",
     "dump_catalog",
     "builtin_catalog_path",
     "load_builtin_catalog",
     "variant_name",
-    "beating_length",
-    "mmi_length_center_fed",
-    "mmi_length_paired",
-    "mmi_length_general",
-    "scale_1x2k_mmi",
-    "coupling_length_for_ratio",
-    "phase_shifter_delta",
-    "beta_for_width",
-    "COUPLING_LENGTH_TABLE_UM",
 ]
 
 
@@ -191,15 +177,6 @@ class DeviceSpec:
                     f"length x width = {prod}"
                 )
 
-    @property
-    def footprint_um2(self) -> float:
-        """Area in um^2, falling back to length x width when area is implicit."""
-        if self.area_um2 is not None:
-            return self.area_um2
-        if self.length_um is not None and self.width_um is not None:
-            return self.length_um * self.width_um
-        raise CatalogError(f"device {self.name!r}: no area information")
-
 
 #: The rule of each numeric field of DeviceSpec: (type, low, strict, high).
 #: An int field holds an integer and a float field a finite number, neither a
@@ -258,36 +235,6 @@ class CatalogVariant:
         if DeviceKind.SLMZM in self.devices:
             return self.devices[DeviceKind.SLMZM]
         return self.device(DeviceKind.MZM)
-
-    def mmi_base(self) -> "MmiDesign":
-        """The fanout-splitter MMI base design used for 1x2K scaling."""
-        dev = self.device(DeviceKind.SPLITTER_1XN)
-        return MmiDesign(
-            fanout_n=dev.fanout_n,
-            l_mmi_um=dev.length_um,
-            w_mmi_um=dev.width_um,
-            il_db=dev.insertion_loss_db,
-        )
-
-
-@dataclass(frozen=True)
-class MmiDesign:
-    """Geometry of a 1xN multimode-interference splitter."""
-
-    fanout_n: int
-    l_mmi_um: float
-    w_mmi_um: float
-    il_db: float
-
-    def __post_init__(self):
-        if self.fanout_n < 2:
-            raise CatalogError(f"MMI fanout must be >= 2, got {self.fanout_n}")
-        if self.l_mmi_um <= 0 or self.w_mmi_um <= 0:
-            raise CatalogError("MMI dimensions must be > 0")
-
-    @property
-    def area_um2(self) -> float:
-        return self.l_mmi_um * self.w_mmi_um
 
 
 # ---------------------------------------------------------------------------
@@ -381,110 +328,3 @@ def builtin_catalog_path(variant: str) -> Path:
 
 def load_builtin_catalog(variant: str) -> CatalogVariant:
     return load_catalog(builtin_catalog_path(variant))
-
-
-# ---------------------------------------------------------------------------
-# Geometry formulas
-
-
-def beating_length(n_eff: float, w_e_um: float, lambda0_um: float) -> float:
-    """Beat length of the two lowest modes: L_pi ~ 4 n_eff w_e^2 / (3 lambda0)."""
-    if n_eff <= 0 or w_e_um <= 0 or lambda0_um <= 0:
-        raise ValueError("beating_length arguments must be > 0")
-    return 4.0 * n_eff * w_e_um**2 / (3.0 * lambda0_um)
-
-
-def mmi_length_center_fed(l_pi_um: float, fanout_k: int, order_i: int = 1) -> float:
-    """Multimode-section length for a center-fed 1xK splitter: 3 i L_pi / (4K)."""
-    if fanout_k < 2:
-        raise ValueError(f"fanout_k must be >= 2, got {fanout_k}")
-    if order_i < 1:
-        raise ValueError(f"order_i must be >= 1, got {order_i}")
-    return 3.0 * order_i * l_pi_um / (4.0 * fanout_k)
-
-
-def mmi_length_paired(l_pi_um: float, k: int, order_i: int = 1) -> float:
-    """Multimode-section length under paired interference: i L_pi / K."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if order_i < 1:
-        raise ValueError(f"order_i must be >= 1, got {order_i}")
-    return order_i * l_pi_um / k
-
-
-def mmi_length_general(l_pi_um: float, k: int, order_i: int = 1) -> float:
-    """Multimode-section length under general interference: 3 i L_pi / K.
-
-    Exactly 3x the paired-interference length for the same (i, K).
-    """
-    return 3.0 * mmi_length_paired(l_pi_um, k, order_i)
-
-
-def scale_1x2k_mmi(base: MmiDesign, target_fanout: int) -> MmiDesign:
-    """Scale a 1xN MMI design to a new fanout.
-
-    Length and width scale linearly with fanout; insertion loss is held
-    constant (near-constant measured IL across the simulated fanouts).
-    """
-    if target_fanout < 2:
-        raise ValueError(f"target_fanout must be >= 2, got {target_fanout}")
-    s = target_fanout / base.fanout_n
-    return replace(
-        base,
-        fanout_n=target_fanout,
-        l_mmi_um=base.l_mmi_um * s,
-        w_mmi_um=base.w_mmi_um * s,
-    )
-
-
-#: Directional-coupler coupling length (um) vs splitting ratio, simulated with
-#: 480 nm waveguides and a 200 nm gap.
-COUPLING_LENGTH_TABLE_UM: dict[str, float] = {
-    "1:1": 14.6,
-    "1:2": 11.2,
-    "1:3": 9.2,
-    "1:4": 8.0,
-    "1:5": 7.0,
-}
-
-
-def coupling_length_for_ratio(ratio: str) -> float:
-    """Tabulated coupling length for an uneven splitting ratio ('1:1'..'1:5').
-
-    Ratios beyond 1:5 have no published geometry and raise a lookup error;
-    the loss model still covers them via the generic splitter IL entry.
-    """
-    try:
-        return COUPLING_LENGTH_TABLE_UM[ratio]
-    except KeyError:
-        raise LookupError(
-            f"no coupling length tabulated for ratio {ratio!r}; "
-            f"supported: {sorted(COUPLING_LENGTH_TABLE_UM)}"
-        ) from None
-
-
-def phase_shifter_delta(beta1_per_um: float, beta2_per_um: float, length_um: float) -> float:
-    """Phase difference (rad) between two equal-length arms: (b1 - b2) L."""
-    if length_um <= 0:
-        raise ValueError(f"length_um must be > 0, got {length_um}")
-    return (beta1_per_um - beta2_per_um) * length_um
-
-
-# Calibrated width-to-propagation-constant model for the static pi/2 shifter.
-# The two arms sit symmetrically around a 480 nm nominal width; the odd
-# quadratic term is fit so that the 488/472 nm design gives pi/2 over 30 um
-# and the worst-case 490/470 nm pair gives 0.6345 pi.
-_PS_NOMINAL_WIDTH_NM = 480.0
-_PS_BETA_LINEAR = 3.0735248127620133e-3  # rad/um per nm of width offset
-_PS_BETA_QUAD = 2.4870941840919292e-5    # rad/um per nm^2 (odd symmetric term)
-_PS_BETA_BASE = 9.525        # rad/um at the nominal width (1550 nm, n_eff ~ 2.35)
-
-
-def beta_for_width(width_nm: float) -> float:
-    """Propagation constant (rad/um) of a shifter arm vs waveguide width.
-
-    A calibrated odd-quadratic linearization around the 480 nm nominal width;
-    valid over the few-nm design/variation range, no dispersion modeled.
-    """
-    d = width_nm - _PS_NOMINAL_WIDTH_NM
-    return _PS_BETA_BASE + _PS_BETA_LINEAR * d + _PS_BETA_QUAD * d * abs(d)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind, DeviceSpec, scale_1x2k_mmi, variant_name
+from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind, DeviceSpec, variant_name
 from .engine import _er_power_factor
 
 if TYPE_CHECKING:
@@ -188,30 +188,33 @@ def area_estimate(
 
     Single-core closed form: A = 2K*A_DAC + 2K*A_mod + A_1x2K_MMI
     + K^2 (A_node + A_int + A_TIA + A_ADC), scaled to R*C cores, except
-    that the readout chains are counted per tile (module docstring).
+    that the readout chains are counted per tile (module docstring).  The
+    1x2K MMI is the catalog's 1xN splitter with its length and width each
+    scaled by 2K/N.
     """
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
     dac = cat.device(DeviceKind.DAC)
     mod = cat.modulator()
-    mmi = scale_1x2k_mmi(cat.mmi_base(), max(2 * k, 2))
+    mmi = cat.device(DeviceKind.SPLITTER_1XN)
+    s = 2 * k / mmi.fanout_n
     inputs = 2 * n_cores * k
     readout = arch.r_tiles * k**2
     nodes = n_cores * k**2
 
     breakdown = {
-        "dac": inputs * dac.footprint_um2 / UM2_PER_MM2,
-        "modulator": inputs * mod.footprint_um2 / UM2_PER_MM2,
-        "fanout_mmi": n_cores * mmi.area_um2 / UM2_PER_MM2,
+        "dac": inputs * dac.area_um2 / UM2_PER_MM2,
+        "modulator": inputs * mod.area_um2 / UM2_PER_MM2,
+        "fanout_mmi": n_cores * ((mmi.length_um * s) * (mmi.width_um * s)) / UM2_PER_MM2,
         "crossbar_node": nodes * _node_area_um2(cat) / UM2_PER_MM2,
-        "integrator": readout * cat.device(DeviceKind.INTEGRATOR).footprint_um2 / UM2_PER_MM2,
-        "tia": readout * cat.device(DeviceKind.TIA).footprint_um2 / UM2_PER_MM2,
-        "adc": readout * cat.device(DeviceKind.ADC).footprint_um2 / UM2_PER_MM2,
+        "integrator": readout * cat.device(DeviceKind.INTEGRATOR).area_um2 / UM2_PER_MM2,
+        "tia": readout * cat.device(DeviceKind.TIA).area_um2 / UM2_PER_MM2,
+        "adc": readout * cat.device(DeviceKind.ADC).area_um2 / UM2_PER_MM2,
     }
     if include_memory:
         sram = cat.device(DeviceKind.SRAM)
         breakdown["memory"] = (
-            (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.footprint_um2 / UM2_PER_MM2
+            (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.area_um2 / UM2_PER_MM2
         )
     return breakdown
 

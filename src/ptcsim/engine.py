@@ -42,11 +42,9 @@ class FieldPair:
 
 @dataclass(frozen=True)
 class EngineOutput:
-    """Balanced-detection result: per-arm optical powers and the net current."""
+    """Balanced-detection result: the net photocurrent."""
 
     i_out: float
-    p_out1: float
-    p_out2: float
 
 
 def _er_power_factor(extinction_ratio_db: float | None) -> float:
@@ -105,9 +103,7 @@ def balanced_detect(fields: FieldPair, responsivity: float) -> EngineOutput:
     """
     if responsivity <= 0:
         raise ValueError(f"responsivity must be > 0, got {responsivity}")
-    p1 = abs(fields.e1) ** 2
-    p2 = abs(fields.e2) ** 2
-    return EngineOutput(i_out=responsivity * (p1 - p2), p_out1=p1, p_out2=p2)
+    return EngineOutput(i_out=responsivity * (abs(fields.e1) ** 2 - abs(fields.e2) ** 2))
 
 
 def size_capacitor(i_pd_max: float, t_steps: int, clock_hz: float, v_dd: float) -> float:

@@ -18,7 +18,7 @@ forward_via_core is the one-trial case of the same pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "train",
     "evaluate",
     "forward_via_core",
-    "evaluate_via_core",
     "robustness_table",
 ]
 
@@ -253,18 +252,6 @@ def forward_via_core(
     biases and activations stay digital.
     """
     return next(_core_logits(model, x, arch, cat, [(sigma, seed)]))
-
-
-def evaluate_via_core(
-    model: TinyMlp,
-    x: np.ndarray,
-    y: np.ndarray,
-    arch: ArchConfig,
-    cat: CatalogVariant,
-    sigma: float,
-    seed: int,
-) -> float:
-    return _accuracy(forward_via_core(model, x, arch, cat, sigma, seed), y)
 
 
 def robustness_table(

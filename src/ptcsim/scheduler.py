@@ -80,6 +80,11 @@ __all__ = [
 
 MODES = ("ideal", "quantized", "quantized+noise", "quantized+noise+adc")
 
+#: The largest value of an ArchConfig count (the bit widths have their own
+#: range): far above any machine modeled, and low enough that every count
+#: the cost model derives (R*C*K^2, ...) stays a finite float.
+_ARCH_INT_MAX = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -108,6 +113,10 @@ class ArchConfig:
             for name, low in (("r_tiles", 1), ("c_cores", 1), ("k", 1), ("t_int", 1), ("t_rst", 0)):
                 if getattr(self, name) < low:
                     raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if max(self.r_tiles, self.c_cores, self.k, self.t_int, self.t_rst) > _ARCH_INT_MAX:
+            for name in ("r_tiles", "c_cores", "k", "t_int", "t_rst"):
+                if getattr(self, name) > _ARCH_INT_MAX:
+                    raise ValueError(f"{name} must be <= {_ARCH_INT_MAX}, got {getattr(self, name)}")
         # The converter range the catalog allows for rated_bits; _check_widths
         # narrows it to what each simulator mode can run.
         lo, hi = CONVERTER_BITS

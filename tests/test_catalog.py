@@ -1,4 +1,4 @@
-"""Catalog loading, schema validation, and photonic geometry formulas."""
+"""Catalog loading and schema validation."""
 
 import dataclasses
 import json
@@ -7,24 +7,14 @@ import math
 import pytest
 
 from ptcsim import (
-    COUPLING_LENGTH_TABLE_UM,
     CatalogError,
     CatalogVariant,
     DeviceKind,
     DeviceSpec,
-    MmiDesign,
-    beating_length,
-    beta_for_width,
     builtin_catalog_path,
-    coupling_length_for_ratio,
     dump_catalog,
     load_builtin_catalog,
     load_catalog,
-    mmi_length_center_fed,
-    mmi_length_general,
-    mmi_length_paired,
-    phase_shifter_delta,
-    scale_1x2k_mmi,
     variant_name,
 )
 from ptcsim.catalog import _FIELD_RULES, _KIND_RULES
@@ -140,15 +130,6 @@ class TestDeviceSpec:
                 length_um=30, width_um=6, area_um2=500,
             )
 
-    def test_footprint_falls_back_to_length_width(self):
-        spec = DeviceSpec(
-            kind="coupler_2x2", name="c", insertion_loss_db=0.1,
-            length_um=30, width_um=6,
-        )
-        assert spec.footprint_um2 == 180.0
-        with pytest.raises(CatalogError, match="'l': no area information"):
-            DeviceSpec(kind="laser", name="l", power_w=0.1).footprint_um2
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(CatalogError, match="unknown device kind"):
             DeviceSpec(kind="gizmo", name="g")
@@ -223,89 +204,3 @@ class TestCompleteCatalog:
         pd = dataclasses.replace(cat.device(DeviceKind.PHOTODETECTOR), **{field: None})
         with pytest.raises(CatalogError, match=f"'ge_pd' \\(kind photodetector\\): missing required field '{field}'"):
             CatalogVariant("c", {**cat.devices, DeviceKind.PHOTODETECTOR: pd})
-
-
-class TestMmiGeometry:
-    # Effective width and index reproducing the simulated 1x10 base design.
-    N_EFF, W_E, LAMBDA0 = 2.846, 13.7273419, 1.55
-
-    def test_interference_length_relations(self):
-        l_pi = 100.0
-        assert mmi_length_general(l_pi, 8) == 3.0 * mmi_length_paired(l_pi, 8)
-        assert mmi_length_center_fed(l_pi, 8) == pytest.approx(3 * 100 / 32)
-
-    def test_base_design_dimensions_reproduced(self):
-        l_pi = beating_length(self.N_EFF, self.W_E, self.LAMBDA0)
-        # Center-fed 1x10 splitter: L = 3 L_pi / 40 -> 34.6 um.
-        assert mmi_length_center_fed(l_pi, 10) == pytest.approx(34.6, rel=0.01)
-
-    def test_linear_fanout_scaling_matches_simulated_family(self):
-        base = load_builtin_catalog("custom-sl").mmi_base()
-        small = scale_1x2k_mmi(base, 8)
-        large = scale_1x2k_mmi(base, 12)
-        assert small.l_mmi_um == pytest.approx(27.8, rel=0.01)
-        assert small.w_mmi_um == pytest.approx(11.3, rel=0.01)
-        assert large.l_mmi_um == pytest.approx(41.4, rel=0.01)
-        assert large.w_mmi_um == pytest.approx(16.9, rel=0.01)
-        # Insertion loss held constant across fanouts.
-        assert small.il_db == base.il_db == large.il_db
-
-    def test_scale_rejects_degenerate_fanout(self):
-        base = load_builtin_catalog("custom-sl").mmi_base()
-        with pytest.raises(ValueError):
-            scale_1x2k_mmi(base, 1)
-
-    @pytest.mark.parametrize(
-        "make, message",
-        [
-            (lambda: MmiDesign(1, 30.0, 6.0, 0.1), "MMI fanout must be >= 2, got 1"),
-            (lambda: MmiDesign(4, 0.0, 6.0, 0.1), "MMI dimensions must be > 0"),
-            (lambda: MmiDesign(4, 30.0, -6.0, 0.1), "MMI dimensions must be > 0"),
-            (lambda: beating_length(0.0, 13.7, 1.55), "beating_length arguments must be > 0"),
-            (lambda: beating_length(2.8, 13.7, -1.55), "beating_length arguments must be > 0"),
-            (lambda: mmi_length_center_fed(100.0, 1), "fanout_k must be >= 2, got 1"),
-            (lambda: mmi_length_center_fed(100.0, 8, 0), "order_i must be >= 1, got 0"),
-            (lambda: mmi_length_paired(100.0, 1), "k must be >= 2, got 1"),
-            (lambda: mmi_length_paired(100.0, 8, 0), "order_i must be >= 1, got 0"),
-        ],
-    )
-    def test_degenerate_design_rejected(self, make, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            make()
-
-
-class TestSplitterTable:
-    def test_tabulated_ratios(self):
-        assert coupling_length_for_ratio("1:1") == 14.6
-        assert coupling_length_for_ratio("1:5") == 7.0
-        # Coupling length decreases monotonically with the tap ratio.
-        lengths = [COUPLING_LENGTH_TABLE_UM[f"1:{i}"] for i in range(1, 6)]
-        assert lengths == sorted(lengths, reverse=True)
-
-    def test_ratio_beyond_table_raises_lookup_error(self):
-        with pytest.raises(LookupError, match="1:6"):
-            coupling_length_for_ratio("1:6")
-
-
-class TestPhaseShifter:
-    L_UM = 30.0
-
-    def test_design_point_gives_quarter_wave(self):
-        delta = phase_shifter_delta(beta_for_width(488), beta_for_width(472), self.L_UM)
-        assert delta == pytest.approx(math.pi / 2, rel=1e-6)
-
-    def test_worst_case_width_variation(self):
-        delta = phase_shifter_delta(beta_for_width(490), beta_for_width(470), self.L_UM)
-        assert delta == pytest.approx(0.6345 * math.pi, rel=1e-6)
-
-    def test_equal_arms_give_zero_phase(self):
-        assert phase_shifter_delta(beta_for_width(480), beta_for_width(480), 30.0) == 0.0
-
-    def test_antisymmetric_in_width_offset(self):
-        assert beta_for_width(488) - beta_for_width(480) == pytest.approx(
-            beta_for_width(480) - beta_for_width(472)
-        )
-
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(ValueError):
-            phase_shifter_delta(1.0, 0.9, 0.0)

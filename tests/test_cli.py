@@ -528,6 +528,10 @@ PROBES = {
     "laser-k-100000-sweep": ["sweep", "--axis", "K", "--values", "4,100000", "--topology", "double_layer"],
     "laser-sensitivity-cost": ["cost", "--catalog", "{d}/sensitivity_1e4.json"],
     "laser-loss-cost": ["cost", "--catalog", "{d}/loss_1e6.json"],
+    "cost-tiles-401-digits": ["cost", "--tiles", "1" + "0" * 400],
+    "cost-k-200-digits": ["cost", "-k", "1" + "0" * 199],
+    "sweep-k-401-digits": ["sweep", "--axis", "K", "--values", "8," + "1" + "0" * 400],
+    "simulate-tiles-401-digits": ["simulate", "--workload", "rand:4x4x4", "--tiles", "1" + "0" * 400],
 }
 #: Each bad catalog through every command that reads a catalog file.
 CATALOG_COMMANDS = {

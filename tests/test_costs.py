@@ -4,7 +4,6 @@ import math
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from ptcsim import (
@@ -25,6 +24,7 @@ from ptcsim import (
     sweep,
     sweep_to_csv,
 )
+from ptcsim.costs import UM2_PER_MM2
 
 CUSTOM = load_builtin_catalog("custom-sl")
 FOUNDRY = load_builtin_catalog("foundry")
@@ -152,15 +152,28 @@ class TestBreakdowns:
         power = power_estimate(ARCH, CUSTOM)
         dac, mod = CUSTOM.device(DeviceKind.DAC), CUSTOM.modulator()
         p_dac = dac_power_scale(dac.power_w, dac.rated_bits, dac.rated_frequency_hz, ARCH.bits_in, f)
-        assert area["dac"] * 1e6 == pytest.approx(inputs * dac.footprint_um2)
-        assert area["modulator"] * 1e6 == pytest.approx(inputs * mod.footprint_um2)
+        assert area["dac"] * 1e6 == pytest.approx(inputs * dac.area_um2)
+        assert area["modulator"] * 1e6 == pytest.approx(inputs * mod.area_um2)
         assert power["dac"] == pytest.approx(inputs * p_dac)
         assert power["modulator"] == pytest.approx(inputs * (mod.power_w + mod.energy_per_bit_j * f))
         for part in (DeviceKind.INTEGRATOR, DeviceKind.TIA, DeviceKind.ADC):
             dev = CUSTOM.device(part)
             rate = 1.0 if part == DeviceKind.INTEGRATOR else f / (ARCH.t_int * dev.rated_frequency_hz)
-            assert area[part] * 1e6 == pytest.approx(readout * dev.footprint_um2)
+            assert area[part] * 1e6 == pytest.approx(readout * dev.area_um2)
             assert power[part] == pytest.approx(readout * dev.power_w * rate)
+
+    @pytest.mark.parametrize("variant", ["foundry", "foundry-sl", "custom-sl"])
+    @pytest.mark.parametrize("k, length_um, width_um", [(4, 27.8, 11.3), (6, 41.4, 16.9)])
+    def test_fanout_mmi_scales_the_base_design_linearly(self, variant, k, length_um, width_um):
+        # Every builtin catalog holds the 1x10 base MMI; scaled by 2K/10 its
+        # length and width match the simulated 1x8 and 1x12 designs.
+        cat = load_builtin_catalog(variant)
+        base = cat.device(DeviceKind.SPLITTER_1XN)
+        s = 2 * k / base.fanout_n
+        assert base.length_um * s == pytest.approx(length_um, rel=0.01)
+        assert base.width_um * s == pytest.approx(width_um, rel=0.01)
+        area = area_estimate(ArchConfig(r_tiles=1, c_cores=1, k=k), cat)["fanout_mmi"]
+        assert area == (base.length_um * s) * (base.width_um * s) / UM2_PER_MM2
 
     def test_adc_power_scales_inversely_with_integration_window(self):
         p1 = power_estimate(replace(ARCH, t_int=1), CUSTOM)

@@ -47,3 +47,25 @@ def test_no_import_inside_a_function(name):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, f"ptcsim.{name} imports inside a function at {nested}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_read(name):
+    """No module imports a name it never reads.
+
+    `from __future__` and an alias marked `# noqa: F401` are exempt.  The
+    package's __init__, which re-exports what it imports, is not in MODULES.
+    """
+    source = Path(importlib.import_module(f"ptcsim.{name}").__file__).read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: alias.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if "# noqa: F401" not in lines[alias.lineno - 1]
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{n} (line {line})" for n, line in imported.items() if n not in read]
+    assert not unused, f"ptcsim.{name} imports names it never reads: {unused}"

@@ -155,11 +155,19 @@ def test_arch_config_rejects_bit_width_no_converter_has(field, value):
         ("k", 0, "k must be >= 1, got 0"),
         ("t_int", 0, "t_int must be >= 1, got 0"),
         ("t_rst", -1, "t_rst must be >= 0, got -1"),
+        *((f, 2**31, f"{f} must be <= 2147483647, got 2147483648")
+          for f in ("r_tiles", "c_cores", "k", "t_int", "t_rst")),
+        ("k", 10**40, f"k must be <= 2147483647, got {10**40}"),
     ],
 )
 def test_arch_config_range_error_names_field_and_value(field, value, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         ArchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["r_tiles", "c_cores", "k", "t_int", "t_rst"])
+def test_arch_config_accepts_every_count_up_to_its_bound(field):
+    assert getattr(ArchConfig(**{field: 2**31 - 1}), field) == 2**31 - 1
 
 
 @pytest.mark.parametrize("value", [1, 16])
