@@ -66,8 +66,8 @@ class QuantizerParams:
                 object.__setattr__(self, name, v.item())
         if not QUANTIZER_BITS[0] <= self.bits <= QUANTIZER_BITS[1]:
             raise ValueError(f"bits must be in [{QUANTIZER_BITS[0]}, {QUANTIZER_BITS[1]}], got {self.bits}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:  # NaN fails too
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not math.isfinite(self.zero_point):
             raise ValueError("zero_point must be finite")
 

@@ -7,37 +7,38 @@ parallel photocurrent summation over the C cores, capacitive integration
 over T timesteps, and digital summation of the per-epoch readouts.  Blocks
 round-robin over the R tiles.
 
-The simulator streams over readout epochs instead of cycles.  Reduction
-index n = c*P + p is driven by core c in cycle p, so readout epoch e
-integrates the columns {c*P + p : p in [eT, (e+1)T)}; every output element
-is independent, so the epoch's readout for the whole M x Q result is one
-matrix product over those columns, and the K x K block structure only
-matters for cycle accounting.  Working memory is O(M*Q + M*N + N*Q): the
-operands in cycle-major order and the accumulated result.  An epoch's
-readout is digitized in place, in its own buffer, before it is added to the
-result.
+The simulator streams over readout epochs instead of cycles.  The paper
+fixes the three levels but not which reduction index a (core, cycle) pair
+handles; here n = p*C + c is driven by core c in cycle p, so cycle p takes
+the C consecutive columns [p*C, (p+1)*C) and readout epoch e integrates the
+C*T consecutive columns [e*C*T, (e+1)*C*T).  Every output element is
+independent, so the epoch's readout for the whole M x Q result is one
+matrix product over that column slice of the operands as they are, and the
+K x K block structure only matters for cycle accounting.  Working memory is
+the accumulated result and one epoch's readout, plus one copy of each
+operand in the quantized modes.  An epoch's readout is digitized in place,
+in its own buffer, before it is added to the result.
 
 engine_config_for sizes the integration capacitor so that a full-scale
 C-core, T-cycle ramp lands exactly on the rail, and checks once that it
 does.  Every operand the engine multiplies is bounded by 1, so no readout
 can pass the rail and nothing is clamped.
 
-The operand front end walks each operand in row blocks of about 256 KiB,
-which stay in cache: a block is quantized once into its integer codes, in
-noise modes dequantized, perturbed and clipped in the same buffer, and
-stored straight into the zero-padded cycle-major layout, so no other
-operand-sized buffer is made.  When both operands sit on the quantizer
-lattice (quantized modes without noise) the epoch products are taken over
-the codes, which is exact in float64, and the step sizes are applied once.
-ADC codes then do not depend on summation order, tiling or the number of
-rows and columns.
+Ideal mode multiplies the operands as given.  The quantized modes walk each
+operand in row blocks of about 256 KiB, which stay in cache: a block is
+quantized once into its integer codes, straight into its rows of one
+operand-sized array, and in noise modes dequantized, perturbed and clipped
+in those rows.  When both operands sit on the quantizer lattice (quantized
+modes without noise) the epoch products are taken over the codes, which is
+exact in float64, and the step sizes are applied once.  ADC codes then do
+not depend on summation order, tiling or the number of rows and columns.
 
 simulate_chain runs a chain of such products, the layers of a robustness
 study, over many noise trials in quantized+noise mode.  Both run every
 product through one routine, _product: the front end, the lattice choice
 and the epoch loop.  The work the trials share is done once:
 the width check and engine configuration per study, and per layer the
-weights' scale, validation, plan and quantizer params.  Each trial then
+weights' scale, validation and quantizer params.  Each trial then
 quantizes its input and the weights block by block, as simulate_gemm does,
 one layer after the other.
 """
@@ -294,77 +295,47 @@ _OPERAND_BLOCK_ELEMS = 1 << 15
 
 def _engine_operands(
     x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
-    noise: NoiseModel | None, c_cores: int, p_cycles: int,
+    noise: NoiseModel | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The operands as the engine multiplies them, cycle-major: (xs, ys).
+    """The operands as the engine multiplies them, (M, N) and (N, Q).
 
-    xs has shape (M, P, C) and ys (P, C, Q), with the reduction zero-padded
-    to C*P: index n = c*P + p lands at [.., p, c], so the columns of a run of
-    cycles form one contiguous slice.  px and py are the operands' quantizer
-    params, None in ideal mode, and noise the NoiseModel that perturbs them,
-    None if nothing does.  With params and no noise the entries are integer
-    codes, on the quantizer lattice; with noise they are dequantized (the
-    min-max zero point is 0, so codes * alpha is fake_quantize), given
+    px and py are the operands' quantizer params, None in ideal mode, where
+    x and y are returned as given, and noise the NoiseModel that perturbs
+    them, None if nothing does.  With params and no noise the entries are
+    integer codes, on the quantizer lattice; with noise they are dequantized
+    (the min-max zero point is 0, so codes * alpha is fake_quantize), given
     multiplicative noise and clipped to [-1, 1].
     """
-    xs = np.zeros((x.shape[0], p_cycles, c_cores))
-    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
-    if p_cycles:
-        for r0, blk in _operand_blocks(x, px, noise, stream=0):
-            _store_cycle_major(xs[r0 : r0 + len(blk)].transpose(2, 1, 0), blk.T, 0)
-        for n0, blk in _operand_blocks(y, py, noise, stream=1):
-            _store_cycle_major(ys.transpose(1, 0, 2), blk, n0)
-    return xs, ys
+    if px is None:
+        return x, y
+    return _engine_operand(x, px, noise, stream=0), _engine_operand(y, py, noise, stream=1)
 
 
-def _operand_blocks(a: np.ndarray, params: QuantizerParams | None, nm: NoiseModel | None, stream: int):
-    """Yield (first row, block) of operand a as the engine sees it, a row block at a time.
+def _engine_operand(a: np.ndarray, params: QuantizerParams, nm: NoiseModel | None, stream: int) -> np.ndarray:
+    """Operand a as the engine sees it, in a new array filled a row block at a time.
 
-    Without params (ideal mode) a is one block as it is.  Otherwise a block
-    is one pass of each step over about _OPERAND_BLOCK_ELEMS elements, in
-    buffers reused from block to block: quantize_codes once, then with nm
-    dequantized, perturbed and clipped.  The noise comes from one generator
-    per operand, drawn block by block in row-major order, which gives the
-    same values as one whole-operand draw.
+    A block is one pass of each step over about _OPERAND_BLOCK_ELEMS
+    elements, in its own rows of the result: quantize_codes once, then with
+    nm dequantized, perturbed and clipped.  The noise comes from one
+    generator per operand, drawn block by block in row-major order into a
+    buffer reused from block to block, which gives the same values as one
+    whole-operand draw.
     """
-    if params is None:
-        yield 0, a
-        return
+    out = np.empty(a.shape)
     rows = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
     rng = None if nm is None else nm.rng(stream)
-    codes = draws = None
+    draws = None
     for r0 in range(0, a.shape[0], rows):
-        blk = a[r0 : r0 + rows]
-        codes = quantize_codes(blk, params, None if codes is None else codes[: len(blk)])
+        blk = quantize_codes(a[r0 : r0 + rows], params, out[r0 : r0 + rows])
         if rng is None:
-            yield r0, codes
             continue
-        codes *= params.alpha
+        blk *= params.alpha
         if draws is None:
             draws = rng.standard_normal(blk.shape)
         else:
             draws = rng.standard_normal(out=draws[: len(blk)])
-        noisy = apply_noise(codes, draws, nm.sigma)
-        yield r0, np.clip(noisy, -1.0, 1.0, out=noisy)
-
-
-def _store_cycle_major(dst: np.ndarray, rows: np.ndarray, n0: int) -> None:
-    """Write reduction rows n0, n0 + 1, ... into dst, a (C, P, ...) view.
-
-    Row n lands at dst[n // P, n % P]: first the rest of a core an earlier
-    block began, then whole cores through one reshaped view, then the start
-    of the next core.
-    """
-    p = dst.shape[1]
-    c, r = divmod(n0, p)
-    if r:
-        head = rows[: p - r]
-        dst[c, r : r + len(head)] = head
-        rows, c = rows[len(head) :], c + 1
-    full = len(rows) // p
-    dst[c : c + full] = rows[: full * p].reshape(full, p, *rows.shape[1:])
-    if len(rows) > full * p:
-        dst[c + full, : len(rows) - full * p] = rows[full * p :]
+        np.clip(apply_noise(blk, draws, nm.sigma), -1.0, 1.0, out=blk)
+    return out
 
 
 def _check_widths(arch: ArchConfig, mode: str) -> None:
@@ -385,26 +356,24 @@ def _check_widths(arch: ArchConfig, mode: str) -> None:
 
 def _product(
     x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
-    noise: NoiseModel | None, p_cycles: int, arch: ArchConfig, cfg: EngineConfig, adc: bool = False,
+    noise: NoiseModel | None, arch: ArchConfig, cfg: EngineConfig, adc: bool = False,
 ) -> np.ndarray:
     """x @ y on the engine, as the summed readouts in volts.
 
     The operands go through the front end (see _engine_operands) and then
-    through the readout epochs: each is one matmul over its cycles' columns,
-    scaled by the gain, digitized in place when adc is set, and added to the
-    accumulator.  On the lattice the operands are integer codes, so every
-    partial sum is exact in float64 and the step sizes alpha_x * alpha_y go
-    into the gain once.
+    through the readout epochs: each is one matmul over its C*T consecutive
+    columns, scaled by the gain, digitized in place when adc is set, and
+    added to the accumulator.  On the lattice the operands are integer
+    codes, so every partial sum is exact in float64 and the step sizes
+    alpha_x * alpha_y go into the gain once.
     """
-    xs, ys = _engine_operands(x, y, px, py, noise, arch.c_cores, p_cycles)
+    xe, ye = _engine_operands(x, y, px, py, noise)
     step = px.alpha * py.alpha if px is not None and noise is None else 1.0  # 1.0: operands in [-1, 1]
-    m, q = xs.shape[0], ys.shape[-1]
     gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
-    z_accum = np.zeros((m, q))
-    for p0 in range(0, p_cycles, arch.t_int):
-        xe, ye = xs[:, p0 : p0 + arch.t_int], ys[p0 : p0 + arch.t_int]
-        cols = ye.shape[0] * arch.c_cores
-        v = xe.reshape(m, cols) @ ye.reshape(cols, q)
+    cols = arch.c_cores * arch.t_int
+    z_accum = np.zeros((xe.shape[0], ye.shape[1]))
+    for n0 in range(0, xe.shape[1], cols):
+        v = xe[:, n0 : n0 + cols] @ ye[n0 : n0 + cols]
         v *= gain
         if adc:
             adc_readout(v, cfg.v_dd, arch.bits_out)
@@ -438,7 +407,7 @@ def simulate_gemm(
         alpha_x, alpha_y = px.alpha, py.alpha
         nm = NoiseModel() if nm is None else nm
         noise = nm if mode != "quantized" and nm.sigma != 0.0 else None
-    z_accum = _product(work.x, work.y, px, py, noise, sched.p_cycles, arch, cfg, mode == "quantized+noise+adc")
+    z_accum = _product(work.x, work.y, px, py, noise, arch, cfg, mode == "quantized+noise+adc")
 
     norm = cfg.normalization()
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
@@ -471,21 +440,21 @@ def _encodable(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
 class _ChainLayer:
     """One weight matrix of simulate_chain, with what its trials share.
 
-    That is the weights scaled into [-1, 1] (y), their scale (sw), their
-    quantizer params and the plan's cycle count.  They are validated
-    together with x, the first trial's input to the layer, as GemmWorkload
-    validates the operands of a simulate_gemm call.
+    That is the weights scaled into [-1, 1] (y), their scale (sw) and their
+    quantizer params.  They are validated together with x, the first
+    trial's input to the layer, as GemmWorkload validates the operands of a
+    simulate_gemm call.
     """
 
     def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig):
         self.y, self.sw = _encodable(np.asarray(w, dtype=float), "y")
-        self.p_cycles = plan(GemmWorkload(x, self.y), arch).p_cycles
+        GemmWorkload(x, self.y)
         self.params = minmax_params(self.y, arch.bits_in)
 
     def product(self, x: np.ndarray, nm: NoiseModel, arch: ArchConfig, cfg: EngineConfig) -> np.ndarray:
         """Summed readouts in volts of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
         px = minmax_params(x, arch.bits_in)
-        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None, self.p_cycles, arch, cfg)
+        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None, arch, cfg)
 
 
 def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
@@ -501,7 +470,7 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
 
     The work trials share is done once: the width check and
     engine_config_for per chain; per layer, when the first trial reaches
-    it, the weights' scale, validation, plan and quantizer params.  Each
+    it, the weights' scale, validation and quantizer params.  Each
     trial runs through every layer before the next one starts, so one
     trial's activations are live at a time.  A trial without noise in any
     layer does not depend on its seeds: the first one runs, and later ones

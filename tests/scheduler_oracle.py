@@ -6,32 +6,19 @@ machine does, and raises if any partial voltage passes the rail.  Tests
 compare the epoch-streamed ``simulate_gemm`` against it; it is far too slow
 and memory-hungry for anything but small shapes.
 
+Reduction index n = p*C + c is driven by core c in cycle p, as in the
+simulator.
+
 ``oracle_engine_operands`` is the simulator's earlier operand front end:
 fake quantization, noise, and on the lattice (params, no noise) the
 integer codes re-derived from the dequantized operands, all on whole
-operands.  ``oracle_cycle_major`` scatters them into the cycle-major layout
-by fancy indexing, and ``oracle_front_end`` chains the two.
+operands.
 """
 
 import numpy as np
 
 from ptcsim import scheduler
 from ptcsim.quantize import NoiseModel, adc_sample, adc_value, fake_quantize, inject_noise, minmax_params
-
-
-def oracle_cycle_major(x, y, c_cores, p_cycles):
-    """(xs, ys) of shapes (M, P, C) and (P, C, Q): reduction index n = c*P + p lands at [.., p, c]."""
-    cores, cycles = np.divmod(np.arange(x.shape[1]), max(p_cycles, 1))
-    xs = np.zeros((x.shape[0], p_cycles, c_cores))
-    ys = np.zeros((p_cycles, c_cores, y.shape[1]))
-    xs[:, cycles, cores] = x
-    ys[cycles, cores] = y
-    return xs, ys
-
-
-def oracle_front_end(x, y, px, py, noise, c_cores, p_cycles):
-    """(xs, ys); same contract as scheduler._engine_operands."""
-    return oracle_cycle_major(*oracle_engine_operands(x, y, px, py, noise), c_cores, p_cycles)
 
 
 def oracle_engine_operands(x, y, px, py, noise):
@@ -64,11 +51,11 @@ def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):
     yp = np.zeros((sched.n_padded, sched.block_cols * k))
     xp[: work.m, : work.n] = x
     yp[: work.n, : work.q] = y
-    xr = xp.reshape(sched.block_rows, k, c, sched.p_cycles)
-    yr = yp.reshape(c, sched.p_cycles, sched.block_cols, k)
+    xr = xp.reshape(sched.block_rows, k, sched.p_cycles, c)
+    yr = yp.reshape(sched.p_cycles, c, sched.block_cols, k)
 
     scale = cfg.current_scale()
-    currents = np.moveaxis(scale * np.einsum("akcp,cpbl->abpkl", xr, yr), 2, -1)
+    currents = np.moveaxis(scale * np.einsum("akpc,pcbl->abpkl", xr, yr), 2, -1)
     volt_scale = cfg.dt / cfg.c_int
     tol = cfg.v_dd * (1.0 + 1e-12)
     z_accum = np.zeros((sched.block_rows, sched.block_cols, k, k))

@@ -69,3 +69,38 @@ def test_every_imported_name_is_read(name):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = [f"{n} (line {line})" for n, line in imported.items() if n not in read]
     assert not unused, f"ptcsim.{name} imports names it never reads: {unused}"
+
+
+def test_every_private_module_name_is_read():
+    """Every module-level _name a ptcsim module defines is read somewhere in the package.
+
+    A name counts as defined by a def, a class or an assignment at module
+    level, and as read by a `Name` load or an attribute of that name in any
+    package module, __init__ included.  Dunder names are exempt.
+    """
+    trees = {
+        name: ast.parse(Path(importlib.import_module(f"ptcsim.{name}").__file__).read_text())
+        for name in MODULES
+    }
+    trees["__init__"] = ast.parse(Path(ptcsim.__file__).read_text())
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"ptcsim.{module}.{n} (line {node.lineno})"
+                for n in names if n.startswith("_") and not n.startswith("__") and n not in read
+            ]
+    assert not unread, f"private names no package module reads: {unread}"

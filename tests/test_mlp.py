@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 from mlp_oracle import oracle_forward_via_core, oracle_robustness_table
-from scheduler_oracle import oracle_front_end
+from scheduler_oracle import oracle_engine_operands
 
 from ptcsim import (
     ArchConfig,
@@ -211,7 +211,7 @@ class TestStudyPass:
         assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3) == want
         # One noise-free trial and three noisy ones, each through 3 layers.
         assert len(passes) == (1 + 3) * 3
-        assert len(configs) == len(widths) == 1 and len(plans) == 3
+        assert len(configs) == len(widths) == 1 and not plans
 
     @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
     def test_runs_the_one_front_end(self, monkeypatch, arch):
@@ -224,7 +224,7 @@ class TestStudyPass:
         trials = [(sigma, seed) for sigma in (0.0, 0.0031, 0.08) for seed in range(3)]
         want = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
         calls = []
-        monkeypatch.setattr(scheduler, "_engine_operands", lambda *a: calls.append(a) or oracle_front_end(*a))
+        monkeypatch.setattr(scheduler, "_engine_operands", lambda *a: calls.append(a) or oracle_engine_operands(*a))
         got = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
         assert got == want
         # Once per (trial, layer); the three noise-free trials run once.

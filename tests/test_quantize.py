@@ -122,12 +122,13 @@ class TestQuantizerParams:
     @pytest.mark.parametrize(
         "alpha, z, message",
         [(0.0, 0.0, "alpha"), (-0.1, 0.0, "alpha"), (0.1, np.inf, "zero_point"),
-         (0.1, np.nan, "zero_point"), (np.nan, 0.0, None), (0.1, -0.0, None),
+         (0.1, np.nan, "zero_point"), (np.nan, 0.0, "alpha must be positive and finite, got nan"),
+         (np.inf, 0.0, "alpha must be positive and finite, got inf"), (0.1, -0.0, None),
          ([0.1, 0.1, 0.1], 0.0, "alpha must be one number"), (0.1, [0.0, 0.0], "zero_point must be one number")],
     )
     def test_per_tensor_checks(self, as_array, alpha, z, message):
-        # Floats and size-1 arrays are checked alike (a NaN step size
-        # passes); the params are per-tensor, so a longer array is rejected.
+        # Floats and size-1 arrays are checked alike; the params are
+        # per-tensor, so a longer array is rejected.
         def make():
             if as_array:
                 return QuantizerParams(bits=6, alpha=np.atleast_1d(alpha), zero_point=np.atleast_1d(z))
@@ -364,6 +365,12 @@ class TestMinmaxParams:
     def test_empty_tensor_gets_unit_alpha(self, shape):
         assert minmax_params(np.zeros(shape), bits=6).alpha == pytest.approx(1.0 / 32)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_entry_rejected(self, bad):
+        # Its step size would be infinite, and every code 0.
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+            minmax_params(np.array([0.5, bad]), bits=6)
+
     def test_positive_peak_clips_one_code_short(self):
         # The code range [-2^(b-1), 2^(b-1) - 1] is not sign-symmetric.
         x = np.array([-1.0, 1.0])
@@ -381,7 +388,9 @@ class TestMinmaxParams:
     )
     def test_matches_abs_formula_bitwise(self, x, bits):
         want = formula_minmax_alpha(x, bits)
-        if want <= 0:  # a subnormal peak underflows to a zero step size
+        # A subnormal peak underflows to a zero step size, an infinite one
+        # gives an infinite step size.
+        if not 0 < want < np.inf:
             with pytest.raises(ValueError, match="alpha must be positive"):
                 minmax_params(x, bits)
             return

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scheduler_oracle import oracle_cycle_major, oracle_front_end, oracle_simulate_gemm
+from scheduler_oracle import oracle_engine_operands, oracle_simulate_gemm
 
 from ptcsim import (
     MODES,
@@ -401,6 +401,22 @@ class TestEpochStreaming:
         else:
             assert np.abs(readout).max() <= stats.schedule.readouts_per_block * cfg.v_dd * (1 + 1e-12)
 
+    def test_epochs_take_consecutive_columns(self):
+        # Core c drives reduction index n = p*C + c in cycle p, so epoch e
+        # integrates columns [e*C*T, (e+1)*C*T).  Here the 11 unit products
+        # sit in columns 0-10: epoch sums 11 and 0 read 23.5 and 0.5 LSB of
+        # the 6-bit ADC.  The blocked mapping n = c*P + p would split them
+        # 6 and 5 (12.5 + 10.5 = 23 LSB, z = 10.78125).
+        arch = ArchConfig(r_tiles=1, c_cores=3, k=4, t_int=5)
+        x, y = -np.ones((1, 30)), np.zeros((30, 1))
+        y[:11] = -1.0
+        z, stats = simulate_gemm(GemmWorkload(x, y), arch, CAT, nm=NoiseModel(sigma=0.0), mode="quantized+noise+adc")
+        assert stats.readouts == 2
+        lsb_products = adc_lsb_products(arch)
+        assert lsb_products == pytest.approx(15 / 32, rel=1e-12)
+        assert z[0, 0] == pytest.approx(24 * lsb_products, rel=1e-12)
+        assert z[0, 0] == pytest.approx(11.25, rel=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(1, 6), st.integers(1, 40), st.integers(1, 6),
@@ -491,7 +507,7 @@ def bits_of(a):
 
 
 class TestEngineOperands:
-    """Blocked front end against whole-operand fake_quantize + np.rint and a scatter."""
+    """Blocked front end against whole-operand fake_quantize + np.rint."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -517,8 +533,8 @@ class TestEngineOperands:
             calls.append((args, real(*args)))
             return calls[-1][1]
 
-        # Blocks of 1-3 rows of y straddle core boundaries, and both
-        # operands draw their noise a few rows at a time.
+        # y goes through in blocks of 1-3 rows, and both operands draw
+        # their noise a few rows at a time.
         with mock.patch.object(scheduler, "_OPERAND_BLOCK_ELEMS", y_rows * max(q, 1)), mock.patch.object(
             scheduler, "_engine_operands", spy
         ):
@@ -528,16 +544,15 @@ class TestEngineOperands:
         assert (px is None) == (py is None) == (mode == "ideal")
         # The default NoiseModel has sigma = 0.0031; quantized mode draws no noise.
         assert (noisy is not None) == (mode in MODES[2:] and (noise is None or noise > 0))
-        assert args[5:] == (arch.c_cores, plan(w, arch).p_cycles)
-        want = oracle_front_end(*args)
+        want = oracle_engine_operands(*args)
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape and np.array_equal(bits_of(a), bits_of(b))
-        with mock.patch.object(scheduler, "_engine_operands", oracle_front_end):
+        with mock.patch.object(scheduler, "_engine_operands", oracle_engine_operands):
             z_ref, ref = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
         assert np.array_equal(bits_of(z), bits_of(z_ref))
         assert repr(stats) == repr(ref)
 
-    def test_quantized_modes_add_at_most_one_block_of_memory(self):
+    def test_quantized_modes_add_one_operand_copy_and_one_block_of_memory(self):
         rng = np.random.default_rng(0)
         w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
         peaks = {}
@@ -548,8 +563,11 @@ class TestEngineOperands:
                 peaks[mode] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+        # Ideal mode multiplies the operands as given; the quantized modes
+        # add one copy of each operand and one block of scratch.
         block = scheduler._OPERAND_BLOCK_ELEMS * 8
-        assert all(peaks[mode] <= peaks["ideal"] + block for mode in MODES[1:]), peaks
+        assert peaks["ideal"] < w.x.nbytes, peaks
+        assert all(peaks[mode] <= peaks["ideal"] + w.x.nbytes + w.y.nbytes + block for mode in MODES[1:]), peaks
 
     def test_quantizes_each_operand_once(self, monkeypatch):
         calls = []
@@ -562,12 +580,26 @@ class TestEngineOperands:
             simulate_gemm(w, SMALL, CAT, nm=NoiseModel(sigma=0.02), mode=mode)
             assert len(calls) == (0 if mode == "ideal" else 2)
 
-    @pytest.mark.parametrize("c_cores, n", [(3, 7), (4, 13), (6, 2048), (5, 5), (1, 9), (4, 0)])
-    def test_cycle_major_matches_scatter(self, c_cores, n):
-        rng = np.random.default_rng(n)
-        x, y = rng.uniform(-1, 1, (3, n)), rng.uniform(-1, 1, (n, 4))
-        p_cycles = -(-n // c_cores)
-        xs, ys = scheduler._engine_operands(x, y, None, None, None, c_cores, p_cycles)
-        xs_ref, ys_ref = oracle_cycle_major(x, y, c_cores, p_cycles)
-        assert np.array_equal(xs, xs_ref) and np.array_equal(ys, ys_ref)
-        assert xs.shape == (3, p_cycles, c_cores) and ys.shape == (p_cycles, c_cores, 4)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_operand_memory_order_does_not_matter(self, mode):
+        # Ideal mode reads the caller's arrays as they are; the quantized
+        # modes copy them a few rows at a time.
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-1, 1, (37, 50)), rng.uniform(-1, 1, (50, 23))
+        arch = ArchConfig(r_tiles=2, c_cores=3, k=4, t_int=5)  # four epochs, the last partial
+        orders = {
+            "C": np.ascontiguousarray,
+            "Fortran": np.asfortranarray,
+            "transposed view": lambda a: np.ascontiguousarray(a.T).T,
+            "strided view": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        }
+        zs = {}
+        with mock.patch.object(scheduler, "_OPERAND_BLOCK_ELEMS", 64):
+            for name, order in orders.items():
+                w = GemmWorkload(order(x), order(y))
+                zs[name], _ = simulate_gemm(w, arch, CAT, nm=NoiseModel(sigma=0.0), mode=mode)
+        for z in zs.values():
+            if mode == "ideal":
+                assert np.abs(z - x @ y).max() <= 1e-12
+            else:  # sigma = 0: on the lattice every partial sum is exact
+                assert np.array_equal(bits_of(z), bits_of(zs["C"]))
