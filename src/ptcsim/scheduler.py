@@ -13,25 +13,28 @@ handles; here n = p*C + c is driven by core c in cycle p, so cycle p takes
 the C consecutive columns [p*C, (p+1)*C) and readout epoch e integrates the
 C*T consecutive columns [e*C*T, (e+1)*C*T).  Every output element is
 independent, so the epoch's readout for the whole M x Q result is one
-matrix product over that column slice of the operands as they are, and the
+matrix product over that column slice of x and those C*T rows of y, and the
 K x K block structure only matters for cycle accounting.  Working memory is
-the accumulated result and one epoch's readout, plus one copy of each
-operand in the quantized modes.  An epoch's readout is digitized in place,
-in its own buffer, before it is added to the result.
+the accumulated result and one readout buffer, which every epoch's product
+is written into, digitized in place and added to the result from; the
+quantized modes add one copy of x and one epoch of y.
 
 engine_config_for sizes the integration capacitor so that a full-scale
 C-core, T-cycle ramp lands exactly on the rail, and checks once that it
 does.  Every operand the engine multiplies is bounded by 1, so no readout
 can pass the rail and nothing is clamped.
 
-Ideal mode multiplies the operands as given.  The quantized modes walk each
-operand in row blocks of about 256 KiB, which stay in cache: a block is
-quantized once into its integer codes, straight into its rows of one
-operand-sized array, and in noise modes dequantized, perturbed and clipped
-in those rows.  When both operands sit on the quantizer lattice (quantized
-modes without noise) the epoch products are taken over the codes, which is
-exact in float64, and the step sizes are applied once.  ADC codes then do
-not depend on summation order, tiling or the number of rows and columns.
+Ideal mode multiplies the operands as given.  The quantized modes walk
+x whole and y one epoch at a time, each in row blocks of about 256 KiB,
+which stay in cache: a block is quantized once into its integer codes,
+straight into its rows of x's copy or of the one epoch buffer of y, and in
+noise modes dequantized, perturbed and clipped in those rows.  Each
+operand draws its noise from its own generator in row-major order, so the
+values do not depend on the blocks or epochs.  When both operands sit on
+the quantizer lattice (quantized modes without noise) the epoch products
+are taken over the codes, which is exact in float64, and the step sizes
+are applied once.  ADC codes then do not depend on summation order, tiling
+or the number of rows and columns.
 
 simulate_chain runs a chain of such products, the layers of a robustness
 study, over many noise trials in quantized+noise mode.  Both run every
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,49 +297,36 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
 _OPERAND_BLOCK_ELEMS = 1 << 15
 
 
-def _engine_operands(
-    x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
-    noise: NoiseModel | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The operands as the engine multiplies them, (M, N) and (N, Q).
+def _engine_rows(
+    a: np.ndarray, params: QuantizerParams | None, noise: NoiseModel | None, stream: int, rows: int,
+) -> Iterator[np.ndarray]:
+    """Yield operand a as the engine multiplies it, `rows` rows at a time.
 
-    px and py are the operands' quantizer params, None in ideal mode, where
-    x and y are returned as given, and noise the NoiseModel that perturbs
-    them, None if nothing does.  With params and no noise the entries are
-    integer codes, on the quantizer lattice; with noise they are dequantized
-    (the min-max zero point is 0, so codes * alpha is fake_quantize), given
-    multiplicative noise and clipped to [-1, 1].
+    Ideal mode (params None) yields a's row slices as given.  Otherwise
+    every slice is filled into one buffer of min(rows, len(a)) rows, which
+    the next slice overwrites, a row block of about _OPERAND_BLOCK_ELEMS
+    elements at a time: quantize_codes once, so the entries are integer
+    codes on the quantizer lattice, and with noise dequantized (the min-max
+    zero point is 0, so codes * alpha is fake_quantize), given
+    multiplicative noise and clipped to [-1, 1].  The noise comes from one
+    generator per operand, noise.rng(stream), drawn block by block in
+    row-major order, which gives the same values as one whole-operand draw.
     """
-    if px is None:
-        return x, y
-    return _engine_operand(x, px, noise, stream=0), _engine_operand(y, py, noise, stream=1)
-
-
-def _engine_operand(a: np.ndarray, params: QuantizerParams, nm: NoiseModel | None, stream: int) -> np.ndarray:
-    """Operand a as the engine sees it, in a new array filled a row block at a time.
-
-    A block is one pass of each step over about _OPERAND_BLOCK_ELEMS
-    elements, in its own rows of the result: quantize_codes once, then with
-    nm dequantized, perturbed and clipped.  The noise comes from one
-    generator per operand, drawn block by block in row-major order into a
-    buffer reused from block to block, which gives the same values as one
-    whole-operand draw.
-    """
-    out = np.empty(a.shape)
-    rows = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
-    rng = None if nm is None else nm.rng(stream)
-    draws = None
-    for r0 in range(0, a.shape[0], rows):
-        blk = quantize_codes(a[r0 : r0 + rows], params, out[r0 : r0 + rows])
-        if rng is None:
-            continue
-        blk *= params.alpha
-        if draws is None:
-            draws = rng.standard_normal(blk.shape)
-        else:
-            draws = rng.standard_normal(out=draws[: len(blk)])
-        np.clip(apply_noise(blk, draws, nm.sigma), -1.0, 1.0, out=blk)
-    return out
+    if params is None:
+        yield from (a[r0 : r0 + rows] for r0 in range(0, len(a), rows))
+        return
+    out = np.empty((min(rows, len(a)), a.shape[1]))
+    block = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
+    rng = None if noise is None else noise.rng(stream)
+    for r0 in range(0, len(a), rows):
+        ar = a[r0 : r0 + rows]
+        oe = out[: len(ar)]
+        for b0 in range(0, len(ar), block):
+            blk = quantize_codes(ar[b0 : b0 + block], params, oe[b0 : b0 + block])
+            if rng is not None:
+                blk *= params.alpha
+                np.clip(apply_noise(blk, rng.standard_normal(blk.shape), noise.sigma), -1.0, 1.0, out=blk)
+        yield oe
 
 
 def _check_widths(arch: ArchConfig, mode: str) -> None:
@@ -360,20 +351,27 @@ def _product(
 ) -> np.ndarray:
     """x @ y on the engine, as the summed readouts in volts.
 
-    The operands go through the front end (see _engine_operands) and then
-    through the readout epochs: each is one matmul over its C*T consecutive
-    columns, scaled by the gain, digitized in place when adc is set, and
-    added to the accumulator.  On the lattice the operands are integer
-    codes, so every partial sum is exact in float64 and the step sizes
-    alpha_x * alpha_y go into the gain once.
+    x goes through the front end (_engine_rows) whole, and y one readout
+    epoch, its next C*T rows, at a time.  Each epoch is one matmul over its
+    C*T consecutive columns of x into one readout buffer, scaled by the
+    gain, digitized in place when adc is set, and added to the
+    accumulator.  So the quantized modes hold one copy of x and one epoch
+    of y.  On the lattice the operands are integer codes, so every partial
+    sum is exact in float64 and the step sizes alpha_x * alpha_y go into
+    the gain once.
     """
-    xe, ye = _engine_operands(x, y, px, py, noise)
+    m, q = len(x), y.shape[1]
+    if not x.size:  # M = 0 or N = 0: no epoch to read out
+        return np.zeros((m, q))
     step = px.alpha * py.alpha if px is not None and noise is None else 1.0  # 1.0: operands in [-1, 1]
     gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
     cols = arch.c_cores * arch.t_int
-    z_accum = np.zeros((xe.shape[0], ye.shape[1]))
-    for n0 in range(0, xe.shape[1], cols):
-        v = xe[:, n0 : n0 + cols] @ ye[n0 : n0 + cols]
+    (xe,) = _engine_rows(x, px, noise, 0, m)
+    z_accum = v = None
+    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, noise, 1, cols)):
+        if v is None:  # after y's first epoch, so its scratch is freed first
+            z_accum, v = np.zeros((m, q)), np.empty((m, q))
+        np.matmul(xe[:, n0 : n0 + cols], ye, out=v)
         v *= gain
         if adc:
             adc_readout(v, cfg.v_dd, arch.bits_out)
@@ -422,7 +420,8 @@ def simulate_gemm(
         alpha_y=alpha_y,
         schedule=sched,
     )
-    return z_accum / norm, stats
+    z_accum /= norm
+    return z_accum, stats
 
 
 def _encodable(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
@@ -488,11 +487,14 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
             continue
         h = np.asarray(x, dtype=float)
         for i, (w, nm) in enumerate(zip(weights, trial, strict=True)):
-            xq, sx = _encodable(h, "x")
+            h, sx = _encodable(h, "x")  # frees the last layer's activations before the product
             if i == len(layers):
-                layers.append(_ChainLayer(xq, w, arch))
+                layers.append(_ChainLayer(h, w, arch))
             layer = layers[i]
-            h = digital(i, layer.product(xq, nm, arch, cfg) / norm * (sx * layer.sw))
+            h = layer.product(h, nm, arch, cfg)
+            h /= norm
+            h *= sx * layer.sw
+            h = digital(i, h)
         if not noisy:
             clean = h
         yield h

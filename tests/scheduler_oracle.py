@@ -12,7 +12,9 @@ simulator.
 ``oracle_engine_operands`` is the simulator's earlier operand front end:
 fake quantization, noise, and on the lattice (params, no noise) the
 integer codes re-derived from the dequantized operands, all on whole
-operands.
+operands.  ``oracle_engine_rows`` serves it through the simulator's
+front-end seam, ``scheduler._engine_rows``, and ``record_engine_rows``
+records what the real front end yields there.
 """
 
 import numpy as np
@@ -29,6 +31,35 @@ def oracle_engine_operands(x, y, px, py, noise):
     if noise is None:
         return np.rint(x / px.alpha), np.rint(y / py.alpha)
     return np.clip(inject_noise(x, noise, stream=0), -1.0, 1.0), np.clip(inject_noise(y, noise, stream=1), -1.0, 1.0)
+
+
+def oracle_engine_rows(a, params, noise, stream, rows):
+    """scheduler._engine_rows from the oracle: a as operand x (stream 0) or y (stream 1), rows at a time."""
+    # The oracle treats its two operands independently, so a may stand for both.
+    whole = oracle_engine_operands(a, a, params, params, noise)[stream]
+    return (whole[r0 : r0 + rows] for r0 in range(0, len(a), rows))
+
+
+def record_engine_rows(calls):
+    """A stand-in for scheduler._engine_rows that runs it and appends (args, [copy of each slice]) to calls."""
+    real = scheduler._engine_rows
+
+    def spy(*args):
+        calls.append((args, []))
+        for rows in real(*args):
+            calls[-1][1].append(rows.copy())
+            yield rows
+
+    return spy
+
+
+def assert_engine_rows_match_oracle(calls):
+    """Every recorded slice equals oracle_engine_rows' bit for bit, and there are as many."""
+    for args, got in calls:
+        want = list(oracle_engine_rows(*args))
+        assert len(got) == len(want)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), np.asarray(b).view(np.int64))
 
 
 def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):

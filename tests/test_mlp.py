@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 from mlp_oracle import oracle_forward_via_core, oracle_robustness_table
-from scheduler_oracle import oracle_engine_operands
+from scheduler_oracle import assert_engine_rows_match_oracle, oracle_engine_rows, record_engine_rows
 
 from ptcsim import (
     ArchConfig,
@@ -216,22 +216,26 @@ class TestStudyPass:
     @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
     def test_runs_the_one_front_end(self, monkeypatch, arch):
         # The study pass prepares its operands through the front end that
-        # simulate_gemm uses: swapping in the whole-operand oracle leaves
-        # every trial's logits unchanged, bit for bit.
+        # simulate_gemm uses: every slice it yields, of x whole and of y
+        # one readout epoch at a time, is the whole-operand oracle's bit for
+        # bit, and swapping the oracle in leaves every trial's logits
+        # unchanged.
         sizes = (8, 13, 7, 4)
         model = study_model(sizes)
         tx, _ = study_set(sizes)
         trials = [(sigma, seed) for sigma in (0.0, 0.0031, 0.08) for seed in range(3)]
-        want = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
         calls = []
-        monkeypatch.setattr(scheduler, "_engine_operands", lambda *a: calls.append(a) or oracle_engine_operands(*a))
-        got = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
-        assert got == want
-        # Once per (trial, layer); the three noise-free trials run once.
-        assert len(calls) == (1 + 6) * 3
+        monkeypatch.setattr(scheduler, "_engine_rows", record_engine_rows(calls))
+        want = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
+        assert_engine_rows_match_oracle(calls)
+        monkeypatch.setattr(scheduler, "_engine_rows", oracle_engine_rows)
+        assert [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)] == want
+        # x, then y, once per (trial, layer); the three noise-free trials run once.
+        assert [args[3] for args, _ in calls] == [0, 1] * (1 + 6) * 3
         # Each layer passes the same cached weights and params to every trial.
+        ys = [args for args, _ in calls[1::2]]
         for i in range(3):
-            assert len({(id(a[1]), id(a[3])) for a in calls[i::3]}) == 1
+            assert len({(id(a[0]), id(a[1])) for a in ys[i::3]}) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("layer", [0, 2])

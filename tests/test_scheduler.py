@@ -1,6 +1,7 @@
 """GEMM tiling, cycle accounting, and behavioral simulation modes."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scheduler_oracle import oracle_engine_operands, oracle_simulate_gemm
+from scheduler_oracle import (
+    assert_engine_rows_match_oracle,
+    oracle_engine_rows,
+    oracle_simulate_gemm,
+    record_engine_rows,
+)
 
 from ptcsim import (
     MODES,
@@ -493,13 +499,17 @@ class TestEpochStreaming:
     def test_peak_memory_is_bounded(self):
         rng = np.random.default_rng(0)
         w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
+        arch = ArchConfig()
         tracemalloc.start()
         try:
-            simulate_gemm(w, ArchConfig(), CAT, mode="quantized+noise+adc")
+            simulate_gemm(w, arch, CAT, mode="quantized+noise+adc")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        # The accumulator and one readout, one copy of x, one readout epoch
+        # of y and a few blocks of front-end scratch.
+        epoch_of_y = min(w.n, arch.c_cores * arch.t_int) * w.q * 8
+        assert peak <= 2 * w.m * w.q * 8 + w.x.nbytes + epoch_of_y + 3 * scheduler._OPERAND_BLOCK_ELEMS * 8
 
 
 def bits_of(a):
@@ -508,6 +518,34 @@ def bits_of(a):
 
 class TestEngineOperands:
     """Blocked front end against whole-operand fake_quantize + np.rint."""
+
+    @staticmethod
+    def check_front_end(w, arch, nm, mode, block_elems):
+        """Run simulate_gemm with front-end blocks of block_elems elements and check every
+        slice _engine_rows yields, and the result, against the oracle's, bit for bit."""
+        calls = []
+        with mock.patch.object(scheduler, "_OPERAND_BLOCK_ELEMS", block_elems), mock.patch.object(
+            scheduler, "_engine_rows", record_engine_rows(calls)
+        ):
+            z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        if w.x.size:
+            # x whole, then y one readout epoch of C*T rows at a time.
+            (xargs, xs), (yargs, ys) = calls
+            assert xargs[0] is w.x and xargs[3:] == (0, w.m) and len(xs) == 1
+            assert yargs[0] is w.y and yargs[3:] == (1, arch.c_cores * arch.t_int)
+            assert len(ys) == math.ceil(w.n / (arch.c_cores * arch.t_int))
+            px, py, noisy = xargs[1], yargs[1], xargs[2]
+            assert yargs[2] is noisy
+            assert (px is None) == (py is None) == (mode == "ideal")
+            # The default NoiseModel has sigma = 0.0031; quantized mode draws no noise.
+            assert (noisy is not None) == (mode in MODES[2:] and (nm is None or nm.sigma > 0))
+        else:  # M = 0 or N = 0: no epoch, so no operand goes through the front end
+            assert not calls and not z.any()
+        assert_engine_rows_match_oracle(calls)
+        with mock.patch.object(scheduler, "_engine_rows", oracle_engine_rows):
+            z_ref, ref = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
+        assert np.array_equal(bits_of(z), bits_of(z_ref))
+        assert repr(stats) == repr(ref)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -524,50 +562,47 @@ class TestEngineOperands:
             a[rng.random(a.shape) < 0.2] = -0.0
             if a.size and seed % 2:
                 a.flat[rng.integers(a.size)] = rng.choice([-1.0, 1.0])
-        w = GemmWorkload(x, y)
         nm = None if noise is None else NoiseModel(sigma=noise, seed=seed)
-        calls = []
-        real = scheduler._engine_operands
-
-        def spy(*args):
-            calls.append((args, real(*args)))
-            return calls[-1][1]
-
         # y goes through in blocks of 1-3 rows, and both operands draw
         # their noise a few rows at a time.
-        with mock.patch.object(scheduler, "_OPERAND_BLOCK_ELEMS", y_rows * max(q, 1)), mock.patch.object(
-            scheduler, "_engine_operands", spy
-        ):
-            z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
-        ((args, got),) = calls
-        px, py, noisy = args[2:5]
-        assert (px is None) == (py is None) == (mode == "ideal")
-        # The default NoiseModel has sigma = 0.0031; quantized mode draws no noise.
-        assert (noisy is not None) == (mode in MODES[2:] and (noise is None or noise > 0))
-        want = oracle_engine_operands(*args)
-        for a, b in zip(got, want, strict=True):
-            assert a.shape == b.shape and np.array_equal(bits_of(a), bits_of(b))
-        with mock.patch.object(scheduler, "_engine_operands", oracle_engine_operands):
-            z_ref, ref = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
-        assert np.array_equal(bits_of(z), bits_of(z_ref))
-        assert repr(stats) == repr(ref)
+        self.check_front_end(GemmWorkload(x, y), arch, nm, mode, y_rows * max(q, 1))
 
-    def test_quantized_modes_add_one_operand_copy_and_one_block_of_memory(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 5), st.sampled_from(["0", "<", "=", "k", "k+1"]), st.integers(2, 3),
+        st.integers(1, 6), st.integers(1, 6), st.sampled_from(MODES), st.sampled_from([0.0, 0.02]),
+        st.integers(0, 10_000), st.integers(1, 3),
+    )
+    def test_epoch_slices_match_whole_operand_bitwise(self, c, t, kind, k, m, q, mode, sigma, seed, y_rows):
+        # Blocks of 1-3 rows of y restart at every epoch boundary, so a
+        # block straddles where C*T is no multiple of it, and y's noise
+        # draws run on from one epoch into the next.
+        cols = c * t
+        n = {"0": 0, "<": cols - 1, "=": cols, "k": k * cols, "k+1": k * cols + 1}[kind]
+        w = GemmWorkload.random(m, n, q, seed=seed)
+        arch = ArchConfig(r_tiles=2, c_cores=c, k=3, t_int=t)
+        self.check_front_end(w, arch, NoiseModel(sigma=sigma, seed=seed), mode, y_rows * q)
+
+    def test_quantized_modes_add_one_copy_of_x_and_one_epoch_of_y(self):
         rng = np.random.default_rng(0)
         w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
+        arch = ArchConfig()
         peaks = {}
         for mode in MODES:
             tracemalloc.start()
             try:
-                simulate_gemm(w, ArchConfig(), CAT, mode=mode)
+                simulate_gemm(w, arch, CAT, mode=mode)
                 peaks[mode] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # Ideal mode multiplies the operands as given; the quantized modes
-        # add one copy of each operand and one block of scratch.
+        # Ideal mode multiplies the operands as given, into the accumulator
+        # and one readout buffer; the quantized modes add one copy of x, one
+        # readout epoch of y and a few blocks of scratch.
         block = scheduler._OPERAND_BLOCK_ELEMS * 8
-        assert peaks["ideal"] < w.x.nbytes, peaks
-        assert all(peaks[mode] <= peaks["ideal"] + w.x.nbytes + w.y.nbytes + block for mode in MODES[1:]), peaks
+        result = w.m * w.q * 8
+        epoch_of_y = min(w.n, arch.c_cores * arch.t_int) * w.q * 8
+        assert peaks["ideal"] <= 2 * result + block, peaks
+        assert all(peaks[mode] <= peaks["ideal"] + w.x.nbytes + epoch_of_y + 3 * block for mode in MODES[1:]), peaks
 
     def test_quantizes_each_operand_once(self, monkeypatch):
         calls = []
