@@ -83,9 +83,14 @@ class QuantizerParams:
 def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = None) -> np.ndarray:
     """Integer codes q = round_half_away(clip(x / alpha + z, q_min, q_max)), as floats.
 
-    Every pass runs in place on one result and one scratch buffer.  The
-    result goes to out when given (a float array of x's shape, which may be
-    reused block after block), else to a new array.
+    Six passes in place on one scratch buffer and the result, which goes to
+    out when given (a float64 or float32 array of x's shape, which may be
+    reused block after block), else to a new float64 array.  The result
+    first holds copysign(1/2, v); v plus that is +-(|v| + 1/2), rounded as
+    round_half_away rounds it, so its truncation is round_half_away(v).
+    Every sum runs in float64, and only the integer code is cast to out's
+    type, which is exact: a float32 v would round k + 1/2 - ulp up to the
+    tie k + 1/2 and so to the code k + 1.
     """
     x = np.asarray(x, dtype=float)
     v = x / p.alpha
@@ -94,10 +99,9 @@ def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = N
     # round_half_away takes from x + 0.0.
     v += p.zero_point + 0.0
     np.clip(v, p.q_min, p.q_max, out=v)
-    q = np.abs(v, out=out)
-    q += 0.5
-    np.floor(q, out=q)
-    return np.copysign(q, v, out=q)
+    half = np.copysign(0.5, v, out=out)  # +-1/2, exact in float32 too
+    v += half
+    return np.trunc(v, out=half)
 
 
 def fake_quantize(x: np.ndarray, p: QuantizerParams) -> np.ndarray:

@@ -7,39 +7,48 @@ parallel photocurrent summation over the C cores, capacitive integration
 over T timesteps, and digital summation of the per-epoch readouts.  Blocks
 round-robin over the R tiles.
 
-The simulator streams over readout epochs instead of cycles.  The paper
+The simulator models an epoch only where the ADC reads it.  The paper
 fixes the three levels but not which reduction index a (core, cycle) pair
 handles; here n = p*C + c is driven by core c in cycle p, so cycle p takes
 the C consecutive columns [p*C, (p+1)*C) and readout epoch e integrates the
 C*T consecutive columns [e*C*T, (e+1)*C*T).  Every output element is
 independent, so the epoch's readout for the whole M x Q result is one
 matrix product over that column slice of x and those C*T rows of y, and the
-K x K block structure only matters for cycle accounting.  Working memory is
-the accumulated result and one readout buffer, which every epoch's product
-is written into, digitized in place and added to the result from; the
-quantized modes add one copy of x and one epoch of y.
+K x K block structure only matters for cycle accounting.  Without the ADC
+the readouts are summed linearly, so the modes without noise skip the
+epochs: ideal mode is one x @ y, and quantized mode the exact sum of the
+integer codes, scaled once by the step sizes.  It does not depend on T,
+tiling or summation order, bit for bit.
 
 engine_config_for sizes the integration capacitor so that a full-scale
 C-core, T-cycle ramp lands exactly on the rail, and checks once that it
 does.  Every operand the engine multiplies is bounded by 1, so no readout
 can pass the rail and nothing is clamped.
 
-Ideal mode multiplies the operands as given.  The quantized modes walk
-x whole and y one epoch at a time, each in row blocks of about 256 KiB,
-which stay in cache: a block is quantized once into its integer codes,
-straight into its rows of x's copy or of the one epoch buffer of y, and in
-noise modes dequantized, perturbed and clipped in those rows.  Each
-operand draws its noise from its own generator in row-major order, so the
-values do not depend on the blocks or epochs.  When both operands sit on
-the quantizer lattice (quantized modes without noise) the epoch products
-are taken over the codes, which is exact in float64, and the step sizes
-are applied once.  ADC codes then do not depend on summation order, tiling
-or the number of rows and columns.
+The quantized modes walk x whole and y in chunks of rows, each in row
+blocks of about 256 KiB, which stay in cache: a block is quantized once
+into its integer codes, straight into its rows of x's copy or of the one
+chunk buffer of y, and in noise modes dequantized, perturbed and clipped in
+those rows.  Each operand draws its noise from its own generator in
+row-major order, so the values do not depend on the blocks or chunks.
+
+Quantized mode (and quantized+noise at sigma = 0) keeps the codes in
+float32 and takes y in chunks of at most C*T rows, few enough that every
+partial sum is an integer below 2^24, so each float32 product is exact.
+Each chunk's product is added to the float64 result, exact below 2^53,
+which is scaled by alpha_x * alpha_y once.  The noise modes at sigma > 0
+and the ADC mode take y one readout epoch at a time in float64:
+each epoch's product goes into one readout buffer, is scaled to volts,
+digitized in place by the ADC and added to the result.  With the ADC at
+sigma = 0 the operands are codes, so every epoch sum is exact and ADC codes
+do not depend on summation order, tiling or the number of rows and
+columns.  Working memory is the result, one product buffer, one copy of x
+and one chunk of y.
 
 simulate_chain runs a chain of such products, the layers of a robustness
 study, over many noise trials in quantized+noise mode.  Both run every
-product through one routine, _product: the front end, the lattice choice
-and the epoch loop.  The work the trials share is done once:
+product through one routine, _product: the front end, the path for the
+mode and the chunk loop.  The work the trials share is done once:
 the width check and engine configuration per study, and per layer the
 weights' scale, validation and quantizer params.  Each trial then
 quantizes its input and the weights block by block, as simulate_gemm does,
@@ -298,24 +307,21 @@ _OPERAND_BLOCK_ELEMS = 1 << 15
 
 
 def _engine_rows(
-    a: np.ndarray, params: QuantizerParams | None, noise: NoiseModel | None, stream: int, rows: int,
+    a: np.ndarray, params: QuantizerParams, noise: NoiseModel | None, stream: int, rows: int, dtype: type,
 ) -> Iterator[np.ndarray]:
     """Yield operand a as the engine multiplies it, `rows` rows at a time.
 
-    Ideal mode (params None) yields a's row slices as given.  Otherwise
-    every slice is filled into one buffer of min(rows, len(a)) rows, which
-    the next slice overwrites, a row block of about _OPERAND_BLOCK_ELEMS
-    elements at a time: quantize_codes once, so the entries are integer
-    codes on the quantizer lattice, and with noise dequantized (the min-max
-    zero point is 0, so codes * alpha is fake_quantize), given
-    multiplicative noise and clipped to [-1, 1].  The noise comes from one
-    generator per operand, noise.rng(stream), drawn block by block in
-    row-major order, which gives the same values as one whole-operand draw.
+    Every slice is filled into one buffer of min(rows, len(a)) rows of
+    dtype, which the next slice overwrites, a row block of about
+    _OPERAND_BLOCK_ELEMS elements at a time: quantize_codes once, so the
+    entries are integer codes on the quantizer lattice, and with noise
+    dequantized (the min-max zero point is 0, so codes * alpha is
+    fake_quantize), given multiplicative noise and clipped to [-1, 1].  The
+    noise comes from one generator per operand, noise.rng(stream), drawn
+    block by block in row-major order, which gives the same values as one
+    whole-operand draw.
     """
-    if params is None:
-        yield from (a[r0 : r0 + rows] for r0 in range(0, len(a), rows))
-        return
-    out = np.empty((min(rows, len(a)), a.shape[1]))
+    out = np.empty((min(rows, len(a)), a.shape[1]), dtype)
     block = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
     rng = None if noise is None else noise.rng(stream)
     for r0 in range(0, len(a), rows):
@@ -349,34 +355,49 @@ def _product(
     x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
     noise: NoiseModel | None, arch: ArchConfig, cfg: EngineConfig, adc: bool = False,
 ) -> np.ndarray:
-    """x @ y on the engine, as the summed readouts in volts.
+    """x @ y on the engine, in units of the product of operands in [-1, 1] (z_hat).
 
-    x goes through the front end (_engine_rows) whole, and y one readout
-    epoch, its next C*T rows, at a time.  Each epoch is one matmul over its
-    C*T consecutive columns of x into one readout buffer, scaled by the
-    gain, digitized in place when adc is set, and added to the
-    accumulator.  So the quantized modes hold one copy of x and one epoch
-    of y.  On the lattice the operands are integer codes, so every partial
-    sum is exact in float64 and the step sizes alpha_x * alpha_y go into
-    the gain once.
+    Ideal mode (px None) is x @ y itself.  On the lattice without the ADC
+    (noise None, adc unset) x's codes go through the front end
+    (_engine_rows) whole into one float32 copy, and y's in chunks of
+    min(C*T, 2^24 / 4^(bits_in - 1)) rows into one float32 buffer, so every
+    partial sum of a chunk's product is an integer of at most 2^24, exact in
+    float32.  The products are summed exactly in float64 and scaled by
+    alpha_x * alpha_y once.  Otherwise y goes through one readout epoch,
+    its next C*T rows, at a time in float64: each epoch's product over its
+    C*T consecutive columns of x is scaled to volts by the gain, digitized
+    in place when adc is set, and summed, and the sum is divided by the
+    full-scale volts per unit product once.
     """
+    if px is None:
+        return x @ y
     m, q = len(x), y.shape[1]
     if not x.size:  # M = 0 or N = 0: no epoch to read out
         return np.zeros((m, q))
-    step = px.alpha * py.alpha if px is not None and noise is None else 1.0  # 1.0: operands in [-1, 1]
-    gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
+    lattice = noise is None and not adc
     cols = arch.c_cores * arch.t_int
-    (xe,) = _engine_rows(x, px, noise, 0, m)
-    z_accum = v = None
-    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, noise, 1, cols)):
-        if v is None:  # after y's first epoch, so its scratch is freed first
-            z_accum, v = np.zeros((m, q)), np.empty((m, q))
+    if lattice:
+        cols, dtype = min(cols, 2**24 // 4 ** (px.bits - 1)), np.float32
+    else:
+        step = px.alpha * py.alpha if noise is None else 1.0  # 1.0: operands in [-1, 1]
+        gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
+        dtype = np.float64
+    (xe,) = _engine_rows(x, px, noise, 0, m, dtype)
+    z = v = None
+    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, noise, 1, cols, dtype)):
+        if v is None:  # after y's first chunk, so its scratch is freed first
+            z, v = np.zeros((m, q)), np.empty((m, q), dtype)
         np.matmul(xe[:, n0 : n0 + cols], ye, out=v)
-        v *= gain
-        if adc:
-            adc_readout(v, cfg.v_dd, arch.bits_out)
-        z_accum += v
-    return z_accum
+        if not lattice:
+            v *= gain
+            if adc:
+                adc_readout(v, cfg.v_dd, arch.bits_out)
+        z += v
+    if lattice:
+        z *= px.alpha * py.alpha
+    else:
+        z /= cfg.normalization()
+    return z
 
 
 def simulate_gemm(
@@ -388,9 +409,9 @@ def simulate_gemm(
 ):
     """Run a GEMM through the behavioral engine model.
 
-    Returns (z_hat, stats).  In ideal mode z_hat matches X @ Y to floating
-    point (the end-to-end optical/electrical scale is inverted exactly);
-    quantized modes apply b-bit fake quantization to both operands, noise
+    Returns (z_hat, stats).  In ideal mode z_hat is X @ Y, and in quantized
+    mode the exact sum of the b-bit integer codes of both operands times
+    their step sizes (the end-to-end optical/electrical scale cancels); noise
     modes add the multiplicative Gaussian perturbation after quantization,
     and the adc mode digitizes every integrator readout at bits_out.
     """
@@ -405,9 +426,8 @@ def simulate_gemm(
         alpha_x, alpha_y = px.alpha, py.alpha
         nm = NoiseModel() if nm is None else nm
         noise = nm if mode != "quantized" and nm.sigma != 0.0 else None
-    z_accum = _product(work.x, work.y, px, py, noise, arch, cfg, mode == "quantized+noise+adc")
+    z_hat = _product(work.x, work.y, px, py, noise, arch, cfg, mode == "quantized+noise+adc")
 
-    norm = cfg.normalization()
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
     stats = SimStats(
         mode=mode,
@@ -415,13 +435,12 @@ def simulate_gemm(
         reset_cycles=reset_cycles,
         readouts=readouts,
         saturation_events=0,
-        normalization_v=norm,
+        normalization_v=cfg.normalization(),
         alpha_x=alpha_x,
         alpha_y=alpha_y,
         schedule=sched,
     )
-    z_accum /= norm
-    return z_accum, stats
+    return z_hat, stats
 
 
 def _encodable(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
@@ -451,7 +470,7 @@ class _ChainLayer:
         self.params = minmax_params(self.y, arch.bits_in)
 
     def product(self, x: np.ndarray, nm: NoiseModel, arch: ArchConfig, cfg: EngineConfig) -> np.ndarray:
-        """Summed readouts in volts of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
+        """z_hat of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
         px = minmax_params(x, arch.bits_in)
         return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None, arch, cfg)
 
@@ -477,7 +496,6 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
     """
     _check_widths(arch, "quantized+noise")
     cfg = engine_config_for(arch, cat)
-    norm = cfg.normalization()
     layers: list[_ChainLayer] = []
     clean = None
     for trial in trials:
@@ -492,7 +510,6 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
                 layers.append(_ChainLayer(h, w, arch))
             layer = layers[i]
             h = layer.product(h, nm, arch, cfg)
-            h /= norm
             h *= sx * layer.sw
             h = digital(i, h)
         if not noisy:

@@ -24,19 +24,21 @@ from ptcsim.quantize import NoiseModel, adc_sample, adc_value, fake_quantize, in
 
 
 def oracle_engine_operands(x, y, px, py, noise):
-    """(x, y) as the engine multiplies them, as (M, N) and (N, Q) matrices."""
-    if px is None:
-        return x, y
+    """(x, y) as the engine multiplies them in the quantized modes, as (M, N) and (N, Q) matrices."""
     x, y = fake_quantize(x, px), fake_quantize(y, py)
     if noise is None:
         return np.rint(x / px.alpha), np.rint(y / py.alpha)
     return np.clip(inject_noise(x, noise, stream=0), -1.0, 1.0), np.clip(inject_noise(y, noise, stream=1), -1.0, 1.0)
 
 
-def oracle_engine_rows(a, params, noise, stream, rows):
-    """scheduler._engine_rows from the oracle: a as operand x (stream 0) or y (stream 1), rows at a time."""
+def oracle_engine_rows(a, params, noise, stream, rows, dtype):
+    """scheduler._engine_rows from the oracle: a as operand x (stream 0) or y (stream 1), rows at a time.
+
+    The slices are cast to dtype, which is exact for the integer codes the
+    simulator takes in float32.
+    """
     # The oracle treats its two operands independently, so a may stand for both.
-    whole = oracle_engine_operands(a, a, params, params, noise)[stream]
+    whole = oracle_engine_operands(a, a, params, params, noise)[stream].astype(dtype)
     return (whole[r0 : r0 + rows] for r0 in range(0, len(a), rows))
 
 
@@ -59,7 +61,7 @@ def assert_engine_rows_match_oracle(calls):
         want = list(oracle_engine_rows(*args))
         assert len(got) == len(want)
         for a, b in zip(got, want, strict=True):
-            assert a.shape == b.shape and np.array_equal(a.view(np.int64), np.asarray(b).view(np.int64))
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def oracle_simulate_gemm(work, arch, cat, nm=None, mode="ideal"):

@@ -189,6 +189,19 @@ class TestFakeQuantize:
             blocks.append(out.copy())
         assert_same_bits(np.concatenate(blocks), quantize_codes(x, p))
 
+    @pytest.mark.parametrize("bits", [2, 6, 8])
+    @pytest.mark.parametrize("scale", [1.0, 0.7])  # a power-of-two step, and one that is not
+    def test_codes_into_float32_match_float64_at_and_below_ties(self, bits, scale):
+        # k + 1/2 and the float just below it, for every code k: a float32
+        # |x / alpha| would round the second up to the tie, and so to k + 1.
+        p = scalar_params(bits=bits, alpha=scale / 2 ** (bits - 1))
+        ties = np.arange(p.q_min, p.q_max + 1) + 0.5
+        x = np.concatenate([ties, -ties, np.nextafter(ties, 0), np.nextafter(-ties, 0)]) * p.alpha
+        out = np.full(x.shape, np.nan, dtype=np.float32)
+        codes = quantize_codes(x, p, out)
+        assert codes is out
+        assert np.array_equal(codes, quantize_codes(x, p))
+
 
 class TestSteGradients:
     def test_grad_x_masks_clipped_entries(self):

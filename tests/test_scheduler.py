@@ -27,10 +27,13 @@ from ptcsim import (
     DeviceKind,
     GemmWorkload,
     NoiseModel,
+    adc_readout,
     cycle_count,
     engine_config_for,
     load_builtin_catalog,
+    minmax_params,
     plan,
+    quantize_codes,
     scheduler,
     simulate_gemm,
 )
@@ -58,6 +61,13 @@ def adc_lsb_products(arch):
     """One ADC step of a readout, in units of the operand product."""
     cfg = engine_config_for(arch, CAT)
     return (cfg.v_dd / 2 ** (arch.bits_out - 1)) / cfg.normalization()
+
+
+def exact_lattice_product(x, y, bits):
+    """Quantized-mode z_hat: the integer code sum, exact in int64, times alpha_x * alpha_y."""
+    px, py = minmax_params(x, bits), minmax_params(y, bits)
+    codes = quantize_codes(x, px).astype(np.int64) @ quantize_codes(y, py).astype(np.int64)
+    return codes * (px.alpha * py.alpha)
 
 
 def assert_matches_oracle(z, stats, z_ref, ref):
@@ -462,6 +472,57 @@ class TestEpochStreaming:
         z_c, _ = simulate_gemm(w, ArchConfig(c_cores=c, k=4, t_int=t), CAT, nm=nm, mode=mode)
         assert np.array_equal(z, z_c)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.builds(ArchConfig, r_tiles=st.integers(1, 4), c_cores=st.integers(1, 4), k=st.integers(1, 5),
+                  t_int=st.integers(1, 6), bits_in=st.integers(2, 8)),
+        st.integers(1, 6), st.integers(1, 6), st.data(), st.integers(0, 10_000),
+    )
+    def test_linear_modes_are_exact_whatever_the_epochs(self, arch, m, q, data, seed):
+        # Quantized mode is the exact integer code sum times alpha_x * alpha_y
+        # and ideal mode is x @ y, bit for bit, for reductions of one or
+        # several readout epochs: neither depends on C*T, R or K.
+        n = data.draw(st.integers(1, 3 * arch.c_cores * arch.t_int + 1), label="n")
+        w = GemmWorkload.random(m, n, q, seed=seed)
+        z, _ = simulate_gemm(w, arch, CAT, mode="quantized")
+        assert np.array_equal(bits_of(z), bits_of(exact_lattice_product(w.x, w.y, arch.bits_in)))
+        z, _ = simulate_gemm(w, arch, CAT, mode="ideal")
+        assert np.array_equal(bits_of(z), bits_of(w.x @ w.y))
+
+    def test_lattice_sums_past_float32_exactly(self):
+        # At 8 bits the codes are +-127, odd, and a readout epoch of
+        # C*T = 1440 of their products sums past 2^24, above which float32
+        # holds only even integers.  Nine in ten codes are +127; x[0, 0] is
+        # 0 and column 0 of y is +127, so z[0, 0]'s first epoch sums 1439
+        # products of +-127^2 to an odd integer that a float32 epoch cannot
+        # hold.
+        arch = ArchConfig(c_cores=12, k=4, t_int=120, bits_in=8)
+        cols = arch.c_cores * arch.t_int
+        rng = np.random.default_rng(0)
+        x, y = (np.where(rng.random(shape) < 0.9, 1.0, -127 / 128) for shape in ((4, 2 * cols + 1), (2 * cols + 1, 4)))
+        x[0, 0], y[:, 0] = 0.0, 1.0
+        px, py = minmax_params(x, 8), minmax_params(y, 8)
+        cx, cy = quantize_codes(x, px).astype(np.int64), quantize_codes(y, py).astype(np.int64)
+        assert set(np.abs(cx[:, 1:]).flat) == set(np.abs(cy).flat) == {127}
+        epoch = cx[:, :cols] @ cy[:cols]
+        assert epoch[0, 0] > 2**24 and epoch[0, 0] % 2
+        assert (cx[:, :cols].astype(np.float32) @ cy[:cols].astype(np.float32))[0, 0] != epoch[0, 0]
+        w = GemmWorkload(x, y)
+        z, _ = simulate_gemm(w, arch, CAT, mode="quantized")
+        assert np.array_equal(bits_of(z), bits_of(exact_lattice_product(x, y, 8)))
+        # The ADC mode at sigma = 0 still reads out each epoch's exact code
+        # sum in volts, in float64, with the step sizes in the gain.
+        z, _ = simulate_gemm(w, arch, CAT, nm=NoiseModel(sigma=0.0), mode="quantized+noise+adc")
+        cfg = engine_config_for(arch, CAT)
+        gain = cfg.current_scale() * (px.alpha * py.alpha) * (cfg.dt / cfg.c_int)
+        want = np.zeros((4, 4))
+        for n0 in range(0, len(y), cols):
+            v = (cx[:, n0 : n0 + cols] @ cy[n0 : n0 + cols]).astype(float)
+            v *= gain
+            want += adc_readout(v, cfg.v_dd, arch.bits_out)
+        want /= cfg.normalization()
+        assert np.array_equal(bits_of(z), bits_of(want))
+
     @pytest.mark.parametrize("m, n, q", [(0, 3, 2), (2, 3, 0), (2, 0, 2)])
     def test_empty_dimensions(self, m, n, q):
         w = GemmWorkload(np.zeros((m, n)), np.zeros((n, q)))
@@ -528,15 +589,22 @@ class TestEngineOperands:
             scheduler, "_engine_rows", record_engine_rows(calls)
         ):
             z, stats = simulate_gemm(w, arch, CAT, nm=nm, mode=mode)
-        if w.x.size:
-            # x whole, then y one readout epoch of C*T rows at a time.
+        if mode == "ideal":  # x @ y as given: nothing goes through the front end
+            assert not calls and np.array_equal(bits_of(z), bits_of(w.x @ w.y))
+        elif w.x.size:
+            # x whole, then y in chunks: readout epochs of C*T rows of
+            # float64, or on the lattice without the ADC float32 codes.
             (xargs, xs), (yargs, ys) = calls
-            assert xargs[0] is w.x and xargs[3:] == (0, w.m) and len(xs) == 1
-            assert yargs[0] is w.y and yargs[3:] == (1, arch.c_cores * arch.t_int)
-            assert len(ys) == math.ceil(w.n / (arch.c_cores * arch.t_int))
             px, py, noisy = xargs[1], yargs[1], xargs[2]
-            assert yargs[2] is noisy
-            assert (px is None) == (py is None) == (mode == "ideal")
+            lattice = noisy is None and mode != "quantized+noise+adc"
+            dtype = np.float32 if lattice else np.float64
+            rows = arch.c_cores * arch.t_int
+            if lattice:
+                rows = min(rows, 2**24 // 4 ** (arch.bits_in - 1))
+            assert xargs[0] is w.x and xargs[3:] == (0, w.m, dtype) and len(xs) == 1
+            assert yargs[0] is w.y and yargs[3:] == (1, rows, dtype)
+            assert len(ys) == math.ceil(w.n / rows)
+            assert yargs[2] is noisy and px is not None and py is not None
             # The default NoiseModel has sigma = 0.0031; quantized mode draws no noise.
             assert (noisy is not None) == (mode in MODES[2:] and (nm is None or nm.sigma > 0))
         else:  # M = 0 or N = 0: no epoch, so no operand goes through the front end
@@ -595,14 +663,16 @@ class TestEngineOperands:
                 peaks[mode] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # Ideal mode multiplies the operands as given, into the accumulator
-        # and one readout buffer; the quantized modes add one copy of x, one
-        # readout epoch of y and a few blocks of scratch.
+        # Ideal mode is one product of the operands as given.  The other
+        # modes hold the result, one readout buffer, one copy of x, one epoch
+        # of y and a few blocks of scratch; without noise or the ADC the
+        # buffer and both copies are float32, half the size.
         block = scheduler._OPERAND_BLOCK_ELEMS * 8
         result = w.m * w.q * 8
         epoch_of_y = min(w.n, arch.c_cores * arch.t_int) * w.q * 8
-        assert peaks["ideal"] <= 2 * result + block, peaks
-        assert all(peaks[mode] <= peaks["ideal"] + w.x.nbytes + epoch_of_y + 3 * block for mode in MODES[1:]), peaks
+        assert peaks["ideal"] <= result + block, peaks
+        assert peaks["quantized"] <= result + (result + w.x.nbytes + epoch_of_y) / 2 + 3 * block, peaks
+        assert all(peaks[mode] <= 2 * result + w.x.nbytes + epoch_of_y + 3 * block for mode in MODES[2:]), peaks
 
     def test_quantizes_each_operand_once(self, monkeypatch):
         calls = []
