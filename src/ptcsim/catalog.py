@@ -3,24 +3,28 @@
 A catalog file is a strict-schema JSON document listing one device spec per
 component kind (converters, modulators, splitters, detectors, ...).  Three
 catalogs ship with the package (foundry, foundry_sl, custom_sl) covering the
-modeled technology variants.  This module owns every rule of a valid device
-and catalog, so a catalog that loads is one the cost model and the simulator
-can run, unless its losses take the laser power or current out of the float
-range.  Each kind has its required fields and each numeric field its type
-and range (_FIELD_RULES): powers, areas, losses, dark current and energy per
-bit >= 0; lengths, widths, rated frequency and responsivity > 0; extinction
-ratio > 0 or +inf (ideal), with the engine's 1 - 10^(-ER/10) > 0;
-rated_bits in CONVERTER_BITS; fanout_n >= 2; the DAC's and the laser's
-power > 0.  A catalog holds every kind, one of mzm and
-slmzm being enough, and a photodetector with a length and width.
+modeled technology variants; load_builtin_catalog parses each once per
+process, and every catalog is read-only, so callers share them.  This module
+owns every rule of a valid device and catalog, so a catalog that loads is one
+the cost model and the simulator can run, unless its losses take the laser
+power or current out of the float range.  Each kind has its required fields
+and each numeric field its type and range (_FIELD_RULES): powers, areas,
+losses, dark current and energy per bit >= 0; lengths, widths, rated
+frequency and responsivity > 0; extinction ratio > 0 or +inf (ideal), with
+the engine's 1 - 10^(-ER/10) > 0; rated_bits in CONVERTER_BITS;
+fanout_n >= 2; the DAC's and the laser's power > 0.  A catalog holds every
+kind, one of mzm and slmzm being enough, and a photodetector with a length
+and width.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 from .engine import _er_power_factor
 
@@ -210,13 +214,16 @@ class CatalogVariant:
     """A complete device catalog for one technology variant.
 
     Complete means it holds a device of every kind, with one input modulator
-    (mzm or slmzm) enough, and each device the fields the models read.
+    (mzm or slmzm) enough, and each device the fields the models read.  A
+    catalog is read-only: it keeps a private copy of ``devices`` behind a
+    MappingProxyType, so a catalog can be shared (load_builtin_catalog).
     """
 
     name: str
-    devices: dict[str, DeviceSpec]
+    devices: Mapping[str, DeviceSpec]
 
     def __post_init__(self):
+        object.__setattr__(self, "devices", MappingProxyType(dict(self.devices)))
         if not isinstance(self.name, str) or not self.name:
             raise CatalogError(f"variant name must be a non-empty string, got {self.name!r}")
         for kinds in _CATALOG_KINDS:
@@ -326,5 +333,14 @@ def builtin_catalog_path(variant: str) -> Path:
     return _DATA_DIR / f"{variant_name(variant)}.json"
 
 
+#: The builtin catalogs parsed so far, by canonical variant name.
+_BUILTIN: dict[str, CatalogVariant] = {}
+
+
 def load_builtin_catalog(variant: str) -> CatalogVariant:
-    return load_catalog(builtin_catalog_path(variant))
+    """A shipped catalog, parsed on its first load in the process and shared
+    after that: 'custom-sl' and 'custom_sl' return the same read-only object."""
+    cat = _BUILTIN.get(variant_name(variant)) if isinstance(variant, str) else None
+    if cat is None:
+        cat = _BUILTIN[variant_name(variant)] = load_catalog(builtin_catalog_path(variant))
+    return cat

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -140,7 +141,7 @@ class ArchConfig:
                     raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
         if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
-        if not math.isfinite(self.clock_hz) or self.clock_hz <= 0:
+        if not 0 < self.clock_hz <= sys.float_info.max:  # an int past the float range too
             raise ValueError(f"clock_hz must be finite and > 0, got {self.clock_hz}")
 
     def to_dict(self) -> dict:

@@ -69,6 +69,15 @@ class TestCatalogIO:
         with pytest.raises(CatalogError, match="no builtin catalog"):
             load_builtin_catalog(variant)
 
+    def test_unknown_variant_raises_on_every_load(self):
+        for _ in range(2):
+            with pytest.raises(CatalogError, match="no builtin catalog"):
+                load_builtin_catalog("exotic")
+
+    def test_builtin_catalogs_are_parsed_once_per_spelling(self):
+        assert load_builtin_catalog("custom-sl") is load_builtin_catalog("custom_sl")
+        assert load_builtin_catalog("foundry") is load_builtin_catalog("foundry")
+
     def test_roundtrip_through_dump(self, tmp_path, catalog):
         path = tmp_path / "cat.json"
         dump_catalog(catalog, path)
@@ -204,3 +213,26 @@ class TestCompleteCatalog:
         pd = dataclasses.replace(cat.device(DeviceKind.PHOTODETECTOR), **{field: None})
         with pytest.raises(CatalogError, match=f"'ge_pd' \\(kind photodetector\\): missing required field '{field}'"):
             CatalogVariant("c", {**cat.devices, DeviceKind.PHOTODETECTOR: pd})
+
+
+class TestReadOnlyCatalog:
+    @pytest.fixture(params=["builtin", "file"])
+    def cat(self, request, tmp_path):
+        if request.param == "builtin":
+            return load_builtin_catalog("custom-sl")
+        dump_catalog(load_builtin_catalog("custom-sl"), tmp_path / "c.json")
+        return load_catalog(tmp_path / "c.json")
+
+    def test_devices_cannot_be_assigned_or_deleted(self, cat):
+        laser = cat.device(DeviceKind.LASER)
+        with pytest.raises(TypeError):
+            cat.devices[DeviceKind.LASER] = dataclasses.replace(laser, power_w=1.0)
+        with pytest.raises(TypeError):
+            del cat.devices[DeviceKind.LASER]
+        assert cat.device(DeviceKind.LASER) is laser
+
+    def test_catalog_keeps_its_own_copy_of_the_devices(self, cat):
+        devices = dict(cat.devices)
+        copy = CatalogVariant("c", devices)
+        del devices[DeviceKind.LASER]
+        assert DeviceKind.LASER in copy.devices

@@ -1,16 +1,21 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptcsim import MODES, ArchConfig, MlpConfig, NoiseModel, builtin_catalog_path, cli, load_builtin_catalog
 from ptcsim.catalog import _FIELD_RULES, _KIND_RULES
@@ -494,6 +499,7 @@ def write_probe_files(d):
     (d / "not_zip.npz").write_text("x,y\n")
     (d / "epochs_0.json").write_text(json.dumps({"epochs": 0}))
     (d / "epochs_neg.json").write_text(json.dumps({"epochs": -1}))
+    (d / "clock_401_digits.json").write_text(json.dumps({"clock_hz": 10**400}))
 
 
 #: Bad inputs that once exited 1, or 0 after pricing or training on nonsense.
@@ -532,6 +538,8 @@ PROBES = {
     "cost-k-200-digits": ["cost", "-k", "1" + "0" * 199],
     "sweep-k-401-digits": ["sweep", "--axis", "K", "--values", "8," + "1" + "0" * 400],
     "simulate-tiles-401-digits": ["simulate", "--workload", "rand:4x4x4", "--tiles", "1" + "0" * 400],
+    "cost-arch-clock-401-digits": ["cost", "--arch", "{d}/clock_401_digits.json"],
+    "sweep-arch-clock-401-digits": ["sweep", "--axis", "K", "--values", "8", "--arch", "{d}/clock_401_digits.json"],
 }
 #: Each bad catalog through every command that reads a catalog file.
 CATALOG_COMMANDS = {
@@ -634,6 +642,98 @@ class TestInputBoundary:
         )
         assert "Traceback" not in result.stderr
         assert_one_line_exit_2(result.returncode, result.stderr, tmp_path / "o")
+
+
+#: The text of a numeric flag: values in range and at the bounds, 0,
+#: negatives, NaN, +-inf, integers of 20-400 digits, and non-numbers.
+_DIGITS = st.integers(20, 400).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1))
+NUMBER_TEXT = st.one_of(
+    st.integers(-2, 130),
+    st.sampled_from([1, 16, 17, 2**31 - 1, 2**31, -(2**31)]),
+    st.floats(),
+    _DIGITS,
+    _DIGITS.map(lambda v: -v),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "", "abc", "0x10", "1_000", " 8", "8.5", "1e3"]),
+).map(str)
+#: The value of one --arch file field: JSON numbers of every kind, and non-numbers.
+ARCH_FIELD_VALUE = st.one_of(
+    st.integers(-2, 130), st.floats(), _DIGITS, _DIGITS.map(lambda v: -v),
+    st.sampled_from([True, False, None, "8", [8], {"k": 8}]),
+)
+ARCH_FLAGS = ("--tiles", "--cores", "--size", "--clock-ghz", "--t-int", "--t-rst", "--bits-in", "--bits-out")
+CHOICE_FLAGS = {
+    "--variant": ("foundry", "foundry-sl", "custom-sl", "custom_sl", ""),
+    "--convention": ("peak", "reset_derated", "steady"),
+    "--topology": ("embedded_uneven", "double_layer", "ring"),
+}
+#: --values for each sweep axis: lists, and doubling ranges of at most
+#: log2(10^400) points.
+SWEEP_VALUES = st.one_of(
+    st.lists(NUMBER_TEXT, min_size=1, max_size=5).map(",".join),
+    st.tuples(NUMBER_TEXT, NUMBER_TEXT).map("..".join),
+    st.lists(st.sampled_from([*CHOICE_FLAGS["--variant"], "exotic"]), min_size=1, max_size=4).map(",".join),
+)
+
+
+@st.composite
+def cli_argv(draw, command):
+    """(argv, arch file doc or None): argv for command from per-flag strategies."""
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(ARCH_FLAGS), unique=True, max_size=4)):
+        argv.append(f"{flag}={draw(NUMBER_TEXT)}")  # "=" lets a value start with "-"
+    for flag, options in CHOICE_FLAGS.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(options))}")
+    if draw(st.booleans()):
+        argv.append("--include-memory")
+    if command == "sweep":
+        argv.append(f"--axis={draw(st.sampled_from(['K', 'T', 'variant', 'k']))}")
+        if draw(st.integers(0, 4)):
+            argv.append(f"--values={draw(SWEEP_VALUES)}")
+    arch_doc = None
+    if draw(st.integers(0, 3)) == 0:
+        arch_doc = ArchConfig().to_dict()
+        field = draw(st.sampled_from([*arch_doc, "pipelined_readout"]))
+        arch_doc[field] = draw(ARCH_FIELD_VALUE)
+    return argv, arch_doc
+
+
+class _RunStep(Exception):
+    """Raised in place of the work: every input was resolved."""
+
+
+def _run_step(*_, **__):
+    raise _RunStep
+
+
+def exit_code_and_stderr(argv):
+    """main(argv) with the run step stubbed out: 0 once every input resolves."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with mock.patch.object(cli, "cost_report", _run_step), mock.patch.object(cli, "sweep", _run_step):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse's usage errors
+                code = e.code
+            except _RunStep:
+                code = 0
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["cost", "sweep"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_argv_exits_0_or_2_with_one_error_line(tmp_path_factory, command, data):
+    """Any argv resolves, or exits 2 on one `error:` line; no traceback, no exit 1."""
+    argv, arch_doc = data.draw(cli_argv(command))
+    d = tmp_path_factory.mktemp("fuzz")
+    if arch_doc is not None:
+        (d / "arch.json").write_text(json.dumps(arch_doc))
+        argv.append(f"--arch={d / 'arch.json'}")
+    code, err = exit_code_and_stderr([*argv, f"--out={d / 'o'}"])
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert (code, len(error_lines)) in ((0, 0), (2, 1)), (argv, arch_doc, code, err)
+    assert not (d / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
 """Analytical cost model: loss chain, laser power, area/power, metrics, sweeps."""
 
+import json
 import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ptcsim import (
+    CONVENTIONS,
+    TOPOLOGIES,
     ArchConfig,
     DeviceKind,
     area_estimate,
@@ -24,7 +28,7 @@ from ptcsim import (
     sweep,
     sweep_to_csv,
 )
-from ptcsim.costs import UM2_PER_MM2
+from ptcsim.costs import UM2_PER_MM2, sweep_points
 
 CUSTOM = load_builtin_catalog("custom-sl")
 FOUNDRY = load_builtin_catalog("foundry")
@@ -247,6 +251,45 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             sweep(ARCH, {"custom_sl": CUSTOM}, "f", [1])
+
+    @pytest.mark.parametrize("include_memory", [False, True])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("axis, values", [
+        ("K", [1, 2, 3, 8, 17, 32, 64]), ("T", [1, 7, 60, 120]), ("variant", ["foundry", "foundry-sl", "custom_sl"]),
+    ])
+    def test_each_point_is_its_cost_report(self, axis, values, topology, convention, include_memory):
+        kwargs = {"include_memory": include_memory, "convention": convention, "topology": topology}
+        template = ArchConfig(r_tiles=2, c_cores=3, k=8, clock_hz=3e9, t_int=30, t_rst=1, bits_in=5, bits_out=7)
+        names = ("foundry", "foundry_sl", "custom_sl")
+        if axis == "variant":
+            catalogs = [{v: load_builtin_catalog(v) for v in names}]
+        else:
+            catalogs = [{v: load_builtin_catalog(v)} for v in names]
+        for cats in catalogs:
+            reports = sweep(template, cats, axis, values, **kwargs)
+            points = sweep_points(template, cats, axis, values)
+            assert [r.arch for r in reports] == [arch for arch, _ in points]
+            for r, (arch, cat) in zip(reports, points):
+                # The same floats: equal dicts, and equal JSON bytes.
+                expected = cost_report(arch, cat, **kwargs).to_dict()
+                assert r.to_dict() == expected
+                assert json.dumps(r.to_dict()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("axis, value", [("K", 2.5), ("K", True), ("K", "8"), ("T", 60.9), ("T", False),
+                                             ("T", "60"), ("K", np.float64(8.0)), ("T", None)])
+    def test_non_integer_value_rejected_by_name(self, axis, value):
+        with pytest.raises(ValueError, match=f"sweep {axis} values must be integers, got {re.escape(repr(value))}"):
+            sweep(ARCH, {"custom_sl": CUSTOM}, axis, [8, value])
+
+    @pytest.mark.parametrize("axis, field", [("K", "k"), ("T", "t_int")])
+    def test_numpy_integers_are_points(self, axis, field):
+        values = [np.int64(8), np.uint8(16), np.int32(4)]
+        reports = sweep(ARCH, {"custom_sl": CUSTOM}, axis, values)
+        assert [type(getattr(r.arch, field)) for r in reports] == [int] * 3
+        assert [r.to_dict() for r in reports] == [
+            r.to_dict() for r in sweep(ARCH, {"custom_sl": CUSTOM}, axis, [8, 16, 4])
+        ]
 
     def test_csv_has_header_and_rows(self):
         reports = sweep(ARCH, {"custom_sl": CUSTOM}, "K", [8, 16])
