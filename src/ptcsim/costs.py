@@ -22,8 +22,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -102,35 +102,20 @@ def insertion_loss(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _loss(k, _loss_terms(cat), topology)
-
-
-def _loss_terms(cat: CatalogVariant) -> tuple[float, ...]:
-    """The catalog's losses (dB) on a path: fiber coupling, modulator, crossing,
-    phase shifter, 2x2 coupler, tap splitter and 1xN splitter."""
-    return (
-        cat.device(DeviceKind.FIBER_COUPLING).insertion_loss_db,
-        cat.modulator().insertion_loss_db,
-        cat.device(DeviceKind.CROSSING).insertion_loss_db,
-        cat.device(DeviceKind.PHASE_SHIFTER).insertion_loss_db,
-        cat.device(DeviceKind.COUPLER_2X2).insertion_loss_db,
-        cat.device(DeviceKind.TAP_SPLITTER).insertion_loss_db,
-        cat.device(DeviceKind.SPLITTER_1XN).insertion_loss_db,
-    )
-
-
-def _loss(k: int, terms: tuple[float, ...], topology: str) -> LossBudget:
-    """insertion_loss from the catalog's _loss_terms."""
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; options: {TOPOLOGIES}")
-    couple, mzm, cross, ps, dc, tap, splitter = terms
+    couple = cat.device(DeviceKind.FIBER_COUPLING).insertion_loss_db
+    mzm = cat.modulator().insertion_loss_db
+    cross = cat.device(DeviceKind.CROSSING).insertion_loss_db
+    ps = cat.device(DeviceKind.PHASE_SHIFTER).insertion_loss_db
+    dc = cat.device(DeviceKind.COUPLER_2X2).insertion_loss_db
     fanout = 10.0 * math.log10(float(k) ** 2) if k > 1 else 0.0
     if topology == "embedded_uneven":
         cross_total = (k - 1) * cross
-        split_total = k * tap
+        split_total = k * cat.device(DeviceKind.TAP_SPLITTER).insertion_loss_db
     else:
         cross_total = (k - 1) ** 2 * cross
-        split_total = splitter
+        split_total = cat.device(DeviceKind.SPLITTER_1XN).insertion_loss_db
     return LossBudget(couple, fanout, mzm, cross_total, split_total, ps, dc)
 
 
@@ -146,27 +131,15 @@ def min_laser_power(
     """
     if bits_out < 1:
         raise ValueError(f"bits_out must be >= 1, got {bits_out}")
-    return _min_laser_w(il_db, _detector_floor_mw(pd, bits_out), _er_power_factor(er_db), pd.sensitivity_dbm)
-
-
-def _detector_floor_mw(pd: DeviceSpec, bits_out: int) -> float:
-    """I_noise/R_PD + 2^b * 10^(S/10) in mW: +inf past the float range."""
     noise_floor_mw = pd.dark_current_a / pd.responsivity_a_per_w * 1e3
     try:  # 10^(x/10) raises past the float range; a product gives inf
-        return noise_floor_mw + 2.0**bits_out * 10.0 ** (pd.sensitivity_dbm / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def _min_laser_w(il_db: float, floor_mw: float, er_factor: float, sensitivity_dbm: float) -> float:
-    """min_laser_power from the detector's _detector_floor_mw and the ER penalty."""
-    try:
-        p_mw = floor_mw * 10.0 ** (il_db / 10.0) / er_factor
+        sensitivity_mw = 2.0**bits_out * 10.0 ** (pd.sensitivity_dbm / 10.0)
+        p_mw = (noise_floor_mw + sensitivity_mw) * 10.0 ** (il_db / 10.0) / _er_power_factor(er_db)
     except OverflowError:
         p_mw = math.inf
     if p_mw == math.inf:
         raise ValueError(
-            f"the laser power for {il_db} dB of insertion loss and {sensitivity_dbm} dBm "
+            f"the laser power for {il_db} dB of insertion loss and {pd.sensitivity_dbm} dBm "
             "photodetector sensitivity overflows a float"
         )
     return p_mw / 1e3
@@ -175,12 +148,9 @@ def _min_laser_w(il_db: float, floor_mw: float, er_factor: float, sensitivity_db
 def laser_power_required(arch: ArchConfig, cat: CatalogVariant, il_db: float) -> float:
     """Laser power (W) of the R*C cores: per core, min_laser_power at il_db dB,
     bits_out bits and the catalog's photodetector and modulator ER."""
-    return _laser_w(arch, _DeviceTerms(cat, arch), il_db)
-
-
-def _laser_w(arch: ArchConfig, t: _DeviceTerms, il_db: float) -> float:
-    """laser_power_required from the catalog's device terms."""
-    return arch.r_tiles * arch.c_cores * _min_laser_w(il_db, t.floor_mw, t.er_factor, t.pd.sensitivity_dbm)
+    pd = cat.device(DeviceKind.PHOTODETECTOR)
+    er = cat.modulator().extinction_ratio_db
+    return arch.r_tiles * arch.c_cores * min_laser_power(il_db, pd, er, arch.bits_out)
 
 
 def dac_power_scale(p0: float, b0: int, fs0: float, b: int, f: float) -> float:
@@ -210,39 +180,6 @@ def _node_area_um2(cat: CatalogVariant) -> float:
     return length * width
 
 
-class _DeviceTerms:
-    """What a catalog adds to the price of every point on arch's clock and bit
-    widths, resolved once: the device specs, the crossbar node's area, the
-    loss terms, the DAC and modulator power, the ER penalty, the detector
-    floor and the configured laser.  A point adds its R, C, K, T and T_rst.
-    """
-
-    __slots__ = (
-        "variant", "laser_w", "losses", "dac", "mod", "mmi", "pd", "ps", "tia", "adc", "integ", "sram",
-        "node_area_um2", "p_dac", "p_mod", "er_factor", "floor_mw",
-    )
-
-    def __init__(self, cat: CatalogVariant, arch: ArchConfig):
-        f = arch.clock_hz
-        self.variant = cat.name
-        self.laser_w = cat.device(DeviceKind.LASER).power_w
-        self.losses = _loss_terms(cat)
-        self.dac = dac = cat.device(DeviceKind.DAC)
-        self.mod = mod = cat.modulator()
-        self.mmi = cat.device(DeviceKind.SPLITTER_1XN)
-        self.pd = cat.device(DeviceKind.PHOTODETECTOR)
-        self.ps = cat.device(DeviceKind.PHASE_SHIFTER)
-        self.tia = cat.device(DeviceKind.TIA)
-        self.adc = cat.device(DeviceKind.ADC)
-        self.integ = cat.device(DeviceKind.INTEGRATOR)
-        self.sram = cat.device(DeviceKind.SRAM)
-        self.node_area_um2 = _node_area_um2(cat)
-        self.p_dac = dac_power_scale(dac.power_w, dac.rated_bits, dac.rated_frequency_hz, arch.bits_in, f)
-        self.p_mod = mod.power_w + mod.energy_per_bit_j * f
-        self.er_factor = _er_power_factor(mod.extinction_ratio_db)
-        self.floor_mw = _detector_floor_mw(self.pd, arch.bits_out)
-
-
 def area_estimate(
     arch: ArchConfig,
     cat: CatalogVariant,
@@ -256,31 +193,29 @@ def area_estimate(
     1x2K MMI is the catalog's 1xN splitter with its length and width each
     scaled by 2K/N.
     """
-    return _area(arch, _DeviceTerms(cat, arch), include_memory)
-
-
-def _area(arch: ArchConfig, t: _DeviceTerms, include_memory: bool) -> dict[str, float]:
-    """area_estimate from the catalog's device terms."""
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
-    mmi = t.mmi
+    dac = cat.device(DeviceKind.DAC)
+    mod = cat.modulator()
+    mmi = cat.device(DeviceKind.SPLITTER_1XN)
     s = 2 * k / mmi.fanout_n
     inputs = 2 * n_cores * k
     readout = arch.r_tiles * k**2
     nodes = n_cores * k**2
 
     breakdown = {
-        "dac": inputs * t.dac.area_um2 / UM2_PER_MM2,
-        "modulator": inputs * t.mod.area_um2 / UM2_PER_MM2,
+        "dac": inputs * dac.area_um2 / UM2_PER_MM2,
+        "modulator": inputs * mod.area_um2 / UM2_PER_MM2,
         "fanout_mmi": n_cores * ((mmi.length_um * s) * (mmi.width_um * s)) / UM2_PER_MM2,
-        "crossbar_node": nodes * t.node_area_um2 / UM2_PER_MM2,
-        "integrator": readout * t.integ.area_um2 / UM2_PER_MM2,
-        "tia": readout * t.tia.area_um2 / UM2_PER_MM2,
-        "adc": readout * t.adc.area_um2 / UM2_PER_MM2,
+        "crossbar_node": nodes * _node_area_um2(cat) / UM2_PER_MM2,
+        "integrator": readout * cat.device(DeviceKind.INTEGRATOR).area_um2 / UM2_PER_MM2,
+        "tia": readout * cat.device(DeviceKind.TIA).area_um2 / UM2_PER_MM2,
+        "adc": readout * cat.device(DeviceKind.ADC).area_um2 / UM2_PER_MM2,
     }
     if include_memory:
+        sram = cat.device(DeviceKind.SRAM)
         breakdown["memory"] = (
-            (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * t.sram.area_um2 / UM2_PER_MM2
+            (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.area_um2 / UM2_PER_MM2
         )
     return breakdown
 
@@ -297,16 +232,21 @@ def power_estimate(
     width and clock, and TIA/ADC scaled by f / (T * f_rated); scaled to R*C
     cores, except that the readout chains are counted per tile.
     """
-    return _power(arch, _DeviceTerms(cat, arch), include_memory)
-
-
-def _power(arch: ArchConfig, t: _DeviceTerms, include_memory: bool) -> dict[str, float]:
-    """power_estimate from the catalog's device terms."""
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
     f = arch.clock_hz
-    tia = t.tia
-    adc = t.adc
+    dac = cat.device(DeviceKind.DAC)
+    mod = cat.modulator()
+    pd = cat.device(DeviceKind.PHOTODETECTOR)
+    ps = cat.device(DeviceKind.PHASE_SHIFTER)
+    tia = cat.device(DeviceKind.TIA)
+    adc = cat.device(DeviceKind.ADC)
+    integ = cat.device(DeviceKind.INTEGRATOR)
+
+    p_dac = dac_power_scale(
+        dac.power_w, dac.rated_bits, dac.rated_frequency_hz, arch.bits_in, f
+    )
+    p_mod = mod.power_w + mod.energy_per_bit_j * f
     p_tia = tia.power_w * f / (arch.t_int * tia.rated_frequency_hz)
     p_adc = adc.power_w * f / (arch.t_int * adc.rated_frequency_hz)
 
@@ -315,16 +255,17 @@ def _power(arch: ArchConfig, t: _DeviceTerms, include_memory: bool) -> dict[str,
     nodes = n_cores * k**2
 
     breakdown = {
-        "dac": inputs * t.p_dac,
-        "modulator": inputs * t.p_mod,
-        "photodetector": nodes * 2 * t.pd.power_w,
-        "phase_shifter": nodes * t.ps.power_w,
-        "integrator": readout * t.integ.power_w,
+        "dac": inputs * p_dac,
+        "modulator": inputs * p_mod,
+        "photodetector": nodes * 2 * pd.power_w,
+        "phase_shifter": nodes * ps.power_w,
+        "integrator": readout * integ.power_w,
         "tia": readout * p_tia,
         "adc": readout * p_adc,
     }
     if include_memory:
-        breakdown["memory"] = (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * t.sram.power_w
+        sram = cat.device(DeviceKind.SRAM)
+        breakdown["memory"] = (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.power_w
     return breakdown
 
 
@@ -418,22 +359,15 @@ def cost_report(
     topology: str = "embedded_uneven",
 ) -> CostReport:
     """Assemble the full cost report for one architecture point."""
-    return _report(arch, _DeviceTerms(cat, arch), include_memory, convention, topology)
-
-
-def _report(
-    arch: ArchConfig, t: _DeviceTerms, include_memory: bool, convention: str, topology: str
-) -> CostReport:
-    """cost_report from the catalog's device terms: the price of one point."""
-    area = _area(arch, t, include_memory)
-    power = _power(arch, t, include_memory)
-    loss = _loss(arch.k, t.losses, topology)
-    laser_req = _laser_w(arch, t, loss.total_db)
+    area = area_estimate(arch, cat, include_memory)
+    power = power_estimate(arch, cat, include_memory)
+    loss = insertion_loss(arch.k, cat, topology)
+    laser_req = laser_power_required(arch, cat, loss.total_db)
     total_area = sum(area.values())
     total_power = sum(power.values())
     tops, tpw, tpmm2 = metrics(arch, total_area, total_power, convention)
     return CostReport(
-        variant=t.variant,
+        variant=cat.name,
         arch=arch,
         convention=convention,
         topology=topology,
@@ -442,23 +376,11 @@ def _report(
         power_by_component=power,
         loss=loss,
         laser_power_required_w=laser_req,
-        laser_power_configured_w=t.laser_w,
+        laser_power_configured_w=cat.device(DeviceKind.LASER).power_w,
         tops=tops,
         tops_per_w=tpw,
         tops_per_mm2=tpmm2,
     )
-
-
-def _axis_int(axis: str, value) -> int:
-    """A K or T sweep value as an int: an int or a numpy integer, not a bool."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"sweep {axis} values must be integers, got {value!r}")
 
 
 def sweep_points(
@@ -468,8 +390,8 @@ def sweep_points(
 
     For 'variant', values are catalog names looked up in ``catalogs``; for
     'K' and 'T' a single catalog keyed by the template's variant is used, and
-    each value must be an integer (an int or a numpy integer, not a bool).
-    Every point's ArchConfig is built, and so checked, here.
+    each value must be an int or a numpy integer.  Every point's ArchConfig is
+    built, and so checked, here: it rejects a bool, float or str by field name.
     """
     if not values:
         raise ValueError("sweep requires at least one value")
@@ -478,15 +400,8 @@ def sweep_points(
     if axis == "variant":
         return [(arch, catalogs[variant_name(str(v))]) for v in values]
     cat = catalogs[next(iter(catalogs))]
-    ints = [_axis_int(axis, v) for v in values]
-    ks = ints if axis == "K" else [arch.k] * len(ints)
-    ts = ints if axis == "T" else [arch.t_int] * len(ints)
-    point = type(arch)
-    return [
-        (point(r_tiles=arch.r_tiles, c_cores=arch.c_cores, k=k, clock_hz=arch.clock_hz, t_int=t,
-               t_rst=arch.t_rst, bits_in=arch.bits_in, bits_out=arch.bits_out), cat)
-        for k, t in zip(ks, ts)
-    ]
+    ints = [int(v) if isinstance(v, numbers.Integral) and not isinstance(v, bool) else v for v in values]
+    return [(replace(arch, k=v) if axis == "K" else replace(arch, t_int=v), cat) for v in ints]
 
 
 def sweep(
@@ -498,19 +413,11 @@ def sweep(
     convention: str = "peak",
     topology: str = "embedded_uneven",
 ) -> list[CostReport]:
-    """A cost report for each of sweep_points(arch, catalogs, axis, values).
-
-    The points differ from arch only in K, T or catalog, so each catalog's
-    device terms are resolved once, and each point prices only its own.
-    """
-    terms: dict[int, _DeviceTerms] = {}
-    reports = []
-    for point, cat in sweep_points(arch, catalogs, axis, values):
-        t = terms.get(id(cat))
-        if t is None:
-            t = terms[id(cat)] = _DeviceTerms(cat, arch)
-        reports.append(_report(point, t, include_memory, convention, topology))
-    return reports
+    """A cost report for each of sweep_points(arch, catalogs, axis, values)."""
+    return [
+        cost_report(point, cat, include_memory=include_memory, convention=convention, topology=topology)
+        for point, cat in sweep_points(arch, catalogs, axis, values)
+    ]
 
 
 def report_to_text(report: CostReport) -> str:

@@ -1,9 +1,11 @@
 """Analytical cost model: loss chain, laser power, area/power, metrics, sweeps."""
 
+import hashlib
 import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ from ptcsim.costs import UM2_PER_MM2, sweep_points
 CUSTOM = load_builtin_catalog("custom-sl")
 FOUNDRY = load_builtin_catalog("foundry")
 ARCH = ArchConfig()
+#: SHA-256 of json.dumps(cost_report(...).to_dict()) at 120 points: the three
+#: builtin catalogs x five archs x both topologies, conventions and memory.
+PINNED_REPORTS = Path(__file__).parent / "data" / "cost_report_sha256.json"
 
 
 class TestInsertionLoss:
@@ -225,6 +230,19 @@ class TestCostReport:
         text = report_to_text(r)
         assert "custom_sl" in text and "TOPS/W" in text
 
+    def test_reports_match_pinned_digests(self):
+        """Every float of a report is pinned: a change to any formula, or to
+        the order of its operations, changes some digest."""
+        changed = []
+        for case in json.loads(PINNED_REPORTS.read_text()):
+            r = cost_report(
+                ArchConfig(**case["arch"]), load_builtin_catalog(case["variant"]),
+                include_memory=case["include_memory"], convention=case["convention"], topology=case["topology"],
+            )
+            if hashlib.sha256(json.dumps(r.to_dict()).encode()).hexdigest() != case["sha256"]:
+                changed.append({k: v for k, v in case.items() if k != "sha256"})
+        assert changed == []
+
 
 class TestSweep:
     def test_k_sweep_monotone_area_and_power(self):
@@ -279,7 +297,8 @@ class TestSweep:
     @pytest.mark.parametrize("axis, value", [("K", 2.5), ("K", True), ("K", "8"), ("T", 60.9), ("T", False),
                                              ("T", "60"), ("K", np.float64(8.0)), ("T", None)])
     def test_non_integer_value_rejected_by_name(self, axis, value):
-        with pytest.raises(ValueError, match=f"sweep {axis} values must be integers, got {re.escape(repr(value))}"):
+        field = {"K": "k", "T": "t_int"}[axis]
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {re.escape(repr(value))}"):
             sweep(ARCH, {"custom_sl": CUSTOM}, axis, [8, value])
 
     @pytest.mark.parametrize("axis, field", [("K", "k"), ("T", "t_int")])
