@@ -1,6 +1,7 @@
 """GEMM tiling, cycle accounting, and behavioral simulation modes."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import gen_simulate_sha256
 from scheduler_oracle import (
     assert_engine_rows_match_oracle,
     oracle_engine_rows,
@@ -708,3 +710,17 @@ class TestEngineOperands:
                 assert np.abs(z - x @ y).max() <= 1e-12
             else:  # sigma = 0: on the lattice every partial sum is exact
                 assert np.array_equal(bits_of(z), bits_of(zs["C"]))
+
+
+class TestPinnedOutputs:
+    def test_outputs_match_pinned_digests(self):
+        # Regenerate with tests/gen_simulate_sha256.py only in a change meant
+        # to move outputs, and list the cases that moved.
+        pinned = json.loads(gen_simulate_sha256.PINNED.read_text())
+        assert pinned["numpy"] and pinned["note"]
+        got = gen_simulate_sha256.digests()
+        assert [{k: v for k, v in e.items() if k != "sha256"} for e in got] == [
+            {k: v for k, v in e.items() if k != "sha256"} for e in pinned["cases"]
+        ]
+        moved = [e for e, want in zip(got, pinned["cases"], strict=True) if e["sha256"] != want["sha256"]]
+        assert moved == []
