@@ -7,23 +7,25 @@ parallel photocurrent summation over the C cores, capacitive integration
 over T timesteps, and digital summation of the per-epoch readouts.  Blocks
 round-robin over the R tiles.
 
-The simulator models an epoch only where the ADC reads it.  The paper
-fixes the three levels but not which reduction index a (core, cycle) pair
-handles; here n = p*C + c is driven by core c in cycle p, so cycle p takes
-the C consecutive columns [p*C, (p+1)*C) and readout epoch e integrates the
-C*T consecutive columns [e*C*T, (e+1)*C*T).  Every output element is
-independent, so the epoch's readout for the whole M x Q result is one
-matrix product over that column slice of x and those C*T rows of y, and the
-K x K block structure only matters for cycle accounting.  Without the ADC
-the readouts are summed linearly, so the modes without noise skip the
-epochs: ideal mode is one x @ y, and quantized mode the exact sum of the
-integer codes, scaled once by the step sizes.  It does not depend on T,
-tiling or summation order, bit for bit.
+The paper fixes the three levels but not which reduction index a (core,
+cycle) pair handles; here n = p*C + c is driven by core c in cycle p, so
+readout epoch e integrates the C*T consecutive columns [e*C*T, (e+1)*C*T).
+Every output element is independent, so an epoch's readout for the whole
+M x Q result is one matrix product over that column slice of x and those
+rows of y, and the K x K blocks only matter for cycle accounting.
 
-engine_config_for sizes the integration capacitor so that a full-scale
-C-core, T-cycle ramp lands exactly on the rail, and checks once that it
-does.  Every operand the engine multiplies is bounded by 1, so no readout
-can pass the rail and nothing is clamped.
+Only the ADC reads an epoch, so only the ADC mode walks them
+(_adc_product): y one epoch at a time in float64, each epoch's product
+scaled to volts, digitized in place and added to the result.  Without the
+ADC the readouts are summed linearly (_product), over chunks of
+_LINEAR_ROWS rows of y whatever the machine, so z_hat does not depend on
+C, T or R, bit for bit.  Ideal mode is one x @ y.  Quantized mode (and
+quantized+noise at sigma = 0) sums the integer codes in float32, where a
+chunk of at most 1024 rows keeps every partial sum an integer of at most
+2^24 and so exact, into float64, exact below 2^53, and scales once by
+alpha_x * alpha_y.  quantized+noise at sigma > 0 sums the perturbed
+operands in float64.  With the ADC at sigma = 0 every epoch sum is an
+exact code sum too, so ADC codes do not depend on summation order or tiling.
 
 The quantized modes walk x whole and y in chunks of rows, each in row
 blocks of about 256 KiB, which stay in cache: a block is quantized once
@@ -31,28 +33,17 @@ into its integer codes, straight into its rows of x's copy or of the one
 chunk buffer of y, and in noise modes dequantized, perturbed and clipped in
 those rows.  Each operand draws its noise from its own generator in
 row-major order, so the values do not depend on the blocks or chunks.
-
-Quantized mode (and quantized+noise at sigma = 0) keeps the codes in
-float32 and takes y in chunks of at most C*T rows, few enough that every
-partial sum is an integer below 2^24, so each float32 product is exact.
-Each chunk's product is added to the float64 result, exact below 2^53,
-which is scaled by alpha_x * alpha_y once.  The noise modes at sigma > 0
-and the ADC mode take y one readout epoch at a time in float64:
-each epoch's product goes into one readout buffer, is scaled to volts,
-digitized in place by the ADC and added to the result.  With the ADC at
-sigma = 0 the operands are codes, so every epoch sum is exact and ADC codes
-do not depend on summation order, tiling or the number of rows and
-columns.  Working memory is the result, one product buffer, one copy of x
-and one chunk of y.
+Working memory is the result, one product buffer, one copy of x and one
+chunk of y.  engine_config_for sizes the integration capacitor so that a
+full-scale ramp lands exactly on the rail; no operand passes 1, so no
+readout passes the rail and nothing is clamped.
 
 simulate_chain runs a chain of such products, the layers of a robustness
-study, over many noise trials in quantized+noise mode.  Both run every
-product through one routine, _product: the front end, the path for the
-mode and the chunk loop.  The work the trials share is done once:
-the width check and engine configuration per study, and per layer the
-weights' scale, validation and quantizer params.  Each trial then
-quantizes its input and the weights block by block, as simulate_gemm does,
-one layer after the other.
+study, over many noise trials in quantized+noise mode, through _product as
+simulate_gemm does.  The work the trials share is done once: the width
+check per study, and per layer the weights' scale, validation and
+quantizer params.  Each trial then quantizes its input and the weights
+block by block, one layer after the other.
 """
 
 from __future__ import annotations
@@ -352,52 +343,61 @@ def _check_widths(arch: ArchConfig, mode: str) -> None:
             raise ValueError(f"{name} must be in [{lo}, {hi}] in mode {mode!r}, got {getattr(arch, name)}")
 
 
-def _product(
-    x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
-    noise: NoiseModel | None, arch: ArchConfig, cfg: EngineConfig, adc: bool = False,
-) -> np.ndarray:
-    """x @ y on the engine, in units of the product of operands in [-1, 1] (z_hat).
+#: Rows of y the linear modes multiply at a time, whatever the machine.  Any
+#: count up to 1024 keeps every float32 partial sum of codes within
+#: 1024 * 128^2 = 2^24, exact at the quantizer's widest 8 bits.
+_LINEAR_ROWS = 256
 
-    Ideal mode (px None) is x @ y itself.  On the lattice without the ADC
-    (noise None, adc unset) x's codes go through the front end
-    (_engine_rows) whole into one float32 copy, and y's in chunks of
-    min(C*T, 2^24 / 4^(bits_in - 1)) rows into one float32 buffer, so every
-    partial sum of a chunk's product is an integer of at most 2^24, exact in
-    float32.  The products are summed exactly in float64 and scaled by
-    alpha_x * alpha_y once.  Otherwise y goes through one readout epoch,
-    its next C*T rows, at a time in float64: each epoch's product over its
-    C*T consecutive columns of x is scaled to volts by the gain, digitized
-    in place when adc is set, and summed, and the sum is divided by the
-    full-scale volts per unit product once.
+
+def _product(
+    x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None, noise: NoiseModel | None,
+) -> np.ndarray:
+    """x @ y on the engine without the ADC, in units of the product of operands in [-1, 1] (z_hat).
+
+    Ideal mode (px None) is x @ y itself.  Otherwise x goes through the
+    front end (_engine_rows) whole and y _LINEAR_ROWS rows at a time, as
+    float32 codes on the lattice (noise None) or perturbed float64
+    operands, and the products of x's column slices and y's chunks are
+    summed in float64; the code sum is scaled by alpha_x * alpha_y once.
     """
-    if px is None:
+    if px is None or not x.size:  # with M = 0 or N = 0, x @ y is the zero result
         return x @ y
+    m, q = len(x), y.shape[1]
+    rows, dtype = _LINEAR_ROWS, (np.float32 if noise is None else np.float64)
+    (xe,) = _engine_rows(x, px, noise, 0, m, dtype)
+    z = v = None
+    for n0, ye in zip(range(0, len(y), rows), _engine_rows(y, py, noise, 1, rows, dtype)):
+        if v is None:  # after y's first chunk, so its scratch is freed first
+            z, v = np.zeros((m, q)), np.empty((m, q), dtype)
+        z += np.matmul(xe[:, n0 : n0 + rows], ye, out=v)
+    if noise is None:
+        z *= px.alpha * py.alpha
+    return z
+
+
+def _adc_product(
+    x: np.ndarray, y: np.ndarray, px: QuantizerParams, py: QuantizerParams, noise: NoiseModel | None,
+    arch: ArchConfig, cfg: EngineConfig,
+) -> np.ndarray:
+    """z_hat of the ADC mode: y goes through the front end one readout epoch,
+    its next C*T rows, at a time in float64; each epoch's product is scaled
+    to volts by the gain, digitized in place and summed, and the sum is
+    divided by the full-scale volts per unit product once."""
     m, q = len(x), y.shape[1]
     if not x.size:  # M = 0 or N = 0: no epoch to read out
         return np.zeros((m, q))
-    lattice = noise is None and not adc
     cols = arch.c_cores * arch.t_int
-    if lattice:
-        cols, dtype = min(cols, 2**24 // 4 ** (px.bits - 1)), np.float32
-    else:
-        step = px.alpha * py.alpha if noise is None else 1.0  # 1.0: operands in [-1, 1]
-        gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
-        dtype = np.float64
-    (xe,) = _engine_rows(x, px, noise, 0, m, dtype)
+    step = px.alpha * py.alpha if noise is None else 1.0  # 1.0: operands in [-1, 1]
+    gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
+    (xe,) = _engine_rows(x, px, noise, 0, m, np.float64)
     z = v = None
-    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, noise, 1, cols, dtype)):
-        if v is None:  # after y's first chunk, so its scratch is freed first
-            z, v = np.zeros((m, q)), np.empty((m, q), dtype)
+    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, noise, 1, cols, np.float64)):
+        if v is None:  # after y's first epoch, so its scratch is freed first
+            z, v = np.zeros((m, q)), np.empty((m, q))
         np.matmul(xe[:, n0 : n0 + cols], ye, out=v)
-        if not lattice:
-            v *= gain
-            if adc:
-                adc_readout(v, cfg.v_dd, arch.bits_out)
-        z += v
-    if lattice:
-        z *= px.alpha * py.alpha
-    else:
-        z /= cfg.normalization()
+        v *= gain
+        z += adc_readout(v, cfg.v_dd, arch.bits_out)
+    z /= cfg.normalization()
     return z
 
 
@@ -427,7 +427,10 @@ def simulate_gemm(
         alpha_x, alpha_y = px.alpha, py.alpha
         nm = NoiseModel() if nm is None else nm
         noise = nm if mode != "quantized" and nm.sigma != 0.0 else None
-    z_hat = _product(work.x, work.y, px, py, noise, arch, cfg, mode == "quantized+noise+adc")
+    if mode == "quantized+noise+adc":
+        z_hat = _adc_product(work.x, work.y, px, py, noise, arch, cfg)
+    else:
+        z_hat = _product(work.x, work.y, px, py, noise)
 
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
     stats = SimStats(
@@ -470,10 +473,10 @@ class _ChainLayer:
         GemmWorkload(x, self.y)
         self.params = minmax_params(self.y, arch.bits_in)
 
-    def product(self, x: np.ndarray, nm: NoiseModel, arch: ArchConfig, cfg: EngineConfig) -> np.ndarray:
+    def product(self, x: np.ndarray, nm: NoiseModel) -> np.ndarray:
         """z_hat of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
-        px = minmax_params(x, arch.bits_in)
-        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None, arch, cfg)
+        px = minmax_params(x, self.params.bits)
+        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None)
 
 
 def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
@@ -487,16 +490,18 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
     raised, are those of one simulate_gemm call per layer and trial, bit for
     bit, except that a bit width the mode cannot run is rejected first.
 
-    The work trials share is done once: the width check and
-    engine_config_for per chain; per layer, when the first trial reaches
-    it, the weights' scale, validation and quantizer params.  Each
+    The work trials share is done once: the width check per chain; per
+    layer, when the first trial reaches it, the weights' scale, validation
+    and quantizer params.  The product needs no engine constants, so
+    engine_config_for runs once only to raise the errors simulate_gemm
+    would.  Each
     trial runs through every layer before the next one starts, so one
     trial's activations are live at a time.  A trial without noise in any
     layer does not depend on its seeds: the first one runs, and later ones
     yield its output again (the same array).  No SimStats is built.
     """
     _check_widths(arch, "quantized+noise")
-    cfg = engine_config_for(arch, cat)
+    engine_config_for(arch, cat)
     layers: list[_ChainLayer] = []
     clean = None
     for trial in trials:
@@ -510,7 +515,7 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
             if i == len(layers):
                 layers.append(_ChainLayer(h, w, arch))
             layer = layers[i]
-            h = layer.product(h, nm, arch, cfg)
+            h = layer.product(h, nm)
             h *= sx * layer.sw
             h = digital(i, h)
         if not noisy:

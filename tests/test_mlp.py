@@ -217,7 +217,7 @@ class TestStudyPass:
     def test_runs_the_one_front_end(self, monkeypatch, arch):
         # The study pass prepares its operands through the front end that
         # simulate_gemm uses: every slice it yields, of x whole and of y
-        # one readout epoch at a time, is the whole-operand oracle's bit for
+        # one chunk at a time, is the whole-operand oracle's bit for
         # bit, and swapping the oracle in leaves every trial's logits
         # unchanged.
         sizes = (8, 13, 7, 4)

@@ -491,6 +491,17 @@ class TestEpochStreaming:
         z, _ = simulate_gemm(w, arch, CAT, mode="ideal")
         assert np.array_equal(bits_of(z), bits_of(w.x @ w.y))
 
+    def test_noise_mode_does_not_depend_on_cores_or_window(self):
+        # Without the ADC the readouts are summed linearly, in chunks of y
+        # that do not depend on the machine, so neither do the bytes of z_hat.
+        w = GemmWorkload.random(6, 700, 5, seed=4)
+        nm = NoiseModel(sigma=0.02, seed=4)
+        zs = {
+            (c, t): simulate_gemm(w, ArchConfig(c_cores=c, t_int=t), CAT, nm=nm, mode="quantized+noise")[0].tobytes()
+            for c in (1, 3, 6) for t in (1, 7, 60)
+        }
+        assert len(set(zs.values())) == 1, zs.keys()
+
     def test_lattice_sums_past_float32_exactly(self):
         # At 8 bits the codes are +-127, odd, and a readout epoch of
         # C*T = 1440 of their products sums past 2^24, above which float32
@@ -595,14 +606,13 @@ class TestEngineOperands:
             assert not calls and np.array_equal(bits_of(z), bits_of(w.x @ w.y))
         elif w.x.size:
             # x whole, then y in chunks: readout epochs of C*T rows of
-            # float64, or on the lattice without the ADC float32 codes.
+            # float64 in the ADC mode, else _LINEAR_ROWS rows, of float32
+            # codes on the lattice.
             (xargs, xs), (yargs, ys) = calls
             px, py, noisy = xargs[1], yargs[1], xargs[2]
-            lattice = noisy is None and mode != "quantized+noise+adc"
-            dtype = np.float32 if lattice else np.float64
-            rows = arch.c_cores * arch.t_int
-            if lattice:
-                rows = min(rows, 2**24 // 4 ** (arch.bits_in - 1))
+            adc = mode == "quantized+noise+adc"
+            dtype = np.float32 if noisy is None and not adc else np.float64
+            rows = arch.c_cores * arch.t_int if adc else scheduler._LINEAR_ROWS
             assert xargs[0] is w.x and xargs[3:] == (0, w.m, dtype) and len(xs) == 1
             assert yargs[0] is w.y and yargs[3:] == (1, rows, dtype)
             assert len(ys) == math.ceil(w.n / rows)
@@ -644,16 +654,18 @@ class TestEngineOperands:
         st.integers(0, 10_000), st.integers(1, 3),
     )
     def test_epoch_slices_match_whole_operand_bitwise(self, c, t, kind, k, m, q, mode, sigma, seed, y_rows):
-        # Blocks of 1-3 rows of y restart at every epoch boundary, so a
+        # Blocks of 1-3 rows of y restart at every chunk boundary, so a
         # block straddles where C*T is no multiple of it, and y's noise
-        # draws run on from one epoch into the next.
+        # draws run on from one chunk into the next.  The linear modes'
+        # chunks are cut to C*T rows here, so that they have boundaries too.
         cols = c * t
         n = {"0": 0, "<": cols - 1, "=": cols, "k": k * cols, "k+1": k * cols + 1}[kind]
         w = GemmWorkload.random(m, n, q, seed=seed)
         arch = ArchConfig(r_tiles=2, c_cores=c, k=3, t_int=t)
-        self.check_front_end(w, arch, NoiseModel(sigma=sigma, seed=seed), mode, y_rows * q)
+        with mock.patch.object(scheduler, "_LINEAR_ROWS", cols):
+            self.check_front_end(w, arch, NoiseModel(sigma=sigma, seed=seed), mode, y_rows * q)
 
-    def test_quantized_modes_add_one_copy_of_x_and_one_epoch_of_y(self):
+    def test_quantized_modes_add_one_copy_of_x_and_one_chunk_of_y(self):
         rng = np.random.default_rng(0)
         w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
         arch = ArchConfig()
@@ -666,15 +678,18 @@ class TestEngineOperands:
             finally:
                 tracemalloc.stop()
         # Ideal mode is one product of the operands as given.  The other
-        # modes hold the result, one readout buffer, one copy of x, one epoch
-        # of y and a few blocks of scratch; without noise or the ADC the
+        # modes hold the result, one product buffer, one copy of x, one chunk
+        # of y (_LINEAR_ROWS rows, a readout epoch of C*T rows in the ADC
+        # mode) and a few blocks of scratch; without noise or the ADC the
         # buffer and both copies are float32, half the size.
         block = scheduler._OPERAND_BLOCK_ELEMS * 8
         result = w.m * w.q * 8
+        chunk_of_y = min(w.n, scheduler._LINEAR_ROWS) * w.q * 8
         epoch_of_y = min(w.n, arch.c_cores * arch.t_int) * w.q * 8
         assert peaks["ideal"] <= result + block, peaks
-        assert peaks["quantized"] <= result + (result + w.x.nbytes + epoch_of_y) / 2 + 3 * block, peaks
-        assert all(peaks[mode] <= 2 * result + w.x.nbytes + epoch_of_y + 3 * block for mode in MODES[2:]), peaks
+        assert peaks["quantized"] <= result + (result + w.x.nbytes + chunk_of_y) / 2 + 3 * block, peaks
+        assert peaks["quantized+noise"] <= 2 * result + w.x.nbytes + chunk_of_y + 3 * block, peaks
+        assert peaks["quantized+noise+adc"] <= 2 * result + w.x.nbytes + epoch_of_y + 3 * block, peaks
 
     def test_quantizes_each_operand_once(self, monkeypatch):
         calls = []
