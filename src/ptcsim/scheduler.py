@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -90,6 +89,9 @@ MODES = ("ideal", "quantized", "quantized+noise", "quantized+noise+adc")
 #: range): far above any machine modeled, and low enough that every count
 #: the cost model derives (R*C*K^2, ...) stays a finite float.
 _ARCH_INT_MAX = 2**31 - 1
+#: The fastest clock, 1 PHz, past the optical carrier (194 THz at 1550 nm):
+#: with a builtin catalog, every rate and power the cost model derives is finite.
+_CLOCK_HZ_MAX = 1e15
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,8 @@ class ArchConfig:
                     raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
         if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
-        if not 0 < self.clock_hz <= sys.float_info.max:  # an int past the float range too
-            raise ValueError(f"clock_hz must be finite and > 0, got {self.clock_hz}")
+        if not 0 < self.clock_hz <= _CLOCK_HZ_MAX:  # NaN, and an int past the float range, too
+            raise ValueError(f"clock_hz must be finite and > 0, at most {_CLOCK_HZ_MAX:g}, got {self.clock_hz}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

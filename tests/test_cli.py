@@ -540,6 +540,8 @@ PROBES = {
     "simulate-tiles-401-digits": ["simulate", "--workload", "rand:4x4x4", "--tiles", "1" + "0" * 400],
     "cost-arch-clock-401-digits": ["cost", "--arch", "{d}/clock_401_digits.json"],
     "sweep-arch-clock-401-digits": ["sweep", "--axis", "K", "--values", "8", "--arch", "{d}/clock_401_digits.json"],
+    "cost-clock-1e299": ["cost", "--clock-ghz", "1e299"],
+    "sweep-clock-1e299": ["sweep", "--axis", "K", "--values", "8", "--clock-ghz", "1e299"],
 }
 #: Each bad catalog through every command that reads a catalog file.
 CATALOG_COMMANDS = {
@@ -675,17 +677,68 @@ SWEEP_VALUES = st.one_of(
 )
 
 
+#: --workload specs: rand: shapes of at most 16 x 16 x 16, so that no drawn
+#: value reaches an allocation size, and specs that do not parse or name no file.
+WORKLOAD = st.one_of(
+    st.builds(
+        "rand:{}x{}x{}{}{}".format, st.integers(0, 16), st.integers(0, 16), st.integers(0, 16),
+        st.sampled_from(["", ":seed0", ":seed7", ":seed-1"]), st.sampled_from(["", ":uniform", ":normal", ":cauchy"]),
+    ),
+    st.sampled_from(["", "rand:4x4", "rand:-1x4x4", "rand:4x4x4x4", "none.npz", "x.csv,y.csv", "x.csv"]),
+)
+#: --trials and the experiment config's trials and epochs: small counts, so
+#: that none reaches a training length, and non-integers.
+SMALL_COUNT = st.one_of(st.integers(-2, 3), st.sampled_from([0.5, True, None, "2", [1]]))
+SIGMA_LIST = st.lists(NUMBER_TEXT, min_size=1, max_size=3).map(",".join)
+#: An experiment config: any subset of its keys with values of every kind,
+#: an unknown key, or a document that is not an object.
+EXPERIMENT_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "trials": SMALL_COUNT,
+            "epochs": SMALL_COUNT,
+            "bits": ARCH_FIELD_VALUE,
+            "sigma_train": ARCH_FIELD_VALUE,
+            "seed": ARCH_FIELD_VALUE,
+            "sigmas_eval": st.one_of(st.lists(ARCH_FIELD_VALUE, max_size=3), ARCH_FIELD_VALUE),
+            "catalog": st.sampled_from(["foundry", "custom-sl", "exotic", 3, None]),
+            "arch": st.sampled_from([{}, {"k": 4}, {"k": 0}, {"pipelined_readout": True}, [], "x"]),
+            "sigma": st.just(0.1),
+        },
+    ),
+    st.sampled_from([[], 3, "x", None]),
+)
+
+
 @st.composite
 def cli_argv(draw, command):
-    """(argv, arch file doc or None): argv for command from per-flag strategies."""
+    """(argv, arch file doc or None, experiment config doc or None): argv for command
+    from per-flag strategies."""
     argv = [command]
     for flag in draw(st.lists(st.sampled_from(ARCH_FLAGS), unique=True, max_size=4)):
         argv.append(f"{flag}={draw(NUMBER_TEXT)}")  # "=" lets a value start with "-"
+    priced = command in ("cost", "sweep")
     for flag, options in CHOICE_FLAGS.items():
-        if draw(st.booleans()):
+        if (priced or flag == "--variant") and draw(st.booleans()):
             argv.append(f"{flag}={draw(st.sampled_from(options))}")
-    if draw(st.booleans()):
+    if priced and draw(st.booleans()):
         argv.append("--include-memory")
+    if command == "simulate":
+        if draw(st.integers(0, 9)):
+            argv.append(f"--workload={draw(WORKLOAD)}")
+        for flag, values in (("--mode", st.sampled_from([*MODES, "exotic"])), ("--sigma", NUMBER_TEXT),
+                             ("--seed", NUMBER_TEXT)):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(values)}")
+    experiment_doc = None
+    if command == "robustness":
+        for flag, values in (("--sigmas", SIGMA_LIST), ("--train-sigma", NUMBER_TEXT), ("--seed", NUMBER_TEXT),
+                             ("--trials", st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["", "1.5", "abc"])))):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(values)}")
+        if draw(st.booleans()):
+            experiment_doc = draw(EXPERIMENT_DOC)
     if command == "sweep":
         argv.append(f"--axis={draw(st.sampled_from(['K', 'T', 'variant', 'k']))}")
         if draw(st.integers(0, 4)):
@@ -695,7 +748,7 @@ def cli_argv(draw, command):
         arch_doc = ArchConfig().to_dict()
         field = draw(st.sampled_from([*arch_doc, "pipelined_readout"]))
         arch_doc[field] = draw(ARCH_FIELD_VALUE)
-    return argv, arch_doc
+    return argv, arch_doc, experiment_doc
 
 
 class _RunStep(Exception):
@@ -710,7 +763,9 @@ def exit_code_and_stderr(argv):
     """main(argv) with the run step stubbed out: 0 once every input resolves."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        with mock.patch.object(cli, "cost_report", _run_step), mock.patch.object(cli, "sweep", _run_step):
+        with contextlib.ExitStack() as stubs:
+            for name in ("cost_report", "sweep", "simulate_gemm", "train"):
+                stubs.enter_context(mock.patch.object(cli, name, _run_step))
             try:
                 code = main(argv)
             except SystemExit as e:  # argparse's usage errors
@@ -720,16 +775,19 @@ def exit_code_and_stderr(argv):
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("command", ["cost", "sweep"])
+@pytest.mark.parametrize("command", ["cost", "sweep", "simulate", "robustness"])
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_argv_exits_0_or_2_with_one_error_line(tmp_path_factory, command, data):
     """Any argv resolves, or exits 2 on one `error:` line; no traceback, no exit 1."""
-    argv, arch_doc = data.draw(cli_argv(command))
+    argv, arch_doc, experiment_doc = data.draw(cli_argv(command))
     d = tmp_path_factory.mktemp("fuzz")
     if arch_doc is not None:
         (d / "arch.json").write_text(json.dumps(arch_doc))
         argv.append(f"--arch={d / 'arch.json'}")
+    if experiment_doc is not None:
+        (d / "experiment.json").write_text(json.dumps(experiment_doc))
+        argv.append(f"--config={d / 'experiment.json'}")
     code, err = exit_code_and_stderr([*argv, f"--out={d / 'o'}"])
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert (code, len(error_lines)) in ((0, 0), (2, 1)), (argv, arch_doc, code, err)
