@@ -62,7 +62,6 @@ from .quantize import (
     minmax_params,
     quantize_codes,
     quantize_grad_ste,
-    round_half_away,
 )
 from .scheduler import (
     MODES,

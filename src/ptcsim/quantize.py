@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "QuantizerParams",
     "NoiseModel",
-    "round_half_away",
     "quantize_codes",
     "fake_quantize",
     "quantize_grad_ste",
@@ -36,12 +35,6 @@ __all__ = [
 #: The bit widths the quantizer's signed codes and the ADC's codes span.
 QUANTIZER_BITS = (2, 8)
 ADC_BITS = (2, 12)
-
-
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero; -0.0 rounds to +0.0."""
-    x = np.asarray(x)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x + 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,13 +74,13 @@ class QuantizerParams:
 
 
 def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Integer codes q = round_half_away(clip(x / alpha + z, q_min, q_max)), as floats.
+    """Integer codes: clip(x / alpha + z, q_min, q_max) rounded half away from zero, as floats.
 
     Six passes in place on one scratch buffer and the result, which goes to
     out when given (a float64 or float32 array of x's shape, which may be
     reused block after block), else to a new float64 array.  The result
-    first holds copysign(1/2, v); v plus that is +-(|v| + 1/2), rounded as
-    round_half_away rounds it, so its truncation is round_half_away(v).
+    first holds copysign(1/2, v); v plus that is +-(|v| + 1/2), so its
+    truncation is v rounded half away from zero, floor(|v| + 1/2) with v's sign.
     Every sum runs in float64, and only the integer code is cast to out's
     type, which is exact: a float32 v would round k + 1/2 - ulp up to the
     tie k + 1/2 and so to the code k + 1.
@@ -95,8 +88,7 @@ def quantize_codes(x: np.ndarray, p: QuantizerParams, out: np.ndarray | None = N
     x = np.asarray(x, dtype=float)
     v = x / p.alpha
     # z + 0.0 turns a -0.0 zero point into +0.0, which leaves the codes
-    # unchanged but keeps -0.0 out of v, so v itself carries the sign
-    # round_half_away takes from x + 0.0.
+    # unchanged but keeps -0.0 out of v, so -0.0 rounds to +0.0.
     v += p.zero_point + 0.0
     np.clip(v, p.q_min, p.q_max, out=v)
     half = np.copysign(0.5, v, out=out)  # +-1/2, exact in float32 too

@@ -18,7 +18,6 @@ from ptcsim import (
     minmax_params,
     quantize_codes,
     quantize_grad_ste,
-    round_half_away,
 )
 
 
@@ -84,20 +83,27 @@ floats_with_signed_zeros = arrays(
 )
 
 
+#: One step per unit and the 8-bit code range, wide enough for SPECIAL:
+#: quantize_codes is then round-half-away-from-zero itself.
+UNIT = scalar_params(bits=8, alpha=1.0)
+
+
 class TestRounding:
+    """quantize_codes rounds ties away from zero; -0.0 rounds to +0.0."""
+
     def test_ties_away_from_zero(self):
-        got = round_half_away(np.array([0.5, -0.5, 1.5, -1.5, 2.4, -2.4]))
+        got = quantize_codes(np.array([0.5, -0.5, 1.5, -1.5, 2.4, -2.4]), UNIT)
         assert np.array_equal(got, [1, -1, 2, -2, 2, -2])
 
     def test_matches_sign_floor_formula_bitwise(self):
         x = np.concatenate([SPECIAL, [np.inf, -np.inf]])
-        assert_same_bits(round_half_away(x), formula_round_half_away(x))
-        assert_same_bits(round_half_away(-0.0), 0.0)
-        assert_same_bits(round_half_away(-0.3), -0.0)
+        assert_same_bits(quantize_codes(x, UNIT), formula_round_half_away(np.clip(x, UNIT.q_min, UNIT.q_max)))
+        assert_same_bits(quantize_codes(np.array([-0.0]), UNIT), [0.0])
+        assert_same_bits(quantize_codes(np.array([-0.3]), UNIT), [-0.0])
 
     @given(floats_with_signed_zeros)
     def test_matches_sign_floor_formula_on_random_arrays(self, x):
-        assert_same_bits(round_half_away(x), formula_round_half_away(x))
+        assert_same_bits(quantize_codes(x, UNIT), formula_round_half_away(x))
 
 
 class TestQuantizerParams:
