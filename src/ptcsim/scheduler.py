@@ -496,9 +496,8 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
     layer, when the first trial reaches it, the weights' scale, validation
     and quantizer params.  The product needs no engine constants, so
     engine_config_for runs once only to raise the errors simulate_gemm
-    would.  Each
-    trial runs through every layer before the next one starts, so one
-    trial's activations are live at a time.  A trial without noise in any
+    would.  Each trial runs through every layer before the next one
+    starts, so one trial's activations are live at a time.  A trial without noise in any
     layer does not depend on its seeds: the first one runs, and later ones
     yield its output again (the same array).  No SimStats is built.
     """
