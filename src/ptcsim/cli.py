@@ -3,10 +3,10 @@
 Each command runs in two steps.  The resolve step turns every input into the
 object that checks it (ArchConfig, the device catalog, GemmWorkload,
 NoiseModel, MlpConfig, every sweep point, the simulator's EngineConfig, the
-cost model's laser power) before any work; the run step does the work and
-writes the reports.  Exit codes: 0 success, 1 an error while running, 2 bad
-input: any error of the resolve step, reported on one `error:` line before
-anything is written.
+cost model's prices, each a finite float) before any work; the run step does
+the work and writes the reports.  Exit codes: 0 success, 1 an error while
+running, 2 bad input: any error of the resolve step, reported on one `error:`
+line before anything is written.
 Every report embeds the resolved configuration and a schema version; file
 outputs land in the directory named by --out (timestamp-free, so CI runs
 diff cleanly).
@@ -29,9 +29,8 @@ from .catalog import _VARIANT_NAMES, load_builtin_catalog, load_catalog, variant
 from .costs import (
     CONVENTIONS,
     TOPOLOGIES,
+    _check_report,
     cost_report,
-    insertion_loss,
-    laser_power_required,
     pareto_csv,
     report_to_text,
     sweep,
@@ -162,10 +161,10 @@ def _parse_sweep_values(axis: str, text: str) -> list:
         raise ValueError(f"bad values {text!r}: {e}") from e
 
 
-def _check_laser_power(points, topology: str) -> None:
-    """Price the laser of each (arch, catalog) point, which raises if it overflows a float."""
+def _check_reports(points, args) -> None:
+    """Price each (arch, catalog) point as its cost report will, which raises if a number leaves the float range."""
     for arch, cat in points:
-        laser_power_required(arch, cat, insertion_loss(arch.k, cat, topology).total_db)
+        _check_report(arch, cat, args.include_memory, args.convention, args.topology)
 
 
 def _noise_levels(sigmas, source: str) -> list:
@@ -234,7 +233,7 @@ def _cmd_simulate(args):
 def _cmd_cost(args):
     arch = _arch_from_args(args)
     cat = _catalog_from_args(args)
-    _check_laser_power([(arch, cat)], args.topology)
+    _check_reports([(arch, cat)], args)
 
     def run() -> int:
         report = cost_report(
@@ -260,8 +259,8 @@ def _cmd_sweep(args):
     else:
         cat = _catalog_from_args(args)
         catalogs = {cat.name: cat}
-    # sweep_points builds, and so checks, every point; then each laser is priced.
-    _check_laser_power(sweep_points(arch, catalogs, args.axis, values), args.topology)
+    # sweep_points builds, and so checks, every point; then each one is priced.
+    _check_reports(sweep_points(arch, catalogs, args.axis, values), args)
 
     def run() -> int:
         reports = sweep(

@@ -383,6 +383,72 @@ def cost_report(
     )
 
 
+#: The catalog fields each component of area_estimate and power_estimate is
+#: priced from, as "kind.field"; the modulator is the catalog's input modulator.
+_PRICED_FIELDS = {
+    "area": {
+        "dac": "dac.area_um2",
+        "modulator": "modulator.area_um2",
+        "fanout_mmi": "splitter_1xn.length_um splitter_1xn.width_um splitter_1xn.fanout_n",
+        "crossbar_node": "coupler_2x2.length_um coupler_2x2.width_um photodetector.length_um "
+                         "photodetector.width_um phase_shifter.width_um",
+        "integrator": "integrator.area_um2",
+        "tia": "tia.area_um2",
+        "adc": "adc.area_um2",
+        "memory": "sram.area_um2",
+    },
+    "power": {
+        "dac": "dac.power_w dac.rated_bits dac.rated_frequency_hz",
+        "modulator": "modulator.power_w modulator.energy_per_bit_j",
+        "photodetector": "photodetector.power_w",
+        "phase_shifter": "phase_shifter.power_w",
+        "integrator": "integrator.power_w",
+        "tia": "tia.power_w tia.rated_frequency_hz",
+        "adc": "adc.power_w adc.rated_frequency_hz",
+        "memory": "sram.power_w",
+    },
+}
+
+
+def _check_report(
+    arch: ArchConfig,
+    cat: CatalogVariant,
+    include_memory: bool = False,
+    convention: str = "peak",
+    topology: str = "embedded_uneven",
+) -> None:
+    """Raise ValueError unless every number of cost_report(arch, cat, ...) is a finite float.
+
+    It prices what cost_report prices, without building the report: the
+    laser (min_laser_power raises on overflow), each component of the area
+    and the power and their totals, which must be finite and > 0 (metrics
+    rejects 0), the metrics and the wall power.  A component or total out
+    of range is named with the device fields it is priced from.
+    """
+    laser = laser_power_required(arch, cat, insertion_loss(arch.k, cat, topology).total_db)
+    totals = []
+    for what, unit, parts in (
+        ("area", "mm^2", area_estimate(arch, cat, include_memory)),
+        ("power", "W", power_estimate(arch, cat, include_memory)),
+    ):
+        totals.append(sum(parts.values()))
+        if not 0 < totals[-1] < math.inf:  # NaN too
+            # The first component past the float range, else the largest one.
+            name = max(parts, key=lambda c: (not math.isfinite(parts[c]), parts[c]))
+            fields: dict[str, list[str]] = {}
+            for ref in _PRICED_FIELDS[what][name].split():
+                kind, field = ref.split(".")
+                device = cat.modulator() if kind == "modulator" else cat.device(kind)
+                fields.setdefault(device.name, []).append(f"{field} = {getattr(device, field)!r}")
+            named = "; ".join(f"device {d!r}: {', '.join(f)}" for d, f in fields.items())
+            raise ValueError(f"catalog {cat.name!r} prices the total {what} at {totals[-1]} {unit} and the "
+                             f"{name} {what} at {parts[name]} {unit}, from {named}")
+    tops, tops_per_w, tops_per_mm2 = metrics(arch, *totals, convention)
+    if not all(math.isfinite(v) for v in (tops_per_w, tops_per_mm2, totals[1] + laser)):
+        raise ValueError(f"catalog {cat.name!r} prices {tops} TOPS at {totals[0]} mm^2, {totals[1]} W on chip and "
+                         f"{laser} W of laser, outside the float range")
+
+
 def sweep_points(
     arch: ArchConfig, catalogs: dict[str, CatalogVariant], axis: str, values: list
 ) -> list[tuple[ArchConfig, CatalogVariant]]:

@@ -7,10 +7,13 @@ behavioral core simulation.  The study output is an accuracy-versus-noise
 table with mean and standard deviation across evaluation seeds.
 
 A study is one pass of scheduler.simulate_chain over its (sigma, seed)
-trials: the bit widths are checked and the engine configuration is built
-once per study, each layer's weights are scaled, validated, planned and
-given their quantizer params once, and each trial runs every layer's
-product through the routine simulate_gemm uses, one layer after the other.
+trials, run seed-major: the bit widths are checked and the engine
+configuration is built once per study, each layer's weights are scaled,
+validated and quantized to int8 codes once, the test input is quantized
+once, and each seed's noise generators are built once per layer, their
+initial states replayed for the seed's other sigmas.  Each trial runs
+every layer's product through the routine simulate_gemm uses, one layer
+after the other, and the accuracies are regrouped into one row per sigma.
 The sigma = 0 trial has no noise, so it runs once and serves every seed.
 forward_via_core is the one-trial case of the same pass.
 """
@@ -266,20 +269,25 @@ def robustness_table(
     """Accuracy versus noise intensity on the simulated core.
 
     One row per sigma: {'sigma', 'mean_accuracy', 'std_accuracy', 'accuracies'},
-    aggregated over n_seeds independent noise seeds.
+    aggregated over n_seeds independent noise seeds.  The trials run
+    seed-major, every sigma of seed 0 first, so that each seed's noise
+    generators are built once; each trial's accuracy is taken before the
+    next trial runs, and the accuracies are regrouped into one row per sigma.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    logits = _core_logits(model, x, arch, cat, ((s, seed) for s in sigmas for seed in range(n_seeds)))
+    logits = _core_logits(model, x, arch, cat, ((s, seed) for seed in range(n_seeds) for s in sigmas))
+    # next() inside the call: the last trial's logits are freed before the next trial runs.
+    accs = [_accuracy(next(logits), y) for _ in range(n_seeds * len(sigmas))]
     rows = []
-    for sigma in sigmas:
-        accs = [_accuracy(next(logits), y) for _ in range(n_seeds)]
+    for j, sigma in enumerate(sigmas):
+        row = accs[j :: len(sigmas)]
         rows.append(
             {
                 "sigma": float(sigma),
-                "mean_accuracy": float(np.mean(accs)),
-                "std_accuracy": float(np.std(accs)),
-                "accuracies": [float(a) for a in accs],
+                "mean_accuracy": float(np.mean(row)),
+                "std_accuracy": float(np.std(row)),
+                "accuracies": row,
             }
         )
     return rows

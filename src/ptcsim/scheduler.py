@@ -41,9 +41,12 @@ readout passes the rail and nothing is clamped.
 simulate_chain runs a chain of such products, the layers of a robustness
 study, over many noise trials in quantized+noise mode, through _product as
 simulate_gemm does.  The work the trials share is done once: the width
-check per study, and per layer the weights' scale, validation and
-quantizer params.  Each trial then quantizes its input and the weights
-block by block, one layer after the other.
+check per study; per layer the weights' scale, validation, quantizer
+params and int8 codes; the first layer's input codes, since every trial
+starts from the same input; and per noise seed the initial states of each
+layer's two generators, which later trials of that seed replay in one
+reused generator.  Each trial then pays for its noise, its hidden layers'
+inputs and its products, one layer after the other.
 """
 
 from __future__ import annotations
@@ -136,6 +139,8 @@ class ArchConfig:
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
         if not 0 < self.clock_hz <= _CLOCK_HZ_MAX:  # NaN, and an int past the float range, too
             raise ValueError(f"clock_hz must be finite and > 0, at most {_CLOCK_HZ_MAX:g}, got {self.clock_hz}")
+        if 1.0 / float(self.clock_hz) == math.inf:  # below about 5.6e-309 Hz the period overflows
+            raise ValueError(f"clock_hz must have a finite period 1 / clock_hz, got {self.clock_hz}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -305,24 +310,30 @@ def _engine_rows(
 ) -> Iterator[np.ndarray]:
     """Yield operand a as the engine multiplies it, `rows` rows at a time.
 
-    Every slice is filled into one buffer of min(rows, len(a)) rows of
-    dtype, which the next slice overwrites, a row block of about
-    _OPERAND_BLOCK_ELEMS elements at a time: quantize_codes once, so the
-    entries are integer codes on the quantizer lattice, and with noise
-    dequantized (the min-max zero point is 0, so codes * alpha is
-    fake_quantize), given multiplicative noise and clipped to [-1, 1].  The
-    noise comes from one generator per operand, noise.rng(stream), drawn
-    block by block in row-major order, which gives the same values as one
-    whole-operand draw.
+    a is an operand in [-1, 1], or its int8 codes under params (a chain's
+    cached weights and input).  Every slice is filled into one buffer of
+    min(rows, len(a)) rows of dtype, which the next slice overwrites, a row
+    block of about _OPERAND_BLOCK_ELEMS elements at a time: quantize_codes
+    once, or the cached codes cast, so the entries are integer codes on the
+    quantizer lattice, and with noise dequantized (the min-max zero point is
+    0, so codes * alpha is fake_quantize), given multiplicative noise and
+    clipped to [-1, 1].  The noise comes from one generator per operand,
+    noise.rng(stream), drawn block by block in row-major order, which gives
+    the same values as one whole-operand draw.
     """
     out = np.empty((min(rows, len(a)), a.shape[1]), dtype)
     block = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
     rng = None if noise is None else noise.rng(stream)
+    cached = a.dtype == np.int8
     for r0 in range(0, len(a), rows):
         ar = a[r0 : r0 + rows]
         oe = out[: len(ar)]
         for b0 in range(0, len(ar), block):
-            blk = quantize_codes(ar[b0 : b0 + block], params, oe[b0 : b0 + block])
+            blk = oe[b0 : b0 + block]
+            if cached:
+                blk[...] = ar[b0 : b0 + block]
+            else:
+                quantize_codes(ar[b0 : b0 + block], params, blk)
             if rng is not None:
                 blk *= params.alpha
                 np.clip(apply_noise(blk, rng.standard_normal(blk.shape), noise.sigma), -1.0, 1.0, out=blk)
@@ -461,24 +472,45 @@ def _encodable(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     return a / s, s
 
 
+def _codes(a: np.ndarray, params: QuantizerParams) -> np.ndarray:
+    """a's quantizer codes as int8, which holds the codes of every width up to 8 bits exactly."""
+    return quantize_codes(a, params).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class _Replayed(NoiseModel):
+    """NoiseModel(sigma, seed) whose generators are not built again.
+
+    rng(stream) sets gen, one generator a chain reuses, to states[stream],
+    the initial bit-generator state that NoiseModel(sigma, seed).rng(stream)
+    starts from, so it draws the same values.
+    """
+
+    states: tuple = ()
+    gen: np.random.Generator | None = None
+
+    def rng(self, stream: int = 0) -> np.random.Generator:
+        self.gen.bit_generator.state = self.states[stream]
+        return self.gen
+
+
 class _ChainLayer:
     """One weight matrix of simulate_chain, with what its trials share.
 
-    That is the weights scaled into [-1, 1] (y), their scale (sw) and their
-    quantizer params.  They are validated together with x, the first
-    trial's input to the layer, as GemmWorkload validates the operands of a
-    simulate_gemm call.
+    That is the weights' scale (sw), quantizer params and int8 codes: the
+    weights are scaled into [-1, 1] and quantized once, and validated
+    together with x, the first trial's input to the layer, as GemmWorkload
+    validates the operands of a simulate_gemm call.  The layer also keeps
+    the noise seed of the last noisy trial to reach it, and the initial
+    states of that seed's two generators, streams 0 (x) and 1 (y).
     """
 
     def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig):
-        self.y, self.sw = _encodable(np.asarray(w, dtype=float), "y")
-        GemmWorkload(x, self.y)
-        self.params = minmax_params(self.y, arch.bits_in)
-
-    def product(self, x: np.ndarray, nm: NoiseModel) -> np.ndarray:
-        """z_hat of simulate_gemm(GemmWorkload(x, y), ..., nm, "quantized+noise")."""
-        px = minmax_params(x, self.params.bits)
-        return _product(x, self.y, px, self.params, nm if nm.sigma != 0.0 else None)
+        y, self.sw = _encodable(np.asarray(w, dtype=float), "y")
+        GemmWorkload(x, y)
+        self.params = minmax_params(y, arch.bits_in)
+        self.codes = _codes(y, self.params)
+        self.seed = self.states = None
 
 
 def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
@@ -493,30 +525,55 @@ def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, di
     bit, except that a bit width the mode cannot run is rejected first.
 
     The work trials share is done once: the width check per chain; per
-    layer, when the first trial reaches it, the weights' scale, validation
-    and quantizer params.  The product needs no engine constants, so
-    engine_config_for runs once only to raise the errors simulate_gemm
-    would.  Each trial runs through every layer before the next one
-    starts, so one trial's activations are live at a time.  A trial without noise in any
-    layer does not depend on its seeds: the first one runs, and later ones
-    yield its output again (the same array).  No SimStats is built.
+    layer, when the first trial reaches it, the weights' scale, validation,
+    quantizer params and int8 codes; and layer 0's input, the same x in
+    every trial, is scaled, given its params and quantized to int8 codes
+    once.  The front end casts cached codes where it would quantize, so a
+    trial pays for the noise, the hidden layers' inputs and the products.
+    A layer builds the generators of a noise seed, streams 0 and 1, only
+    when the seed differs from the last one it saw; it keeps their initial
+    states, and later trials of that seed replay them in one generator the
+    chain reuses (_Replayed), which draws the same values.  So trials in
+    seed-major order build one generator per (seed, layer, stream).  The
+    product needs no engine constants, so engine_config_for runs once only
+    to raise the errors simulate_gemm would.  Each trial runs through every
+    layer before the next one starts, so one trial's activations are live
+    at a time.  A trial without noise in any layer does not depend on its
+    seeds: the first one runs, and later ones yield its output again (the
+    same array).  No SimStats is built, and nothing is kept across calls.
     """
     _check_widths(arch, "quantized+noise")
     engine_config_for(arch, cat)
     layers: list[_ChainLayer] = []
+    x0 = None  # layer 0's input in every trial: (int8 codes, params, scale)
+    gen = None  # the one generator the noisy layers replay their streams in
     clean = None
     for trial in trials:
         noisy = any(nm.sigma != 0.0 for nm in trial)
         if clean is not None and not noisy:
             yield clean
             continue
-        h = np.asarray(x, dtype=float)
+        h = x
         for i, (w, nm) in enumerate(zip(weights, trial, strict=True)):
-            h, sx = _encodable(h, "x")  # frees the last layer's activations before the product
-            if i == len(layers):
-                layers.append(_ChainLayer(h, w, arch))
+            if i == 0 and x0 is not None:  # every trial's layer 0 multiplies the same x
+                h, px, sx = x0
+            else:
+                h, sx = _encodable(np.asarray(h, dtype=float), "x")  # frees the last layer's activations first
+                if i == len(layers):
+                    layers.append(_ChainLayer(h, w, arch))
+                px = minmax_params(h, arch.bits_in)
+                if i == 0:
+                    h = _codes(h, px)
+                    x0 = h, px, sx
             layer = layers[i]
-            h = layer.product(h, nm)
+            noise = None
+            if nm.sigma != 0.0:
+                if nm.seed != layer.seed:
+                    built = [nm.rng(stream) for stream in (0, 1)]
+                    gen = built[0] if gen is None else gen
+                    layer.seed, layer.states = nm.seed, tuple(g.bit_generator.state for g in built)
+                noise = _Replayed(nm.sigma, nm.seed, layer.states, gen)
+            h = _product(h, layer.codes, px, layer.params, noise)
             h *= sx * layer.sw
             h = digital(i, h)
         if not noisy:

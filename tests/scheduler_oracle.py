@@ -35,8 +35,12 @@ def oracle_engine_rows(a, params, noise, stream, rows, dtype):
     """scheduler._engine_rows from the oracle: a as operand x (stream 0) or y (stream 1), rows at a time.
 
     The slices are cast to dtype, which is exact for the integer codes the
-    simulator takes in float32.
+    simulator takes in float32.  int8 codes, which a chain caches, stand for
+    the operand codes * alpha: on a scaled operand, whose peak is 1, alpha is
+    a power of two, so that product is exact and quantizes to the same codes.
     """
+    if a.dtype == np.int8:
+        a = a * params.alpha
     # The oracle treats its two operands independently, so a may stand for both.
     whole = oracle_engine_operands(a, a, params, params, noise)[stream].astype(dtype)
     return (whole[r0 : r0 + rows] for r0 in range(0, len(a), rows))

@@ -471,12 +471,14 @@ BAD_CATALOGS = {
     "no_adc": ("adc", None, None),
 }
 #: Catalogs that pass every device rule, but whose laser current cannot
-#: size the integrator, or whose required laser power overflows a float:
-#: the simulator's and the cost model's resolve steps.
+#: size the integrator, or whose required laser power, DAC power or SRAM
+#: area overflows a float: the simulator's and the cost model's resolve steps.
 RUN_CATALOGS = {
     "loss_1e6": ("fiber_coupling", "insertion_loss_db", 1e6),
     "laser_1e-305": ("laser", "power_w", 1e-305),
     "sensitivity_1e4": ("photodetector", "sensitivity_dbm", 1e4),
+    "dac_frequency_1e-300": ("dac", "rated_frequency_hz", 1e-300),
+    "sram_area_1e308": ("sram", "area_um2", 1e308),
 }
 
 
@@ -542,6 +544,14 @@ PROBES = {
     "sweep-arch-clock-401-digits": ["sweep", "--axis", "K", "--values", "8", "--arch", "{d}/clock_401_digits.json"],
     "cost-clock-1e299": ["cost", "--clock-ghz", "1e299"],
     "sweep-clock-1e299": ["sweep", "--axis", "K", "--values", "8", "--clock-ghz", "1e299"],
+    "simulate-clock-1e-320": ["simulate", "--workload", "rand:4x4x4", "--clock-ghz", "1e-320"],
+    "cost-clock-1e-320": ["cost", "--clock-ghz", "1e-320"],
+    "price-dac-frequency-cost": ["cost", "--catalog", "{d}/dac_frequency_1e-300.json"],
+    "price-dac-frequency-sweep": ["sweep", "--axis", "K", "--values", "4,8", "--catalog",
+                                  "{d}/dac_frequency_1e-300.json"],
+    "price-sram-area-cost": ["cost", "--include-memory", "--catalog", "{d}/sram_area_1e308.json"],
+    "price-sram-area-sweep": ["sweep", "--axis", "T", "--values", "10", "--include-memory", "--catalog",
+                              "{d}/sram_area_1e308.json"],
 }
 #: Each bad catalog through every command that reads a catalog file.
 CATALOG_COMMANDS = {
@@ -610,6 +620,32 @@ class TestInputBoundary:
         assert_one_line_exit_2(code, err, tmp_path / "o")
         assert err.startswith("error: the laser power for ")
         assert err.rstrip().endswith("photodetector sensitivity overflows a float")
+
+    @pytest.mark.parametrize("probe", [p for p in PROBES if p.startswith("price-")])
+    def test_price_overflow_names_device_field(self, tmp_path, capsys, probe):
+        write_probe_files(tmp_path)
+        args = [a.format(d=tmp_path) for a in PROBES[probe]]
+        code, _, _ = run(["catalog-validate", args[-1]], capsys)
+        assert code == 0  # the device rules hold; a priced term is what fails
+        stem = Path(args[-1]).stem
+        kind, field, value = RUN_CATALOGS[stem]
+        name = load_builtin_catalog("custom-sl").devices[kind].name
+        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert err.startswith("error: catalog 'custom_sl' prices the total ")
+        assert f"device {name!r}: " in err and f"{field} = {value!r}" in err
+        # Without memory the SRAM is not priced, so the same catalog runs.
+        if kind == "sram":
+            args.remove("--include-memory")
+            code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+            assert code == 0, err
+
+    @pytest.mark.parametrize("command", ["simulate", "cost"])
+    def test_subnormal_clock_names_its_period(self, tmp_path, capsys, command):
+        args = [a.format(d=tmp_path) for a in PROBES[f"{command}-clock-1e-320"]]
+        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert err.startswith("error: clock_hz must have a finite period")
 
     @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=["ValueError", "KeyError"])
     @pytest.mark.parametrize(

@@ -30,7 +30,8 @@ from ptcsim import (
     sweep,
     sweep_to_csv,
 )
-from ptcsim.costs import UM2_PER_MM2, sweep_points
+from ptcsim.catalog import CatalogError, CatalogVariant
+from ptcsim.costs import _PRICED_FIELDS, UM2_PER_MM2, _check_report, sweep_points
 
 CUSTOM = load_builtin_catalog("custom-sl")
 FOUNDRY = load_builtin_catalog("foundry")
@@ -242,6 +243,73 @@ class TestCostReport:
             if hashlib.sha256(json.dumps(r.to_dict()).encode()).hexdigest() != case["sha256"]:
                 changed.append({k: v for k, v in case.items() if k != "sha256"})
         assert changed == []
+
+
+class TestCheckReport:
+    """_check_report, the CLI's resolve-step pricing, against the report it stands for."""
+
+    def test_priced_fields_name_every_component(self):
+        parts = {"area": area_estimate(ARCH, CUSTOM, True), "power": power_estimate(ARCH, CUSTOM, True)}
+        assert {what: set(fields) for what, fields in _PRICED_FIELDS.items()} == {
+            what: set(p) for what, p in parts.items()
+        }
+        for refs in (r for fields in _PRICED_FIELDS.values() for r in fields.values()):
+            for ref in refs.split():
+                kind, field = ref.split(".")
+                device = CUSTOM.modulator() if kind == "modulator" else CUSTOM.device(kind)
+                assert getattr(device, field) is not None, ref
+
+    @pytest.mark.parametrize("variant", ["foundry", "foundry-sl", "custom-sl"])
+    def test_builtin_catalogs_pass_at_the_arch_bounds(self, variant):
+        # At k = 2^31 - 1 the laser power overflows, which min_laser_power reports.
+        cat = load_builtin_catalog(variant)
+        top = 2**31 - 1
+        for arch in (ARCH, ArchConfig(r_tiles=top, c_cores=top, k=64, t_int=top, t_rst=top, clock_hz=1e15)):
+            for topology in TOPOLOGIES:
+                for convention in CONVENTIONS:
+                    for memory in (False, True):
+                        _check_report(arch, cat, memory, convention, topology)
+
+    def test_raises_exactly_when_the_report_is_not_strict_json(self):
+        # Each priced float field of custom-sl, alone at an extreme value.
+        refs = {r for fields in _PRICED_FIELDS.values() for rs in fields.values() for r in rs.split()}
+        checked = failed = 0
+        for ref in sorted(refs):
+            kind, field = ref.split(".")
+            device = CUSTOM.modulator() if kind == "modulator" else CUSTOM.device(kind)
+            if field in ("rated_bits", "fanout_n"):  # bounded integers
+                continue
+            for value in (1e-300, 1e300, 1e308):
+                try:
+                    changed = replace(device, **{field: value})
+                    cat = CatalogVariant(CUSTOM.name, {**CUSTOM.devices, device.kind: changed})
+                except CatalogError:  # the catalog's own rules reject it first
+                    continue
+                try:
+                    json.dumps(cost_report(ARCH, cat, include_memory=True).to_dict(), allow_nan=False)
+                    ok = True
+                except ValueError:
+                    ok = False
+                try:
+                    _check_report(ARCH, cat, include_memory=True)
+                except ValueError as e:
+                    assert not ok, (ref, value, e)
+                    assert f"{field} = {value!r}" in str(e), (ref, value, e)
+                    failed += 1
+                else:
+                    assert ok, (ref, value)
+                checked += 1
+        assert checked > 30 and failed > 10
+
+    def test_tiny_on_chip_power_raises(self):
+        # Every nonzero power at 1e-320 W: TOPS/W leaves the float range.
+        devices = {kind: replace(d, power_w=1e-320) if d.power_w else d for kind, d in CUSTOM.devices.items()}
+        devices[DeviceKind.SLMZM] = replace(devices[DeviceKind.SLMZM], energy_per_bit_j=0.0)
+        cat = CatalogVariant(CUSTOM.name, devices)
+        with pytest.raises(ValueError, match="Out of range float values"):
+            json.dumps(cost_report(ARCH, cat).to_dict(), allow_nan=False)
+        with pytest.raises(ValueError, match="TOPS .* outside the float range"):
+            _check_report(ARCH, cat)
 
 
 class TestSweep:

@@ -2,10 +2,17 @@
 
 import dataclasses
 import functools
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mlp_oracle import oracle_forward_via_core, oracle_robustness_table
 from scheduler_oracle import assert_engine_rows_match_oracle, oracle_engine_rows, record_engine_rows
 
@@ -24,6 +31,7 @@ from ptcsim import (
 )
 
 CAT = load_builtin_catalog("custom-sl")
+#: The mlp-robustness benchmark's machine.
 ARCH = ArchConfig(r_tiles=2, c_cores=3, k=8)
 #: ARCH with a two-cycle window: an 11-cycle layer takes six readout epochs.
 MULTI_EPOCH = dataclasses.replace(ARCH, t_int=2)
@@ -165,6 +173,25 @@ class TestRobustnessTable:
             robustness_table(model, tx, ty, ARCH, CAT, [0.0], n_seeds=0)
 
 
+SRC, TESTS = Path(__file__).resolve().parents[1] / "src", Path(__file__).resolve().parent
+#: Every trial's logits and the rows of a seed-major study against the
+#: oracle, bit for bit, in a process on one BLAS thread.
+ONE_THREAD_STUDY = """
+from mlp_oracle import oracle_forward_via_core, oracle_robustness_table
+from ptcsim import ArchConfig, MlpConfig, TinyMlp, load_builtin_catalog, make_blobs, mlp, robustness_table, train
+cat, arch = load_builtin_catalog("custom-sl"), ArchConfig(r_tiles=2, c_cores=3, k=8)
+model = TinyMlp(MlpConfig(epochs=5))
+train(model, *make_blobs(512, 8, 4, seed=0))
+x, y = make_blobs(64, 8, 4, seed=100)
+sigmas = [0.0, 0.0031, 0.08, 0.0]
+trials = [(s, seed) for seed in range(3) for s in sigmas]
+for (s, seed), z in zip(trials, mlp._core_logits(model, x, arch, cat, trials), strict=True):
+    assert z.tobytes() == oracle_forward_via_core(model, x, arch, cat, s, seed).tobytes(), (s, seed)
+assert robustness_table(model, x, y, arch, cat, sigmas, 3) == oracle_robustness_table(model, x, y, arch, cat, sigmas, 3)
+print("ok")
+"""
+
+
 @functools.lru_cache(maxsize=None)
 def study_model(layer_sizes):
     """A briefly trained model, shared by the tests: none of them changes its weights."""
@@ -217,25 +244,81 @@ class TestStudyPass:
     def test_runs_the_one_front_end(self, monkeypatch, arch):
         # The study pass prepares its operands through the front end that
         # simulate_gemm uses: every slice it yields, of x whole and of y
-        # one chunk at a time, is the whole-operand oracle's bit for
-        # bit, and swapping the oracle in leaves every trial's logits
-        # unchanged.
+        # one chunk at a time, cached int8 codes included, is the
+        # whole-operand oracle's bit for bit, and swapping the oracle in
+        # leaves every trial's logits unchanged.  The trials run seed-major,
+        # as robustness_table runs them.
         sizes = (8, 13, 7, 4)
         model = study_model(sizes)
         tx, _ = study_set(sizes)
-        trials = [(sigma, seed) for sigma in (0.0, 0.0031, 0.08) for seed in range(3)]
-        calls = []
+        trials = [(sigma, seed) for seed in range(3) for sigma in (0.0, 0.0031, 0.08)]
+        calls, quantized, built = [], [], []
         monkeypatch.setattr(scheduler, "_engine_rows", record_engine_rows(calls))
+        real_codes, real_rng = scheduler.quantize_codes, np.random.default_rng
+        monkeypatch.setattr(scheduler, "quantize_codes", lambda a, *r: quantized.append(a.copy()) or real_codes(a, *r))
+        monkeypatch.setattr(np.random, "default_rng", lambda s=None: built.append(tuple(s)) or real_rng(s))
         want = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
+        monkeypatch.undo()
         assert_engine_rows_match_oracle(calls)
         monkeypatch.setattr(scheduler, "_engine_rows", oracle_engine_rows)
         assert [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)] == want
         # x, then y, once per (trial, layer); the three noise-free trials run once.
         assert [args[3] for args, _ in calls] == [0, 1] * (1 + 6) * 3
-        # Each layer passes the same cached weights and params to every trial.
-        ys = [args for args, _ in calls[1::2]]
-        for i in range(3):
-            assert len({(id(a[0]), id(a[1])) for a in ys[i::3]}) == 1
+        # Each layer passes the same cached int8 weight codes and params to
+        # every trial, and layer 0 the same input codes and params.
+        xs, ys = [args for args, _ in calls[0::2]], [args for args, _ in calls[1::2]]
+        for i, args in enumerate((xs[0::3], ys[0::3], ys[1::3], ys[2::3])):
+            assert len({(id(a[0]), id(a[1])) for a in args}) == 1, i
+            assert args[0][0].dtype == np.int8
+        assert {a[0].dtype for a in xs[1::3] + xs[2::3]} == {np.dtype(float)}
+        # quantize_codes runs once on each layer's scaled weights and once on
+        # the scaled input, and on the hidden inputs of each trial that runs.
+        scaled = [w / np.abs(w).max() for w in model.weights] + [tx / np.abs(tx).max()]
+        for a in scaled:
+            assert sum(q.shape == a.shape and np.array_equal(q, a) for q in quantized) == 1
+        assert len(quantized) == len(scaled) + (1 + 6) * 2
+        # One generator per (seed, layer, stream) of the noisy trials.
+        assert sorted(built) == [((seed << 8) + i, s) for seed in range(3) for i in range(3) for s in (0, 1)]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(sigmas=st.lists(st.sampled_from([0.0, 0.0031, 0.02, 0.08]), max_size=6), n_seeds=st.integers(1, 4))
+    @example(sigmas=[0.08, 0.0, 0.02, 0.0, 0.0031, 0.0], n_seeds=3)
+    @example(sigmas=[0.02, 0.0031, 0.02, 0.0], n_seeds=4)
+    @example(sigmas=[0.0, 0.0], n_seeds=1)
+    def test_seed_major_rows_equal_oracle(self, sigmas, n_seeds):
+        # The trials run seed-major and are regrouped into sigma rows in
+        # the order given: unsorted, repeated and several zero sigmas too.
+        sizes = (8, 13, 7, 4)
+        model = study_model(sizes)
+        tx, ty = make_blobs(16, sizes[0], sizes[-1], seed=100)
+        assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, n_seeds) == oracle_robustness_table(
+            model, tx, ty, ARCH, CAT, sigmas, n_seeds
+        )
+
+    def test_study_peak_memory_stays_within_the_per_trial_pass(self):
+        # The bench's study: a retained Generator per stream, or the last
+        # trial's logits kept alive during the next trial, would pass the
+        # tracemalloc peak of one robustness_table that quantized and built
+        # generators in every trial (301152 bytes with numpy 2.4.6).
+        sizes = (8, 32, 32, 4)
+        model = study_model(sizes)
+        tx, ty = make_blobs(256, sizes[0], sizes[-1], seed=111)
+        sigmas = [0.0, 0.0031, 0.02, 0.04, 0.08]
+        robustness_table(model, tx, ty, ARCH, CAT, sigmas, 5)  # first-call allocations, as the bench's warm-up
+        tracemalloc.start()
+        try:
+            robustness_table(model, tx, ty, ARCH, CAT, sigmas, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 301152
+
+    def test_trials_equal_oracle_on_one_blas_thread(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(p) for p in (SRC, TESTS)),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", ONE_THREAD_STUDY], env=env, capture_output=True, text=True,
+                             timeout=300, check=True).stdout
+        assert out == "ok\n"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("layer", [0, 2])

@@ -200,6 +200,16 @@ def test_arch_config_rejects_bad_clock(clock_hz):
         ArchConfig(clock_hz=clock_hz)
 
 
+@pytest.mark.parametrize("clock_hz", [1e-320, 5e-324, 5.56e-309, np.float64(1e-311)])
+def test_arch_config_rejects_clock_whose_period_overflows(clock_hz):
+    with pytest.raises(ValueError, match=r"clock_hz must have a finite period 1 / clock_hz, got "):
+        ArchConfig(clock_hz=clock_hz)
+
+
+def test_arch_config_accepts_slowest_clock_with_finite_period():
+    assert 1.0 / ArchConfig(clock_hz=5.57e-309).clock_hz < math.inf
+
+
 @pytest.mark.parametrize("value", [2.5, 6.0, True, "6", None])
 @pytest.mark.parametrize("field", ["r_tiles", "c_cores", "k", "t_int", "t_rst", "bits_in", "bits_out"])
 def test_arch_config_rejects_non_integer_fields(field, value):
