@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -95,6 +96,8 @@ _ARCH_INT_MAX = 2**31 - 1
 #: The fastest clock, 1 PHz, past the optical carrier (194 THz at 1550 nm):
 #: with a builtin catalog, every rate and power the cost model derives is finite.
 _CLOCK_HZ_MAX = 1e15
+#: The slowest clock whose period 1 / clock_hz is a finite float (about 5.6e-309 Hz).
+_CLOCK_HZ_MIN = math.nextafter(1.0 / sys.float_info.max, math.inf)
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,10 @@ class ArchConfig:
                     raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
         if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
-        if not 0 < self.clock_hz <= _CLOCK_HZ_MAX:  # NaN, and an int past the float range, too
+        if not _CLOCK_HZ_MIN <= self.clock_hz <= _CLOCK_HZ_MAX:  # NaN, and an int past the float range, too
+            if 0 < self.clock_hz < _CLOCK_HZ_MIN:
+                raise ValueError(f"clock_hz must have a finite period 1 / clock_hz, got {self.clock_hz}")
             raise ValueError(f"clock_hz must be finite and > 0, at most {_CLOCK_HZ_MAX:g}, got {self.clock_hz}")
-        if 1.0 / float(self.clock_hz) == math.inf:  # below about 5.6e-309 Hz the period overflows
-            raise ValueError(f"clock_hz must have a finite period 1 / clock_hz, got {self.clock_hz}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

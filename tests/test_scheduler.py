@@ -207,7 +207,8 @@ def test_arch_config_rejects_clock_whose_period_overflows(clock_hz):
 
 
 def test_arch_config_accepts_slowest_clock_with_finite_period():
-    assert 1.0 / ArchConfig(clock_hz=5.57e-309).clock_hz < math.inf
+    slowest = ArchConfig(clock_hz=5.56268464626801e-309).clock_hz
+    assert 1.0 / slowest < math.inf and 1.0 / math.nextafter(slowest, 0.0) == math.inf
 
 
 @pytest.mark.parametrize("value", [2.5, 6.0, True, "6", None])
