@@ -8,7 +8,8 @@ process, and every catalog is read-only, so callers share them.  This module
 owns every rule of a valid device and catalog, so a catalog that loads is one
 the cost model and the simulator can run, unless its losses take the laser
 power or current out of the float range, or its fields a priced area or
-power (the CLI reports each as bad input).  Each kind has its required fields
+power: cost_report and sweep then raise ValueError rather than return inf or
+NaN, and the CLI reports each as bad input.  Each kind has its required fields
 and each numeric field its type and range (_FIELD_RULES): powers, areas,
 losses, dark current and energy per bit >= 0; lengths, widths, rated
 frequency and responsivity > 0; extinction ratio > 0 or +inf (ideal), with

@@ -29,12 +29,10 @@ from .catalog import _VARIANT_NAMES, load_builtin_catalog, load_catalog, variant
 from .costs import (
     CONVENTIONS,
     TOPOLOGIES,
-    _check_report,
     cost_report,
     pareto_csv,
     report_to_text,
     sweep,
-    sweep_points,
     sweep_to_csv,
 )
 from .mlp import MlpConfig, TinyMlp, make_blobs, robustness_table, train
@@ -161,12 +159,6 @@ def _parse_sweep_values(axis: str, text: str) -> list:
         raise ValueError(f"bad values {text!r}: {e}") from e
 
 
-def _check_reports(points, args) -> None:
-    """Price each (arch, catalog) point as its cost report will, which raises if a number leaves the float range."""
-    for arch, cat in points:
-        _check_report(arch, cat, args.include_memory, args.convention, args.topology)
-
-
 def _noise_levels(sigmas, source: str) -> list:
     """sigmas, a list of noise intensities, once each has built the NoiseModel that checks it."""
     try:
@@ -233,12 +225,11 @@ def _cmd_simulate(args):
 def _cmd_cost(args):
     arch = _arch_from_args(args)
     cat = _catalog_from_args(args)
-    _check_reports([(arch, cat)], args)
+    report = cost_report(
+        arch, cat, include_memory=args.include_memory, convention=args.convention, topology=args.topology
+    )
 
     def run() -> int:
-        report = cost_report(
-            arch, cat, include_memory=args.include_memory, convention=args.convention, topology=args.topology
-        )
         out = _out_dir(args)
         _write_json(out / "cost.json", report.to_dict())
         text = report_to_text(report)
@@ -259,14 +250,12 @@ def _cmd_sweep(args):
     else:
         cat = _catalog_from_args(args)
         catalogs = {cat.name: cat}
-    # sweep_points builds, and so checks, every point; then each one is priced.
-    _check_reports(sweep_points(arch, catalogs, args.axis, values), args)
+    reports = sweep(
+        arch, catalogs, args.axis, values,
+        include_memory=args.include_memory, convention=args.convention, topology=args.topology,
+    )
 
     def run() -> int:
-        reports = sweep(
-            arch, catalogs, args.axis, values,
-            include_memory=args.include_memory, convention=args.convention, topology=args.topology,
-        )
         out = _out_dir(args)
         csv_text = sweep_to_csv(reports)
         (out / "sweep.csv").write_text(csv_text)

@@ -358,14 +358,28 @@ def cost_report(
     convention: str = "peak",
     topology: str = "embedded_uneven",
 ) -> CostReport:
-    """Assemble the full cost report for one architecture point."""
-    area = area_estimate(arch, cat, include_memory)
-    power = power_estimate(arch, cat, include_memory)
+    """Assemble the full cost report for one architecture point.
+
+    Every number of the report is a finite float, or it raises ValueError:
+    min_laser_power names the loss if the laser power overflows; an area or
+    on-chip power total that is not finite and > 0 is named with the device
+    fields of its largest (or first non-finite) component; and TOPS/W,
+    TOPS/mm^2 and the wall power must stay in the float range.
+    """
     loss = insertion_loss(arch.k, cat, topology)
     laser_req = laser_power_required(arch, cat, loss.total_db)
+    area = area_estimate(arch, cat, include_memory)
+    power = power_estimate(arch, cat, include_memory)
     total_area = sum(area.values())
+    if not 0 < total_area < math.inf:  # NaN too
+        raise _total_error(cat, "area", "mm^2", area)
     total_power = sum(power.values())
+    if not 0 < total_power < math.inf:
+        raise _total_error(cat, "power", "W", power)
     tops, tpw, tpmm2 = metrics(arch, total_area, total_power, convention)
+    if not (tpw < math.inf and tpmm2 < math.inf and total_power + laser_req < math.inf):
+        raise ValueError(f"catalog {cat.name!r} prices {tops} TOPS at {total_area} mm^2, {total_power} W on chip "
+                         f"and {laser_req} W of laser, outside the float range")
     return CostReport(
         variant=cat.name,
         arch=arch,
@@ -410,43 +424,18 @@ _PRICED_FIELDS = {
 }
 
 
-def _check_report(
-    arch: ArchConfig,
-    cat: CatalogVariant,
-    include_memory: bool = False,
-    convention: str = "peak",
-    topology: str = "embedded_uneven",
-) -> None:
-    """Raise ValueError unless every number of cost_report(arch, cat, ...) is a finite float.
-
-    It prices what cost_report prices, without building the report: the
-    laser (min_laser_power raises on overflow), each component of the area
-    and the power and their totals, which must be finite and > 0 (metrics
-    rejects 0), the metrics and the wall power.  A component or total out
-    of range is named with the device fields it is priced from.
-    """
-    laser = laser_power_required(arch, cat, insertion_loss(arch.k, cat, topology).total_db)
-    totals = []
-    for what, unit, parts in (
-        ("area", "mm^2", area_estimate(arch, cat, include_memory)),
-        ("power", "W", power_estimate(arch, cat, include_memory)),
-    ):
-        totals.append(sum(parts.values()))
-        if not 0 < totals[-1] < math.inf:  # NaN too
-            # The first component past the float range, else the largest one.
-            name = max(parts, key=lambda c: (not math.isfinite(parts[c]), parts[c]))
-            fields: dict[str, list[str]] = {}
-            for ref in _PRICED_FIELDS[what][name].split():
-                kind, field = ref.split(".")
-                device = cat.modulator() if kind == "modulator" else cat.device(kind)
-                fields.setdefault(device.name, []).append(f"{field} = {getattr(device, field)!r}")
-            named = "; ".join(f"device {d!r}: {', '.join(f)}" for d, f in fields.items())
-            raise ValueError(f"catalog {cat.name!r} prices the total {what} at {totals[-1]} {unit} and the "
-                             f"{name} {what} at {parts[name]} {unit}, from {named}")
-    tops, tops_per_w, tops_per_mm2 = metrics(arch, *totals, convention)
-    if not all(math.isfinite(v) for v in (tops_per_w, tops_per_mm2, totals[1] + laser)):
-        raise ValueError(f"catalog {cat.name!r} prices {tops} TOPS at {totals[0]} mm^2, {totals[1]} W on chip and "
-                         f"{laser} W of laser, outside the float range")
+def _total_error(cat: CatalogVariant, what: str, unit: str, parts: dict[str, float]) -> ValueError:
+    """The error for an area or power total out of range: it names the first
+    component past the float range, else the largest one, and its device fields."""
+    name = max(parts, key=lambda c: (not math.isfinite(parts[c]), parts[c]))
+    fields: dict[str, list[str]] = {}
+    for ref in _PRICED_FIELDS[what][name].split():
+        kind, field = ref.split(".")
+        device = cat.modulator() if kind == "modulator" else cat.device(kind)
+        fields.setdefault(device.name, []).append(f"{field} = {getattr(device, field)!r}")
+    named = "; ".join(f"device {d!r}: {', '.join(f)}" for d, f in fields.items())
+    return ValueError(f"catalog {cat.name!r} prices the total {what} at {sum(parts.values())} {unit} and the "
+                      f"{name} {what} at {parts[name]} {unit}, from {named}")
 
 
 def sweep_points(
@@ -479,7 +468,8 @@ def sweep(
     convention: str = "peak",
     topology: str = "embedded_uneven",
 ) -> list[CostReport]:
-    """A cost report for each of sweep_points(arch, catalogs, axis, values)."""
+    """A cost report for each of sweep_points(arch, catalogs, axis, values);
+    raises ValueError, as cost_report does, at the first point it cannot price."""
     return [
         cost_report(point, cat, include_memory=include_memory, convention=convention, topology=topology)
         for point, cat in sweep_points(arch, catalogs, axis, values)

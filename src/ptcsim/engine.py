@@ -138,14 +138,10 @@ class EngineConfig:
         """Photocurrent (A) produced by a unit product x*y = 1.
 
         The balanced output of the coupler gives I = 2 R P_arm x y; the ER
-        compression acts on both encoded amplitudes.
+        compression acts on both encoded amplitudes, so the current carries
+        the power penalty 1 - 10^(-ER/10).
         """
-        return (
-            2.0
-            * self.responsivity_a_per_w
-            * self.p_arm_w
-            * er_amplitude_factor(self.extinction_ratio_db) ** 2
-        )
+        return 2.0 * self.responsivity_a_per_w * self.p_arm_w * _er_power_factor(self.extinction_ratio_db)
 
     def normalization(self) -> float:
         """Readout volts contributed by a unit product in one timestep.

@@ -9,7 +9,9 @@ import math
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcsim import MODES, ArchConfig, MlpConfig, NoiseModel, builtin_catalog_path, cli, load_builtin_catalog
+from ptcsim import MODES, ArchConfig, MlpConfig, NoiseModel, builtin_catalog_path, cli, costs, load_builtin_catalog
 from ptcsim.catalog import _FIELD_RULES, _KIND_RULES
 from ptcsim.cli import main
 
@@ -265,6 +267,15 @@ class TestSweep:
     def test_missing_values_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["sweep", "--axis", "K", "--out", str(tmp_path)], capsys)
         assert code == 2
+
+    def test_each_point_is_priced_once(self, tmp_path, capsys, monkeypatch):
+        # The resolve step builds the reports, and the run step only writes them.
+        counters = {name: mock.Mock(wraps=getattr(costs, name)) for name in ("area_estimate", "laser_power_required")}
+        for name, counter in counters.items():
+            monkeypatch.setattr(costs, name, counter)
+        code, _, _ = run(["sweep", "--axis", "K", "--values", "4,8,16", "--out", str(tmp_path / "o")], capsys)
+        assert code == 0
+        assert {name: c.call_count for name, c in counters.items()} == {"area_estimate": 3, "laser_power_required": 3}
 
 
 class TestRobustness:
@@ -575,7 +586,8 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("probe", list(PROBES))
     def test_bad_input_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, probe):
-        for name in ("simulate_gemm", "cost_report", "sweep", "train"):
+        # cost and sweep price their reports while resolving; their run step starts at _out_dir.
+        for name in ("simulate_gemm", "_out_dir", "train"):
             monkeypatch.setattr(cli, name, no_work)
         write_probe_files(tmp_path)
         args = [a.format(d=tmp_path) for a in PROBES[probe]]
@@ -652,8 +664,8 @@ class TestInputBoundary:
         "args, target",
         [
             (["simulate", *ARCH_SMALL, "--workload", "rand:4x4x4", "--mode", "quantized"], "simulate_gemm"),
-            (["cost"], "cost_report"),
-            (["sweep", "--axis", "K", "--values", "4,8"], "sweep"),
+            (["cost"], "report_to_text"),
+            (["sweep", "--axis", "K", "--values", "4,8"], "sweep_to_csv"),
             (["robustness", "--trials", "1"], "train"),
         ],
         ids=["simulate", "cost", "sweep", "robustness"],
@@ -796,11 +808,15 @@ def _run_step(*_, **__):
 
 
 def exit_code_and_stderr(argv):
-    """main(argv) with the run step stubbed out: 0 once every input resolves."""
+    """main(argv) with the run step stubbed out: 0 once every input resolves.
+
+    cost and sweep price their reports while resolving, so their run step is
+    stubbed where it starts, at _out_dir.
+    """
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         with contextlib.ExitStack() as stubs:
-            for name in ("cost_report", "sweep", "simulate_gemm", "train"):
+            for name in ("_out_dir", "simulate_gemm", "train"):
                 stubs.enter_context(mock.patch.object(cli, name, _run_step))
             try:
                 code = main(argv)
@@ -830,11 +846,44 @@ def test_fuzzed_argv_exits_0_or_2_with_one_error_line(tmp_path_factory, command,
     assert not (d / "o").exists()
 
 
+_CUSTOM_DOC = json.loads(builtin_catalog_path("custom-sl").read_text())
+#: Each numeric field of custom_sl.json, as (device index, field name), and
+#: the values a mutation gives one of them.
+CATALOG_FIELDS = [(i, f) for i, entry in enumerate(_CUSTOM_DOC["devices"]) for f, v in entry.items()
+                  if type(v) in (int, float)]
+CATALOG_VALUES = [0, -1, 1e-320, 1e-300, 1e300, 1e308, math.inf, -math.inf, math.nan, True, "abc", 2**31]
+#: Every command that prices or simulates a --catalog file.
+CATALOG_RUNS = [
+    ["cost"],
+    ["cost", "--include-memory"],
+    *(["sweep", "--axis", axis, "--values", "2..64", *memory]
+      for axis in ("K", "T") for memory in ([], ["--include-memory"])),
+    ["simulate", "--workload", "rand:4x4x4", "--mode", "quantized+noise+adc"],
+    ["robustness"],
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(field=st.sampled_from(CATALOG_FIELDS), value=st.sampled_from(CATALOG_VALUES))
+def test_mutated_catalog_exits_0_or_2_through_every_command(tmp_path_factory, field, value):
+    """One field of custom_sl.json at an extreme value: each command resolves, or exits 2 on one `error:` line."""
+    index, name = field
+    doc = json.loads(json.dumps(_CUSTOM_DOC))
+    doc["devices"][index][name] = value
+    d = tmp_path_factory.mktemp("catalog")
+    (d / "catalog.json").write_text(json.dumps(doc))
+    for argv in CATALOG_RUNS:
+        code, err = exit_code_and_stderr([*argv, f"--catalog={d / 'catalog.json'}", f"--out={d / 'o'}"])
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert (code, len(error_lines)) in ((0, 0), (2, 1)), (argv, field, value, code, err)
+        assert not (d / "o").exists()
+
+
 @pytest.mark.parametrize(
     "args, defaults",
     [
         (["simulate", "--workload", "rand:4x4x4"], {"arch": ArchConfig(), "nm": NoiseModel()}),
-        (["cost"], {"arch": ArchConfig()}),
+        (["cost"], {"report.arch": ArchConfig()}),
         (["sweep", "--axis", "K", "--values", "8"], {"arch": ArchConfig()}),
         (["robustness"], {"arch": ArchConfig(), "cfg": MlpConfig()}),
     ],
@@ -842,5 +891,5 @@ def test_fuzzed_argv_exits_0_or_2_with_one_error_line(tmp_path_factory, command,
 )
 def test_no_flags_resolve_to_library_defaults(args, defaults):
     parsed = cli.build_parser().parse_args(args)
-    resolved = inspect.getclosurevars(parsed.func(parsed)).nonlocals  # what the run step works on
-    assert {name: resolved[name] for name in defaults} == defaults
+    resolved = SimpleNamespace(**inspect.getclosurevars(parsed.func(parsed)).nonlocals)  # what the run step works on
+    assert {name: attrgetter(name)(resolved) for name in defaults} == defaults

@@ -5,15 +5,16 @@ import json
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gen_cost_report_sha256
 from ptcsim import (
     CONVENTIONS,
     TOPOLOGIES,
     ArchConfig,
+    CostReport,
     DeviceKind,
     area_estimate,
     comparison_points,
@@ -31,14 +32,25 @@ from ptcsim import (
     sweep_to_csv,
 )
 from ptcsim.catalog import CatalogError, CatalogVariant
-from ptcsim.costs import _PRICED_FIELDS, UM2_PER_MM2, _check_report, sweep_points
+from ptcsim.costs import _PRICED_FIELDS, UM2_PER_MM2, sweep_points
 
 CUSTOM = load_builtin_catalog("custom-sl")
 FOUNDRY = load_builtin_catalog("foundry")
 ARCH = ArchConfig()
 #: SHA-256 of json.dumps(cost_report(...).to_dict()) at 120 points: the three
 #: builtin catalogs x five archs x both topologies, conventions and memory.
-PINNED_REPORTS = Path(__file__).parent / "data" / "cost_report_sha256.json"
+PINNED_REPORTS = gen_cost_report_sha256.PINNED
+
+
+def unchecked_report(arch, cat, include_memory=False, convention="peak", topology="embedded_uneven"):
+    """The report cost_report stands for, assembled from the pricing functions with no range check."""
+    area = area_estimate(arch, cat, include_memory)
+    power = power_estimate(arch, cat, include_memory)
+    loss = insertion_loss(arch.k, cat, topology)
+    laser_req = laser_power_required(arch, cat, loss.total_db)
+    tops, tpw, tpmm2 = metrics(arch, sum(area.values()), sum(power.values()), convention)
+    return CostReport(cat.name, arch, convention, topology, include_memory, area, power, loss, laser_req,
+                      cat.device(DeviceKind.LASER).power_w, tops, tpw, tpmm2)
 
 
 class TestInsertionLoss:
@@ -244,9 +256,13 @@ class TestCostReport:
                 changed.append({k: v for k, v in case.items() if k != "sha256"})
         assert changed == []
 
+    def test_generator_reproduces_the_pinned_file(self):
+        # The cases and digests the generator computes are the file, byte for byte.
+        assert gen_cost_report_sha256.render(gen_cost_report_sha256.digests()) == PINNED_REPORTS.read_text()
+
 
 class TestCheckReport:
-    """_check_report, the CLI's resolve-step pricing, against the report it stands for."""
+    """cost_report's range check, against the unchecked report it stands for."""
 
     def test_priced_fields_name_every_component(self):
         parts = {"area": area_estimate(ARCH, CUSTOM, True), "power": power_estimate(ARCH, CUSTOM, True)}
@@ -268,7 +284,8 @@ class TestCheckReport:
             for topology in TOPOLOGIES:
                 for convention in CONVENTIONS:
                     for memory in (False, True):
-                        _check_report(arch, cat, memory, convention, topology)
+                        report = cost_report(arch, cat, memory, convention, topology)
+                        assert report == unchecked_report(arch, cat, memory, convention, topology)
 
     def test_raises_exactly_when_the_report_is_not_strict_json(self):
         # Each priced float field of custom-sl, alone at an extreme value.
@@ -286,18 +303,19 @@ class TestCheckReport:
                 except CatalogError:  # the catalog's own rules reject it first
                     continue
                 try:
-                    json.dumps(cost_report(ARCH, cat, include_memory=True).to_dict(), allow_nan=False)
+                    expected = unchecked_report(ARCH, cat, include_memory=True)
+                    json.dumps(expected.to_dict(), allow_nan=False)
                     ok = True
                 except ValueError:
                     ok = False
                 try:
-                    _check_report(ARCH, cat, include_memory=True)
+                    report = cost_report(ARCH, cat, include_memory=True)
                 except ValueError as e:
                     assert not ok, (ref, value, e)
                     assert f"{field} = {value!r}" in str(e), (ref, value, e)
                     failed += 1
                 else:
-                    assert ok, (ref, value)
+                    assert ok and report == expected, (ref, value)
                 checked += 1
         assert checked > 30 and failed > 10
 
@@ -307,9 +325,9 @@ class TestCheckReport:
         devices[DeviceKind.SLMZM] = replace(devices[DeviceKind.SLMZM], energy_per_bit_j=0.0)
         cat = CatalogVariant(CUSTOM.name, devices)
         with pytest.raises(ValueError, match="Out of range float values"):
-            json.dumps(cost_report(ARCH, cat).to_dict(), allow_nan=False)
+            json.dumps(unchecked_report(ARCH, cat).to_dict(), allow_nan=False)
         with pytest.raises(ValueError, match="TOPS .* outside the float range"):
-            _check_report(ARCH, cat)
+            cost_report(ARCH, cat)
 
 
 class TestSweep:
@@ -337,6 +355,13 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             sweep(ARCH, {"custom_sl": CUSTOM}, "f", [1])
+
+    def test_point_out_of_the_float_range_raises(self):
+        # A DAC rated at 1e-300 Hz prices its power past the float range.
+        dac = replace(CUSTOM.device(DeviceKind.DAC), rated_frequency_hz=1e-300)
+        cat = CatalogVariant(CUSTOM.name, {**CUSTOM.devices, DeviceKind.DAC: dac})
+        with pytest.raises(ValueError, match="rated_frequency_hz = 1e-300"):
+            sweep(ARCH, {cat.name: cat}, "K", [4, 8])
 
     @pytest.mark.parametrize("include_memory", [False, True])
     @pytest.mark.parametrize("convention", CONVENTIONS)

@@ -149,6 +149,15 @@ class TestCycleCount:
         _, reset, _ = cycle_count(w, arch)
         assert reset == 0
 
+    def test_compute_cycles_are_elapsed_and_reset_cycles_summed_over_blocks(self):
+        # compute_cycles: rounds x P, the cycles one tile runs for;
+        # reset_cycles: blocks x epochs x t_rst, summed over every block.
+        _, stats = simulate_gemm(GemmWorkload.random(512, 2048, 512, seed=0), ArchConfig(), CAT)
+        s = stats.schedule
+        assert (s.rounds, s.p_cycles, s.blocks, s.readouts_per_block, ArchConfig.t_rst) == (43, 342, 256, 6, 2)
+        assert stats.compute_cycles == 14706 == 43 * 342
+        assert stats.reset_cycles == 3072 == 256 * 6 * 2
+
 
 def test_arch_config_dict_round_trip():
     arch = ArchConfig(r_tiles=2, c_cores=3, k=4, clock_hz=2e9)
