@@ -20,6 +20,7 @@ import io
 import json
 import re
 import sys
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -124,13 +125,16 @@ def _parse_workload(spec: str) -> GemmWorkload:
             return GemmWorkload(data["x"], data["y"])
     if "," in spec:
         x_path, y_path = (Path(p.strip()) for p in spec.split(",", 1))
+        operands = []
         for p in (x_path, y_path):
             if not p.exists():
                 raise ValueError(f"workload file not found: {p}")
-        return GemmWorkload(
-            np.loadtxt(x_path, delimiter=",", ndmin=2),
-            np.loadtxt(y_path, delimiter=",", ndmin=2),
-        )
+            with warnings.catch_warnings():  # an empty file is reported below, on one line
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                operands.append(np.loadtxt(p, delimiter=",", ndmin=2))
+            if not operands[-1].size:
+                raise ValueError(f"workload file {p} has no data")
+        return GemmWorkload(*operands)
     raise ValueError(
         f"bad workload spec {spec!r}; expected rand:MxNxQ[:seedS][:uniform|normal], "
         "an .npz file, or 'x.csv,y.csv'"
@@ -439,12 +443,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         run = args.func(args)  # the resolve step: every input, before any work
-    except (ValueError, LookupError, OSError) as e:
+    except (ValueError, LookupError, OSError, MemoryError) as e:  # MemoryError: an operand too large to hold
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
         return run()
-    except (ValueError, LookupError, RuntimeError, OSError) as e:
+    except (ValueError, LookupError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,6 @@ __all__ = [
     "metrics",
     "cost_report",
     "sweep",
-    "sweep_points",
     "report_to_text",
     "sweep_to_csv",
     "pareto_csv",
@@ -438,27 +437,6 @@ def _total_error(cat: CatalogVariant, what: str, unit: str, parts: dict[str, flo
                       f"{name} {what} at {parts[name]} {unit}, from {named}")
 
 
-def sweep_points(
-    arch: ArchConfig, catalogs: dict[str, CatalogVariant], axis: str, values: list
-) -> list[tuple[ArchConfig, CatalogVariant]]:
-    """The (arch, catalog) of each point along one axis: 'K', 'T', or 'variant'.
-
-    For 'variant', values are catalog names looked up in ``catalogs``; for
-    'K' and 'T' a single catalog keyed by the template's variant is used, and
-    each value must be an int or a numpy integer.  Every point's ArchConfig is
-    built, and so checked, here: it rejects a bool, float or str by field name.
-    """
-    if not values:
-        raise ValueError("sweep requires at least one value")
-    if axis not in ("K", "T", "variant"):
-        raise ValueError(f"unknown sweep axis {axis!r}; options: K, T, variant")
-    if axis == "variant":
-        return [(arch, catalogs[variant_name(str(v))]) for v in values]
-    cat = catalogs[next(iter(catalogs))]
-    ints = [int(v) if isinstance(v, numbers.Integral) and not isinstance(v, bool) else v for v in values]
-    return [(replace(arch, k=v) if axis == "K" else replace(arch, t_int=v), cat) for v in ints]
-
-
 def sweep(
     arch: ArchConfig,
     catalogs: dict[str, CatalogVariant],
@@ -468,11 +446,29 @@ def sweep(
     convention: str = "peak",
     topology: str = "embedded_uneven",
 ) -> list[CostReport]:
-    """A cost report for each of sweep_points(arch, catalogs, axis, values);
-    raises ValueError, as cost_report does, at the first point it cannot price."""
+    """A cost report for each point along one axis: 'K', 'T', or 'variant'.
+
+    For 'variant', values are catalog names looked up in ``catalogs``; for
+    'K' and 'T' a single catalog keyed by the template's variant is used, and
+    each value must be an int or a numpy integer.  Every point's ArchConfig is
+    built, and so checked, here: it rejects a bool, float or str by field name.
+    Raises ValueError, as cost_report does, at the first point it cannot price.
+    """
+    if not values:
+        raise ValueError("sweep requires at least one value")
+    if axis not in ("K", "T", "variant"):
+        raise ValueError(f"unknown sweep axis {axis!r}; options: K, T, variant")
+    if axis == "variant":
+        points = [(arch, catalogs[variant_name(str(v))]) for v in values]
+    else:
+        cat = catalogs[next(iter(catalogs))]
+        points = [
+            (replace(arch, k=v) if axis == "K" else replace(arch, t_int=v), cat)
+            for v in (int(u) if isinstance(u, numbers.Integral) and not isinstance(u, bool) else u for u in values)
+        ]
     return [
         cost_report(point, cat, include_memory=include_memory, convention=convention, topology=topology)
-        for point, cat in sweep_points(arch, catalogs, axis, values)
+        for point, cat in points
     ]
 
 

@@ -6,16 +6,12 @@ applies, then evaluated by routing every layer's matrix product through the
 behavioral core simulation.  The study output is an accuracy-versus-noise
 table with mean and standard deviation across evaluation seeds.
 
-A study is one pass of scheduler.simulate_chain over its (sigma, seed)
-trials, run seed-major: the bit widths are checked and the engine
-configuration is built once per study, each layer's weights are scaled,
-validated and quantized to int8 codes once, the test input is quantized
-once, and each seed's noise generators are built once per layer, their
-initial states replayed for the seed's other sigmas.  Each trial runs
-every layer's product through the routine simulate_gemm uses, one layer
-after the other, and the accuracies are regrouped into one row per sigma.
-The sigma = 0 trial has no noise, so it runs once and serves every seed.
-forward_via_core is the one-trial case of the same pass.
+A study is one pass of _core_logits over its (sigma, seed) trials, run
+seed-major so that each seed's noise generators are built once per layer.
+Each trial runs every layer's product through the routine simulate_gemm
+uses (scheduler._product), then the bias and the ReLU, and the accuracies
+are regrouped into one row per sigma.  forward_via_core is the one-trial
+case of the same pass.
 """
 
 from __future__ import annotations
@@ -26,10 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogVariant
-from .quantize import QUANTIZER_BITS, NoiseModel, fake_quantize, inject_noise, minmax_params
+from .quantize import (
+    QUANTIZER_BITS,
+    NoiseModel,
+    QuantizerParams,
+    fake_quantize,
+    inject_noise,
+    minmax_params,
+    quantize_codes,
+)
 from .scheduler import (
     ArchConfig,
-    simulate_chain,
+    GemmWorkload,
+    _check_widths,
+    _product,
+    _real,
+    engine_config_for,
     simulate_gemm,  # noqa: F401  (unused here; bench/test_bench.py rebinds mlp.simulate_gemm)
 )
 
@@ -217,23 +225,130 @@ def evaluate(model: TinyMlp, x: np.ndarray, y: np.ndarray, nm: NoiseModel | None
     return float((model.predict(x, nm) == y).mean())
 
 
-def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVariant, trials):
-    """Logits of each (sigma, seed) trial, computed one trial at a time on the core.
+def _encodable(a, name: str) -> tuple[np.ndarray, float]:
+    """(a / s, s) with s = max(peak |a|, 1e-30), so that a / s lies in [-1, 1].
 
-    Layer i of trial (sigma, seed) draws its noise from seed (seed << 8) + i;
-    biases and activations stay digital.
+    Raises as GemmWorkload does if a is complex or has a non-finite entry
+    (s is then NaN or infinite).
     """
+    a = _real(a, name)
+    s = max(float(np.abs(a).max()), 1e-30)
+    if not math.isfinite(s):
+        raise ValueError(f"operand {name} has non-finite entries")
+    return a / s, s
+
+
+def _codes(a: np.ndarray, params: QuantizerParams) -> np.ndarray:
+    """a's quantizer codes as int8, which holds the codes of every width up to 8 bits exactly."""
+    return quantize_codes(a, params).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class _Replayed(NoiseModel):
+    """NoiseModel(sigma, seed) whose generators are not built again.
+
+    rng(stream) sets gen, one generator the study pass reuses, to
+    states[stream], the initial bit-generator state that
+    NoiseModel(sigma, seed).rng(stream) starts from, so it draws the same values.
+    """
+
+    states: tuple = ()
+    gen: np.random.Generator | None = None
+
+    def rng(self, stream: int = 0) -> np.random.Generator:
+        self.gen.bit_generator.state = self.states[stream]
+        return self.gen
+
+
+class _ChainLayer:
+    """One weight matrix of the study pass, with what its trials share.
+
+    That is the weights' scale (sw), quantizer params and int8 codes: the
+    weights are scaled into [-1, 1] and quantized once, and validated
+    together with x, the first trial's input to the layer, as GemmWorkload
+    validates the operands of a simulate_gemm call.  The layer also keeps
+    the noise seed of the last noisy trial to reach it, and the initial
+    states of that seed's two generators, streams 0 (x) and 1 (y).
+    """
+
+    def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig):
+        y, self.sw = _encodable(w, "y")
+        GemmWorkload(x, y)
+        self.params = minmax_params(y, arch.bits_in)
+        self.codes = _codes(y, self.params)
+        self.seed = self.states = None
+
+
+def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVariant, trials):
+    """Yield the logits of each (sigma, seed) trial, computed one trial at a time on the core.
+
+    Layer i scales its input and weights by their peaks into [-1, 1],
+    multiplies them through scheduler._product as simulate_gemm does in
+    quantized+noise mode, with noise NoiseModel(sigma, (seed << 8) + i),
+    and undoes both scales; the bias and the ReLU stay digital.  The logits,
+    and the errors raised, are those of one simulate_gemm call per layer and
+    trial, bit for bit, except that a bit width the mode cannot run is
+    rejected first.
+
+    The work trials share is done once: the width check per pass; per layer,
+    when the first trial reaches it, the weights' scale, validation,
+    quantizer params and int8 codes; and layer 0's input, the same x in
+    every trial, is scaled, given its params and quantized to int8 codes
+    once.  The front end casts cached codes where it would quantize, so a
+    trial pays for the noise, the hidden layers' inputs and the products.
+    A layer builds the generators of a noise seed, streams 0 and 1, only
+    when the seed differs from the last one it saw; it keeps their initial
+    states, and later trials of that seed replay them in one generator the
+    pass reuses (_Replayed), which draws the same values.  So trials in
+    seed-major order build one generator per (seed, layer, stream).  The
+    product needs no engine constants, so engine_config_for runs once only
+    to raise the errors simulate_gemm would.  Each trial runs through every
+    layer before the next one starts, so one trial's activations are live
+    at a time.  A trial with sigma = 0 does not depend on its seed: the
+    first one runs, and later ones yield its logits again (the same array).
+    """
+    _check_widths(arch, "quantized+noise")
+    engine_config_for(arch, cat)
     last = len(model.weights) - 1
-
-    def digital(i, z):
-        z += model.biases[i]
-        return z if i == last else np.maximum(z, 0.0)
-
-    noise = (
-        tuple(NoiseModel(sigma=sigma, seed=(seed << 8) + i) for i in range(last + 1))
-        for sigma, seed in trials
-    )
-    return simulate_chain(x, model.weights, arch, cat, noise, digital)
+    layers: list[_ChainLayer] = []
+    x0 = None  # layer 0's input in every trial: (int8 codes, params, scale)
+    gen = None  # the one generator the noisy layers replay their streams in
+    clean = None
+    for sigma, seed in trials:
+        nm = NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed in every trial
+        noisy = sigma != 0.0
+        if clean is not None and not noisy:
+            yield clean
+            continue
+        h = x
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            if i == 0 and x0 is not None:  # every trial's layer 0 multiplies the same x
+                h, px, sx = x0
+            else:
+                h, sx = _encodable(h, "x")  # frees the last layer's activations first
+                if i == len(layers):
+                    layers.append(_ChainLayer(h, w, arch))
+                px = minmax_params(h, arch.bits_in)
+                if i == 0:
+                    h = _codes(h, px)
+                    x0 = h, px, sx
+            layer = layers[i]
+            noise = None
+            if noisy:
+                if layer.seed != nm.seed + i:
+                    layer.seed = nm.seed + i
+                    built = [NoiseModel(sigma, layer.seed).rng(stream) for stream in (0, 1)]
+                    gen = built[0] if gen is None else gen
+                    layer.states = tuple(g.bit_generator.state for g in built)
+                noise = _Replayed(sigma, layer.seed, layer.states, gen)
+            h = _product(h, layer.codes, px, layer.params, noise)
+            h *= sx * layer.sw
+            h += b
+            if i != last:
+                h = np.maximum(h, 0.0)
+        if not noisy:
+            clean = h
+        yield h
 
 
 def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:

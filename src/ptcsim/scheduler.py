@@ -37,16 +37,6 @@ Working memory is the result, one product buffer, one copy of x and one
 chunk of y.  engine_config_for sizes the integration capacitor so that a
 full-scale ramp lands exactly on the rail; no operand passes 1, so no
 readout passes the rail and nothing is clamped.
-
-simulate_chain runs a chain of such products, the layers of a robustness
-study, over many noise trials in quantized+noise mode, through _product as
-simulate_gemm does.  The work the trials share is done once: the width
-check per study; per layer the weights' scale, validation, quantizer
-params and int8 codes; the first layer's input codes, since every trial
-starts from the same input; and per noise seed the initial states of each
-layer's two generators, which later trials of that seed replay in one
-reused generator.  Each trial then pays for its noise, its hidden layers'
-inputs and its products, one layer after the other.
 """
 
 from __future__ import annotations
@@ -83,7 +73,6 @@ __all__ = [
     "plan",
     "cycle_count",
     "simulate_gemm",
-    "simulate_chain",
     "engine_config_for",
 ]
 
@@ -149,6 +138,15 @@ class ArchConfig:
         return dataclasses.asdict(self)
 
 
+def _real(a, name: str) -> np.ndarray:
+    """a as a float array.  Raises if a is complex, where a cast to float
+    would drop the imaginary parts; the check reads the dtype, not the data."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"operand {name} has complex entries")
+    return a.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class GemmWorkload:
     """An M x N x Q matrix product with operands pre-normalized to [-1, 1]."""
@@ -157,8 +155,8 @@ class GemmWorkload:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "x", _real(self.x, "x"))
+        object.__setattr__(self, "y", _real(self.y, "y"))
         if self.x.ndim != 2 or self.y.ndim != 2:
             raise ValueError("operands must be 2-D matrices")
         if self.x.shape[1] != self.y.shape[0]:
@@ -318,8 +316,8 @@ def _engine_rows(
 ) -> Iterator[np.ndarray]:
     """Yield operand a as the engine multiplies it, `rows` rows at a time.
 
-    a is an operand in [-1, 1], or its int8 codes under params (a chain's
-    cached weights and input).  Every slice is filled into one buffer of
+    a is an operand in [-1, 1], or its int8 codes under params (the cached
+    weights and input of mlp's study pass).  Every slice is filled into one buffer of
     min(rows, len(a)) rows of dtype, which the next slice overwrites, a row
     block of about _OPERAND_BLOCK_ELEMS elements at a time: quantize_codes
     once, or the cached codes cast, so the entries are integer codes on the
@@ -467,123 +465,3 @@ def simulate_gemm(
     )
     return z_hat, stats
 
-
-def _encodable(a: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """(a / s, s) with s = max(peak |a|, 1e-30), so that a / s lies in [-1, 1].
-
-    Raises as GemmWorkload does if a has a non-finite entry (s is then NaN
-    or infinite).
-    """
-    s = max(float(np.abs(a).max()), 1e-30)
-    if not math.isfinite(s):
-        raise ValueError(f"operand {name} has non-finite entries")
-    return a / s, s
-
-
-def _codes(a: np.ndarray, params: QuantizerParams) -> np.ndarray:
-    """a's quantizer codes as int8, which holds the codes of every width up to 8 bits exactly."""
-    return quantize_codes(a, params).astype(np.int8)
-
-
-@dataclass(frozen=True)
-class _Replayed(NoiseModel):
-    """NoiseModel(sigma, seed) whose generators are not built again.
-
-    rng(stream) sets gen, one generator a chain reuses, to states[stream],
-    the initial bit-generator state that NoiseModel(sigma, seed).rng(stream)
-    starts from, so it draws the same values.
-    """
-
-    states: tuple = ()
-    gen: np.random.Generator | None = None
-
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        self.gen.bit_generator.state = self.states[stream]
-        return self.gen
-
-
-class _ChainLayer:
-    """One weight matrix of simulate_chain, with what its trials share.
-
-    That is the weights' scale (sw), quantizer params and int8 codes: the
-    weights are scaled into [-1, 1] and quantized once, and validated
-    together with x, the first trial's input to the layer, as GemmWorkload
-    validates the operands of a simulate_gemm call.  The layer also keeps
-    the noise seed of the last noisy trial to reach it, and the initial
-    states of that seed's two generators, streams 0 (x) and 1 (y).
-    """
-
-    def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig):
-        y, self.sw = _encodable(np.asarray(w, dtype=float), "y")
-        GemmWorkload(x, y)
-        self.params = minmax_params(y, arch.bits_in)
-        self.codes = _codes(y, self.params)
-        self.seed = self.states = None
-
-
-def simulate_chain(x, weights, arch: ArchConfig, cat: CatalogVariant, trials, digital):
-    """Yield, trial by trial, the output of a chain of matrix products on the core.
-
-    Layer i scales its input and weights[i] into [-1, 1] by their peaks,
-    multiplies them as simulate_gemm does in quantized+noise mode, and
-    undoes both scales; digital(i, z) turns that product into the next
-    layer's input, or the last layer's into the trial's output.  A trial is
-    a sequence of one NoiseModel per layer.  The outputs, and the errors
-    raised, are those of one simulate_gemm call per layer and trial, bit for
-    bit, except that a bit width the mode cannot run is rejected first.
-
-    The work trials share is done once: the width check per chain; per
-    layer, when the first trial reaches it, the weights' scale, validation,
-    quantizer params and int8 codes; and layer 0's input, the same x in
-    every trial, is scaled, given its params and quantized to int8 codes
-    once.  The front end casts cached codes where it would quantize, so a
-    trial pays for the noise, the hidden layers' inputs and the products.
-    A layer builds the generators of a noise seed, streams 0 and 1, only
-    when the seed differs from the last one it saw; it keeps their initial
-    states, and later trials of that seed replay them in one generator the
-    chain reuses (_Replayed), which draws the same values.  So trials in
-    seed-major order build one generator per (seed, layer, stream).  The
-    product needs no engine constants, so engine_config_for runs once only
-    to raise the errors simulate_gemm would.  Each trial runs through every
-    layer before the next one starts, so one trial's activations are live
-    at a time.  A trial without noise in any layer does not depend on its
-    seeds: the first one runs, and later ones yield its output again (the
-    same array).  No SimStats is built, and nothing is kept across calls.
-    """
-    _check_widths(arch, "quantized+noise")
-    engine_config_for(arch, cat)
-    layers: list[_ChainLayer] = []
-    x0 = None  # layer 0's input in every trial: (int8 codes, params, scale)
-    gen = None  # the one generator the noisy layers replay their streams in
-    clean = None
-    for trial in trials:
-        noisy = any(nm.sigma != 0.0 for nm in trial)
-        if clean is not None and not noisy:
-            yield clean
-            continue
-        h = x
-        for i, (w, nm) in enumerate(zip(weights, trial, strict=True)):
-            if i == 0 and x0 is not None:  # every trial's layer 0 multiplies the same x
-                h, px, sx = x0
-            else:
-                h, sx = _encodable(np.asarray(h, dtype=float), "x")  # frees the last layer's activations first
-                if i == len(layers):
-                    layers.append(_ChainLayer(h, w, arch))
-                px = minmax_params(h, arch.bits_in)
-                if i == 0:
-                    h = _codes(h, px)
-                    x0 = h, px, sx
-            layer = layers[i]
-            noise = None
-            if nm.sigma != 0.0:
-                if nm.seed != layer.seed:
-                    built = [nm.rng(stream) for stream in (0, 1)]
-                    gen = built[0] if gen is None else gen
-                    layer.seed, layer.states = nm.seed, tuple(g.bit_generator.state for g in built)
-                noise = _Replayed(nm.sigma, nm.seed, layer.states, gen)
-            h = _product(h, layer.codes, px, layer.params, noise)
-            h *= sx * layer.sw
-            h = digital(i, h)
-        if not noisy:
-            clean = h
-        yield h

@@ -509,6 +509,8 @@ def write_probe_files(d):
     (d / "y_text.csv").write_text("0.5,abc\n0.5,0.5\n")
     np.savez(d / "mismatch.npz", x=np.zeros((2, 3)), y=np.zeros((2, 2)))
     np.savez(d / "no_xy.npz", a=np.zeros((2, 2)))
+    np.savez(d / "complex.npz", x=np.array([[0.5 + 0.5j]]), y=np.array([[0.5]]))
+    (d / "empty.csv").write_text("")
     (d / "not_zip.npz").write_text("x,y\n")
     (d / "epochs_0.json").write_text(json.dumps({"epochs": 0}))
     (d / "epochs_neg.json").write_text(json.dumps({"epochs": -1}))
@@ -537,6 +539,10 @@ PROBES = {
     "npz-missing": ["simulate", "--workload", "{d}/none.npz"],
     "npz-no-x-y": ["simulate", "--workload", "{d}/no_xy.npz"],
     "csv-operand-missing": ["simulate", "--workload", "{d}/x.csv,{d}/none.csv"],
+    "npz-complex": ["simulate", "--workload", "{d}/complex.npz"],
+    "csv-empty": ["simulate", "--workload", "{d}/empty.csv,{d}/x.csv"],
+    # 728 TiB, past the address space: the allocation fails at once.
+    "rand-unallocatable": ["simulate", "--workload", "rand:10000000x10000000x1"],
     "sweep-values-8..4": ["sweep", "--axis", "K", "--values", "8..4"],
     "sweep-values-a,b": ["sweep", "--axis", "K", "--values", "a,b"],
     "engine-loss-simulate": ["simulate", "--workload", "rand:4x4x4", "--catalog", "{d}/loss_1e6.json"],
@@ -659,7 +665,9 @@ class TestInputBoundary:
         assert_one_line_exit_2(code, err, tmp_path / "o")
         assert err.startswith("error: clock_hz must have a finite period")
 
-    @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=["ValueError", "KeyError"])
+    @pytest.mark.parametrize(
+        "error", [ValueError("boom"), KeyError("boom"), MemoryError("boom")], ids=["ValueError", "KeyError", "MemoryError"]
+    )
     @pytest.mark.parametrize(
         "args, target",
         [
@@ -679,7 +687,8 @@ class TestInputBoundary:
         assert code == 1
         assert err.startswith("error: ") and "boom" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("probe", ["csv-entry-2", "sweep-k-0"])
+    # Run as a user runs them: pytest would turn a numpy warning into an exception.
+    @pytest.mark.parametrize("probe", ["csv-entry-2", "sweep-k-0", "npz-complex", "csv-empty", "rand-unallocatable"])
     def test_module_entry_point_exits_2_without_traceback(self, tmp_path, probe):
         write_probe_files(tmp_path)
         args = [a.format(d=tmp_path) for a in PROBES[probe]]

@@ -32,7 +32,7 @@ from ptcsim import (
     sweep_to_csv,
 )
 from ptcsim.catalog import CatalogError, CatalogVariant
-from ptcsim.costs import _PRICED_FIELDS, UM2_PER_MM2, sweep_points
+from ptcsim.costs import _PRICED_FIELDS, UM2_PER_MM2
 
 CUSTOM = load_builtin_catalog("custom-sl")
 FOUNDRY = load_builtin_catalog("foundry")
@@ -379,7 +379,11 @@ class TestSweep:
             catalogs = [{v: load_builtin_catalog(v)} for v in names]
         for cats in catalogs:
             reports = sweep(template, cats, axis, values, **kwargs)
-            points = sweep_points(template, cats, axis, values)
+            if axis == "variant":
+                points = [(template, cats[v.replace("-", "_")]) for v in values]
+            else:
+                field, (cat,) = {"K": "k", "T": "t_int"}[axis], cats.values()
+                points = [(replace(template, **{field: v}), cat) for v in values]
             assert [r.arch for r in reports] == [arch for arch, _ in points]
             for r, (arch, cat) in zip(reports, points):
                 # The same floats: equal dicts, and equal JSON bytes.

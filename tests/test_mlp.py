@@ -231,9 +231,10 @@ class TestStudyPass:
         tx, ty = study_set((8, 32, 32, 4))
         sigmas = [0.0, 0.02, 0.0]
         want = oracle_robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3)
-        passes = count_calls(monkeypatch, scheduler, "_product")
-        configs = count_calls(monkeypatch, scheduler, "engine_config_for")
-        widths = count_calls(monkeypatch, scheduler, "_check_widths")
+        # The pass looks up _product, engine_config_for and _check_widths in mlp.
+        passes = count_calls(monkeypatch, mlp, "_product")
+        configs = count_calls(monkeypatch, mlp, "engine_config_for")
+        widths = count_calls(monkeypatch, mlp, "_check_widths")
         plans = count_calls(monkeypatch, scheduler, "plan")
         assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3) == want
         # One noise-free trial and three noisy ones, each through 3 layers.
@@ -255,7 +256,9 @@ class TestStudyPass:
         calls, quantized, built = [], [], []
         monkeypatch.setattr(scheduler, "_engine_rows", record_engine_rows(calls))
         real_codes, real_rng = scheduler.quantize_codes, np.random.default_rng
-        monkeypatch.setattr(scheduler, "quantize_codes", lambda a, *r: quantized.append(a.copy()) or real_codes(a, *r))
+        # The front end quantizes in scheduler, the pass's cached codes in mlp.
+        for module in (scheduler, mlp):
+            monkeypatch.setattr(module, "quantize_codes", lambda a, *r: quantized.append(a.copy()) or real_codes(a, *r))
         monkeypatch.setattr(np.random, "default_rng", lambda s=None: built.append(tuple(s)) or real_rng(s))
         want = [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)]
         monkeypatch.undo()
@@ -319,6 +322,16 @@ class TestStudyPass:
         out = subprocess.run([sys.executable, "-c", ONE_THREAD_STUDY], env=env, capture_output=True, text=True,
                              timeout=300, check=True).stdout
         assert out == "ok\n"
+
+    def test_complex_input_raises(self):
+        # The input's imaginary part is not dropped with a ComplexWarning.
+        model = study_model((8, 13, 7, 4))
+        tx, ty = study_set((8, 13, 7, 4))
+        tx = tx.astype(complex)
+        with pytest.raises(ValueError, match="^operand x has complex entries$"):
+            forward_via_core(model, tx, ARCH, CAT, 0.02, 0)
+        with pytest.raises(ValueError, match="^operand x has complex entries$"):
+            robustness_table(model, tx, ty, ARCH, CAT, [0.0, 0.02], 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("layer", [0, 2])

@@ -100,6 +100,17 @@ class TestWorkload:
         with pytest.raises(ValueError, match="non-finite"):
             GemmWorkload(x, y)
 
+    @pytest.mark.parametrize("operand", ["x", "y"])
+    def test_complex_operand_rejected_by_name(self, operand):
+        # A cast to float would drop the imaginary part, with a ComplexWarning.
+        x, y = np.array([[0.5, 0.0]]), np.array([[0.5], [0.0]])
+        if operand == "x":
+            x = x + 0.5j
+        else:
+            y = y.astype(complex)
+        with pytest.raises(ValueError, match=f"^operand {operand} has complex entries$"):
+            GemmWorkload(x, y)
+
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             GemmWorkload(np.zeros(3), np.zeros((3, 2)))
