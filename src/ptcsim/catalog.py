@@ -218,7 +218,9 @@ class CatalogVariant:
     Complete means it holds a device of every kind, with one input modulator
     (mzm or slmzm) enough, and each device the fields the models read.  A
     catalog is read-only: it keeps a private copy of ``devices`` behind a
-    MappingProxyType, so a catalog can be shared (load_builtin_catalog).
+    MappingProxyType, so a catalog can be shared (load_builtin_catalog), and
+    the cost model keeps the terms it resolves from a catalog on the object
+    itself (costs._terms), outside the fields that equality and repr read.
     """
 
     name: str

@@ -15,6 +15,13 @@ Laser power is off-chip and reported separately from on-chip power; memory
 enters as fixed global + per-tile SRAM adders (GLOBAL_SRAM_MB, LOCAL_SRAM_MB).
 The crossbar node's area is its layout bounding box, with a fixed bend radius
 and node spacing (BEND_RADIUS_UM, NODE_SPACING_UM).
+
+What a catalog adds to every point is resolved once per catalog object and
+kept on that read-only object (_terms): the device specs the formulas read,
+the seven loss terms, the node area, the configured laser, the modulator's
+ER and the photodetector.  So a point pays only for its own R/C/K/T
+arithmetic, and a catalog built with the name of another prices from its
+own devices.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -103,19 +110,15 @@ def insertion_loss(
         raise ValueError(f"k must be >= 1, got {k}")
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; options: {TOPOLOGIES}")
-    couple = cat.device(DeviceKind.FIBER_COUPLING).insertion_loss_db
-    mzm = cat.modulator().insertion_loss_db
-    cross = cat.device(DeviceKind.CROSSING).insertion_loss_db
-    ps = cat.device(DeviceKind.PHASE_SHIFTER).insertion_loss_db
-    dc = cat.device(DeviceKind.COUPLER_2X2).insertion_loss_db
+    t = _terms(cat)
     fanout = 10.0 * math.log10(float(k) ** 2) if k > 1 else 0.0
     if topology == "embedded_uneven":
-        cross_total = (k - 1) * cross
-        split_total = k * cat.device(DeviceKind.TAP_SPLITTER).insertion_loss_db
+        cross_total = (k - 1) * t.il_cross
+        split_total = k * t.il_tap
     else:
-        cross_total = (k - 1) ** 2 * cross
-        split_total = cat.device(DeviceKind.SPLITTER_1XN).insertion_loss_db
-    return LossBudget(couple, fanout, mzm, cross_total, split_total, ps, dc)
+        cross_total = (k - 1) ** 2 * t.il_cross
+        split_total = t.il_splitter
+    return LossBudget(t.il_couple, fanout, t.il_mzm, cross_total, split_total, t.il_ps, t.il_dc)
 
 
 def min_laser_power(
@@ -147,9 +150,8 @@ def min_laser_power(
 def laser_power_required(arch: ArchConfig, cat: CatalogVariant, il_db: float) -> float:
     """Laser power (W) of the R*C cores: per core, min_laser_power at il_db dB,
     bits_out bits and the catalog's photodetector and modulator ER."""
-    pd = cat.device(DeviceKind.PHOTODETECTOR)
-    er = cat.modulator().extinction_ratio_db
-    return arch.r_tiles * arch.c_cores * min_laser_power(il_db, pd, er, arch.bits_out)
+    t = _terms(cat)
+    return arch.r_tiles * arch.c_cores * min_laser_power(il_db, t.pd, t.er_db, arch.bits_out)
 
 
 def dac_power_scale(p0: float, b0: int, fs0: float, b: int, f: float) -> float:
@@ -179,6 +181,61 @@ def _node_area_um2(cat: CatalogVariant) -> float:
     return length * width
 
 
+@dataclass(frozen=True)
+class _CatalogTerms:
+    """What a catalog adds to every cost-model point: the device specs the
+    formulas read, the seven loss terms (dB), the crossbar node's area, the
+    configured laser power and the modulator's ER."""
+
+    dac: DeviceSpec
+    mod: DeviceSpec
+    mmi: DeviceSpec
+    pd: DeviceSpec
+    ps: DeviceSpec
+    integ: DeviceSpec
+    tia: DeviceSpec
+    adc: DeviceSpec
+    sram: DeviceSpec
+    il_couple: float
+    il_mzm: float
+    il_cross: float
+    il_tap: float
+    il_splitter: float
+    il_ps: float
+    il_dc: float
+    node_area_um2: float
+    laser_w: float
+    er_db: float
+
+    @classmethod
+    def resolve(cls, cat: CatalogVariant) -> _CatalogTerms:
+        dev = cat.device
+        mod, mmi, ps = cat.modulator(), dev(DeviceKind.SPLITTER_1XN), dev(DeviceKind.PHASE_SHIFTER)
+        return cls(
+            dac=dev(DeviceKind.DAC), mod=mod, mmi=mmi, pd=dev(DeviceKind.PHOTODETECTOR), ps=ps,
+            integ=dev(DeviceKind.INTEGRATOR), tia=dev(DeviceKind.TIA), adc=dev(DeviceKind.ADC),
+            sram=dev(DeviceKind.SRAM),
+            il_couple=dev(DeviceKind.FIBER_COUPLING).insertion_loss_db, il_mzm=mod.insertion_loss_db,
+            il_cross=dev(DeviceKind.CROSSING).insertion_loss_db, il_tap=dev(DeviceKind.TAP_SPLITTER).insertion_loss_db,
+            il_splitter=mmi.insertion_loss_db, il_ps=ps.insertion_loss_db,
+            il_dc=dev(DeviceKind.COUPLER_2X2).insertion_loss_db,
+            node_area_um2=_node_area_um2(cat), laser_w=dev(DeviceKind.LASER).power_w,
+            er_db=mod.extinction_ratio_db,
+        )
+
+
+def _terms(cat: CatalogVariant) -> _CatalogTerms:
+    """cat's terms, resolved on the first call for this catalog object and
+    kept on it: a catalog is read-only, so they cannot go stale, and they are
+    freed with it.  A catalog built with another's name has its own."""
+    try:
+        return cat._cost_terms
+    except AttributeError:
+        terms = _CatalogTerms.resolve(cat)
+        object.__setattr__(cat, "_cost_terms", terms)
+        return terms
+
+
 def area_estimate(
     arch: ArchConfig,
     cat: CatalogVariant,
@@ -192,29 +249,27 @@ def area_estimate(
     1x2K MMI is the catalog's 1xN splitter with its length and width each
     scaled by 2K/N.
     """
+    t = _terms(cat)
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
-    dac = cat.device(DeviceKind.DAC)
-    mod = cat.modulator()
-    mmi = cat.device(DeviceKind.SPLITTER_1XN)
+    mmi = t.mmi
     s = 2 * k / mmi.fanout_n
     inputs = 2 * n_cores * k
     readout = arch.r_tiles * k**2
     nodes = n_cores * k**2
 
     breakdown = {
-        "dac": inputs * dac.area_um2 / UM2_PER_MM2,
-        "modulator": inputs * mod.area_um2 / UM2_PER_MM2,
+        "dac": inputs * t.dac.area_um2 / UM2_PER_MM2,
+        "modulator": inputs * t.mod.area_um2 / UM2_PER_MM2,
         "fanout_mmi": n_cores * ((mmi.length_um * s) * (mmi.width_um * s)) / UM2_PER_MM2,
-        "crossbar_node": nodes * _node_area_um2(cat) / UM2_PER_MM2,
-        "integrator": readout * cat.device(DeviceKind.INTEGRATOR).area_um2 / UM2_PER_MM2,
-        "tia": readout * cat.device(DeviceKind.TIA).area_um2 / UM2_PER_MM2,
-        "adc": readout * cat.device(DeviceKind.ADC).area_um2 / UM2_PER_MM2,
+        "crossbar_node": nodes * t.node_area_um2 / UM2_PER_MM2,
+        "integrator": readout * t.integ.area_um2 / UM2_PER_MM2,
+        "tia": readout * t.tia.area_um2 / UM2_PER_MM2,
+        "adc": readout * t.adc.area_um2 / UM2_PER_MM2,
     }
     if include_memory:
-        sram = cat.device(DeviceKind.SRAM)
         breakdown["memory"] = (
-            (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.area_um2 / UM2_PER_MM2
+            (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * t.sram.area_um2 / UM2_PER_MM2
         )
     return breakdown
 
@@ -234,13 +289,8 @@ def power_estimate(
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
     f = arch.clock_hz
-    dac = cat.device(DeviceKind.DAC)
-    mod = cat.modulator()
-    pd = cat.device(DeviceKind.PHOTODETECTOR)
-    ps = cat.device(DeviceKind.PHASE_SHIFTER)
-    tia = cat.device(DeviceKind.TIA)
-    adc = cat.device(DeviceKind.ADC)
-    integ = cat.device(DeviceKind.INTEGRATOR)
+    t = _terms(cat)
+    dac, mod, tia, adc = t.dac, t.mod, t.tia, t.adc
 
     p_dac = dac_power_scale(
         dac.power_w, dac.rated_bits, dac.rated_frequency_hz, arch.bits_in, f
@@ -256,15 +306,14 @@ def power_estimate(
     breakdown = {
         "dac": inputs * p_dac,
         "modulator": inputs * p_mod,
-        "photodetector": nodes * 2 * pd.power_w,
-        "phase_shifter": nodes * ps.power_w,
-        "integrator": readout * integ.power_w,
+        "photodetector": nodes * 2 * t.pd.power_w,
+        "phase_shifter": nodes * t.ps.power_w,
+        "integrator": readout * t.integ.power_w,
         "tia": readout * p_tia,
         "adc": readout * p_adc,
     }
     if include_memory:
-        sram = cat.device(DeviceKind.SRAM)
-        breakdown["memory"] = (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * sram.power_w
+        breakdown["memory"] = (GLOBAL_SRAM_MB + arch.r_tiles * LOCAL_SRAM_MB) * t.sram.power_w
     return breakdown
 
 
@@ -389,7 +438,7 @@ def cost_report(
         power_by_component=power,
         loss=loss,
         laser_power_required_w=laser_req,
-        laser_power_configured_w=cat.device(DeviceKind.LASER).power_w,
+        laser_power_configured_w=_terms(cat).laser_w,
         tops=tops,
         tops_per_w=tpw,
         tops_per_mm2=tpmm2,
@@ -448,22 +497,31 @@ def sweep(
 ) -> list[CostReport]:
     """A cost report for each point along one axis: 'K', 'T', or 'variant'.
 
-    For 'variant', values are catalog names looked up in ``catalogs``; for
-    'K' and 'T' a single catalog keyed by the template's variant is used, and
-    each value must be an int or a numpy integer.  Every point's ArchConfig is
-    built, and so checked, here: it rejects a bool, float or str by field name.
-    Raises ValueError, as cost_report does, at the first point it cannot price.
+    For 'variant', values are catalog names looked up in ``catalogs``; 'K'
+    and 'T' price the one catalog ``catalogs`` must hold, and each value must
+    be an int or a numpy integer.  Every point's ArchConfig is built, and so
+    checked, here, from the template's field values with the swept field
+    replaced: it rejects a bool, float or str by field name.  Raises
+    ValueError, as cost_report does, at the first point it cannot price.
     """
     if not values:
         raise ValueError("sweep requires at least one value")
     if axis not in ("K", "T", "variant"):
         raise ValueError(f"unknown sweep axis {axis!r}; options: K, T, variant")
     if axis == "variant":
-        points = [(arch, catalogs[variant_name(str(v))]) for v in values]
+        names = [variant_name(str(v)) for v in values]
+        for name in names:
+            if name not in catalogs:
+                raise ValueError(f"no catalog for variant {name!r}; catalogs held: {list(catalogs)}")
+        points = [(arch, catalogs[name]) for name in names]
     else:
-        cat = catalogs[next(iter(catalogs))]
+        if len(catalogs) != 1:
+            raise ValueError(f"a {axis} sweep prices exactly one catalog, got {len(catalogs)}")
+        (cat,) = catalogs.values()
+        template = {f.name: getattr(arch, f.name) for f in fields(arch) if f.init}
+        field = "k" if axis == "K" else "t_int"
         points = [
-            (replace(arch, k=v) if axis == "K" else replace(arch, t_int=v), cat)
+            (type(arch)(**{**template, field: v}), cat)
             for v in (int(u) if isinstance(u, numbers.Integral) and not isinstance(u, bool) else u for u in values)
         ]
     return [

@@ -1,9 +1,11 @@
 """Analytical cost model: loss chain, laser power, area/power, metrics, sweeps."""
 
+import gc
 import hashlib
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from ptcsim import (
     area_estimate,
     comparison_points,
     cost_report,
+    costs,
     dac_power_scale,
     insertion_loss,
     laser_power_required,
@@ -31,7 +34,7 @@ from ptcsim import (
     sweep,
     sweep_to_csv,
 )
-from ptcsim.catalog import CatalogError, CatalogVariant
+from ptcsim.catalog import CatalogError, CatalogVariant, builtin_catalog_path, load_catalog
 from ptcsim.costs import _PRICED_FIELDS, UM2_PER_MM2
 
 CUSTOM = load_builtin_catalog("custom-sl")
@@ -407,11 +410,91 @@ class TestSweep:
             r.to_dict() for r in sweep(ARCH, {"custom_sl": CUSTOM}, axis, [8, 16, 4])
         ]
 
+    @pytest.mark.parametrize("axis", ["K", "T"])
+    @pytest.mark.parametrize("catalogs", [{}, {"foundry": FOUNDRY, "custom_sl": CUSTOM}], ids=["0", "2"])
+    def test_k_and_t_sweeps_price_exactly_one_catalog(self, axis, catalogs):
+        with pytest.raises(ValueError, match=f"a {axis} sweep prices exactly one catalog, got {len(catalogs)}"):
+            sweep(ARCH, catalogs, axis, [4])
+
+    def test_unknown_variant_named_with_the_catalogs_held(self):
+        msg = "no catalog for variant 'foundry'; catalogs held: ['custom_sl']"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            sweep(ARCH, {"custom_sl": CUSTOM}, "variant", ["custom-sl", "foundry"])
+
     def test_csv_has_header_and_rows(self):
         reports = sweep(ARCH, {"custom_sl": CUSTOM}, "K", [8, 16])
         lines = sweep_to_csv(reports).strip().splitlines()
         assert lines[0].startswith("variant,k,t_int,total_area_mm2")
         assert len(lines) == 3
+
+
+def fresh_custom():
+    """A catalog object with the builtin custom_sl devices that nothing has priced yet."""
+    return load_catalog(builtin_catalog_path("custom_sl"))
+
+
+def counting(monkeypatch, module, name, calls):
+    """Rebind module.name to a wrapper that counts its calls in calls[name]."""
+    func = getattr(module, name)
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestCatalogTerms:
+    """A catalog's device terms are resolved once per catalog object, and
+    each point is still priced through the module's pricing functions."""
+
+    def test_each_point_calls_the_pricing_functions_by_module_name(self, monkeypatch):
+        # The bench's traced run wraps these module attributes and counts their spans.
+        calls = {}
+        for name in ("cost_report", "insertion_loss", "area_estimate", "power_estimate"):
+            counting(monkeypatch, costs, name, calls)
+        sweep(ARCH, {"custom_sl": CUSTOM}, "K", [4, 8])
+        assert calls == dict.fromkeys(calls, 2)
+
+    def test_two_sweeps_resolve_a_catalog_once(self, monkeypatch):
+        calls = {}
+        counting(monkeypatch, costs, "_node_area_um2", calls)
+        cat = fresh_custom()
+        sweep(ARCH, {cat.name: cat}, "K", [4, 8])
+        sweep(ARCH, {cat.name: cat}, "T", [10, 60])
+        assert calls["_node_area_um2"] == 1
+
+    @pytest.mark.parametrize("builtin_first", [True, False])
+    def test_a_catalog_named_like_a_builtin_prices_from_its_own_devices(self, builtin_first):
+        builtin = fresh_custom()
+        dac = builtin.device(DeviceKind.DAC)
+        changed = CatalogVariant("custom_sl", {**builtin.devices, DeviceKind.DAC: replace(dac, area_um2=2 * dac.area_um2)})
+        order = (builtin, changed) if builtin_first else (changed, builtin)
+        first, second = (cost_report(ARCH, cat) for cat in order)
+        ref, mod = (first, second) if builtin_first else (second, first)
+        (pinned,) = [c["sha256"] for c in json.loads(PINNED_REPORTS.read_text()) if c["variant"] == "custom_sl"
+                     and c["arch"] == {} and not c["include_memory"] and c["convention"] == "peak"
+                     and c["topology"] == "embedded_uneven"]
+        assert hashlib.sha256(json.dumps(ref.to_dict()).encode()).hexdigest() == pinned
+        assert mod.area_by_component == {**ref.area_by_component, "dac": 2 * ref.area_by_component["dac"]}
+        assert (mod.power_by_component, mod.loss, mod.laser_power_required_w) == (
+            ref.power_by_component, ref.loss, ref.laser_power_required_w)
+
+    def test_equal_catalogs_give_equal_reports(self):
+        a, b = fresh_custom(), fresh_custom()
+        assert a == b and a is not b
+        ra, rb = (cost_report(ARCH, cat, include_memory=True) for cat in (a, b))
+        assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
+
+    def test_terms_are_freed_with_their_catalog(self):
+        # Nothing process-wide keeps a catalog or its terms.
+        cat = fresh_custom()
+        sweep(ARCH, {cat.name: cat}, "K", [4, 8])
+        refs = weakref.ref(cat), weakref.ref(costs._terms(cat))
+        del cat
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestParetoExport:
