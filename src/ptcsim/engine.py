@@ -4,9 +4,14 @@ The engine encodes a pair of operands onto two optical field amplitudes,
 interferes them in a 50:50 coupler behind a -pi/2 phase shifter, detects the
 two outputs on a balanced photodetector pair, and accumulates the signed
 photocurrent on a capacitive integrator.  All functions are pure.
-EngineConfig folds the chain into one current per unit operand product,
-which the scheduler integrates for a whole GEMM at once; size_capacitor
-sets the integrator so that a full-scale ramp lands exactly on the rail.
+EngineConfig folds the chain into one current per unit operand product, and
+size_capacitor sets the integrator so that a full-scale ramp, C cores at
+unit product for T cycles, lands exactly on the rail.  With that sizing the
+readout scale cancels, so the scheduler reads the ADC in units of the
+product, on a rail of C*T products: the laser, the loss chain, the
+responsivity and the ER do not reach the simulated z_hat.  They set
+SimStats.normalization_v and the resolve checks of
+scheduler.engine_config_for only.
 
 Field amplitudes are complex numbers in sqrt(W), so |E|^2 is optical power in
 watts and detected currents come out in amperes.

@@ -243,23 +243,6 @@ def _codes(a: np.ndarray, params: QuantizerParams) -> np.ndarray:
     return quantize_codes(a, params).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class _Replayed(NoiseModel):
-    """NoiseModel(sigma, seed) whose generators are not built again.
-
-    rng(stream) sets gen, one generator the study pass reuses, to
-    states[stream], the initial bit-generator state that
-    NoiseModel(sigma, seed).rng(stream) starts from, so it draws the same values.
-    """
-
-    states: tuple = ()
-    gen: np.random.Generator | None = None
-
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        self.gen.bit_generator.state = self.states[stream]
-        return self.gen
-
-
 class _ChainLayer:
     """One weight matrix of the study pass, with what its trials share.
 
@@ -290,29 +273,22 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     trial, bit for bit, except that a bit width the mode cannot run is
     rejected first.
 
-    The work trials share is done once: the width check per pass; per layer,
-    when the first trial reaches it, the weights' scale, validation,
-    quantizer params and int8 codes; and layer 0's input, the same x in
-    every trial, is scaled, given its params and quantized to int8 codes
-    once.  The front end casts cached codes where it would quantize, so a
-    trial pays for the noise, the hidden layers' inputs and the products.
-    A layer builds the generators of a noise seed, streams 0 and 1, only
-    when the seed differs from the last one it saw; it keeps their initial
-    states, and later trials of that seed replay them in one generator the
-    pass reuses (_Replayed), which draws the same values.  So trials in
-    seed-major order build one generator per (seed, layer, stream).  The
-    product needs no engine constants, so engine_config_for runs once only
-    to raise the errors simulate_gemm would.  Each trial runs through every
-    layer before the next one starts, so one trial's activations are live
-    at a time.  A trial with sigma = 0 does not depend on its seed: the
-    first one runs, and later ones yield its logits again (the same array).
+    What trials share is done once: the width check and engine_config_for,
+    which runs only for the errors simulate_gemm would raise; each layer's
+    weight scale, validation, quantizer params and int8 codes; and layer
+    0's input codes, as the same x is every trial's input.  A layer builds
+    the generators of a noise seed, streams 0 (x) and 1 (y), when the seed
+    changes and keeps their initial states; each noisy product restores
+    them into one (x, y) generator pair the pass reuses.  So seed-major
+    trials build one generator per (seed, layer, stream).  A trial with
+    sigma = 0 runs once; later ones yield its logits again (the same array).
     """
     _check_widths(arch, "quantized+noise")
     engine_config_for(arch, cat)
     last = len(model.weights) - 1
     layers: list[_ChainLayer] = []
     x0 = None  # layer 0's input in every trial: (int8 codes, params, scale)
-    gen = None  # the one generator the noisy layers replay their streams in
+    gens = None  # the (x, y) generator pair every noisy product draws from
     clean = None
     for sigma, seed in trials:
         nm = NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed in every trial
@@ -338,9 +314,11 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
                 if layer.seed != nm.seed + i:
                     layer.seed = nm.seed + i
                     built = [NoiseModel(sigma, layer.seed).rng(stream) for stream in (0, 1)]
-                    gen = built[0] if gen is None else gen
-                    layer.states = tuple(g.bit_generator.state for g in built)
-                noise = _Replayed(sigma, layer.seed, layer.states, gen)
+                    layer.states = [g.bit_generator.state for g in built]
+                    gens = gens or built
+                for g, state in zip(gens, layer.states):
+                    g.bit_generator.state = state
+                noise = sigma, *gens
             h = _product(h, layer.codes, px, layer.params, noise)
             h *= sx * layer.sw
             h += b

@@ -16,10 +16,10 @@ rows of y, and the K x K blocks only matter for cycle accounting.
 
 Only the ADC reads an epoch, so only the ADC mode walks them
 (_adc_product): y one epoch at a time in float64, each epoch's product
-scaled to volts, digitized in place and added to the result.  Without the
-ADC the readouts are summed linearly (_product), over chunks of
-_LINEAR_ROWS rows of y whatever the machine, so z_hat does not depend on
-C, T or R, bit for bit.  Ideal mode is one x @ y.  Quantized mode (and
+digitized in place, in units of the product on a rail of C*T products, and
+added to the result.  Without the ADC the readouts are summed linearly
+(_product), over chunks of _LINEAR_ROWS rows of y whatever the machine, so
+z_hat does not depend on C, T or R, bit for bit.  Ideal mode is one x @ y.  Quantized mode (and
 quantized+noise at sigma = 0) sums the integer codes in float32, where a
 chunk of at most 1024 rows keeps every partial sum an integer of at most
 2^24 and so exact, into float64, exact below 2^53, and scales once by
@@ -35,8 +35,12 @@ those rows.  Each operand draws its noise from its own generator in
 row-major order, so the values do not depend on the blocks or chunks.
 Working memory is the result, one product buffer, one copy of x and one
 chunk of y.  engine_config_for sizes the integration capacitor so that a
-full-scale ramp lands exactly on the rail; no operand passes 1, so no
-readout passes the rail and nothing is clamped.
+full-scale ramp, C*T unit products, lands exactly on the rail; no operand
+passes 1, so no readout passes the rail and nothing is clamped.  That
+ramp is why the ADC reads in product units: the laser, the loss chain, the
+responsivity and the ER scale the readout and its rail alike, so they do
+not reach z_hat.  They set SimStats.normalization_v and the errors
+engine_config_for raises, and nothing else; no kernel takes them.
 """
 
 from __future__ import annotations
@@ -312,7 +316,7 @@ _OPERAND_BLOCK_ELEMS = 1 << 15
 
 
 def _engine_rows(
-    a: np.ndarray, params: QuantizerParams, noise: NoiseModel | None, stream: int, rows: int, dtype: type,
+    a: np.ndarray, params: QuantizerParams, sigma: float, rng: np.random.Generator | None, rows: int, dtype: type,
 ) -> Iterator[np.ndarray]:
     """Yield operand a as the engine multiplies it, `rows` rows at a time.
 
@@ -322,14 +326,13 @@ def _engine_rows(
     block of about _OPERAND_BLOCK_ELEMS elements at a time: quantize_codes
     once, or the cached codes cast, so the entries are integer codes on the
     quantizer lattice, and with noise dequantized (the min-max zero point is
-    0, so codes * alpha is fake_quantize), given multiplicative noise and
-    clipped to [-1, 1].  The noise comes from one generator per operand,
-    noise.rng(stream), drawn block by block in row-major order, which gives
-    the same values as one whole-operand draw.
+    0, so codes * alpha is fake_quantize), given multiplicative noise of
+    intensity sigma and clipped to [-1, 1], unless rng is None.  The noise
+    is drawn from rng block by block in row-major order, which gives the
+    same values as one whole-operand draw.
     """
     out = np.empty((min(rows, len(a)), a.shape[1]), dtype)
     block = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
-    rng = None if noise is None else noise.rng(stream)
     cached = a.dtype == np.int8
     for r0 in range(0, len(a), rows):
         ar = a[r0 : r0 + rows]
@@ -342,7 +345,7 @@ def _engine_rows(
                 quantize_codes(ar[b0 : b0 + block], params, blk)
             if rng is not None:
                 blk *= params.alpha
-                np.clip(apply_noise(blk, rng.standard_normal(blk.shape), noise.sigma), -1.0, 1.0, out=blk)
+                np.clip(apply_noise(blk, rng.standard_normal(blk.shape), sigma), -1.0, 1.0, out=blk)
         yield oe
 
 
@@ -368,9 +371,12 @@ def _check_widths(arch: ArchConfig, mode: str) -> None:
 _LINEAR_ROWS = 256
 
 
-def _product(
-    x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None, noise: NoiseModel | None,
-) -> np.ndarray:
+#: The noise of a product: None, or (sigma, x's generator, y's generator).
+_Noise = tuple[float, np.random.Generator, np.random.Generator] | None
+
+
+def _product(x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
+             noise: _Noise) -> np.ndarray:
     """x @ y on the engine without the ADC, in units of the product of operands in [-1, 1] (z_hat).
 
     Ideal mode (px None) is x @ y itself.  Otherwise x goes through the
@@ -383,9 +389,10 @@ def _product(
         return x @ y
     m, q = len(x), y.shape[1]
     rows, dtype = _LINEAR_ROWS, (np.float32 if noise is None else np.float64)
-    (xe,) = _engine_rows(x, px, noise, 0, m, dtype)
+    sigma, rx, ry = noise or (0.0, None, None)
+    (xe,) = _engine_rows(x, px, sigma, rx, m, dtype)
     z = v = None
-    for n0, ye in zip(range(0, len(y), rows), _engine_rows(y, py, noise, 1, rows, dtype)):
+    for n0, ye in zip(range(0, len(y), rows), _engine_rows(y, py, sigma, ry, rows, dtype)):
         if v is None:  # after y's first chunk, so its scratch is freed first
             z, v = np.zeros((m, q)), np.empty((m, q), dtype)
         z += np.matmul(xe[:, n0 : n0 + rows], ye, out=v)
@@ -394,29 +401,32 @@ def _product(
     return z
 
 
-def _adc_product(
-    x: np.ndarray, y: np.ndarray, px: QuantizerParams, py: QuantizerParams, noise: NoiseModel | None,
-    arch: ArchConfig, cfg: EngineConfig,
-) -> np.ndarray:
+def _adc_product(x: np.ndarray, y: np.ndarray, px: QuantizerParams, py: QuantizerParams, noise: _Noise,
+                 arch: ArchConfig) -> np.ndarray:
     """z_hat of the ADC mode: y goes through the front end one readout epoch,
-    its next C*T rows, at a time in float64; each epoch's product is scaled
-    to volts by the gain, digitized in place and summed, and the sum is
-    divided by the full-scale volts per unit product once."""
+    its next C*T rows, at a time in float64, and each epoch's product is
+    digitized in place and summed, in units of the product.
+
+    An epoch integrates at most C*T unit products, the rail, so the ADC
+    reads on a rail of C*T.  At sigma = 0, with operand peaks of 1 (step
+    sizes that are powers of two), an epoch's code sum S reads
+    (code + 1/2) * C*T / 2^(b-1) exactly, where code is
+    floor(S * alpha_x * alpha_y * 2^(b-1) / (C*T)) clipped to [-2^(b-1), 2^(b-1) - 1].
+    """
     m, q = len(x), y.shape[1]
     if not x.size:  # M = 0 or N = 0: no epoch to read out
         return np.zeros((m, q))
     cols = arch.c_cores * arch.t_int
-    step = px.alpha * py.alpha if noise is None else 1.0  # 1.0: operands in [-1, 1]
-    gain = cfg.current_scale() * step * (cfg.dt / cfg.c_int)  # readout volts per engine unit of product
-    (xe,) = _engine_rows(x, px, noise, 0, m, np.float64)
+    sigma, rx, ry = noise or (0.0, None, None)
+    (xe,) = _engine_rows(x, px, sigma, rx, m, np.float64)
     z = v = None
-    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, noise, 1, cols, np.float64)):
+    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, sigma, ry, cols, np.float64)):
         if v is None:  # after y's first epoch, so its scratch is freed first
             z, v = np.zeros((m, q)), np.empty((m, q))
         np.matmul(xe[:, n0 : n0 + cols], ye, out=v)
-        v *= gain
-        z += adc_readout(v, cfg.v_dd, arch.bits_out)
-    z /= cfg.normalization()
+        if noise is None:  # codes; perturbed operands are in [-1, 1] already
+            v *= px.alpha * py.alpha
+        z += adc_readout(v, cols, arch.bits_out)
     return z
 
 
@@ -445,9 +455,10 @@ def simulate_gemm(
         px, py = minmax_params(work.x, arch.bits_in), minmax_params(work.y, arch.bits_in)
         alpha_x, alpha_y = px.alpha, py.alpha
         nm = NoiseModel() if nm is None else nm
-        noise = nm if mode != "quantized" and nm.sigma != 0.0 else None
+        if mode != "quantized" and nm.sigma != 0.0:
+            noise = nm.sigma, nm.rng(0), nm.rng(1)
     if mode == "quantized+noise+adc":
-        z_hat = _adc_product(work.x, work.y, px, py, noise, arch, cfg)
+        z_hat = _adc_product(work.x, work.y, px, py, noise, arch)
     else:
         z_hat = _product(work.x, work.y, px, py, noise)
 

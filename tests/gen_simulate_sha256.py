@@ -3,12 +3,17 @@
 Each simulate_gemm case is the SHA-256 of its z_hat bytes followed by
 repr(SimStats), over two machines, shapes of one, a partial and several
 readout epochs and empty ones, and all four modes at three noise levels.
+An ideal-mode case hashes repr(SimStats) only: its z_hat is x @ y, whose
+bytes depend on the BLAS kernel, so the test compares it with x @ y on the
+running host instead.
 The study cases are the digests of one small robustness_table's rows and
 of every trial's logits, on the benchmark's mlp-robustness set-up.
 
 Run from the repository root after a change that is meant to move them:
 
     PYTHONPATH=src python tests/gen_simulate_sha256.py
+
+It prints every case whose digest it changes or adds before it writes the file.
 
 tests/test_scheduler.py::TestPinnedOutputs compares the current outputs
 with the file and names every case that moved.
@@ -37,8 +42,10 @@ SIGMAS = (0.0, 0.0031, 0.02)
 STUDY_SEED, STUDY_SIGMAS, STUDY_TRIALS = 11, (0.0, 0.0031, 0.02), 2
 NOTE = (
     "quantized mode and the ADC mode at sigma = 0 sum integer codes exactly, so their digests hold on any "
-    "BLAS; the other modes go through float64 BLAS sums, which gave the same bytes at 1 and 2 OpenBLAS "
-    "threads on the host that wrote this file, so a mismatch on another BLAS may be the BLAS"
+    "BLAS; an ideal-mode digest covers repr(SimStats) only, and the test checks its z_hat against x @ y on "
+    "the running host; quantized+noise at sigma > 0 and the study go through float64 BLAS sums, which gave "
+    "the same bytes at 1 and 2 OpenBLAS threads on the host that wrote this file, so a mismatch on another "
+    "BLAS may be the BLAS"
 )
 
 
@@ -49,17 +56,22 @@ def sha256(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
+def workloads():
+    """Yield (machine, arch, workload) for every pinned shape."""
+    for machine, arch in MACHINES.items():
+        for m, n, q in SHAPES[machine]:
+            yield machine, arch, GemmWorkload.random(m, n, q, seed=m * 10_000 + n * 10 + q)
+
+
 def simulate_cases():
     """Yield (case, digest) for every simulate_gemm case."""
     cat = load_builtin_catalog("custom-sl")
-    for machine, arch in MACHINES.items():
-        for m, n, q in SHAPES[machine]:
-            w = GemmWorkload.random(m, n, q, seed=m * 10_000 + n * 10 + q)
-            for mode in MODES:
-                for sigma in SIGMAS:
-                    z, stats = simulate_gemm(w, arch, cat, nm=NoiseModel(sigma=sigma, seed=7), mode=mode)
-                    case = {"machine": machine, "m": m, "n": n, "q": q, "mode": mode, "sigma": sigma}
-                    yield case, sha256(z.tobytes(), repr(stats).encode())
+    for machine, arch, w in workloads():
+        for mode in MODES:
+            for sigma in SIGMAS:
+                z, stats = simulate_gemm(w, arch, cat, nm=NoiseModel(sigma=sigma, seed=7), mode=mode)
+                case = {"machine": machine, "m": w.m, "n": w.n, "q": w.q, "mode": mode, "sigma": sigma}
+                yield case, sha256(*([] if mode == "ideal" else [z.tobytes()]), repr(stats).encode())
 
 
 def study_cases():
@@ -82,8 +94,16 @@ def digests() -> list[dict]:
     return [{**case, "sha256": d} for cases in (simulate_cases(), study_cases()) for case, d in cases]
 
 
+def _key(entry: dict) -> str:
+    return json.dumps({k: v for k, v in entry.items() if k != "sha256"})
+
+
 if __name__ == "__main__":
     entries = digests()
+    old = {_key(e): e["sha256"] for e in json.loads(PINNED.read_text())["cases"]} if PINNED.exists() else {}
+    for e in entries:
+        if old.get(_key(e)) != e["sha256"]:
+            print("moved" if _key(e) in old else "added", _key(e))
     lines = ",\n".join(json.dumps(e) for e in entries)
     head = json.dumps({"numpy": np.__version__, "note": NOTE})[:-1]
     PINNED.write_text(f'{head}, "cases": [\n{lines}\n]}}\n')

@@ -9,13 +9,19 @@ and memory-hungry for anything but small shapes.
 Reduction index n = p*C + c is driven by core c in cycle p, as in the
 simulator.
 
-``oracle_engine_operands`` is the simulator's earlier operand front end:
+``oracle_engine_rows`` is the simulator's earlier operand front end:
 fake quantization, noise, and on the lattice (params, no noise) the
-integer codes re-derived from the dequantized operands, all on whole
-operands.  ``oracle_engine_rows`` serves it through the simulator's
-front-end seam, ``scheduler._engine_rows``, and ``record_engine_rows``
-records what the real front end yields there.
+integer codes re-derived from the dequantized operand, all on the whole
+operand.  It stands in at the simulator's front-end seam,
+``scheduler._engine_rows``, and ``record_engine_rows`` records what the
+real front end yields there.
+
+The ADC mode here keeps the machine's per-cycle arithmetic in volts, with
+the catalog's engine constants, as the independent reference for the
+simulator's readout in units of the product.
 """
+
+import copy
 
 import numpy as np
 
@@ -23,16 +29,9 @@ from ptcsim import scheduler
 from ptcsim.quantize import NoiseModel, adc_sample, adc_value, fake_quantize, inject_noise, minmax_params
 
 
-def oracle_engine_operands(x, y, px, py, noise):
-    """(x, y) as the engine multiplies them in the quantized modes, as (M, N) and (N, Q) matrices."""
-    x, y = fake_quantize(x, px), fake_quantize(y, py)
-    if noise is None:
-        return np.rint(x / px.alpha), np.rint(y / py.alpha)
-    return np.clip(inject_noise(x, noise, stream=0), -1.0, 1.0), np.clip(inject_noise(y, noise, stream=1), -1.0, 1.0)
-
-
-def oracle_engine_rows(a, params, noise, stream, rows, dtype):
-    """scheduler._engine_rows from the oracle: a as operand x (stream 0) or y (stream 1), rows at a time.
+def oracle_engine_rows(a, params, sigma, rng, rows, dtype):
+    """scheduler._engine_rows from the oracle: operand a, with noise of intensity sigma drawn from rng
+    unless rng is None, rows at a time.
 
     The slices are cast to dtype, which is exact for the integer codes the
     simulator takes in float32.  int8 codes, which a chain caches, stand for
@@ -41,17 +40,25 @@ def oracle_engine_rows(a, params, noise, stream, rows, dtype):
     """
     if a.dtype == np.int8:
         a = a * params.alpha
-    # The oracle treats its two operands independently, so a may stand for both.
-    whole = oracle_engine_operands(a, a, params, params, noise)[stream].astype(dtype)
+    a = fake_quantize(a, params)
+    if rng is None:
+        whole = np.rint(a / params.alpha)
+    else:  # inject_noise's arithmetic, on one whole-operand draw from rng
+        whole = np.clip(a + rng.standard_normal(a.shape) * (np.abs(a) * sigma), -1.0, 1.0)
+    whole = whole.astype(dtype)
     return (whole[r0 : r0 + rows] for r0 in range(0, len(a), rows))
 
 
 def record_engine_rows(calls):
-    """A stand-in for scheduler._engine_rows that runs it and appends (args, [copy of each slice]) to calls."""
+    """A stand-in for scheduler._engine_rows that runs it and appends (args, [copy of each slice]) to calls.
+
+    The recorded generator is a copy taken at the call, so it starts where
+    the real one did, though callers reuse theirs.
+    """
     real = scheduler._engine_rows
 
     def spy(*args):
-        calls.append((args, []))
+        calls.append((tuple(copy.deepcopy(a) if isinstance(a, np.random.Generator) else a for a in args), []))
         for rows in real(*args):
             calls[-1][1].append(rows.copy())
             yield rows
@@ -60,9 +67,12 @@ def record_engine_rows(calls):
 
 
 def assert_engine_rows_match_oracle(calls):
-    """Every recorded slice equals oracle_engine_rows' bit for bit, and there are as many."""
+    """Every recorded slice equals oracle_engine_rows' bit for bit, and there are as many.
+
+    The oracle draws from a copy of each recorded generator, so calls can be checked again.
+    """
     for args, got in calls:
-        want = list(oracle_engine_rows(*args))
+        want = list(oracle_engine_rows(*args[:3], copy.deepcopy(args[3]), *args[4:]))
         assert len(got) == len(want)
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -19,6 +19,7 @@ from scheduler_oracle import assert_engine_rows_match_oracle, oracle_engine_rows
 from ptcsim import (
     ArchConfig,
     MlpConfig,
+    NoiseModel,
     TinyMlp,
     evaluate,
     forward_via_core,
@@ -265,8 +266,18 @@ class TestStudyPass:
         assert_engine_rows_match_oracle(calls)
         monkeypatch.setattr(scheduler, "_engine_rows", oracle_engine_rows)
         assert [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)] == want
-        # x, then y, once per (trial, layer); the three noise-free trials run once.
-        assert [args[3] for args, _ in calls] == [0, 1] * (1 + 6) * 3
+        # x, then y, once per (trial, layer); the three noise-free trials run
+        # once.  Each noisy operand's generator starts where a fresh one of
+        # its (seed, layer, stream) does, though the pass reuses one pair.
+        ran = [trials[0]] + [t for t in trials if t[0]]
+        assert len(calls) == len(ran) * 3 * 2
+        for k, (args, _) in enumerate(calls):
+            (sigma, seed), i, stream = ran[k // 6], k // 2 % 3, k % 2
+            if sigma:
+                fresh = NoiseModel(sigma, (seed << 8) + i).rng(stream)
+                assert args[2] == sigma and args[3].bit_generator.state == fresh.bit_generator.state, (seed, i, stream)
+            else:
+                assert args[3] is None
         # Each layer passes the same cached int8 weight codes and params to
         # every trial, and layer 0 the same input codes and params.
         xs, ys = [args for args, _ in calls[0::2]], [args for args, _ in calls[1::2]]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -60,9 +61,8 @@ for mode, sigma in [(mode, 0.0031) for mode in MODES] + [("quantized+noise+adc",
 
 
 def adc_lsb_products(arch):
-    """One ADC step of a readout, in units of the operand product."""
-    cfg = engine_config_for(arch, CAT)
-    return (cfg.v_dd / 2 ** (arch.bits_out - 1)) / cfg.normalization()
+    """One ADC step of a readout, in units of the operand product: the rail is C*T products."""
+    return arch.c_cores * arch.t_int / 2 ** (arch.bits_out - 1)
 
 
 def exact_lattice_product(x, y, bits):
@@ -555,17 +555,42 @@ class TestEpochStreaming:
         z, _ = simulate_gemm(w, arch, CAT, mode="quantized")
         assert np.array_equal(bits_of(z), bits_of(exact_lattice_product(x, y, 8)))
         # The ADC mode at sigma = 0 still reads out each epoch's exact code
-        # sum in volts, in float64, with the step sizes in the gain.
+        # sum in float64, scaled by the step sizes to products, on a rail of C*T.
         z, _ = simulate_gemm(w, arch, CAT, nm=NoiseModel(sigma=0.0), mode="quantized+noise+adc")
-        cfg = engine_config_for(arch, CAT)
-        gain = cfg.current_scale() * (px.alpha * py.alpha) * (cfg.dt / cfg.c_int)
         want = np.zeros((4, 4))
         for n0 in range(0, len(y), cols):
             v = (cx[:, n0 : n0 + cols] @ cy[n0 : n0 + cols]).astype(float)
-            v *= gain
-            want += adc_readout(v, cfg.v_dd, arch.bits_out)
-        want /= cfg.normalization()
+            v *= px.alpha * py.alpha
+            want += adc_readout(v, cols, arch.bits_out)
         assert np.array_equal(bits_of(z), bits_of(want))
+
+    @pytest.mark.parametrize("arch", [ArchConfig(r_tiles=2, c_cores=3, k=4, t_int=5), ArchConfig()],
+                             ids=["small", "default"])
+    def test_adc_codes_are_exact_at_bin_edges(self, arch):
+        # With operand peaks of 1, an epoch's code sum S reads exactly
+        # (code + 1/2) * C*T / 2^(b-1), code = floor(S * alpha_x * alpha_y *
+        # 2^(b-1) / (C*T)) clipped to [-2^(b-1), 2^(b-1) - 1].  Rows 0-63 of
+        # x are -k/32, codes -k for k = -31 ... 32, against a column of -1,
+        # code -32: each of their whole epochs sums to S = 32 * C*T * k, a
+        # bin edge, which a readout rounded through another scale can miss.
+        cols = arch.c_cores * arch.t_int
+        n = 2 * cols + 7
+        rng = np.random.default_rng(cols)
+        x, y = rng.uniform(-1, 1, (70, n)), rng.uniform(-1, 1, (n, 5))
+        x[:64] = -np.arange(-31, 33)[:, None] / 32
+        y[:, 0] = -1.0
+        z, stats = simulate_gemm(GemmWorkload(x, y), arch, CAT, nm=NoiseModel(sigma=0.0), mode="quantized+noise+adc")
+        assert stats.alpha_x == stats.alpha_y == 2.0 ** (1 - arch.bits_in)
+        cx, cy = (quantize_codes(a, minmax_params(a, arch.bits_in)).astype(np.int64) for a in (x, y))
+        assert [int(s) for s in cx[:64, :cols] @ cy[:cols, 0]] == [32 * cols * k for k in range(-31, 33)]
+        half = 2 ** (arch.bits_out - 1)
+        scale = Fraction(stats.alpha_x) * Fraction(stats.alpha_y) * half / cols
+        for i, j in np.ndindex(z.shape):
+            want = Fraction(0)
+            for n0 in range(0, n, cols):
+                code = math.floor(int(cx[i, n0 : n0 + cols] @ cy[n0 : n0 + cols, j]) * scale)
+                want += (min(max(code, -half), half - 1) + Fraction(1, 2)) * cols / half
+            assert Fraction(z[i, j]) == want, (i, j)
 
     @pytest.mark.parametrize("m, n, q", [(0, 3, 2), (2, 3, 0), (2, 0, 2)])
     def test_empty_dimensions(self, m, n, q):
@@ -640,16 +665,22 @@ class TestEngineOperands:
             # float64 in the ADC mode, else _LINEAR_ROWS rows, of float32
             # codes on the lattice.
             (xargs, xs), (yargs, ys) = calls
-            px, py, noisy = xargs[1], yargs[1], xargs[2]
+            px, py, rx, ry = xargs[1], yargs[1], xargs[3], yargs[3]
             adc = mode == "quantized+noise+adc"
-            dtype = np.float32 if noisy is None and not adc else np.float64
+            dtype = np.float32 if rx is None and not adc else np.float64
             rows = arch.c_cores * arch.t_int if adc else scheduler._LINEAR_ROWS
-            assert xargs[0] is w.x and xargs[3:] == (0, w.m, dtype) and len(xs) == 1
-            assert yargs[0] is w.y and yargs[3:] == (1, rows, dtype)
+            assert xargs[0] is w.x and xargs[4:] == (w.m, dtype) and len(xs) == 1
+            assert yargs[0] is w.y and yargs[4:] == (rows, dtype)
             assert len(ys) == math.ceil(w.n / rows)
-            assert yargs[2] is noisy and px is not None and py is not None
+            assert px is not None and py is not None
             # The default NoiseModel has sigma = 0.0031; quantized mode draws no noise.
-            assert (noisy is not None) == (mode in MODES[2:] and (nm is None or nm.sigma > 0))
+            noise = nm or NoiseModel()
+            if mode in MODES[2:] and noise.sigma > 0:
+                # Each operand gets a fresh generator of its own: streams 0 and 1.
+                assert xargs[2] == yargs[2] == noise.sigma
+                assert [g.bit_generator.state for g in (rx, ry)] == [noise.rng(s).bit_generator.state for s in (0, 1)]
+            else:
+                assert rx is ry is None
         else:  # M = 0 or N = 0: no epoch, so no operand goes through the front end
             assert not calls and not z.any()
         assert_engine_rows_match_oracle(calls)
@@ -770,3 +801,10 @@ class TestPinnedOutputs:
         ]
         moved = [e for e, want in zip(got, pinned["cases"], strict=True) if e["sha256"] != want["sha256"]]
         assert moved == []
+
+    def test_ideal_mode_is_the_host_product(self):
+        # The pinned ideal-mode digests cover SimStats only: z_hat is x @ y,
+        # byte for byte, on whatever BLAS kernel this host runs.
+        for _, arch, w in gen_simulate_sha256.workloads():
+            z, _ = simulate_gemm(w, arch, CAT, mode="ideal")
+            assert z.tobytes() == (w.x @ w.y).tobytes(), (w.m, w.n, w.q)
