@@ -164,15 +164,17 @@ def _parse_sweep_values(axis: str, text: str) -> list:
 
 
 def _noise_levels(sigmas, source: str) -> list:
-    """sigmas, a list of noise intensities, once each has built the NoiseModel that checks it."""
+    """sigmas, a non-empty list of noise intensities (from --sigmas, the
+    comma-separated text of one), once each has built the NoiseModel that checks it."""
     try:
-        if isinstance(sigmas, list):
-            for s in sigmas:
+        levels = [float(s) for s in sigmas.split(",")] if source == "--sigmas" else sigmas
+        if isinstance(levels, list) and levels:
+            for s in levels:
                 NoiseModel(sigma=s)
-            return sigmas
+            return levels
     except ValueError:
         pass
-    raise ValueError(f"{source} must be a list of finite numbers >= 0, got {sigmas!r}")
+    raise ValueError(f"{source} must be a list of finite numbers >= 0 with at least one entry, got {sigmas!r}")
 
 
 def _out_dir(args) -> Path:
@@ -319,7 +321,7 @@ def _cmd_robustness(args):
     if "sigmas_eval" in cfg_file:
         sigmas = _noise_levels(cfg_file["sigmas_eval"], "sigmas_eval")
     else:
-        sigmas = _noise_levels([float(s) for s in args.sigmas.split(",")], "--sigmas")
+        sigmas = _noise_levels(args.sigmas, "--sigmas")
 
     def run() -> int:
         sizes = cfg.layer_sizes

@@ -7,9 +7,9 @@ photocurrent on a capacitive integrator.  All functions are pure.
 EngineConfig folds the chain into one current per unit operand product, and
 size_capacitor sets the integrator so that a full-scale ramp, C cores at
 unit product for T cycles, lands exactly on the rail.  With that sizing the
-readout scale cancels, so the scheduler reads the ADC in units of the
-product, on a rail of C*T products: the laser, the loss chain, the
-responsivity and the ER do not reach the simulated z_hat.  They set
+readout scale cancels, so the scheduler's one kernel (_product) reads the
+ADC in units of the product, on a rail of C*T products: the laser, the
+loss chain, the responsivity and the ER do not reach the simulated z_hat.  They set
 SimStats.normalization_v and the resolve checks of
 scheduler.engine_config_for only.
 

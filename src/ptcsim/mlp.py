@@ -8,10 +8,10 @@ table with mean and standard deviation across evaluation seeds.
 
 A study is one pass of _core_logits over its (sigma, seed) trials, run
 seed-major so that each seed's noise generators are built once per layer.
-Each trial runs every layer's product through the routine simulate_gemm
-uses (scheduler._product), then the bias and the ReLU, and the accuracies
-are regrouped into one row per sigma.  forward_via_core is the one-trial
-case of the same pass.
+Each trial runs every layer's product through the kernel simulate_gemm runs
+in every mode (scheduler._product), without the ADC, then the bias and the
+ReLU, and the accuracies are regrouped into one row per sigma.
+forward_via_core is the one-trial case of the same pass.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _encodable(a, name: str) -> tuple[np.ndarray, float]:
     (s is then NaN or infinite).
     """
     a = _real(a, name)
-    s = max(float(np.abs(a).max()), 1e-30)
+    s = max(float(np.abs(a).max(initial=0.0)), 1e-30)
     if not math.isfinite(s):
         raise ValueError(f"operand {name} has non-finite entries")
     return a / s, s
@@ -266,12 +266,12 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     """Yield the logits of each (sigma, seed) trial, computed one trial at a time on the core.
 
     Layer i scales its input and weights by their peaks into [-1, 1],
-    multiplies them through scheduler._product as simulate_gemm does in
-    quantized+noise mode, with noise NoiseModel(sigma, (seed << 8) + i),
-    and undoes both scales; the bias and the ReLU stay digital.  The logits,
-    and the errors raised, are those of one simulate_gemm call per layer and
-    trial, bit for bit, except that a bit width the mode cannot run is
-    rejected first.
+    multiplies them through scheduler._product with no ADC readout, as
+    simulate_gemm does in quantized+noise mode, with noise NoiseModel(sigma,
+    (seed << 8) + i), and undoes both scales; the bias and the ReLU stay
+    digital.  The logits, and the errors raised, are those of one simulate_gemm
+    call per layer and trial, bit for bit, except that a bit width the mode
+    cannot run is rejected first.
 
     What trials share is done once: the width check and engine_config_for,
     which runs only for the errors simulate_gemm would raise; each layer's
@@ -319,7 +319,7 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
                 for g, state in zip(gens, layer.states):
                     g.bit_generator.state = state
                 noise = sigma, *gens
-            h = _product(h, layer.codes, px, layer.params, noise)
+            h = _product(h, layer.codes, px, layer.params, noise, None)
             h *= sx * layer.sw
             h += b
             if i != last:
@@ -366,9 +366,14 @@ def robustness_table(
     seed-major, every sigma of seed 0 first, so that each seed's noise
     generators are built once; each trial's accuracy is taken before the
     next trial runs, and the accuracies are regrouped into one row per sigma.
+    Raises ValueError for n_seeds < 1, no sigma or an empty x.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if not len(sigmas):
+        raise ValueError("sigmas must hold at least one noise level")
+    if not len(x):  # the accuracy would be the mean of nothing
+        raise ValueError("the test set x is empty")
     logits = _core_logits(model, x, arch, cat, ((s, seed) for seed in range(n_seeds) for s in sigmas))
     # next() inside the call: the last trial's logits are freed before the next trial runs.
     accs = [_accuracy(next(logits), y) for _ in range(n_seeds * len(sigmas))]

@@ -14,18 +14,19 @@ Every output element is independent, so an epoch's readout for the whole
 M x Q result is one matrix product over that column slice of x and those
 rows of y, and the K x K blocks only matter for cycle accounting.
 
-Only the ADC reads an epoch, so only the ADC mode walks them
-(_adc_product): y one epoch at a time in float64, each epoch's product
-digitized in place, in units of the product on a rail of C*T products, and
-added to the result.  Without the ADC the readouts are summed linearly
-(_product), over chunks of _LINEAR_ROWS rows of y whatever the machine, so
-z_hat does not depend on C, T or R, bit for bit.  Ideal mode is one x @ y.  Quantized mode (and
-quantized+noise at sigma = 0) sums the integer codes in float32, where a
-chunk of at most 1024 rows keeps every partial sum an integer of at most
-2^24 and so exact, into float64, exact below 2^53, and scales once by
+One kernel, _product, runs every mode.  Ideal mode is one x @ y; the others
+walk y a chunk of rows at a time.  Only the ADC reads an epoch, so only the
+ADC mode's chunks are epochs: y one epoch at a time in float64, each
+epoch's product digitized in place, in units of the product on a rail of
+C*T products, and added to the result.  Without the ADC the readouts are
+summed linearly, over chunks of _LINEAR_ROWS rows of y whatever the
+machine, so z_hat does not depend on C, T or R, bit for bit.  Quantized
+mode (and quantized+noise at sigma = 0) sums the integer codes in float32,
+where a chunk of at most 1024 rows keeps every partial sum an integer of at
+most 2^24 and so exact, into float64, exact below 2^53, and scales once by
 alpha_x * alpha_y.  quantized+noise at sigma > 0 sums the perturbed
-operands in float64.  With the ADC at sigma = 0 every epoch sum is an
-exact code sum too, so ADC codes do not depend on summation order or tiling.
+operands in float64.  With the ADC at sigma = 0 every epoch sum is an exact
+code sum too, so ADC codes do not depend on summation order or tiling.
 
 The quantized modes walk x whole and y in chunks of rows, each in row
 blocks of about 256 KiB, which stay in cache: a block is quantized once
@@ -376,57 +377,43 @@ _Noise = tuple[float, np.random.Generator, np.random.Generator] | None
 
 
 def _product(x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
-             noise: _Noise) -> np.ndarray:
-    """x @ y on the engine without the ADC, in units of the product of operands in [-1, 1] (z_hat).
+             noise: _Noise, adc: tuple[int, int] | None) -> np.ndarray:
+    """x @ y on the engine, in units of the product of operands in [-1, 1] (z_hat).
 
     Ideal mode (px None) is x @ y itself.  Otherwise x goes through the
-    front end (_engine_rows) whole and y _LINEAR_ROWS rows at a time, as
-    float32 codes on the lattice (noise None) or perturbed float64
-    operands, and the products of x's column slices and y's chunks are
-    summed in float64; the code sum is scaled by alpha_x * alpha_y once.
+    front end (_engine_rows) whole and y a chunk of rows at a time, and the
+    chunks' products are summed in float64.  adc is None, or the readout
+    (rail, bits) = (C*T, bits_out): a chunk is then one epoch, which
+    integrates at most C*T unit products, and its product is scaled to
+    products (codes only; perturbed operands are in [-1, 1] already) and
+    digitized in place before it is summed.  Without it a chunk is
+    _LINEAR_ROWS rows, of float32 codes (noise None) or perturbed float64
+    operands, and the code sum is scaled by alpha_x * alpha_y once.
+
+    At sigma = 0, with operand peaks of 1 (step sizes that are powers of
+    two), an epoch's code sum S reads (code + 1/2) * C*T / 2^(b-1) exactly,
+    where code is floor(S * alpha_x * alpha_y * 2^(b-1) / (C*T)) clipped to
+    [-2^(b-1), 2^(b-1) - 1].
     """
-    if px is None or not x.size:  # with M = 0 or N = 0, x @ y is the zero result
-        return x @ y
+    if px is None or not x.size:  # with M = 0 or N = 0, x @ y is the zero result (float for int8 codes too)
+        return (x @ y).astype(float, copy=False)
     m, q = len(x), y.shape[1]
-    rows, dtype = _LINEAR_ROWS, (np.float32 if noise is None else np.float64)
+    rows = _LINEAR_ROWS if adc is None else adc[0]
+    dtype = np.float32 if noise is None and adc is None else np.float64
     sigma, rx, ry = noise or (0.0, None, None)
     (xe,) = _engine_rows(x, px, sigma, rx, m, dtype)
     z = v = None
     for n0, ye in zip(range(0, len(y), rows), _engine_rows(y, py, sigma, ry, rows, dtype)):
         if v is None:  # after y's first chunk, so its scratch is freed first
             z, v = np.zeros((m, q)), np.empty((m, q), dtype)
-        z += np.matmul(xe[:, n0 : n0 + rows], ye, out=v)
-    if noise is None:
+        np.matmul(xe[:, n0 : n0 + rows], ye, out=v)
+        if adc is not None:
+            if noise is None:
+                v *= px.alpha * py.alpha
+            adc_readout(v, *adc)
+        z += v
+    if noise is None and adc is None:
         z *= px.alpha * py.alpha
-    return z
-
-
-def _adc_product(x: np.ndarray, y: np.ndarray, px: QuantizerParams, py: QuantizerParams, noise: _Noise,
-                 arch: ArchConfig) -> np.ndarray:
-    """z_hat of the ADC mode: y goes through the front end one readout epoch,
-    its next C*T rows, at a time in float64, and each epoch's product is
-    digitized in place and summed, in units of the product.
-
-    An epoch integrates at most C*T unit products, the rail, so the ADC
-    reads on a rail of C*T.  At sigma = 0, with operand peaks of 1 (step
-    sizes that are powers of two), an epoch's code sum S reads
-    (code + 1/2) * C*T / 2^(b-1) exactly, where code is
-    floor(S * alpha_x * alpha_y * 2^(b-1) / (C*T)) clipped to [-2^(b-1), 2^(b-1) - 1].
-    """
-    m, q = len(x), y.shape[1]
-    if not x.size:  # M = 0 or N = 0: no epoch to read out
-        return np.zeros((m, q))
-    cols = arch.c_cores * arch.t_int
-    sigma, rx, ry = noise or (0.0, None, None)
-    (xe,) = _engine_rows(x, px, sigma, rx, m, np.float64)
-    z = v = None
-    for n0, ye in zip(range(0, len(y), cols), _engine_rows(y, py, sigma, ry, cols, np.float64)):
-        if v is None:  # after y's first epoch, so its scratch is freed first
-            z, v = np.zeros((m, q)), np.empty((m, q))
-        np.matmul(xe[:, n0 : n0 + cols], ye, out=v)
-        if noise is None:  # codes; perturbed operands are in [-1, 1] already
-            v *= px.alpha * py.alpha
-        z += adc_readout(v, cols, arch.bits_out)
     return z
 
 
@@ -457,10 +444,8 @@ def simulate_gemm(
         nm = NoiseModel() if nm is None else nm
         if mode != "quantized" and nm.sigma != 0.0:
             noise = nm.sigma, nm.rng(0), nm.rng(1)
-    if mode == "quantized+noise+adc":
-        z_hat = _adc_product(work.x, work.y, px, py, noise, arch)
-    else:
-        z_hat = _product(work.x, work.y, px, py, noise)
+    adc = (arch.c_cores * arch.t_int, arch.bits_out) if mode == "quantized+noise+adc" else None
+    z_hat = _product(work.x, work.y, px, py, noise, adc)
 
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
     stats = SimStats(

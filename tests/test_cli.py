@@ -324,6 +324,7 @@ class TestRobustness:
             ({"trials": "2", "epochs": 1}, "trials must be an integer, got '2'"),
             ({"sigmas_eval": "0.1", "epochs": 1}, "sigmas_eval must be a list of finite numbers"),
             ({"sigmas_eval": [0.0, "0.1"]}, "sigmas_eval must be a list of finite numbers"),
+            ({"sigmas_eval": [], "epochs": 1}, "sigmas_eval must be a list of finite numbers"),
             ({"epochs": 1.5}, "epochs must be an integer"),
             ({"seed": True}, "seed must be an integer"),
             ({"bits": "6"}, "bits must be an integer"),
@@ -369,11 +370,11 @@ class TestRobustness:
         assert_one_line_exit_2(code, err, tmp_path / "o")
         assert message in err
 
-    @pytest.mark.parametrize("sigmas", ["0,abc", "nan", "0,inf"])
+    @pytest.mark.parametrize("sigmas", ["0,abc", "nan", "0,inf", ""])
     def test_bad_sigmas_flag_exits_2(self, tmp_path, capsys, sigmas):
         code, _, err = run(["robustness", "--sigmas", sigmas, "--out", str(tmp_path / "o")], capsys)
         assert code == 2
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert err.startswith("error: --sigmas must be") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
 

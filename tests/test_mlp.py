@@ -173,6 +173,15 @@ class TestRobustnessTable:
         with pytest.raises(ValueError):
             robustness_table(model, tx, ty, ARCH, CAT, [0.0], n_seeds=0)
 
+    @pytest.mark.parametrize("n, sigmas, message", [(16, [], "^sigmas must hold at least one noise level$"),
+                                                    (0, [0.0], "^the test set x is empty$")])
+    def test_empty_study_rejected(self, n, sigmas, message):
+        # Either would give no accuracy to report: no row, or the mean of nothing.
+        model = trained_model()
+        tx, ty = make_blobs(n, 8, 4, seed=100)
+        with pytest.raises(ValueError, match=message):
+            robustness_table(model, tx, ty, ARCH, CAT, sigmas, n_seeds=2)
+
 
 SRC, TESTS = Path(__file__).resolve().parents[1] / "src", Path(__file__).resolve().parent
 #: Every trial's logits and the rows of a seed-major study against the
@@ -295,7 +304,8 @@ class TestStudyPass:
         assert sorted(built) == [((seed << 8) + i, s) for seed in range(3) for i in range(3) for s in (0, 1)]
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(sigmas=st.lists(st.sampled_from([0.0, 0.0031, 0.02, 0.08]), max_size=6), n_seeds=st.integers(1, 4))
+    @given(sigmas=st.lists(st.sampled_from([0.0, 0.0031, 0.02, 0.08]), min_size=1, max_size=6),
+           n_seeds=st.integers(1, 4))
     @example(sigmas=[0.08, 0.0, 0.02, 0.0, 0.0031, 0.0], n_seeds=3)
     @example(sigmas=[0.02, 0.0031, 0.02, 0.0], n_seeds=4)
     @example(sigmas=[0.0, 0.0], n_seeds=1)
@@ -333,6 +343,13 @@ class TestStudyPass:
         out = subprocess.run([sys.executable, "-c", ONE_THREAD_STUDY], env=env, capture_output=True, text=True,
                              timeout=300, check=True).stdout
         assert out == "ok\n"
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_empty_batch_gives_empty_logits(self, sigma):
+        # As simulate_gemm at M = 0 and TinyMlp.forward do.
+        model = study_model((8, 13, 7, 4))
+        z = forward_via_core(model, np.zeros((0, 8)), ARCH, CAT, sigma, 0)
+        assert z.shape == model.forward(np.zeros((0, 8)))[0].shape == (0, 4) and z.dtype == float
 
     def test_complex_input_raises(self):
         # The input's imaginary part is not dropped with a ComplexWarning.

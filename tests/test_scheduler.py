@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -43,7 +44,7 @@ from ptcsim import (
 
 CAT = load_builtin_catalog("custom-sl")
 SMALL = ArchConfig(r_tiles=2, c_cores=3, k=4)
-SRC = Path(__file__).resolve().parents[1] / "src"
+SRC, TESTS = Path(__file__).resolve().parents[1] / "src", Path(__file__).resolve().parent
 
 #: Prints "mode sigma sha256(z_hat) repr(stats)" for a 256x2048x256 GEMM on
 #: the default machine in every mode, and in the ADC mode at sigma = 0 too.
@@ -58,6 +59,15 @@ for mode, sigma in [(mode, 0.0031) for mode in MODES] + [("quantized+noise+adc",
     z, stats = simulate_gemm(w, ArchConfig(), cat, nm=NoiseModel(sigma=sigma, seed=7), mode=mode)
     print(mode, sigma, hashlib.sha256(z.tobytes()).hexdigest(), repr(stats))
 """
+
+#: Prints the pinned cases' digests as computed on the running host, as JSON.
+DIGEST_PROBE = """
+import json
+import gen_simulate_sha256
+print(json.dumps(gen_simulate_sha256.digests()))
+"""
+#: OpenBLAS kernels to force, each with the CPU flags its code needs.
+FORCED_KERNELS = {"Haswell": {"avx2", "fma"}, "SandyBridge": {"avx"}, "Nehalem": {"sse4_2"}, "Prescott": {"pni"}}
 
 
 def adc_lsb_products(arch):
@@ -626,6 +636,18 @@ class TestEpochStreaming:
         simulate_gemm(GemmWorkload.random(5, 7, 9, seed=0), SMALL, CAT)
         assert len(calls) == 1
 
+    def test_one_kernel_call_per_mode(self, monkeypatch):
+        # Every mode, the ADC's too, runs one _product; only the ADC mode passes it a readout.
+        calls = []
+        real = scheduler._product
+        monkeypatch.setattr(scheduler, "_product", lambda *a: calls.append(a[5]) or real(*a))
+        w = GemmWorkload.random(5, 7, 9, seed=0)
+        for mode in MODES:
+            calls.clear()
+            simulate_gemm(w, SMALL, CAT, nm=NoiseModel(sigma=0.02), mode=mode)
+            adc = (SMALL.c_cores * SMALL.t_int, SMALL.bits_out) if mode == "quantized+noise+adc" else None
+            assert calls == [adc], mode
+
     def test_peak_memory_is_bounded(self):
         rng = np.random.default_rng(0)
         w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
@@ -801,6 +823,33 @@ class TestPinnedOutputs:
         ]
         moved = [e for e, want in zip(got, pinned["cases"], strict=True) if e["sha256"] != want["sha256"]]
         assert moved == []
+
+    def test_only_float_sums_depend_on_the_blas_kernel(self):
+        # Under every OpenBLAS kernel this CPU can run, the only cases that
+        # move are those whose float64 sums BLAS may round in another order:
+        # quantized+noise at sigma > 0, and the study, whose trained weights
+        # come from train's float64 products.  Code sums on the lattice are
+        # exact, and the ADC cases are digitized.
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except TypeError:  # numpy before 1.26 does not report its BLAS this way
+            blas = "unknown"
+        if "openblas" not in blas:
+            pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+        cpuinfo = Path("/proc/cpuinfo")
+        if not cpuinfo.exists():
+            pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+        found = re.search(r"^flags\s*:(.*)$", cpuinfo.read_text(), re.M)  # x86 only: no kernel to force elsewhere
+        flags = set(found.group(1).split()) if found else set()
+        pinned = json.loads(gen_simulate_sha256.PINNED.read_text())["cases"]
+        for kernel in [k for k, needs in FORCED_KERNELS.items() if needs <= flags]:
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS))), "OPENBLAS_CORETYPE": kernel}
+            out = subprocess.run(
+                [sys.executable, "-c", DIGEST_PROBE], env=env, capture_output=True, text=True, timeout=300, check=True
+            ).stdout
+            moved = [e for e, want in zip(json.loads(out), pinned, strict=True) if e != want]
+            assert all("study" in e or (e["mode"] == "quantized+noise" and e["sigma"] > 0) for e in moved), (
+                kernel, moved)
 
     def test_ideal_mode_is_the_host_product(self):
         # The pinned ideal-mode digests cover SimStats only: z_hat is x @ y,
