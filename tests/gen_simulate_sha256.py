@@ -7,7 +7,9 @@ An ideal-mode case hashes repr(SimStats) only: its z_hat is x @ y, whose
 bytes depend on the BLAS kernel, so the test compares it with x @ y on the
 running host instead.
 The study cases are the digests of one small robustness_table's rows and
-of every trial's logits, on the benchmark's mlp-robustness set-up.
+of every trial's logits, on the benchmark's mlp-robustness set-up: once
+sigma-major, where no two consecutive trials share a noise seed, and once
+seed-major at the benchmark's sigmas, where every sigma of a seed does.
 
 Run from the repository root after a change that is meant to move them:
 
@@ -40,6 +42,8 @@ SIGMAS = (0.0, 0.0031, 0.02)
 #: The study: MlpConfig() trained on the mlp-robustness benchmark's data
 #: (seed 11) and evaluated on its machine, two trials per sigma.
 STUDY_SEED, STUDY_SIGMAS, STUDY_TRIALS = 11, (0.0, 0.0031, 0.02), 2
+#: The benchmark's sigmas, run seed-major as robustness_table runs them.
+SEED_MAJOR_SIGMAS = (0.0, 0.0031, 0.02, 0.04, 0.08)
 NOTE = (
     "quantized mode and the ADC mode at sigma = 0 sum integer codes exactly, so their digests hold on any "
     "BLAS; an ideal-mode digest covers repr(SimStats) only, and the test checks its z_hat against x @ y on "
@@ -85,9 +89,13 @@ def study_cases():
     arch = ArchConfig(r_tiles=2, c_cores=3, k=8)
     rows = robustness_table(model, x, y, arch, cat, list(STUDY_SIGMAS), n_seeds=STUDY_TRIALS)
     yield {"study": "rows"}, sha256(json.dumps(rows).encode())
-    trials = [(sigma, seed) for sigma in STUDY_SIGMAS for seed in range(STUDY_TRIALS)]
-    for (sigma, seed), logits in zip(trials, mlp._core_logits(model, x, arch, cat, trials), strict=True):
-        yield {"study": "logits", "sigma": sigma, "seed": seed}, sha256(np.ascontiguousarray(logits).tobytes())
+    orders = {
+        "logits": [(sigma, seed) for sigma in STUDY_SIGMAS for seed in range(STUDY_TRIALS)],
+        "seed-major logits": [(sigma, seed) for seed in range(STUDY_TRIALS) for sigma in SEED_MAJOR_SIGMAS],
+    }
+    for study, trials in orders.items():
+        for (sigma, seed), logits in zip(trials, mlp._core_logits(model, x, arch, cat, trials), strict=True):
+            yield {"study": study, "sigma": sigma, "seed": seed}, sha256(np.ascontiguousarray(logits).tobytes())
 
 
 def digests() -> list[dict]:
