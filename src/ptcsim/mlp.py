@@ -7,15 +7,17 @@ behavioral core simulation.  The study output is an accuracy-versus-noise
 table with mean and standard deviation across evaluation seeds.
 
 A study is one pass of _core_logits over its (sigma, seed) trials, run
-seed-major so that each seed's noise generators are built once per layer.
-Each trial runs every layer's product through the kernel simulate_gemm runs
-in every mode (scheduler._product), without the ADC, then the bias and the
-ReLU, and the accuracies are regrouped into one row per sigma.
-forward_via_core is the one-trial case of the same pass.
+seed-major so that all the trials of a seed go through each layer together
+and share that layer's noise draws.  Each trial runs every layer's product
+through the kernel simulate_gemm runs in every mode (scheduler._product),
+without the ADC, then the bias and the ReLU, and the accuracies are
+regrouped into one row per sigma.  forward_via_core is the one-trial case
+of the same pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,22 +227,26 @@ def evaluate(model: TinyMlp, x: np.ndarray, y: np.ndarray, nm: NoiseModel | None
     return float((model.predict(x, nm) == y).mean())
 
 
-def _encodable(a, name: str) -> tuple[np.ndarray, float]:
+def _encodable(a, name: str, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(a / s, s) with s = max(peak |a|, 1e-30), so that a / s lies in [-1, 1].
 
-    Raises as GemmWorkload does if a is complex or has a non-finite entry
-    (s is then NaN or infinite).
+    a / s goes to out when given (out may be a itself).  Raises as
+    GemmWorkload does if a is complex or has a non-finite entry (s is then
+    NaN or infinite).
     """
     a = _real(a, name)
     s = max(float(np.abs(a).max(initial=0.0)), 1e-30)
     if not math.isfinite(s):
         raise ValueError(f"operand {name} has non-finite entries")
-    return a / s, s
+    return np.divide(a, s, out=out), s
 
 
-def _codes(a: np.ndarray, params: QuantizerParams) -> np.ndarray:
-    """a's quantizer codes as int8, which holds the codes of every width up to 8 bits exactly."""
-    return quantize_codes(a, params).astype(np.int8)
+def _codes(a: np.ndarray, params: QuantizerParams, out: np.ndarray | None = None) -> np.ndarray:
+    """a's quantizer codes as int8, which holds the codes of every width up to 8 bits exactly.
+
+    out, a float64 array of a's shape that may be a itself, takes the codes first.
+    """
+    return quantize_codes(a, params, out).astype(np.int8)
 
 
 class _ChainLayer:
@@ -249,9 +255,7 @@ class _ChainLayer:
     That is the weights' scale (sw), quantizer params and int8 codes: the
     weights are scaled into [-1, 1] and quantized once, and validated
     together with x, the first trial's input to the layer, as GemmWorkload
-    validates the operands of a simulate_gemm call.  The layer also keeps
-    the noise seed of the last noisy trial to reach it, and the initial
-    states of that seed's two generators, streams 0 (x) and 1 (y).
+    validates the operands of a simulate_gemm call.
     """
 
     def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig):
@@ -259,11 +263,10 @@ class _ChainLayer:
         GemmWorkload(x, y)
         self.params = minmax_params(y, arch.bits_in)
         self.codes = _codes(y, self.params)
-        self.seed = self.states = None
 
 
 def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVariant, trials):
-    """Yield the logits of each (sigma, seed) trial, computed one trial at a time on the core.
+    """Yield the logits of each (sigma, seed) trial, computed on the core one group of a seed's trials at a time.
 
     Layer i scales its input and weights by their peaks into [-1, 1],
     multiplies them through scheduler._product with no ADC readout, as
@@ -271,62 +274,68 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     (seed << 8) + i), and undoes both scales; the bias and the ReLU stay
     digital.  The logits, and the errors raised, are those of one simulate_gemm
     call per layer and trial, bit for bit, except that a bit width the mode
-    cannot run is rejected first.
+    cannot run is rejected first, and every sigma of a group (below) is
+    checked before the group's first product.
 
     What trials share is done once: the width check and engine_config_for,
     which runs only for the errors simulate_gemm would raise; each layer's
     weight scale, validation, quantizer params and int8 codes; and layer
-    0's input codes, as the same x is every trial's input.  A layer builds
-    the generators of a noise seed, streams 0 (x) and 1 (y), when the seed
-    changes and keeps their initial states; each noisy product restores
-    them into one (x, y) generator pair the pass reuses.  So seed-major
-    trials build one generator per (seed, layer, stream).  A trial with
-    sigma = 0 runs once; later ones yield its logits again (the same array).
+    0's input codes, as the same x is every trial's input.  Consecutive
+    trials with one seed form a group, which runs breadth first: all its
+    trials go through layer i before any goes to layer i + 1, each keeping
+    its activation between layers as int8 codes, scaled, rescaled, biased,
+    ReLU'd and quantized in place in its product's buffer.  Layer i's noise
+    does not depend on sigma, so the layer draws x's and y's standard
+    normals once per group, from fresh stream-0 and stream-1 generators,
+    every sigma scales those same draws, and the draws are freed before the
+    next layer's.  A group's trials are yielded, in order, when it completes.
+    A trial with sigma = 0 runs once; later ones yield its logits again (the
+    same array).
     """
     _check_widths(arch, "quantized+noise")
     engine_config_for(arch, cat)
     last = len(model.weights) - 1
     layers: list[_ChainLayer] = []
     x0 = None  # layer 0's input in every trial: (int8 codes, params, scale)
-    gens = None  # the (x, y) generator pair every noisy product draws from
     clean = None
-    for sigma, seed in trials:
-        nm = NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed in every trial
-        noisy = sigma != 0.0
-        if clean is not None and not noisy:
-            yield clean
-            continue
-        h = x
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            if i == 0 and x0 is not None:  # every trial's layer 0 multiplies the same x
-                h, px, sx = x0
-            else:
-                h, sx = _encodable(h, "x")  # frees the last layer's activations first
-                if i == len(layers):
-                    layers.append(_ChainLayer(h, w, arch))
-                px = minmax_params(h, arch.bits_in)
-                if i == 0:
-                    h = _codes(h, px)
-                    x0 = h, px, sx
+    for seed, group in itertools.groupby(trials, key=lambda trial: trial[1]):
+        sigmas = [sigma for sigma, _ in group]
+        for sigma in sigmas:
+            NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed
+        # The trials that run: the study's first noise-free one, then every noisy one.
+        run = [0.0] * (clean is None and 0.0 in sigmas) + [sigma for sigma in sigmas if sigma != 0.0]
+        if x0 is None and run:
+            h, sx = _encodable(x, "x")
+            layers.append(_ChainLayer(h, model.weights[0], arch))
+            px = minmax_params(h, arch.bits_in)
+            x0 = _codes(h, px), px, sx
+            del h
+        acts = [x0] * len(run)  # each run trial's input to the layer: (int8 codes, params, scale)
+        for i, (w, b) in enumerate(zip(model.weights, model.biases) if run else ()):
             layer = layers[i]
-            noise = None
-            if noisy:
-                if layer.seed != nm.seed + i:
-                    layer.seed = nm.seed + i
-                    built = [NoiseModel(sigma, layer.seed).rng(stream) for stream in (0, 1)]
-                    layer.states = [g.bit_generator.state for g in built]
-                    gens = gens or built
-                for g, state in zip(gens, layer.states):
-                    g.bit_generator.state = state
-                noise = sigma, *gens
-            h = _product(h, layer.codes, px, layer.params, noise, None)
-            h *= sx * layer.sw
-            h += b
-            if i != last:
-                h = np.maximum(h, 0.0)
-        if not noisy:
-            clean = h
-        yield h
+            normals = None
+            if any(run):
+                nm = NoiseModel(seed=(seed << 8) + i)
+                normals = nm.rng(0).standard_normal(acts[0][0].shape), nm.rng(1).standard_normal(layer.codes.shape)
+            for k, sigma in enumerate(run):
+                h, px, sx = acts[k]
+                h = _product(h, layer.codes, px, layer.params, (sigma, *normals) if sigma else None, None)
+                h *= sx * layer.sw
+                h += b
+                if i != last:
+                    np.maximum(h, 0.0, out=h)
+                    h, sx = _encodable(h, "x", out=h)
+                    if i + 1 == len(layers):
+                        layers.append(_ChainLayer(h, model.weights[i + 1], arch))
+                    px = minmax_params(h, arch.bits_in)
+                    h = _codes(h, px, out=h), px, sx
+                acts[k] = h
+            del normals, h  # before the next layer draws
+        if run[:1] == [0.0]:
+            clean = acts.pop(0)
+        acts.reverse()
+        for sigma in sigmas:
+            yield acts.pop() if sigma != 0.0 else clean
 
 
 def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -363,10 +372,12 @@ def robustness_table(
 
     One row per sigma: {'sigma', 'mean_accuracy', 'std_accuracy', 'accuracies'},
     aggregated over n_seeds independent noise seeds.  The trials run
-    seed-major, every sigma of seed 0 first, so that each seed's noise
-    generators are built once; each trial's accuracy is taken before the
-    next trial runs, and the accuracies are regrouped into one row per sigma.
-    Raises ValueError for n_seeds < 1, no sigma or an empty x.
+    seed-major, every sigma of seed 0 first, so that each layer draws a
+    seed's noise once for all its sigmas; each trial's accuracy is taken as
+    its seed's trials complete, and the accuracies are regrouped into one
+    row per sigma.
+    Raises ValueError for n_seeds < 1, no sigma, an empty x or labels y
+    that do not hold one entry per row of x.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -374,8 +385,10 @@ def robustness_table(
         raise ValueError("sigmas must hold at least one noise level")
     if not len(x):  # the accuracy would be the mean of nothing
         raise ValueError("the test set x is empty")
+    if len(y) != len(x):  # a length-1 y would broadcast against every row
+        raise ValueError(f"the labels y hold {len(y)} entries for the {len(x)} rows of x")
     logits = _core_logits(model, x, arch, cat, ((s, seed) for seed in range(n_seeds) for s in sigmas))
-    # next() inside the call: the last trial's logits are freed before the next trial runs.
+    # next() inside the call: each trial's logits are freed once its accuracy is taken.
     accs = [_accuracy(next(logits), y) for _ in range(n_seeds * len(sigmas))]
     rows = []
     for j, sigma in enumerate(sigmas):

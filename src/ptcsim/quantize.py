@@ -162,18 +162,18 @@ def inject_noise(x_q: np.ndarray, nm: NoiseModel, stream: int = 0) -> np.ndarray
     return apply_noise(x_q, nm.rng(stream).standard_normal(x_q.shape), nm.sigma)
 
 
-def apply_noise(x_q: np.ndarray, draws: np.ndarray, sigma: float) -> np.ndarray:
-    """x_q + draws * (sigma * |x_q|), one pass at a time in place on draws.
+def apply_noise(x_q: np.ndarray, draws: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x_q + draws * (sigma * |x_q|), into out, or in place on draws when out is None.
 
-    draws holds standard normal samples of x_q's shape.  Filling it block by
-    block from one generator, in row-major order, draws the same values as
-    one whole-tensor draw, so a tensor may be perturbed a block at a time.
+    draws holds standard normal samples of x_q's shape, and is only read
+    when out is given (out may be x_q itself).  Filling it block by block
+    from one generator, in row-major order, draws the same values as one
+    whole-tensor draw, so a tensor may be perturbed a block at a time.
     """
     std = np.abs(x_q)
     std *= sigma
-    draws *= std
-    draws += x_q
-    return draws
+    std *= draws
+    return np.add(x_q, std, out=draws if out is None else out)
 
 
 def adc_sample(v, full_scale: float, bits: int):

@@ -317,24 +317,27 @@ _OPERAND_BLOCK_ELEMS = 1 << 15
 
 
 def _engine_rows(
-    a: np.ndarray, params: QuantizerParams, sigma: float, rng: np.random.Generator | None, rows: int, dtype: type,
+    a: np.ndarray, params: QuantizerParams, sigma: float, normals: np.random.Generator | np.ndarray | None,
+    rows: int, dtype: type,
 ) -> Iterator[np.ndarray]:
     """Yield operand a as the engine multiplies it, `rows` rows at a time.
 
     a is an operand in [-1, 1], or its int8 codes under params (the cached
-    weights and input of mlp's study pass).  Every slice is filled into one buffer of
+    weights and activations of mlp's study pass).  Every slice is filled into one buffer of
     min(rows, len(a)) rows of dtype, which the next slice overwrites, a row
     block of about _OPERAND_BLOCK_ELEMS elements at a time: quantize_codes
     once, or the cached codes cast, so the entries are integer codes on the
     quantizer lattice, and with noise dequantized (the min-max zero point is
-    0, so codes * alpha is fake_quantize), given multiplicative noise of
-    intensity sigma and clipped to [-1, 1], unless rng is None.  The noise
-    is drawn from rng block by block in row-major order, which gives the
-    same values as one whole-operand draw.
+    0, so codes * alpha is fake_quantize), perturbed to x_q + n * (sigma *
+    |x_q|) and clipped to [-1, 1], unless normals is None.  normals is a
+    generator, from which n is drawn block by block in row-major order (the
+    same values as one whole-operand draw), or a's standard normals drawn
+    beforehand, which are read, never written.
     """
     out = np.empty((min(rows, len(a)), a.shape[1]), dtype)
     block = max(1, _OPERAND_BLOCK_ELEMS // max(1, a.shape[1]))
     cached = a.dtype == np.int8
+    drawn = isinstance(normals, np.ndarray)
     for r0 in range(0, len(a), rows):
         ar = a[r0 : r0 + rows]
         oe = out[: len(ar)]
@@ -344,9 +347,10 @@ def _engine_rows(
                 blk[...] = ar[b0 : b0 + block]
             else:
                 quantize_codes(ar[b0 : b0 + block], params, blk)
-            if rng is not None:
+            if normals is not None:
                 blk *= params.alpha
-                np.clip(apply_noise(blk, rng.standard_normal(blk.shape), sigma), -1.0, 1.0, out=blk)
+                n = normals[r0 + b0 : r0 + b0 + len(blk)] if drawn else normals.standard_normal(blk.shape)
+                np.clip(apply_noise(blk, n, sigma, out=blk), -1.0, 1.0, out=blk)
         yield oe
 
 
@@ -372,8 +376,10 @@ def _check_widths(arch: ArchConfig, mode: str) -> None:
 _LINEAR_ROWS = 256
 
 
-#: The noise of a product: None, or (sigma, x's generator, y's generator).
-_Noise = tuple[float, np.random.Generator, np.random.Generator] | None
+#: The noise of a product: None, or (sigma, x's normals, y's normals), each
+#: a generator or the operand's standard normals (see _engine_rows).
+_Normals = np.random.Generator | np.ndarray
+_Noise = tuple[float, _Normals, _Normals] | None
 
 
 def _product(x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: QuantizerParams | None,
@@ -388,7 +394,9 @@ def _product(x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: Quant
     products (codes only; perturbed operands are in [-1, 1] already) and
     digitized in place before it is summed.  Without it a chunk is
     _LINEAR_ROWS rows, of float32 codes (noise None) or perturbed float64
-    operands, and the code sum is scaled by alpha_x * alpha_y once.
+    operands, and the code sum is scaled by alpha_x * alpha_y once.  When y
+    is one chunk its product is the result itself, with no second (M, Q)
+    buffer.
 
     At sigma = 0, with operand peaks of 1 (step sizes that are powers of
     two), an epoch's code sum S reads (code + 1/2) * C*T / 2^(b-1) exactly,
@@ -404,14 +412,18 @@ def _product(x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: Quant
     (xe,) = _engine_rows(x, px, sigma, rx, m, dtype)
     z = v = None
     for n0, ye in zip(range(0, len(y), rows), _engine_rows(y, py, sigma, ry, rows, dtype)):
-        if v is None:  # after y's first chunk, so its scratch is freed first
+        if z is None and len(y) > rows:  # after y's first chunk, so its scratch is freed first
             z, v = np.zeros((m, q)), np.empty((m, q), dtype)
-        np.matmul(xe[:, n0 : n0 + rows], ye, out=v)
+        w = np.matmul(xe[:, n0 : n0 + rows], ye, out=v)
         if adc is not None:
             if noise is None:
-                v *= px.alpha * py.alpha
-            adc_readout(v, *adc)
-        z += v
+                w *= px.alpha * py.alpha
+            adc_readout(w, *adc)
+        if z is None:  # y is one chunk: its product is the result, -0.0 read as +0.0 as zeros + w reads it
+            z = w.astype(float, copy=False)
+            z += 0.0
+        else:
+            z += w
     if noise is None and adc is None:
         z *= px.alpha * py.alpha
     return z

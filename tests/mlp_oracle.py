@@ -17,8 +17,8 @@ def oracle_forward_via_core(model, x, arch, cat, sigma, seed):
     h = np.asarray(x, dtype=float)
     n_layers = len(model.weights)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        sx = max(float(np.abs(h).max()), 1e-30)
-        sw = max(float(np.abs(w).max()), 1e-30)
+        sx = max(float(np.abs(h).max(initial=0.0)), 1e-30)
+        sw = max(float(np.abs(w).max(initial=0.0)), 1e-30)
         work = GemmWorkload(h / sx, w / sw)
         nm = NoiseModel(sigma=sigma, seed=(seed << 8) + i)
         z_hat, _ = simulate_gemm(work, arch, cat, nm=nm, mode="quantized+noise")

@@ -30,8 +30,8 @@ from ptcsim.quantize import NoiseModel, adc_sample, adc_value, fake_quantize, in
 
 
 def oracle_engine_rows(a, params, sigma, rng, rows, dtype):
-    """scheduler._engine_rows from the oracle: operand a, with noise of intensity sigma drawn from rng
-    unless rng is None, rows at a time.
+    """scheduler._engine_rows from the oracle: operand a, with noise of intensity sigma drawn from rng,
+    or taken from a's standard normals when rng is an array, unless rng is None, rows at a time.
 
     The slices are cast to dtype, which is exact for the integer codes the
     simulator takes in float32.  int8 codes, which a chain caches, stand for
@@ -44,7 +44,8 @@ def oracle_engine_rows(a, params, sigma, rng, rows, dtype):
     if rng is None:
         whole = np.rint(a / params.alpha)
     else:  # inject_noise's arithmetic, on one whole-operand draw from rng
-        whole = np.clip(a + rng.standard_normal(a.shape) * (np.abs(a) * sigma), -1.0, 1.0)
+        draws = rng if isinstance(rng, np.ndarray) else rng.standard_normal(a.shape)
+        whole = np.clip(a + draws * (np.abs(a) * sigma), -1.0, 1.0)
     whole = whole.astype(dtype)
     return (whole[r0 : r0 + rows] for r0 in range(0, len(a), rows))
 
@@ -52,13 +53,15 @@ def oracle_engine_rows(a, params, sigma, rng, rows, dtype):
 def record_engine_rows(calls):
     """A stand-in for scheduler._engine_rows that runs it and appends (args, [copy of each slice]) to calls.
 
-    The recorded generator is a copy taken at the call, so it starts where
-    the real one did, though callers reuse theirs.
+    The recorded noise source, a generator or drawn normals, is a copy taken
+    at the call: a generator starts where the real one did, though the real
+    one draws on, and normals hold what the call was given, so a call that
+    wrote into normals it shares shows in the copies of the calls after it.
     """
     real = scheduler._engine_rows
 
     def spy(*args):
-        calls.append((tuple(copy.deepcopy(a) if isinstance(a, np.random.Generator) else a for a in args), []))
+        calls.append(((*args[:3], copy.deepcopy(args[3]), *args[4:]), []))
         for rows in real(*args):
             calls[-1][1].append(rows.copy())
             yield rows

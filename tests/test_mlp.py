@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import os
 import re
 import subprocess
@@ -167,6 +168,16 @@ class TestRobustnessTable:
         (row,) = robustness_table(model, tx, ty, ARCH, CAT, [0.0], n_seeds=3)
         assert row["std_accuracy"] == 0.0
 
+    @pytest.mark.parametrize("n_labels", [1, 63, 65])
+    def test_labels_not_matching_the_test_set_rejected(self, n_labels):
+        # A length-1 y would broadcast against all 64 rows into an accuracy.
+        model = study_model((8, 13, 7, 4))
+        tx, ty = study_set((8, 13, 7, 4))
+        ty = np.resize(ty, n_labels)
+        message = f"^the labels y hold {n_labels} entries for the 64 rows of x$"
+        with pytest.raises(ValueError, match=message):
+            robustness_table(model, tx, ty, ARCH, CAT, [0.0, 0.02], n_seeds=2)
+
     def test_invalid_seed_count_rejected(self):
         model = trained_model()
         tx, ty = make_blobs(16, 8, 4, seed=100)
@@ -275,25 +286,28 @@ class TestStudyPass:
         assert_engine_rows_match_oracle(calls)
         monkeypatch.setattr(scheduler, "_engine_rows", oracle_engine_rows)
         assert [z.tobytes() for z in mlp._core_logits(model, tx, arch, CAT, trials)] == want
-        # x, then y, once per (trial, layer); the three noise-free trials run
-        # once.  Each noisy operand's generator starts where a fresh one of
-        # its (seed, layer, stream) does, though the pass reuses one pair.
-        ran = [trials[0]] + [t for t in trials if t[0]]
-        assert len(calls) == len(ran) * 3 * 2
-        for k, (args, _) in enumerate(calls):
-            (sigma, seed), i, stream = ran[k // 6], k // 2 % 3, k % 2
+        # Each seed's trials go through layer i, x then y, before any goes
+        # to layer i + 1; the three noise-free trials run once, in seed 0's.
+        runs = {0: (0.0, 0.0031, 0.08), 1: (0.0031, 0.08), 2: (0.0031, 0.08)}
+        order = [(sigma, seed, i) for seed, run in runs.items() for i in range(3) for sigma in run]
+        assert len(calls) == len(order) * 2
+        for ((sigma, seed, i), stream), (args, _) in zip(itertools.product(order, (0, 1)), calls, strict=True):
             if sigma:
-                fresh = NoiseModel(sigma, (seed << 8) + i).rng(stream)
-                assert args[2] == sigma and args[3].bit_generator.state == fresh.bit_generator.state, (seed, i, stream)
+                # The draws of a fresh generator of (seed, layer, stream),
+                # unchanged by the trials of the seed that ran before.
+                fresh = NoiseModel(sigma, (seed << 8) + i).rng(stream).standard_normal(args[0].shape)
+                assert args[2] == sigma and args[3].tobytes() == fresh.tobytes(), (sigma, seed, i, stream)
             else:
                 assert args[3] is None
         # Each layer passes the same cached int8 weight codes and params to
-        # every trial, and layer 0 the same input codes and params.
+        # every trial, and layer 0 the same input codes and params; the
+        # hidden inputs arrive as int8 codes too.
         xs, ys = [args for args, _ in calls[0::2]], [args for args, _ in calls[1::2]]
-        for i, args in enumerate((xs[0::3], ys[0::3], ys[1::3], ys[2::3])):
-            assert len({(id(a[0]), id(a[1])) for a in args}) == 1, i
-            assert args[0][0].dtype == np.int8
-        assert {a[0].dtype for a in xs[1::3] + xs[2::3]} == {np.dtype(float)}
+        layer = [i for _, _, i in order]
+        for i in range(3):
+            assert len({(id(a[0]), id(a[1])) for a, j in zip(ys, layer) if j == i}) == 1, i
+        assert len({(id(a[0]), id(a[1])) for a, j in zip(xs, layer) if j == 0}) == 1
+        assert {a[0].dtype for a in xs + ys} == {np.dtype(np.int8)}
         # quantize_codes runs once on each layer's scaled weights and once on
         # the scaled input, and on the hidden inputs of each trial that runs.
         scaled = [w / np.abs(w).max() for w in model.weights] + [tx / np.abs(tx).max()]
@@ -302,6 +316,49 @@ class TestStudyPass:
         assert len(quantized) == len(scaled) + (1 + 6) * 2
         # One generator per (seed, layer, stream) of the noisy trials.
         assert sorted(built) == [((seed << 8) + i, s) for seed in range(3) for i in range(3) for s in (0, 1)]
+
+    @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
+    def test_seed_groups_match_oracle_bitwise(self, arch):
+        # Seed 1 at non-consecutive positions, a sigma repeated within a
+        # group, and sigma = 0 inside a group of noisy trials.
+        sizes = (8, 13, 7, 4)
+        model = study_model(sizes)
+        tx, _ = study_set(sizes)
+        trials = [(0.02, 1), (0.0, 1), (0.02, 1), (0.08, 0), (0.0031, 1), (0.0031, 1), (0.0, 0), (0.08, 1)]
+        got = list(mlp._core_logits(model, tx, arch, CAT, trials))
+        for (sigma, seed), logits in zip(trials, got, strict=True):
+            want = oracle_forward_via_core(model, tx, arch, CAT, sigma, seed)
+            assert logits.tobytes() == want.tobytes(), (sigma, seed)
+        assert got[1] is got[6]  # the noise-free trial ran once
+
+    def test_draws_once_per_seed_layer_and_stream(self, monkeypatch):
+        # The bench's study, seed-major: 5 seeds x 3 layers x 2 streams.
+        sizes = (8, 32, 32, 4)
+        model = study_model(sizes)
+        tx, ty = make_blobs(256, sizes[0], sizes[-1], seed=111)
+        sigmas = [0.0, 0.0031, 0.02, 0.04, 0.08]
+        want = oracle_robustness_table(model, tx, ty, ARCH, CAT, sigmas, 5)
+        draws, real_rng = [], NoiseModel.rng
+
+        class Counted:
+            def __init__(self, g):
+                self.g = g
+
+            def standard_normal(self, *args, **kwargs):
+                draws.append(args)
+                return self.g.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(NoiseModel, "rng", lambda nm, stream=0: Counted(real_rng(nm, stream)))
+        assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, 5) == want
+        assert len(draws) == 5 * 3 * 2
+
+    def test_group_sigmas_checked_before_its_first_product(self, monkeypatch):
+        model = study_model((8, 13, 7, 4))
+        tx, _ = study_set((8, 13, 7, 4))
+        passes = count_calls(monkeypatch, mlp, "_product")
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            list(mlp._core_logits(model, tx, ARCH, CAT, [(0.02, 0), (0.0, 0), (-0.01, 0)]))
+        assert not passes
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(sigmas=st.lists(st.sampled_from([0.0, 0.0031, 0.02, 0.08]), min_size=1, max_size=6),
@@ -320,10 +377,11 @@ class TestStudyPass:
         )
 
     def test_study_peak_memory_stays_within_the_per_trial_pass(self):
-        # The bench's study: a retained Generator per stream, or the last
-        # trial's logits kept alive during the next trial, would pass the
-        # tracemalloc peak of one robustness_table that quantized and built
-        # generators in every trial (301152 bytes with numpy 2.4.6).
+        # The bench's study: a layer's draws kept alive while the next layer
+        # draws, a float activation between layers, or a second (M, Q)
+        # buffer per product would pass the tracemalloc peak of the pass
+        # that runs each seed's trials through the layers together (265280
+        # bytes with numpy 2.4.6; the per-trial pass before it took 294996).
         sizes = (8, 32, 32, 4)
         model = study_model(sizes)
         tx, ty = make_blobs(256, sizes[0], sizes[-1], seed=111)
@@ -335,7 +393,7 @@ class TestStudyPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 301152
+        assert peak <= 265280
 
     def test_trials_equal_oracle_on_one_blas_thread(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(p) for p in (SRC, TESTS)),
@@ -350,6 +408,8 @@ class TestStudyPass:
         model = study_model((8, 13, 7, 4))
         z = forward_via_core(model, np.zeros((0, 8)), ARCH, CAT, sigma, 0)
         assert z.shape == model.forward(np.zeros((0, 8)))[0].shape == (0, 4) and z.dtype == float
+        want = oracle_forward_via_core(model, np.zeros((0, 8)), ARCH, CAT, sigma, 0)
+        assert want.shape == z.shape and want.dtype == z.dtype and want.tobytes() == z.tobytes()
 
     def test_complex_input_raises(self):
         # The input's imaginary part is not dropped with a ComplexWarning.

@@ -775,6 +775,52 @@ class TestEngineOperands:
         assert peaks["quantized+noise"] <= 2 * result + w.x.nbytes + chunk_of_y + 3 * block, peaks
         assert peaks["quantized+noise+adc"] <= 2 * result + w.x.nbytes + epoch_of_y + 3 * block, peaks
 
+    @staticmethod
+    def one_chunk_operands(sigma):
+        """A 512x8x512 product, every third row of x zero, with y one chunk of rows in every mode."""
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(-1, 1, (512, 8)), rng.uniform(-1, 1, (8, 512))
+        x[::3] = 0.0
+        px, py, nm = minmax_params(x, 6), minmax_params(y, 6), NoiseModel(sigma=sigma, seed=3)
+        return x, y, px, py, nm, (sigma, nm.rng(0), nm.rng(1)) if sigma else None
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_one_chunk_product_reads_as_zeros_plus_its_product(self, sigma):
+        # A y of one chunk writes its product straight into the result;
+        # under a BLAS that sums an all-zero row to -0.0 it still reads
+        # +0.0 there, as np.zeros + the product does.
+        x, y, px, py, nm, noise = self.one_chunk_operands(sigma)
+        dtype = np.float64 if noise else np.float32
+        gens = (nm.rng(0), nm.rng(1)) if noise else (None, None)
+        (xe,), (ye,) = (oracle_engine_rows(a, p, sigma, g, len(a), dtype) for a, p, g in zip((x, y), (px, py), gens))
+        real = np.matmul
+
+        def signed_zero_matmul(a, b, out=None):
+            v = real(a, b, out=out)
+            v[v == 0] = -0.0
+            return v
+
+        want = np.zeros((len(x), y.shape[1])) + signed_zero_matmul(xe, ye)
+        if noise is None:
+            want *= px.alpha * py.alpha
+        assert np.signbit(want[::3]).sum() == 0 and (want[::3] == 0).all()
+        with mock.patch.object(np, "matmul", signed_zero_matmul):
+            z = scheduler._product(x, y, px, py, noise, None)
+        assert z.dtype == np.float64 and z.tobytes() == want.tobytes()
+
+    def test_one_chunk_noise_product_holds_one_result_buffer(self):
+        x, y, px, py, _, noise = self.one_chunk_operands(0.02)
+        tracemalloc.start()
+        try:
+            scheduler._product(x, y, px, py, noise, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The result, one copy of each operand and their front-end scratch:
+        # no second (M, Q) buffer, which alone is 2 MiB here.
+        result = len(x) * y.shape[1] * 8
+        assert result <= peak <= result + 4 * (x.nbytes + y.nbytes)
+
     def test_quantizes_each_operand_once(self, monkeypatch):
         calls = []
         real = scheduler.quantize_codes
