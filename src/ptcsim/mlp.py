@@ -309,9 +309,8 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
             layers.append(_ChainLayer(h, model.weights[0], arch))
             px = minmax_params(h, arch.bits_in)
             x0 = _codes(h, px), px, sx
-            del h
         acts = [x0] * len(run)  # each run trial's input to the layer: (int8 codes, params, scale)
-        for i, (w, b) in enumerate(zip(model.weights, model.biases) if run else ()):
+        for i, b in enumerate(model.biases if run else ()):
             layer = layers[i]
             normals = None
             if any(run):
