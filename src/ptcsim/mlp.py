@@ -376,7 +376,7 @@ def robustness_table(
     its seed's trials complete, and the accuracies are regrouped into one
     row per sigma.
     Raises ValueError for n_seeds < 1, no sigma, an empty x or labels y
-    that do not hold one entry per row of x.
+    that are not one label per row of x, of shape (len(x),).
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -384,8 +384,8 @@ def robustness_table(
         raise ValueError("sigmas must hold at least one noise level")
     if not len(x):  # the accuracy would be the mean of nothing
         raise ValueError("the test set x is empty")
-    if len(y) != len(x):  # a length-1 y would broadcast against every row
-        raise ValueError(f"the labels y hold {len(y)} entries for the {len(x)} rows of x")
+    if np.shape(y) != (len(x),):  # a y of length 1, or of shape (len(x), 1), would broadcast into an accuracy
+        raise ValueError(f"the labels y have shape {np.shape(y)}, not one label per row of x: ({len(x)},)")
     logits = _core_logits(model, x, arch, cat, ((s, seed) for seed in range(n_seeds) for s in sigmas))
     # next() inside the call: each trial's logits are freed once its accuracy is taken.
     accs = [_accuracy(next(logits), y) for _ in range(n_seeds * len(sigmas))]

@@ -168,14 +168,14 @@ class TestRobustnessTable:
         (row,) = robustness_table(model, tx, ty, ARCH, CAT, [0.0], n_seeds=3)
         assert row["std_accuracy"] == 0.0
 
-    @pytest.mark.parametrize("n_labels", [1, 63, 65])
-    def test_labels_not_matching_the_test_set_rejected(self, n_labels):
-        # A length-1 y would broadcast against all 64 rows into an accuracy.
+    @pytest.mark.parametrize("shape", [(1,), (63,), (65,), (64, 1)])
+    def test_labels_not_matching_the_test_set_rejected(self, shape):
+        # A y of shape (1,) or (64, 1) would broadcast against the 64 rows into an accuracy.
         model = study_model((8, 13, 7, 4))
         tx, ty = study_set((8, 13, 7, 4))
-        ty = np.resize(ty, n_labels)
-        message = f"^the labels y hold {n_labels} entries for the 64 rows of x$"
-        with pytest.raises(ValueError, match=message):
+        ty = np.resize(ty, shape)
+        message = f"the labels y have shape {shape}, not one label per row of x: (64,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             robustness_table(model, tx, ty, ARCH, CAT, [0.0, 0.02], n_seeds=2)
 
     def test_invalid_seed_count_rejected(self):
