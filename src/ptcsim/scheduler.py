@@ -351,6 +351,7 @@ def _engine_rows(
                 blk *= params.alpha
                 n = normals[r0 + b0 : r0 + b0 + len(blk)] if drawn else normals.standard_normal(blk.shape)
                 np.clip(apply_noise(blk, n, sigma, out=blk), -1.0, 1.0, out=blk)
+                del n  # the last block's draws are not kept alive across the yield
         yield oe
 
 
