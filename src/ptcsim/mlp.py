@@ -283,12 +283,13 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     0's input codes, as the same x is every trial's input.  Consecutive
     trials with one seed form a group, which runs breadth first: all its
     trials go through layer i before any goes to layer i + 1, each keeping
-    its activation between layers as int8 codes, scaled, rescaled, biased,
-    ReLU'd and quantized in place in its product's buffer.  Layer i's noise
-    does not depend on sigma, so the layer draws x's and y's standard
-    normals once per group, from fresh stream-0 and stream-1 generators,
-    every sigma scales those same draws, and the draws are freed before the
-    next layer's.  A group's trials are yielded, in order, when it completes.
+    its activation between layers as int8 codes: the product's buffer is
+    rescaled, biased, ReLU'd, scaled into [-1, 1] and quantized in place.
+    Layer i's noise does not depend on sigma, so the layer draws x's and
+    y's standard normals once per group, from fresh stream-0 and stream-1
+    generators, every sigma scales those same draws, and the draws are freed
+    before the next layer's.  A group's trials are yielded, in order, when
+    it completes.
     A trial with sigma = 0 runs once; later ones yield its logits again (the
     same array).
     """

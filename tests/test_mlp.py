@@ -381,7 +381,7 @@ class TestStudyPass:
         # draws, a float activation between layers, or a second (M, Q)
         # buffer per product would pass the tracemalloc peak of the pass
         # that runs each seed's trials through the layers together (265032
-        # bytes with numpy 2.4.6; the per-trial pass before it took 294996).
+        # bytes with numpy 2.4.6).
         sizes = (8, 32, 32, 4)
         model = study_model(sizes)
         tx, ty = make_blobs(256, sizes[0], sizes[-1], seed=111)
