@@ -6,7 +6,7 @@ import json
 import math
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -41,8 +41,15 @@ CUSTOM = load_builtin_catalog("custom-sl")
 FOUNDRY = load_builtin_catalog("foundry")
 ARCH = ArchConfig()
 #: SHA-256 of json.dumps(cost_report(...).to_dict()) at 120 points: the three
-#: builtin catalogs x five archs x both topologies, conventions and memory.
+#: builtin catalogs x five archs x both topologies, conventions and memory;
+#: then one SHA-256 over every report of a K and T sweep grid.
 PINNED_REPORTS = gen_cost_report_sha256.PINNED
+
+
+def pinned_cases():
+    """The pinned cases: the 120 report cases, then the sweep grid's."""
+    *reports, grid = json.loads(PINNED_REPORTS.read_text())
+    return reports, grid
 
 
 def unchecked_report(arch, cat, include_memory=False, convention="peak", topology="embedded_uneven"):
@@ -250,7 +257,7 @@ class TestCostReport:
         """Every float of a report is pinned: a change to any formula, or to
         the order of its operations, changes some digest."""
         changed = []
-        for case in json.loads(PINNED_REPORTS.read_text()):
+        for case in pinned_cases()[0]:
             r = cost_report(
                 ArchConfig(**case["arch"]), load_builtin_catalog(case["variant"]),
                 include_memory=case["include_memory"], convention=case["convention"], topology=case["topology"],
@@ -258,6 +265,10 @@ class TestCostReport:
             if hashlib.sha256(json.dumps(r.to_dict()).encode()).hexdigest() != case["sha256"]:
                 changed.append({k: v for k, v in case.items() if k != "sha256"})
         assert changed == []
+
+    def test_sweep_grid_matches_pinned_digest(self):
+        # Every report of the grid's K and T sweeps, byte for byte.
+        assert gen_cost_report_sha256.sweep_grid() == pinned_cases()[1]
 
     def test_generator_reproduces_the_pinned_file(self):
         # The cases and digests the generator computes are the file, byte for byte.
@@ -394,6 +405,10 @@ class TestSweep:
                 assert r.to_dict() == expected
                 assert json.dumps(r.to_dict()) == json.dumps(expected)
 
+    def test_arch_fields_are_positional(self):
+        # sweep builds each point from the template's init-field values by position.
+        assert [f.name for f in fields(ArchConfig) if f.init and f.kw_only] == []
+
     @pytest.mark.parametrize("axis, value", [("K", 2.5), ("K", True), ("K", "8"), ("T", 60.9), ("T", False),
                                              ("T", "60"), ("K", np.float64(8.0)), ("T", None)])
     def test_non_integer_value_rejected_by_name(self, axis, value):
@@ -473,7 +488,7 @@ class TestCatalogTerms:
         order = (builtin, changed) if builtin_first else (changed, builtin)
         first, second = (cost_report(ARCH, cat) for cat in order)
         ref, mod = (first, second) if builtin_first else (second, first)
-        (pinned,) = [c["sha256"] for c in json.loads(PINNED_REPORTS.read_text()) if c["variant"] == "custom_sl"
+        (pinned,) = [c["sha256"] for c in pinned_cases()[0] if c["variant"] == "custom_sl"
                      and c["arch"] == {} and not c["include_memory"] and c["convention"] == "peak"
                      and c["topology"] == "embedded_uneven"]
         assert hashlib.sha256(json.dumps(ref.to_dict()).encode()).hexdigest() == pinned
