@@ -30,6 +30,7 @@ import csv
 import io
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -428,21 +429,9 @@ def cost_report(
     if not (tpw < math.inf and tpmm2 < math.inf and total_power + laser_req < math.inf):
         raise ValueError(f"catalog {cat.name!r} prices {tops} TOPS at {total_area} mm^2, {total_power} W on chip "
                          f"and {laser_req} W of laser, outside the float range")
-    return CostReport(
-        variant=cat.name,
-        arch=arch,
-        convention=convention,
-        topology=topology,
-        include_memory=include_memory,
-        area_by_component=area,
-        power_by_component=power,
-        loss=loss,
-        laser_power_required_w=laser_req,
-        laser_power_configured_w=_terms(cat).laser_w,
-        tops=tops,
-        tops_per_w=tpw,
-        tops_per_mm2=tpmm2,
-    )
+    # Positional: keywords cost about twice as much per report, and a sweep builds one per point.
+    return CostReport(cat.name, arch, convention, topology, include_memory, area, power, loss, laser_req,
+                      _terms(cat).laser_w, tops, tpw, tpmm2)
 
 
 #: The catalog fields each component of area_estimate and power_estimate is
@@ -490,20 +479,25 @@ def sweep(
     arch: ArchConfig,
     catalogs: dict[str, CatalogVariant],
     axis: str,
-    values: list,
+    values: Iterable,
     include_memory: bool = False,
     convention: str = "peak",
     topology: str = "embedded_uneven",
 ) -> list[CostReport]:
     """A cost report for each point along one axis: 'K', 'T', or 'variant'.
 
-    For 'variant', values are catalog names looked up in ``catalogs``; 'K'
-    and 'T' price the one catalog ``catalogs`` must hold, and each value must
-    be an int or a numpy integer.  Every point's ArchConfig is built, and so
-    checked, here, from the template's field values with the swept field
-    replaced: it rejects a bool, float or str by field name.  Raises
-    ValueError, as cost_report does, at the first point it cannot price.
+    ``values`` may be any iterable, a numpy array too; it is read once, as
+    a list.  For 'variant', values are catalog names looked up in
+    ``catalogs``; 'K' and 'T' price the one catalog ``catalogs`` must hold,
+    and each value must be an int or a numpy integer.  Every point's
+    ArchConfig is built, and so checked, here, before any is priced: the
+    template's init-field values are read once, as a list, and each point
+    is ``type(arch)(*values)`` with the swept field's entry replaced, so
+    ArchConfig rejects a bool, float or str by field name.  Each point is
+    then one cost_report call.  Raises ValueError, as cost_report does, at
+    the first point it cannot price.
     """
+    values = list(values)
     if not values:
         raise ValueError("sweep requires at least one value")
     if axis not in ("K", "T", "variant"):
@@ -518,16 +512,16 @@ def sweep(
         if len(catalogs) != 1:
             raise ValueError(f"a {axis} sweep prices exactly one catalog, got {len(catalogs)}")
         (cat,) = catalogs.values()
-        template = {f.name: getattr(arch, f.name) for f in fields(arch) if f.init}
-        field = "k" if axis == "K" else "t_int"
-        points = [
-            (type(arch)(**{**template, field: v}), cat)
-            for v in (int(u) if isinstance(u, numbers.Integral) and not isinstance(u, bool) else u for u in values)
-        ]
-    return [
-        cost_report(point, cat, include_memory=include_memory, convention=convention, topology=topology)
-        for point, cat in points
-    ]
+        names = [f.name for f in fields(arch) if f.init]
+        row = [getattr(arch, name) for name in names]
+        swept = names.index("k" if axis == "K" else "t_int")
+        points = []
+        for v in values:
+            if type(v) is not int and isinstance(v, numbers.Integral) and not isinstance(v, bool):
+                v = int(v)
+            row[swept] = v
+            points.append((type(arch)(*row), cat))
+    return [cost_report(point, cat, include_memory, convention, topology) for point, cat in points]
 
 
 def report_to_text(report: CostReport) -> str:

@@ -366,6 +366,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(ARCH, {"custom_sl": CUSTOM}, "K", [])
 
+    @pytest.mark.parametrize("values", [np.arange(2, 65), range(2, 65), (k for k in range(2, 65))],
+                             ids=["array", "range", "generator"])
+    def test_any_iterable_of_values_is_the_list_sweep(self, values):
+        want = sweep(ARCH, {"custom_sl": CUSTOM}, "K", list(range(2, 65)))
+        got = sweep(ARCH, {"custom_sl": CUSTOM}, "K", values)
+        assert got == want
+        assert [json.dumps(r.to_dict()) for r in got] == [json.dumps(r.to_dict()) for r in want]
+
+    @pytest.mark.parametrize("values, message", [
+        (np.array([], dtype=int), "sweep requires at least one value"), (np.array([0]), "k must be >= 1, got 0"),
+    ], ids=["empty", "zero"])
+    def test_bad_array_values_rejected_by_name(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(ARCH, {"custom_sl": CUSTOM}, "K", values)
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             sweep(ARCH, {"custom_sl": CUSTOM}, "f", [1])
