@@ -290,8 +290,8 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     generators, every sigma scales those same draws, and the draws are freed
     before the next layer's.  A group's trials are yielded, in order, when
     it completes.
-    A trial with sigma = 0 runs once; later ones yield its logits again (the
-    same array).
+    A trial with sigma = 0 runs once per study, and each other sigma once per
+    group; their repeats yield the same array again.
     """
     _check_widths(arch, "quantized+noise")
     engine_config_for(arch, cat)
@@ -303,8 +303,11 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
         sigmas = [sigma for sigma, _ in group]
         for sigma in sigmas:
             NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed
-        # The trials that run: the study's first noise-free one, then every noisy one.
-        run = [0.0] * (clean is None and 0.0 in sigmas) + [sigma for sigma in sigmas if sigma != 0.0]
+        # The trials that run: the study's first noise-free one, then each distinct noisy sigma.
+        run = [0.0] * (clean is None and 0.0 in sigmas)
+        for sigma in sigmas:
+            if sigma != 0.0 and sigma not in run:
+                run.append(sigma)
         if x0 is None and run:
             h, sx = _encodable(x, "x")
             layers.append(_ChainLayer(h, model.weights[0], arch))
@@ -333,9 +336,9 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
             del normals, h  # before the next layer draws
         if run[:1] == [0.0]:
             clean = acts.pop(0)
-        acts.reverse()
+            del run[0]
         for sigma in sigmas:
-            yield acts.pop() if sigma != 0.0 else clean
+            yield clean if sigma == 0.0 else acts[run.index(sigma)]
 
 
 def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:

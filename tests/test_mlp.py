@@ -330,6 +330,15 @@ class TestStudyPass:
             want = oracle_forward_via_core(model, tx, arch, CAT, sigma, seed)
             assert logits.tobytes() == want.tobytes(), (sigma, seed)
         assert got[1] is got[6]  # the noise-free trial ran once
+        assert got[0] is got[2] and got[4] is got[5]  # and a sigma once per group
+
+    def test_repeated_sigma_runs_once_per_group(self, monkeypatch):
+        model = study_model((8, 32, 32, 4))
+        tx, ty = study_set((8, 32, 32, 4))
+        want = oracle_robustness_table(model, tx, ty, ARCH, CAT, [0.02, 0.02], 1)
+        passes = count_calls(monkeypatch, mlp, "_product")
+        assert robustness_table(model, tx, ty, ARCH, CAT, [0.02, 0.02], 1) == want
+        assert len(passes) == 3  # one trial through 3 layers
 
     def test_draws_once_per_seed_layer_and_stream(self, monkeypatch):
         # The bench's study, seed-major: 5 seeds x 3 layers x 2 streams.
