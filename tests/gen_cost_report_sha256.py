@@ -16,8 +16,8 @@ Run from the repository root after a change that is meant to move them:
     PYTHONPATH=src python tests/gen_cost_report_sha256.py
 
 tests/test_costs.py::TestCostReport compares the current reports and sweep
-grid with the file, names every case that moved, and checks that this script reproduces
-the file byte for byte.
+grid with the file, names every report case that moved, and checks that
+this script reproduces the file byte for byte.
 """
 
 import hashlib
