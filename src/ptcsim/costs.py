@@ -429,7 +429,7 @@ def cost_report(
     if not (tpw < math.inf and tpmm2 < math.inf and total_power + laser_req < math.inf):
         raise ValueError(f"catalog {cat.name!r} prices {tops} TOPS at {total_area} mm^2, {total_power} W on chip "
                          f"and {laser_req} W of laser, outside the float range")
-    # Positional: keywords cost about twice as much per report, and a sweep builds one per point.
+    # Positional, as 13 keywords cost more to bind, and a sweep builds one report per point.
     return CostReport(cat.name, arch, convention, topology, include_memory, area, power, loss, laser_req,
                       _terms(cat).laser_w, tops, tpw, tpmm2)
 
