@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +210,21 @@ for (s, seed), z in zip(trials, mlp._core_logits(model, x, arch, cat, trials), s
 assert robustness_table(model, x, y, arch, cat, sigmas, 3) == oracle_robustness_table(model, x, y, arch, cat, sigmas, 3)
 print("ok")
 """
+#: The tracemalloc peak of the bench's study, after a warm-up call that
+#: makes the first-call allocations, as the bench's warm-up does.
+STUDY_PEAK = """
+import tracemalloc
+from ptcsim import ArchConfig, MlpConfig, TinyMlp, load_builtin_catalog, make_blobs, robustness_table, train
+cat, arch = load_builtin_catalog("custom-sl"), ArchConfig(r_tiles=2, c_cores=3, k=8)
+sizes = {sizes}
+model = TinyMlp(MlpConfig(layer_sizes=sizes, epochs=5))
+train(model, *make_blobs(512, sizes[0], sizes[-1], seed=0))
+x, y = make_blobs({m}, sizes[0], sizes[-1], seed=111)
+robustness_table(model, x, y, arch, cat, {sigmas}, 5)
+tracemalloc.start()
+robustness_table(model, x, y, arch, cat, {sigmas}, 5)
+print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,23 +400,26 @@ class TestStudyPass:
         )
 
     def test_study_peak_memory_stays_within_the_per_trial_pass(self):
-        # The bench's study: a layer's draws kept alive while the next layer
-        # draws, a float activation between layers, or a second (M, Q)
-        # buffer per product would pass the tracemalloc peak of the pass
-        # that runs each seed's trials through the layers together (265032
-        # bytes with numpy 2.4.6).
-        sizes = (8, 32, 32, 4)
-        model = study_model(sizes)
-        tx, ty = make_blobs(256, sizes[0], sizes[-1], seed=111)
-        sigmas = [0.0, 0.0031, 0.02, 0.04, 0.08]
-        robustness_table(model, tx, ty, ARCH, CAT, sigmas, 5)  # first-call allocations, as the bench's warm-up
-        tracemalloc.start()
-        try:
-            robustness_table(model, tx, ty, ARCH, CAT, sigmas, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 265032
+        # The bench's study, in a fresh interpreter so that the tests run
+        # before it cannot move the peak.  Its peak is layer 1's product in
+        # a group of five trials; the pass then holds only these arrays:
+        m, sizes, sigmas = 256, (8, 32, 32, 4), [0.0, 0.0031, 0.02, 0.04, 0.08]
+        n0, n1, n2, _ = sizes
+        arrays = (
+            2 * (m * n1 + n1 * n2) * 8  # layer 1's draws of x and y, and the perturbed operands in float64
+            + m * n2 * 8  # the product
+            + len(sigmas) * m * n1  # each trial's int8 input to layer 1 (in later groups, one is the logits)
+            + m * n0 + sum(a * b for a, b in itertools.pairwise(sizes))  # layer 0's input codes, the weight codes
+        )
+        # 12 KiB for the interpreter objects the pass holds besides (7504
+        # bytes with numpy 2.4.6).  Keeping layer 0's draws into layer 1 (18
+        # KiB), a float activation between layers or a second (M, Q) buffer
+        # per product (64 KiB each) exceeds the bound.
+        bound = arrays + 12 * 1024
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(p) for p in (SRC, TESTS))}
+        peak = int(subprocess.run([sys.executable, "-c", STUDY_PEAK.format(sizes=sizes, m=m, sigmas=sigmas)],
+                                  env=env, capture_output=True, text=True, timeout=300, check=True).stdout)
+        assert peak <= bound, (peak, arrays, bound)
 
     def test_trials_equal_oracle_on_one_blas_thread(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(p) for p in (SRC, TESTS)),
