@@ -87,6 +87,13 @@ MODES = ("ideal", "quantized", "quantized+noise", "quantized+noise+adc")
 #: range): far above any machine modeled, and low enough that every count
 #: the cost model derives (R*C*K^2, ...) stays a finite float.
 _ARCH_INT_MAX = 2**31 - 1
+#: Each integer field of ArchConfig with its range.  The bit widths' is the
+#: converter range the catalog allows for rated_bits; _check_widths narrows
+#: it to what each simulator mode can run.
+_ARCH_INT_FIELDS = (
+    ("r_tiles", 1, _ARCH_INT_MAX), ("c_cores", 1, _ARCH_INT_MAX), ("k", 1, _ARCH_INT_MAX), ("t_int", 1, _ARCH_INT_MAX),
+    ("t_rst", 0, _ARCH_INT_MAX), ("bits_in", *CONVERTER_BITS), ("bits_out", *CONVERTER_BITS),
+)
 #: The fastest clock, 1 PHz, past the optical carrier (194 THz at 1550 nm):
 #: with a builtin catalog, every rate and power the cost model derives is finite.
 _CLOCK_HZ_MAX = 1e15
@@ -108,30 +115,13 @@ class ArchConfig:
     bits_out: int = 6
 
     def __post_init__(self):
-        # type(v) is int rejects bool too.  One chained test keeps the common
-        # case cheap: the cost model builds an ArchConfig per sweep point.
-        if not (
-            type(self.r_tiles) is type(self.c_cores) is type(self.k) is type(self.t_int)
-            is type(self.t_rst) is type(self.bits_in) is type(self.bits_out) is int
-        ):
-            for name in ("r_tiles", "c_cores", "k", "t_int", "t_rst", "bits_in", "bits_out"):
-                if type(getattr(self, name)) is not int:
-                    raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if min(self.r_tiles, self.c_cores, self.k, self.t_int) < 1 or self.t_rst < 0:
-            for name, low in (("r_tiles", 1), ("c_cores", 1), ("k", 1), ("t_int", 1), ("t_rst", 0)):
-                if getattr(self, name) < low:
-                    raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if max(self.r_tiles, self.c_cores, self.k, self.t_int, self.t_rst) > _ARCH_INT_MAX:
-            for name in ("r_tiles", "c_cores", "k", "t_int", "t_rst"):
-                if getattr(self, name) > _ARCH_INT_MAX:
-                    raise ValueError(f"{name} must be <= {_ARCH_INT_MAX}, got {getattr(self, name)}")
-        # The converter range the catalog allows for rated_bits; _check_widths
-        # narrows it to what each simulator mode can run.
-        lo, hi = CONVERTER_BITS
-        if not (lo <= self.bits_in <= hi and lo <= self.bits_out <= hi):
-            for name in ("bits_in", "bits_out"):
-                if not lo <= getattr(self, name) <= hi:
-                    raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
+        for name, low, high in _ARCH_INT_FIELDS:
+            v = getattr(self, name)
+            if type(v) is not int:  # rejects bool too
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if not low <= v <= high:
+                bound = f"in [{low}, {high}]" if high != _ARCH_INT_MAX else (f">= {low}" if v < low else f"<= {high}")
+                raise ValueError(f"{name} must be {bound}, got {v}")
         if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
             raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
         if not _CLOCK_HZ_MIN <= self.clock_hz <= _CLOCK_HZ_MAX:  # NaN, and an int past the float range, too
