@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -161,7 +162,7 @@ class DeviceSpec:
                 if type(v) is not int:  # rejects bool too
                     raise CatalogError(f"device {self.name!r}: {name} must be an integer, got {v!r}")
             elif isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-                math.isfinite(v) or v == high == math.inf
+                abs(v) <= sys.float_info.max or v == high == math.inf  # NaN, and an int past the float range, fail
             ):
                 raise CatalogError(f"device {self.name!r}: {name} must be a finite number, got {v!r}")
             if not (v > low if strict else v >= low) or (high is not None and v > high):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ class MlpConfig:
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         v = self.train_sigma
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
             raise ValueError(f"train_sigma must be a finite number, got {v!r}")
         for name, low in (("bits", QUANTIZER_BITS[0]), ("epochs", 1), ("seed", 0), ("train_sigma", 0)):
             if getattr(self, name) < low:

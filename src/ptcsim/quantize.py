@@ -14,6 +14,7 @@ positive peak clips to code 2^(b-1) - 1, a gain error of -1/2^(b-1) (-3.1% at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,10 @@ class QuantizerParams:
     def __post_init__(self):
         if not type(self.alpha) is type(self.zero_point) is float:
             for name in ("alpha", "zero_point"):
-                v = np.asarray(getattr(self, name), dtype=float)
+                try:
+                    v = np.asarray(getattr(self, name), dtype=float)
+                except OverflowError:  # an int past the float range
+                    raise ValueError(f"{name} must be finite, got an integer past the float range") from None
                 if v.size != 1:
                     raise ValueError(f"{name} must be one number (the quantizer is per-tensor), got {v.size} values")
                 object.__setattr__(self, name, v.item())
@@ -144,11 +148,12 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        # type(v) is int rejects bool too; NaN fails the chained comparison.
+        # type(v) is int rejects bool too; NaN, and an int past the float range, fail the chained comparison.
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float)) or not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        s = self.sigma
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 <= s <= sys.float_info.max:
+            raise ValueError(f"sigma must be finite and >= 0, got {s!r}")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])

@@ -151,6 +151,9 @@ class TestDeviceSpec:
             ("laser", "power_w", math.nan, "must be a finite number"),
             ("laser", "power_w", math.inf, "must be a finite number"),
             ("crossing", "insertion_loss_db", -math.inf, "must be a finite number"),
+            pytest.param("laser", "power_w", 10**400, "must be a finite number", id="laser-power_w-10**400"),
+            pytest.param("crossing", "insertion_loss_db", -10**400, "must be a finite number",
+                         id="crossing-insertion_loss_db--10**400"),
             ("slmzm", "extinction_ratio_db", math.nan, "must be a finite number"),
             ("slmzm", "extinction_ratio_db", -math.inf, "must be a finite number"),
             ("photodetector", "dark_current_a", [1e-9], "must be a finite number"),

@@ -330,6 +330,9 @@ class TestRobustness:
             ({"bits": "6"}, "bits must be an integer"),
             ({"sigma_train": "0.01"}, "train_sigma must be a finite number"),
             ({"sigma_train": float("nan")}, "train_sigma must be a finite number"),
+            pytest.param({"sigma_train": 10**400}, "train_sigma must be a finite number", id="sigma_train-10**400"),
+            pytest.param({"sigmas_eval": [0.0, 10**400], "epochs": 1}, "sigmas_eval must be a list of finite numbers",
+                         id="sigmas_eval-10**400"),
             ({"catalog": 3}, "catalog must be a catalog name"),
             ({"trials": 0, "epochs": 1}, "trials must be >= 1"),
             ({"bits": 1, "epochs": 1}, "bits must be >= 2"),
@@ -445,6 +448,8 @@ class TestCatalogValidate:
              "power_w must be a finite number, got 'abc'"),
             ('{"variant": "foundry", "devices": [{"kind": "laser", "name": "l", "power_w": NaN}]}',
              "power_w must be a finite number, got nan"),
+            ('{"variant": "foundry", "devices": [{"kind": "laser", "name": "l", "power_w": 1%s}]}' % ("0" * 400),
+             "power_w must be a finite number, got 1000"),
             ('{"variant": "foundry", "devices": [{"kind": "dac", "name": "d", "power_w": 0.1, '
              '"rated_frequency_hz": 1e9, "rated_bits": 6.5, "area_um2": 1.0}]}',
              "rated_bits must be an integer, got 6.5"),
@@ -454,7 +459,7 @@ class TestCatalogValidate:
             ('{"variant": "foundry", "devices": [{"kind": "laser", "power_w": 0.1}]}',
              "device entry requires 'kind' and 'name'"),
         ],
-        ids=["top-level-list", "devices-5", "power-abc", "power-nan", "rated-bits-6.5", "truncated",
+        ids=["top-level-list", "devices-5", "power-abc", "power-nan", "power-10**400", "rated-bits-6.5", "truncated",
              "no-variant", "entry-5", "entry-no-name"],
     )
     @pytest.mark.parametrize("command", ["catalog-validate", "cost"])
@@ -861,7 +866,8 @@ _CUSTOM_DOC = json.loads(builtin_catalog_path("custom-sl").read_text())
 #: the values a mutation gives one of them.
 CATALOG_FIELDS = [(i, f) for i, entry in enumerate(_CUSTOM_DOC["devices"]) for f, v in entry.items()
                   if type(v) in (int, float)]
-CATALOG_VALUES = [0, -1, 1e-320, 1e-300, 1e300, 1e308, math.inf, -math.inf, math.nan, True, "abc", 2**31]
+CATALOG_VALUES = [0, -1, 1e-320, 1e-300, 1e300, 1e308, math.inf, -math.inf, math.nan, True, "abc", 2**31,
+                  10**400, -10**400]
 #: Every command that prices or simulates a --catalog file.
 CATALOG_RUNS = [
     ["cost"],

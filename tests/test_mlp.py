@@ -114,6 +114,7 @@ class TestTraining:
             ("seed", None, "seed must be an integer"),
             ("train_sigma", "0.01", "train_sigma must be a finite number"),
             ("train_sigma", float("inf"), "train_sigma must be a finite number"),
+            pytest.param("train_sigma", 10**400, "train_sigma must be a finite number", id="train_sigma-10**400"),
             ("epochs", 0, "epochs must be >= 1"),
             ("epochs", -1, "epochs must be >= 1"),
             ("seed", -1, "seed must be >= 0"),

@@ -130,7 +130,9 @@ class TestQuantizerParams:
         [(0.0, 0.0, "alpha"), (-0.1, 0.0, "alpha"), (0.1, np.inf, "zero_point"),
          (0.1, np.nan, "zero_point"), (np.nan, 0.0, "alpha must be positive and finite, got nan"),
          (np.inf, 0.0, "alpha must be positive and finite, got inf"), (0.1, -0.0, None),
-         ([0.1, 0.1, 0.1], 0.0, "alpha must be one number"), (0.1, [0.0, 0.0], "zero_point must be one number")],
+         ([0.1, 0.1, 0.1], 0.0, "alpha must be one number"), (0.1, [0.0, 0.0], "zero_point must be one number"),
+         pytest.param(10**400, 0.0, "alpha must be finite", id="alpha-10**400"),
+         pytest.param(0.1, -10**400, "zero_point must be finite", id="zero_point--10**400")],
     )
     def test_per_tensor_checks(self, as_array, alpha, z, message):
         # Floats and size-1 arrays are checked alike; the params are
@@ -294,7 +296,7 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(sigma=-0.1)
 
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400")])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             NoiseModel(sigma=sigma)
