@@ -6,13 +6,16 @@ applies, then evaluated by routing every layer's matrix product through the
 behavioral core simulation.  The study output is an accuracy-versus-noise
 table with mean and standard deviation across evaluation seeds.
 
-A study is one pass of _core_logits over its (sigma, seed) trials, run
-seed-major so that all the trials of a seed go through each layer together
-and share that layer's noise draws.  Each trial runs every layer's product
-through the kernel simulate_gemm runs in every mode (scheduler._product),
-without the ADC, then the bias and the ReLU, and the accuracies are
-regrouped into one row per sigma.  forward_via_core is the one-trial case
-of the same pass.
+A study is one pass of _core_logits over its (sigma, seed) trials.  The
+pass first resolves every input: it checks each trial's sigma and seed and
+builds the int8 codes of x and of every layer's weights, so that a bad
+input raises before the first product.  It then runs the trials
+seed-major, so that all the trials of a seed go through each layer
+together and share that layer's noise draws.  Each trial runs every
+layer's product through the kernel simulate_gemm runs in every mode
+(scheduler._product), without the ADC, then the bias and the ReLU, and the
+accuracies are regrouped into one row per sigma.  forward_via_core is the
+one-trial case of the same pass.
 """
 
 from __future__ import annotations
@@ -255,13 +258,14 @@ class _ChainLayer:
 
     That is the weights' scale (sw), quantizer params and int8 codes: the
     weights are scaled into [-1, 1] and quantized once, and validated
-    together with x, the first trial's input to the layer, as GemmWorkload
-    validates the operands of a simulate_gemm call.
+    against the shape of the layer's input, x_shape = (M, n_in), as
+    GemmWorkload validates the operands of a simulate_gemm call.
     """
 
-    def __init__(self, x: np.ndarray, w: np.ndarray, arch: ArchConfig):
+    def __init__(self, shape: tuple, w: np.ndarray, arch: ArchConfig):
         y, self.sw = _encodable(w, "y")
-        GemmWorkload(x, y)
+        GemmWorkload(np.zeros(shape), y)
+        self.x_shape = shape
         self.params = minmax_params(y, arch.bits_in)
         self.codes = _codes(y, self.params)
 
@@ -273,73 +277,66 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     multiplies them through scheduler._product with no ADC readout, as
     simulate_gemm does in quantized+noise mode, with noise NoiseModel(sigma,
     (seed << 8) + i), and undoes both scales; the bias and the ReLU stay
-    digital.  The logits, and the errors raised, are those of one simulate_gemm
-    call per layer and trial, bit for bit, except that a bit width the mode
-    cannot run is rejected first, and every sigma of a group (below) is
-    checked before the group's first product.
+    digital.  The logits, and the errors raised, are those of one
+    simulate_gemm call per layer and trial, bit for bit, except that every
+    error such a call would raise on the study's inputs is raised before the
+    first product.  Only a non-finite hidden activation, which a bias or an
+    overflow can make, is found where it is computed.
 
-    What trials share is done once: the width check and engine_config_for,
-    which runs only for the errors simulate_gemm would raise; each layer's
-    weight scale, validation, quantizer params and int8 codes; and layer
-    0's input codes, as the same x is every trial's input.  Consecutive
-    trials with one seed form a group, which runs breadth first: all its
-    trials go through layer i before any goes to layer i + 1, each keeping
-    its activation between layers as int8 codes: the product's buffer is
-    rescaled, biased, ReLU'd, scaled into [-1, 1] and quantized in place.
-    Layer i's noise does not depend on sigma, so the layer draws x's and
-    y's standard normals once per group, from fresh stream-0 and stream-1
-    generators, every sigma scales those same draws, and the draws are freed
-    before the next layer's.  A group's trials are yielded, in order, when
-    it completes.
-    A trial with sigma = 0 runs once per study, and each other sigma once per
-    group; their repeats yield the same array again.
+    The pass resolves the whole study before it runs any of it: it takes in
+    every trial and checks each (sigma, seed); checks the bit width and runs
+    engine_config_for, which the products do not use, for the errors
+    simulate_gemm would raise; and scales and quantizes into int8 codes,
+    once, each layer's weights, each validated against the shape of the
+    layer's input, (M, n_in), and x, every trial's input to layer 0.
+    Then consecutive trials with one seed form a group, which runs breadth
+    first: all its trials go through layer i before any goes to layer i + 1,
+    each keeping its activation between layers as int8 codes: the product's
+    buffer is rescaled, biased, ReLU'd, scaled into [-1, 1] and quantized in
+    place.  Layer i's noise does not depend on sigma, so the layer draws x's
+    and y's standard normals once per group, from fresh stream-0 and
+    stream-1 generators, every sigma scales those same draws, and the draws
+    are freed before the next layer's.  A group's trials are yielded, in
+    order, when it completes.  One dict holds each trial's input to the
+    running layer, then its logits: a trial with sigma = 0 runs once per
+    study, and each other sigma once per group; their repeats yield the
+    same array again.
     """
     _check_widths(arch, "quantized+noise")
     engine_config_for(arch, cat)
-    last = len(model.weights) - 1
-    layers: list[_ChainLayer] = []
-    x0 = None  # layer 0's input in every trial: (int8 codes, params, scale)
-    clean = None
-    for seed, group in itertools.groupby(trials, key=lambda trial: trial[1]):
-        sigmas = [sigma for sigma, _ in group]
+    groups = [(seed, [sigma for sigma, _ in group]) for seed, group in itertools.groupby(trials, key=lambda t: t[1])]
+    for seed, sigmas in groups:
         for sigma in sigmas:
             NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed
-        # The trials that run: the study's first noise-free one, then each distinct noisy sigma.
-        run = [0.0] * (clean is None and 0.0 in sigmas)
-        for sigma in sigmas:
-            if sigma != 0.0 and sigma not in run:
-                run.append(sigma)
-        if x0 is None and run:
-            h, sx = _encodable(x, "x")
-            layers.append(_ChainLayer(h, model.weights[0], arch))
-            px = minmax_params(h, arch.bits_in)
-            x0 = _codes(h, px), px, sx
-        acts = [x0] * len(run)  # each run trial's input to the layer: (int8 codes, params, scale)
-        for i, b in enumerate(model.biases if run else ()):
-            layer = layers[i]
-            normals = None
+    layers, shape = [], np.shape(x)
+    for w in model.weights:
+        layers.append(_ChainLayer(shape, w, arch))
+        shape = shape[0], layers[-1].codes.shape[1]
+    h, sx = _encodable(x, "x")
+    px = minmax_params(h, arch.bits_in)
+    x0 = _codes(h, px, out=h), px, sx  # layer 0's input in every trial
+    logits = {}  # sigma -> its trial's input to the running layer, then its logits
+    for seed, sigmas in groups:
+        logits = {sigma: z for sigma, z in logits.items() if not sigma}  # sigma = 0's is kept for the study
+        run = [sigma for sigma in dict.fromkeys(sigmas) if sigma not in logits]
+        logits.update(dict.fromkeys(run, x0))
+        for i, (layer, b) in enumerate(zip(layers, model.biases)):
             if any(run):
-                nm = NoiseModel(seed=(seed << 8) + i)
-                normals = nm.rng(0).standard_normal(acts[0][0].shape), nm.rng(1).standard_normal(layer.codes.shape)
-            for k, sigma in enumerate(run):
-                h, px, sx = acts[k]
+                rng = NoiseModel(seed=(seed << 8) + i).rng
+                normals = rng(0).standard_normal(layer.x_shape), rng(1).standard_normal(layer.codes.shape)
+            for sigma in run:
+                h, px, sx = logits[sigma]
                 h = _product(h, layer.codes, px, layer.params, (sigma, *normals) if sigma else None, None)
                 h *= sx * layer.sw
                 h += b
-                if i != last:
-                    np.maximum(h, 0.0, out=h)
-                    h, sx = _encodable(h, "x", out=h)
-                    if i + 1 == len(layers):
-                        layers.append(_ChainLayer(h, model.weights[i + 1], arch))
+                if layer is not layers[-1]:
+                    h, sx = _encodable(np.maximum(h, 0.0, out=h), "x", out=h)
                     px = minmax_params(h, arch.bits_in)
                     h = _codes(h, px, out=h), px, sx
-                acts[k] = h
-            del normals, h  # before the next layer draws
-        if run[:1] == [0.0]:
-            clean = acts.pop(0)
-            del run[0]
+                logits[sigma] = h
+            normals = None  # freed before the next layer draws
         for sigma in sigmas:
-            yield clean if sigma == 0.0 else acts[run.index(sigma)]
+            yield logits[sigma]
 
 
 def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:

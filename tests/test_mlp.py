@@ -384,6 +384,26 @@ class TestStudyPass:
             list(mlp._core_logits(model, tx, ARCH, CAT, [(0.02, 0), (0.0, 0), (-0.01, 0)]))
         assert not passes
 
+    def test_study_resolves_before_its_first_product(self, monkeypatch):
+        # A bad sigma in a later seed group, and a bad weight in the last
+        # layer, raise before the first group's first product.
+        model = study_model((8, 13, 7, 4))
+        tx, _ = study_set((8, 13, 7, 4))
+        passes = count_calls(monkeypatch, mlp, "_product")
+        with pytest.raises(ValueError, match=r"^sigma must be finite and >= 0, got -0\.01$"):
+            list(mlp._core_logits(model, tx, ARCH, CAT, [(0.02, 0), (0.0, 1), (-0.01, 1)]))
+        assert not passes
+        tx, ty = study_set(MlpConfig().layer_sizes)
+        nan = TinyMlp(MlpConfig()).weights[2]
+        nan[3, 1] = np.nan
+        for w, message in ((nan, "operand y has non-finite entries"),
+                           (np.full((8, 4), 0.5), "inner dimensions disagree: (64, 32) x (8, 4)")):
+            model = TinyMlp(MlpConfig())
+            model.weights[2] = w
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                robustness_table(model, tx, ty, ARCH, CAT, [0.0, 0.02], 2)
+            assert not passes
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(sigmas=st.lists(st.sampled_from([0.0, 0.0031, 0.02, 0.08]), min_size=1, max_size=6),
            n_seeds=st.integers(1, 4))
