@@ -432,12 +432,12 @@ class TestStudyPass:
             + len(sigmas) * m * n1  # each trial's int8 input to layer 1 (in later groups, one is the logits)
             + m * n0 + sum(a * b for a, b in itertools.pairwise(sizes))  # layer 0's input codes, the weight codes
         )
-        # 12 KiB for the interpreter objects the pass holds besides (7504
-        # bytes with numpy 2.4.6).  Keeping layer 0's draws into layer 1 (18
+        # 12 KiB for the interpreter objects the pass holds besides (about
+        # 8 KiB with numpy 2.4.6).  Keeping layer 0's draws into layer 1 (18
         # KiB), a float activation between layers or a second (M, Q) buffer
         # per product (64 KiB each) exceeds the bound.
         bound = arrays + 12 * 1024
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(p) for p in (SRC, TESTS))}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         peak = int(subprocess.run([sys.executable, "-c", STUDY_PEAK.format(sizes=sizes, m=m, sigmas=sigmas)],
                                   env=env, capture_output=True, text=True, timeout=300, check=True).stdout)
         assert peak <= bound, (peak, arrays, bound)
