@@ -2,8 +2,8 @@
 
 Each command runs in two steps.  The resolve step turns every input into the
 object that checks it (ArchConfig, the device catalog, GemmWorkload,
-NoiseModel, MlpConfig, every sweep point, the simulator's EngineConfig, the
-cost model's prices, each a finite float) before any work; the run step does
+NoiseModel, MlpConfig, every sweep point, the simulator's readout, the cost
+model's prices, each a finite float) before any work; the run step does
 the work and writes the reports.  Exit codes: 0 success, 1 an error while
 running, 2 bad input: any error of the resolve step, reported on one `error:`
 line before anything is written.
@@ -38,7 +38,7 @@ from .costs import (
 )
 from .mlp import MlpConfig, TinyMlp, make_blobs, robustness_table, train
 from .quantize import NoiseModel
-from .scheduler import MODES, ArchConfig, GemmWorkload, _check_widths, engine_config_for, simulate_gemm
+from .scheduler import MODES, ArchConfig, GemmWorkload, _readout, simulate_gemm
 
 _SCHEMA_VERSION = 1
 _VARIANTS = tuple(name.replace("_", "-") for name in _VARIANT_NAMES)
@@ -193,8 +193,7 @@ def _cmd_simulate(args):
     cat = _catalog_from_args(args)
     work = _parse_workload(args.workload)
     nm = NoiseModel(sigma=args.sigma, seed=args.seed)
-    _check_widths(arch, args.mode)
-    engine_config_for(arch, cat)
+    _readout(arch, cat, args.mode)
 
     def run() -> int:
         z_hat, stats = simulate_gemm(work, arch, cat, nm=nm, mode=args.mode)
@@ -316,8 +315,7 @@ def _cmd_robustness(args):
         epochs=cfg_file.get("epochs", MlpConfig.epochs),
         seed=cfg_file.get("seed", args.seed),
     )
-    _check_widths(arch, "quantized+noise")  # the core's mode
-    engine_config_for(arch, cat)
+    _readout(arch, cat, "quantized+noise")  # the core's mode
     if "sigmas_eval" in cfg_file:
         sigmas = _noise_levels(cfg_file["sigmas_eval"], "sigmas_eval")
     else:

@@ -9,9 +9,8 @@ size_capacitor sets the integrator so that a full-scale ramp, C cores at
 unit product for T cycles, lands exactly on the rail.  With that sizing the
 readout scale cancels, so the scheduler's one kernel (_product) reads the
 ADC in units of the product, on a rail of C*T products: the laser, the
-loss chain, the responsivity and the ER do not reach the simulated z_hat.  They set
-SimStats.normalization_v and the resolve checks of
-scheduler.engine_config_for only.
+loss chain, the responsivity and the ER do not reach the simulated z_hat or
+SimStats.  They set the resolve checks of scheduler.engine_config_for only.
 
 Field amplitudes are complex numbers in sqrt(W), so |E|^2 is optical power in
 watts and detected currents come out in amperes.

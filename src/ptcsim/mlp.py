@@ -40,10 +40,9 @@ from .quantize import (
 from .scheduler import (
     ArchConfig,
     GemmWorkload,
-    _check_widths,
     _product,
+    _readout,
     _real,
-    engine_config_for,
     simulate_gemm,  # noqa: F401  (unused here; bench/test_bench.py rebinds mlp.simulate_gemm)
 )
 
@@ -283,10 +282,10 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     first product.  Only a non-finite hidden activation, which a bias or an
     overflow can make, is found where it is computed.
 
-    The pass resolves the whole study before it runs any of it: it takes in
-    every trial and checks each (sigma, seed); checks the bit width and runs
-    engine_config_for, which the products do not use, for the errors
-    simulate_gemm would raise; and scales and quantizes into int8 codes,
+    The pass resolves the whole study before it runs any of it: it makes
+    simulate_gemm's one resolve call, scheduler._readout, for the readout of
+    quantized+noise mode (None) and the errors it raises; takes in every
+    trial and checks each (sigma, seed); and scales and quantizes into int8 codes,
     once, each layer's weights, each validated against the shape of the
     layer's input, (M, n_in), and x, every trial's input to layer 0.
     Then consecutive trials with one seed form a group, which runs breadth
@@ -302,8 +301,7 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     study, and each other sigma once per group; their repeats yield the
     same array again.
     """
-    _check_widths(arch, "quantized+noise")
-    engine_config_for(arch, cat)
+    readout = _readout(arch, cat, "quantized+noise")
     groups = [(seed, [sigma for sigma, _ in group]) for seed, group in itertools.groupby(trials, key=lambda t: t[1])]
     for seed, sigmas in groups:
         for sigma in sigmas:
@@ -326,7 +324,7 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
                 normals = rng(0).standard_normal(layer.x_shape), rng(1).standard_normal(layer.codes.shape)
             for sigma in run:
                 h, px, sx = logits[sigma]
-                h = _product(h, layer.codes, px, layer.params, (sigma, *normals) if sigma else None, None)
+                h = _product(h, layer.codes, px, layer.params, (sigma, *normals) if sigma else None, readout)
                 h *= sx * layer.sw
                 h += b
                 if layer is not layers[-1]:

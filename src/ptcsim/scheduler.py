@@ -40,8 +40,9 @@ full-scale ramp, C*T unit products, lands exactly on the rail; no operand
 passes 1, so no readout passes the rail and nothing is clamped.  That
 ramp is why the ADC reads in product units: the laser, the loss chain, the
 responsivity and the ER scale the readout and its rail alike, so they do
-not reach z_hat.  They set SimStats.normalization_v and the errors
-engine_config_for raises, and nothing else; no kernel takes them.
+not reach z_hat or SimStats.  They reach only the errors
+engine_config_for raises, which _readout, the one resolve call of every
+simulator entry point, passes on; no kernel takes them.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ MODES = ("ideal", "quantized", "quantized+noise", "quantized+noise+adc")
 #: the cost model derives (R*C*K^2, ...) stays a finite float.
 _ARCH_INT_MAX = 2**31 - 1
 #: Each integer field of ArchConfig with its range.  The bit widths' is the
-#: converter range the catalog allows for rated_bits; _check_widths narrows
+#: converter range the catalog allows for rated_bits; _readout narrows
 #: it to what each simulator mode can run.
 _ARCH_INT_FIELDS = (
     ("r_tiles", 1, _ARCH_INT_MAX), ("c_cores", 1, _ARCH_INT_MAX), ("k", 1, _ARCH_INT_MAX), ("t_int", 1, _ARCH_INT_MAX),
@@ -224,7 +225,7 @@ class SimStats:
     saturation_events is always 0: engine_config_for sizes the capacitor so
     that no input reaches the rail.  The field stays because the CLI summary
     and the benchmark's span counters (bench/spans.py) read it.  No field
-    depends on the BLAS kernel or its thread count.
+    depends on the catalog, the BLAS kernel or its thread count.
     """
 
     mode: str
@@ -232,7 +233,6 @@ class SimStats:
     reset_cycles: int
     readouts: int
     saturation_events: int
-    normalization_v: float
     alpha_x: float
     alpha_y: float
     schedule: Schedule
@@ -345,11 +345,13 @@ def _engine_rows(
         yield oe
 
 
-def _check_widths(arch: ArchConfig, mode: str) -> None:
-    """Reject a mode, or a bit width the mode uses, the engine cannot run, before any work.
+def _readout(arch: ArchConfig, cat: CatalogVariant, mode: str) -> tuple[int, int] | None:
+    """Resolve a run of mode on arch and cat, before any work: the readout _product takes.
 
-    The ranges are the quantizer's and the ADC's, narrower than ArchConfig's
-    CONVERTER_BITS.
+    That is (C*T, bits_out), an epoch's rows and the ADC's width, in the ADC
+    mode, else None.  Raises for a mode, or a bit width the mode uses, the
+    engine cannot run (the quantizer's and the ADC's ranges, narrower than
+    ArchConfig's CONVERTER_BITS), and for what engine_config_for rejects.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; options: {MODES}")
@@ -359,6 +361,8 @@ def _check_widths(arch: ArchConfig, mode: str) -> None:
     ):
         if used and not lo <= getattr(arch, name) <= hi:
             raise ValueError(f"{name} must be in [{lo}, {hi}] in mode {mode!r}, got {getattr(arch, name)}")
+    engine_config_for(arch, cat)
+    return (arch.c_cores * arch.t_int, arch.bits_out) if mode == "quantized+noise+adc" else None
 
 
 #: Rows of y the linear modes multiply at a time, whatever the machine.  Any
@@ -435,9 +439,8 @@ def simulate_gemm(
     modes add the multiplicative Gaussian perturbation after quantization,
     and the adc mode digitizes every integrator readout at bits_out.
     """
-    _check_widths(arch, mode)
+    adc = _readout(arch, cat, mode)
     sched = plan(work, arch)
-    cfg = engine_config_for(arch, cat)
 
     px = py = noise = None
     alpha_x = alpha_y = float("nan")
@@ -447,7 +450,6 @@ def simulate_gemm(
         nm = NoiseModel() if nm is None else nm
         if mode != "quantized" and nm.sigma != 0.0:
             noise = nm.sigma, nm.rng(0), nm.rng(1)
-    adc = (arch.c_cores * arch.t_int, arch.bits_out) if mode == "quantized+noise+adc" else None
     z_hat = _product(work.x, work.y, px, py, noise, adc)
 
     compute, reset_cycles, readouts = sched.cycles(arch.t_rst)
@@ -457,7 +459,6 @@ def simulate_gemm(
         reset_cycles=reset_cycles,
         readouts=readouts,
         saturation_events=0,
-        normalization_v=cfg.normalization(),
         alpha_x=alpha_x,
         alpha_y=alpha_y,
         schedule=sched,

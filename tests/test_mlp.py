@@ -267,15 +267,14 @@ class TestStudyPass:
         tx, ty = study_set((8, 32, 32, 4))
         sigmas = [0.0, 0.02, 0.0]
         want = oracle_robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3)
-        # The pass looks up _product, engine_config_for and _check_widths in mlp.
+        # The pass looks up _product and _readout in mlp.
         passes = count_calls(monkeypatch, mlp, "_product")
-        configs = count_calls(monkeypatch, mlp, "engine_config_for")
-        widths = count_calls(monkeypatch, mlp, "_check_widths")
+        resolves = count_calls(monkeypatch, mlp, "_readout")
         plans = count_calls(monkeypatch, scheduler, "plan")
         assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3) == want
         # One noise-free trial and three noisy ones, each through 3 layers.
         assert len(passes) == (1 + 3) * 3
-        assert len(configs) == len(widths) == 1 and not plans
+        assert len(resolves) == 1 and not plans
 
     @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
     def test_runs_the_one_front_end(self, monkeypatch, arch):

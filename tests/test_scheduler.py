@@ -343,6 +343,17 @@ class TestSimulateIdeal:
         with pytest.raises(ValueError, match="unknown mode"):
             simulate_gemm(w, SMALL, CAT, mode="analog")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_resolve_per_call(self, monkeypatch, mode):
+        # The mode, the bit widths and the engine constants are resolved in
+        # one call, which also gives the kernel its readout.
+        calls, real = [], scheduler._readout
+        monkeypatch.setattr(scheduler, "_readout", lambda *a: calls.append(a) or real(*a))
+        simulate_gemm(GemmWorkload.random(4, 20, 3, seed=0), SMALL, CAT, mode=mode)
+        assert calls == [(SMALL, CAT, mode)]
+        want = (SMALL.c_cores * SMALL.t_int, SMALL.bits_out) if mode == "quantized+noise+adc" else None
+        assert real(SMALL, CAT, mode) == want
+
 
 class TestSimulateQuantized:
     def test_quantized_error_bounded_by_step_sizes(self):
@@ -398,7 +409,7 @@ class TestSimulateQuantized:
         d = stats.to_dict()
         assert list(d) == [
             "mode", "compute_cycles", "reset_cycles", "readouts", "saturation_events",
-            "normalization_v", "alpha_x", "alpha_y", "blocks", "rounds", "p_cycles",
+            "alpha_x", "alpha_y", "blocks", "rounds", "p_cycles",
         ]
         sched = stats.schedule
         assert (d["blocks"], d["rounds"], d["p_cycles"]) == (sched.blocks, sched.rounds, sched.p_cycles)
@@ -459,6 +470,24 @@ class TestEpochStreaming:
             assert np.allclose(readout, n / (arch.c_cores * arch.t_int) * cfg.v_dd, rtol=1e-12, atol=0)
         else:
             assert np.abs(readout).max() <= stats.schedule.readouts_per_block * cfg.v_dd * (1 + 1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "arch", [ArchConfig(), ArchConfig(r_tiles=2, c_cores=3, k=4, t_int=5)], ids=["default", "small"]
+    )
+    def test_catalog_does_not_reach_the_output(self, arch, mode, sigma):
+        # C*T unit products land on the rail whatever the catalog, so the
+        # ADC reads products: the laser, the loss chain, the responsivity and
+        # the ER cancel.  Two whole epochs and a partial third.
+        w = GemmWorkload.random(5, 2 * arch.c_cores * arch.t_int + 7, 4, seed=3)
+        runs = {
+            variant: simulate_gemm(w, arch, load_builtin_catalog(variant), nm=NoiseModel(sigma=sigma, seed=7), mode=mode)
+            for variant in ("foundry", "foundry-sl", "custom-sl")
+        }
+        z, stats = runs["custom-sl"]
+        for variant, (z_v, stats_v) in runs.items():
+            assert (z_v.tobytes(), repr(stats_v)) == (z.tobytes(), repr(stats)), variant
 
     def test_epochs_take_consecutive_columns(self):
         # Core c drives reduction index n = p*C + c in cycle p, so epoch e
