@@ -30,6 +30,7 @@ from .catalog import _VARIANT_NAMES, load_builtin_catalog, load_catalog, variant
 from .costs import (
     CONVENTIONS,
     TOPOLOGIES,
+    _fixed,
     cost_report,
     pareto_csv,
     report_to_text,
@@ -353,10 +354,7 @@ def _cmd_robustness(args):
         )
         print(f"{'sigma':>10}{'mean acc':>12}{'std':>10}")
         for row in rows:
-            print(
-                f"{row['sigma']:>10.4f}{row['mean_accuracy']:>12.4f}"
-                f"{row['std_accuracy']:>10.4f}"
-            )
+            print(f"{_fixed(row['sigma'], 10, 4):>10}{row['mean_accuracy']:>12.4f}{row['std_accuracy']:>10.4f}")
         print(f"wrote {out / 'robustness.json'} and {out / 'robustness.csv'}")
         return 0
 

@@ -524,8 +524,14 @@ def sweep(
     return [cost_report(point, cat, include_memory, convention, topology) for point, cat in points]
 
 
+def _fixed(value: float, width: int, decimals: int) -> str:
+    """value to decimals places, or, where that passes width characters, in exponent form, which never does."""
+    text = f"{value:.{decimals}f}"
+    return text if len(text) <= width else f"{value:.{width - 8}e}"
+
+
 def report_to_text(report: CostReport) -> str:
-    """Human-readable aligned table for one cost report."""
+    """Human-readable aligned table for one cost report; every value fits 14 characters."""
     lines = [
         f"variant: {report.variant}   "
         f"R={report.arch.r_tiles} C={report.arch.c_cores} K={report.arch.k} "
@@ -536,24 +542,19 @@ def report_to_text(report: CostReport) -> str:
         "",
         f"{'component':<16}{'area [mm^2]':>14}{'power [W]':>14}",
     ]
-    keys = sorted(set(report.area_by_component) | set(report.power_by_component))
-    for key in keys:
-        a = report.area_by_component.get(key)
-        p = report.power_by_component.get(key)
-        lines.append(
-            f"{key:<16}{a if a is not None else float('nan'):>14.4f}"
-            f"{p if p is not None else float('nan'):>14.4f}"
-        )
+    for key in sorted(set(report.area_by_component) | set(report.power_by_component)):
+        a, p = (part.get(key, math.nan) for part in (report.area_by_component, report.power_by_component))
+        lines.append(f"{key:<16}{_fixed(a, 14, 4):>14}{_fixed(p, 14, 4):>14}")
     lines += [
-        f"{'total':<16}{report.total_area_mm2:>14.4f}{report.total_power_w:>14.4f}",
+        f"{'total':<16}{_fixed(report.total_area_mm2, 14, 4):>14}{_fixed(report.total_power_w, 14, 4):>14}",
         "",
-        f"insertion loss:      {report.loss.total_db:.3f} dB",
-        f"laser required:      {report.laser_power_required_w:.4f} W "
-        f"(configured {report.laser_power_configured_w:.3f} W)",
-        f"wall power:          {report.wall_power_w:.3f} W",
-        f"speed:               {report.tops:.2f} TOPS",
-        f"energy efficiency:   {report.tops_per_w:.2f} TOPS/W",
-        f"compute density:     {report.tops_per_mm2:.3f} TOPS/mm^2",
+        f"insertion loss:      {_fixed(report.loss.total_db, 14, 3)} dB",
+        f"laser required:      {_fixed(report.laser_power_required_w, 14, 4)} W "
+        f"(configured {_fixed(report.laser_power_configured_w, 14, 3)} W)",
+        f"wall power:          {_fixed(report.wall_power_w, 14, 3)} W",
+        f"speed:               {_fixed(report.tops, 14, 2)} TOPS",
+        f"energy efficiency:   {_fixed(report.tops_per_w, 14, 2)} TOPS/W",
+        f"compute density:     {_fixed(report.tops_per_mm2, 14, 3)} TOPS/mm^2",
     ]
     return "\n".join(lines) + "\n"
 

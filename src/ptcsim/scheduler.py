@@ -340,7 +340,11 @@ def _engine_rows(
             if normals is not None:
                 blk *= params.alpha
                 n = normals[r0 + b0 : r0 + b0 + len(blk)] if drawn else normals.standard_normal(blk.shape)
-                np.clip(apply_noise(blk, n, sigma, out=blk), -1.0, 1.0, out=blk)
+                if sigma > 1e300:  # sigma * |x_q| * n may overflow (|x_q| <= 1, draws < 1e8); the clip saturates it
+                    with np.errstate(over="ignore"):
+                        np.clip(apply_noise(blk, n, sigma, out=blk), -1.0, 1.0, out=blk)
+                else:
+                    np.clip(apply_noise(blk, n, sigma, out=blk), -1.0, 1.0, out=blk)
                 del n  # the last block's draws are not kept alive across the yield
         yield oe
 

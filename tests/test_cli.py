@@ -180,6 +180,28 @@ class TestCost:
         assert pareto[0] == "name,category,tops_per_w,tops_per_mm2"
         assert pareto[-1].startswith("this_work_")
 
+    def test_huge_power_keeps_its_columns(self, tmp_path, capsys):
+        # An integrator of 1e200 W: its power, the total and the wall power
+        # print in exponent form, 14 characters at most, so every line of
+        # the table keeps the width it has with the builtin catalog, on
+        # stdout and in cost.txt alike.
+        doc = json.loads(builtin_catalog_path("custom-sl").read_text())
+        next(e for e in doc["devices"] if e["kind"] == "integrator")["power_w"] = 1e200
+        (tmp_path / "integrator.json").write_text(json.dumps(doc))
+        _, want, _ = run(["cost", "--out", str(tmp_path / "builtin")], capsys)
+        code, out, _ = run(["cost", "--catalog", str(tmp_path / "integrator.json"), "--out", str(tmp_path / "o")], capsys)
+        assert code == 0
+        text = (tmp_path / "o/cost.txt").read_text()
+        assert out.startswith(text)
+        table = text.split("\n\n")[1]  # the component rows and the total
+        assert [len(line) for line in table.splitlines()] == [len(line) for line in want.split("\n\n")[1].splitlines()]
+        report = strict_json(tmp_path / "o/cost.json")
+        lines = {line.split(":")[0].split()[0]: line for line in text.splitlines() if line}
+        for name, value in [("integrator", report["power_w"]["integrator"]), ("total", report["power_w"]["total"])]:
+            assert lines[name].endswith(f" {value:.6e}")
+        assert lines["wall"] == f"wall power:          {report['wall_power_w']:.6e} W"
+        assert report["wall_power_w"] > 1e200
+
     def test_arch_file_overrides_flags(self, tmp_path, capsys):
         arch_file = tmp_path / "arch.json"
         arch_file.write_text(json.dumps({"r_tiles": 1, "c_cores": 1, "k": 8}))
@@ -292,6 +314,16 @@ class TestRobustness:
         csv_lines = (tmp_path / "a/robustness.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "sigma,mean_accuracy,std_accuracy"
         assert len(csv_lines) == 3
+
+    def test_huge_sigma_keeps_its_column(self, tmp_path, capsys):
+        # sigma = 1e308 prints in exponent form, as wide as the other rows;
+        # its noise saturates every operand at the rail, with no warning.
+        args = ["robustness", *ARCH_SMALL[:-1], "8", "--trials", "1", "--sigmas", "0,1e308", "--out", str(tmp_path)]
+        code, out, err = run(args, capsys)
+        assert (code, err) == (0, "")
+        table = out.splitlines()[:-1]
+        assert [len(line) for line in table] == [32] * 3
+        assert table[1].split()[0] == "0.0000" and table[2].split()[0] == "1.00e+308"
 
     def test_config_file_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import weakref
 from dataclasses import fields, replace
 
@@ -252,6 +253,19 @@ class TestCostReport:
         assert d["area_mm2"]["total"] == pytest.approx(r.total_area_mm2)
         text = report_to_text(r)
         assert "custom_sl" in text and "TOPS/W" in text
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, 1.5, -123456.789, 99999999.99996, 2.1e23, -sys.float_info.max, 5e-324, -math.inf, math.nan]
+    )
+    @pytest.mark.parametrize("width, decimals", [(10, 4), (14, 4), (14, 3), (14, 2)])
+    def test_text_value_fits_its_column(self, value, width, decimals):
+        # A value prints in fixed point, as it always has, unless that takes
+        # more than its column's width; then in exponent form within it.
+        text, fixed = costs._fixed(value, width, decimals), f"{value:.{decimals}f}"
+        if len(fixed) <= width:
+            assert text == fixed
+        else:
+            assert text == f"{value:.{width - 8}e}" and len(text) <= width
 
     def test_reports_match_pinned_digests(self):
         """Every float of a report is pinned: a change to any formula, or to

@@ -356,6 +356,18 @@ class TestSimulateIdeal:
 
 
 class TestSimulateQuantized:
+    def test_noise_near_the_float_maximum_saturates(self):
+        # sigma * |x_q| * n passes the float range: every nonzero code goes
+        # to the rail on its draw's side, with no overflow warning.
+        w = GemmWorkload.random(3, 12, 4, seed=5)
+        nm = NoiseModel(sigma=sys.float_info.max, seed=1)
+        z, _ = simulate_gemm(w, SMALL, CAT, nm=nm, mode="quantized+noise")
+        sx, sy = (
+            np.sign(nm.rng(i).standard_normal(a.shape)) * (quantize_codes(a, minmax_params(a, SMALL.bits_in)) != 0)
+            for i, a in enumerate((w.x, w.y))
+        )
+        assert np.array_equal(z, sx @ sy)
+
     def test_quantized_error_bounded_by_step_sizes(self):
         w = GemmWorkload.random(16, 12, 16, seed=4)
         z, stats = simulate_gemm(w, SMALL, CAT, mode="quantized")
