@@ -285,9 +285,9 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     The pass resolves the whole study before it runs any of it: it makes
     simulate_gemm's one resolve call, scheduler._readout, for the readout of
     quantized+noise mode (None) and the errors it raises; takes in every
-    trial and checks each (sigma, seed); and scales and quantizes into int8 codes,
-    once, each layer's weights, each validated against the shape of the
-    layer's input, (M, n_in), and x, every trial's input to layer 0.
+    trial and checks each (sigma, seed); and scales and quantizes into int8
+    codes, once, each layer's weights, each validated against the shape of
+    the layer's input, (M, n_in), and x, every trial's input to layer 0.
     Then consecutive trials with one seed form a group, which runs breadth
     first: all its trials go through layer i before any goes to layer i + 1,
     each keeping its activation between layers as int8 codes: the product's
