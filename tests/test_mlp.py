@@ -1,5 +1,6 @@
 """Noise-aware MLP training and core-in-the-loop robustness evaluation."""
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -248,11 +249,18 @@ def count_calls(monkeypatch, module, name):
 class TestStudyPass:
     """robustness_table's one pass against a simulate_gemm call per layer and trial."""
 
+    @pytest.mark.parametrize("x_scale", [None, 1e-35, 3.7e-31, 1e-300, 5e-324, 0.0])
     @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
     @pytest.mark.parametrize("sizes", [(8, 32, 32, 4), (8, 13, 7, 4)])
-    def test_every_trial_matches_oracle_bitwise(self, sizes, arch):
+    def test_every_trial_matches_oracle_bitwise(self, sizes, arch, x_scale):
         model = study_model(sizes)
         tx, ty = study_set(sizes)
+        if x_scale is not None:
+            # With the biases zeroed, a tiny x makes every layer's input
+            # peak fall below the 1e-30 scale floor, or be all zero.
+            model = copy.copy(model)
+            model.biases = [np.zeros_like(b) for b in model.biases]
+            tx = tx * x_scale
         trials = [(sigma, seed) for sigma in (0.0, 0.0031, 0.08) for seed in range(3)]
         for (sigma, seed), logits in zip(trials, mlp._core_logits(model, tx, arch, CAT, trials), strict=True):
             want = oracle_forward_via_core(model, tx, arch, CAT, sigma, seed)
