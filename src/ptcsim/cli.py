@@ -211,7 +211,7 @@ def _cmd_simulate(args):
                 "arch": arch.to_dict(),
                 "variant": cat.name,
                 "mode": args.mode,
-                "sigma": args.sigma,
+                "sigma": args.sigma + 0.0,  # -0.0 reads as 0.0
                 "seed": args.seed,
                 "relative_error_frobenius": rel_err,
                 "stats": stats.to_dict(),
@@ -346,7 +346,7 @@ def _cmd_robustness(args):
                 "variant": cat.name,
                 "bits": cfg.bits,
                 "epochs": cfg.epochs,
-                "train_sigma": cfg.train_sigma,
+                "train_sigma": cfg.train_sigma + 0.0,  # -0.0 reads as 0.0
                 "trials": trials,
                 "seed": cfg.seed,
                 "rows": rows,

@@ -8,8 +8,10 @@ table with mean and standard deviation across evaluation seeds.
 
 A study is one pass of _core_logits over its (sigma, seed) trials.  The
 pass first resolves every input: it checks each trial's sigma and seed and
-builds the int8 codes of x and of every layer's weights, so that a bad
-input raises before the first product.  It then runs the trials
+encodes x and every layer's weights, so that a bad input raises before the
+first product.  One step, _encode, encodes every operand of the pass: it
+scales the operand by its peak into [-1, 1] and quantizes it into int8
+codes at the step size that peak gives.  The pass then runs the trials
 seed-major, so that all the trials of a seed go through each layer
 together and share that layer's noise draws.  Each trial runs every
 layer's product through the kernel simulate_gemm runs in every mode
@@ -230,43 +232,24 @@ def evaluate(model: TinyMlp, x: np.ndarray, y: np.ndarray, nm: NoiseModel | None
     return float((model.predict(x, nm) == y).mean())
 
 
-def _encodable(a, name: str, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(a / s, s) with s = max(peak |a|, 1e-30), so that a / s lies in [-1, 1].
+def _encode(a, name: str, bits: int, out: np.ndarray | None = None) -> tuple[np.ndarray, QuantizerParams, float]:
+    """(codes, params, s): a / s quantized at bits into int8 codes, with s = max(peak |a|, 1e-30).
 
-    a / s goes to out when given (out may be a itself).  Raises as
-    GemmWorkload does if a is complex or has a non-finite entry (s is then
-    NaN or infinite).
+    a / s lies in [-1, 1], and params are minmax_params(a / s, bits) without
+    a second pass for the peak: division by s is monotone, so that peak is
+    peak / s, exactly 1 whenever peak >= 1e-30.  a / s, then its codes, go
+    to out when given (out may be a itself); int8 holds the codes of every
+    width up to 8 bits exactly.  Raises as GemmWorkload does if a is complex
+    or has a non-finite entry (s is then NaN or infinite).
     """
     a = _real(a, name)
-    s = max(float(np.abs(a).max(initial=0.0)), 1e-30)
+    peak = float(np.abs(a).max(initial=0.0))
+    s = max(peak, 1e-30)
     if not math.isfinite(s):
         raise ValueError(f"operand {name} has non-finite entries")
-    return np.divide(a, s, out=out), s
-
-
-def _codes(a: np.ndarray, params: QuantizerParams, out: np.ndarray | None = None) -> np.ndarray:
-    """a's quantizer codes as int8, which holds the codes of every width up to 8 bits exactly.
-
-    out, a float64 array of a's shape that may be a itself, takes the codes first.
-    """
-    return quantize_codes(a, params, out).astype(np.int8)
-
-
-class _ChainLayer:
-    """One weight matrix of the study pass, with what its trials share.
-
-    That is the weights' scale (sw), quantizer params and int8 codes: the
-    weights are scaled into [-1, 1] and quantized once, and validated
-    against the shape of the layer's input, x_shape = (M, n_in), as
-    GemmWorkload validates the operands of a simulate_gemm call.
-    """
-
-    def __init__(self, shape: tuple, w: np.ndarray, arch: ArchConfig):
-        y, self.sw = _encodable(w, "y")
-        GemmWorkload(np.zeros(shape), y)
-        self.x_shape = shape
-        self.params = minmax_params(y, arch.bits_in)
-        self.codes = _codes(y, self.params)
+    params = QuantizerParams(bits, (peak / s if peak else 1.0) / 2 ** (bits - 1), 0.0)
+    a = np.divide(a, s, out=out)
+    return quantize_codes(a, params, a).astype(np.int8), params, s
 
 
 def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVariant, trials):
@@ -285,21 +268,21 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     The pass resolves the whole study before it runs any of it: it makes
     simulate_gemm's one resolve call, scheduler._readout, for the readout of
     quantized+noise mode (None) and the errors it raises; takes in every
-    trial and checks each (sigma, seed); and scales and quantizes into int8
-    codes, once, each layer's weights, each validated against the shape of
-    the layer's input, (M, n_in), and x, every trial's input to layer 0.
-    Then consecutive trials with one seed form a group, which runs breadth
-    first: all its trials go through layer i before any goes to layer i + 1,
-    each keeping its activation between layers as int8 codes: the product's
-    buffer is rescaled, biased, ReLU'd, scaled into [-1, 1] and quantized in
-    place.  Layer i's noise does not depend on sigma, so the layer draws x's
-    and y's standard normals once per group, from fresh stream-0 and
-    stream-1 generators, every sigma scales those same draws, and the draws
-    are freed before the next layer's.  A group's trials are yielded, in
-    order, when it completes.  One dict holds each trial's input to the
-    running layer, then its logits: a trial with sigma = 0 runs once per
-    study, and each other sigma once per group; their repeats yield the
-    same array again.
+    trial and checks each (sigma, seed); and encodes once, by _encode, each
+    layer's weights, each validated against the shape of the layer's input,
+    (M, n_in), and x, every trial's input to layer 0, each into a (codes,
+    params, scale) triple.  Then consecutive trials with one seed form a
+    group, which runs breadth first: all its trials go through layer i
+    before any goes to layer i + 1, each keeping its activation between
+    layers as such a triple: the product's buffer is rescaled, biased,
+    ReLU'd and encoded in place.  Layer i's noise does not depend on sigma,
+    so the layer draws x's and y's standard normals once per group, from
+    fresh stream-0 and stream-1 generators, every sigma scales those same
+    draws, and the draws are freed before the next layer's.  A group's
+    trials are yielded, in order, when it completes.  One dict holds each
+    trial's input to the running layer, then its logits: a trial with sigma
+    = 0 runs once per study, and each other sigma once per group; their
+    repeats yield the same array again.
     """
     readout = _readout(arch, cat, "quantized+noise")
     groups = [(seed, [sigma for sigma, _ in group]) for seed, group in itertools.groupby(trials, key=lambda t: t[1])]
@@ -308,29 +291,27 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
             NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed
     layers, shape = [], np.shape(x)
     for w in model.weights:
-        layers.append(_ChainLayer(shape, w, arch))
-        shape = shape[0], layers[-1].codes.shape[1]
-    h, sx = _encodable(x, "x")
-    px = minmax_params(h, arch.bits_in)
-    x0 = _codes(h, px, out=h), px, sx  # layer 0's input in every trial
+        layers.append(_encode(w, "y", arch.bits_in))
+        codes = layers[-1][0]
+        GemmWorkload(np.zeros(shape), np.zeros(codes.shape))  # simulate_gemm's shape checks
+        shape = shape[0], codes.shape[1]
+    x0 = _encode(x, "x", arch.bits_in)  # layer 0's input in every trial
     logits = {}  # sigma -> its trial's input to the running layer, then its logits
     for seed, sigmas in groups:
         logits = {sigma: z for sigma, z in logits.items() if not sigma}  # sigma = 0's is kept for the study
         run = [sigma for sigma in dict.fromkeys(sigmas) if sigma not in logits]
         logits.update(dict.fromkeys(run, x0))
-        for i, (layer, b) in enumerate(zip(layers, model.biases)):
+        for i, ((y, py, sy), b) in enumerate(zip(layers, model.biases)):
             if any(run):
                 rng = NoiseModel(seed=(seed << 8) + i).rng
-                normals = rng(0).standard_normal(layer.x_shape), rng(1).standard_normal(layer.codes.shape)
+                normals = rng(0).standard_normal((len(x0[0]), len(y))), rng(1).standard_normal(y.shape)
             for sigma in run:
                 h, px, sx = logits[sigma]
-                h = _product(h, layer.codes, px, layer.params, (sigma, *normals) if sigma else None, readout)
-                h *= sx * layer.sw
+                h = _product(h, y, px, py, (sigma, *normals) if sigma else None, readout)
+                h *= sx * sy
                 h += b
-                if layer is not layers[-1]:
-                    h, sx = _encodable(np.maximum(h, 0.0, out=h), "x", out=h)
-                    px = minmax_params(h, arch.bits_in)
-                    h = _codes(h, px, out=h), px, sx
+                if i < len(layers) - 1:
+                    h = _encode(np.maximum(h, 0.0, out=h), "x", arch.bits_in, out=h)
                 logits[sigma] = h
             normals = None  # freed before the next layer draws
         for sigma in sigmas:
@@ -394,7 +375,7 @@ def robustness_table(
         row = accs[j :: len(sigmas)]
         rows.append(
             {
-                "sigma": float(sigma),
+                "sigma": float(sigma) + 0.0,  # a sigma of -0.0 reads as 0.0
                 "mean_accuracy": float(np.mean(row)),
                 "std_accuracy": float(np.std(row)),
                 "accuracies": row,

@@ -73,6 +73,13 @@ class TestSimulate:
         stats = strict_json(tmp_path / "simulate.json")["stats"]
         assert stats["alpha_x"] is None and stats["alpha_y"] is None
 
+    def test_negative_zero_sigma_reported_as_zero(self, tmp_path, capsys):
+        # -0.0 passes the sigma >= 0 check; the report gives it as 0.0.
+        args = ["simulate", *ARCH_SMALL, "--workload", "rand:4x4x4", "--mode", "quantized+noise", "--sigma=-0.0"]
+        code, _, _ = run([*args, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert str(strict_json(tmp_path / "simulate.json")["sigma"]) == "0.0"
+
     def test_noise_mode_reports_are_byte_identical(self, tmp_path, capsys):
         args = ["simulate", *ARCH_SMALL, "--workload", "rand:8x6x8:seed2",
                 "--mode", "quantized+noise", "--sigma", "0.01", "--seed", "7"]
@@ -324,6 +331,23 @@ class TestRobustness:
         table = out.splitlines()[:-1]
         assert [len(line) for line in table] == [32] * 3
         assert table[1].split()[0] == "0.0000" and table[2].split()[0] == "1.00e+308"
+
+    def test_negative_zero_sigma_reported_as_zero(self, tmp_path, capsys):
+        # -0.0 passes the sigma >= 0 check; the table, robustness.json and
+        # robustness.csv give it as 0.0.
+        args = ["robustness", *ARCH_SMALL[:-1], "8", "--trials", "1", "--sigmas=-0.0,0.02"]
+        code, out, _ = run([*args, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split()[0] == "0.0000"
+        rows = strict_json(tmp_path / "robustness.json")["rows"]
+        assert [str(row["sigma"]) for row in rows] == ["0.0", "0.02"]
+        assert (tmp_path / "robustness.csv").read_text().splitlines()[1].startswith("0.0,")
+
+    def test_negative_zero_train_sigma_reported_as_zero(self, tmp_path, capsys):
+        args = ["robustness", *ARCH_SMALL[:-1], "8", "--trials", "1", "--sigmas", "0", "--train-sigma=-0.0"]
+        code, _, _ = run([*args, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert str(strict_json(tmp_path / "robustness.json")["train_sigma"]) == "0.0"
 
     def test_config_file_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

@@ -163,6 +163,12 @@ class TestRobustnessTable:
             assert len(r["accuracies"]) == 2
             assert 0.0 <= r["mean_accuracy"] <= 1.0
 
+    def test_negative_zero_sigma_reported_as_zero(self):
+        model = study_model((8, 13, 7, 4))
+        tx, ty = study_set((8, 13, 7, 4))
+        (row,) = robustness_table(model, tx, ty, ARCH, CAT, [-0.0], n_seeds=1)
+        assert str(row["sigma"]) == "0.0"
+
     def test_sigma_zero_has_no_variance(self):
         model = trained_model()
         tx, ty = make_blobs(64, 8, 4, seed=100)
@@ -279,10 +285,12 @@ class TestStudyPass:
         passes = count_calls(monkeypatch, mlp, "_product")
         resolves = count_calls(monkeypatch, mlp, "_readout")
         plans = count_calls(monkeypatch, scheduler, "plan")
+        # Every operand's step size comes with its scale, from the one peak.
+        minmax = count_calls(monkeypatch, mlp, "minmax_params")
         assert robustness_table(model, tx, ty, ARCH, CAT, sigmas, 3) == want
         # One noise-free trial and three noisy ones, each through 3 layers.
         assert len(passes) == (1 + 3) * 3
-        assert len(resolves) == 1 and not plans
+        assert len(resolves) == 1 and not plans and not minmax
 
     @pytest.mark.parametrize("arch", [ARCH, MULTI_EPOCH], ids=["one-epoch", "multi-epoch"])
     def test_runs_the_one_front_end(self, monkeypatch, arch):
