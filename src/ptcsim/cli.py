@@ -252,6 +252,8 @@ def _cmd_sweep(args):
     arch = _arch_from_args(args)
     values = _parse_sweep_values(args.axis, args.values)
     if args.axis == "variant":
+        if args.catalog:
+            raise ValueError("--catalog applies to --axis K or T; --axis variant sweeps the built-in variants in --values")
         catalogs = {variant_name(v): load_builtin_catalog(v) for v in values}
     else:
         cat = _catalog_from_args(args)

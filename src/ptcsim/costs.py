@@ -543,8 +543,11 @@ def report_to_text(report: CostReport) -> str:
         f"{'component':<16}{'area [mm^2]':>14}{'power [W]':>14}",
     ]
     for key in sorted(set(report.area_by_component) | set(report.power_by_component)):
-        a, p = (part.get(key, math.nan) for part in (report.area_by_component, report.power_by_component))
-        lines.append(f"{key:<16}{_fixed(a, 14, 4):>14}{_fixed(p, 14, 4):>14}")
+        a, p = (
+            _fixed(part[key], 14, 4) if key in part else "-"  # a part the breakdown does not price
+            for part in (report.area_by_component, report.power_by_component)
+        )
+        lines.append(f"{key:<16}{a:>14}{p:>14}")
     lines += [
         f"{'total':<16}{_fixed(report.total_area_mm2, 14, 4):>14}{_fixed(report.total_power_w, 14, 4):>14}",
         "",

@@ -115,14 +115,10 @@ class TinyMlp:
             self.weights.append(np.clip(w, -1.0, 1.0))
             self.biases.append(np.zeros(n_out))
 
-    @property
-    def quantized(self) -> bool:
-        return self.cfg.bits < 16
-
     def _transform(self, t: np.ndarray, nm: NoiseModel | None, stream: int) -> np.ndarray:
-        if self.quantized:
+        if self.cfg.bits < 16:
             t = fake_quantize(t, minmax_params(t, self.cfg.bits))
-        if nm is not None and nm.sigma > 0:
+        if nm is not None:
             t = inject_noise(t, nm, stream=stream)
         return t
 
@@ -141,10 +137,6 @@ class TinyMlp:
             cache.append((h_t, w_t, z))
             h = a
         return h, cache
-
-    def predict(self, x: np.ndarray, nm: NoiseModel | None = None) -> np.ndarray:
-        logits, _ = self.forward(x, nm)
-        return logits.argmax(axis=1)
 
 
 def make_blobs(
@@ -180,15 +172,13 @@ def _softmax_xent_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
     return loss, grad / n
 
 
-def train(
-    model: TinyMlp, x: np.ndarray, y: np.ndarray
-) -> list[float]:
-    """SGD-with-momentum training through the quantized/noisy forward pass.
+def train(model: TinyMlp, x: np.ndarray, y: np.ndarray) -> None:
+    """SGD-with-momentum training, in place, through the quantized/noisy forward pass.
 
     The backward pass treats quantization and noise as identity
     (straight-through); weights are clipped back into [-1, 1] after every
-    update so they stay encodable.  Returns the per-epoch loss trace and
-    raises on a NaN loss.
+    update so they stay encodable.  Raises RuntimeError on a non-finite
+    batch loss.
     """
     cfg = model.cfg
     nm = (
@@ -199,19 +189,14 @@ def train(
     rng = np.random.default_rng(cfg.seed + 2)
     velocity_w = [np.zeros_like(w) for w in model.weights]
     velocity_b = [np.zeros_like(b) for b in model.biases]
-    losses = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(x))
-        epoch_loss = 0.0
-        n_batches = 0
         for start in range(0, len(x), BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
             logits, cache = model.forward(x[idx], nm)
             loss, grad = _softmax_xent_grad(logits, y[idx])
             if not math.isfinite(loss):
                 raise RuntimeError(f"training diverged: loss={loss} at epoch {epoch}")
-            epoch_loss += loss
-            n_batches += 1
             for i in reversed(range(len(model.weights))):
                 h_t, w_t, z = cache[i]
                 if i != len(model.weights) - 1:
@@ -223,13 +208,11 @@ def train(
                 velocity_b[i] = MOMENTUM * velocity_b[i] - LEARNING_RATE * gb
                 model.weights[i] = np.clip(model.weights[i] + velocity_w[i], -1.0, 1.0)
                 model.biases[i] = model.biases[i] + velocity_b[i]
-        losses.append(epoch_loss / max(n_batches, 1))
-    return losses
 
 
-def evaluate(model: TinyMlp, x: np.ndarray, y: np.ndarray, nm: NoiseModel | None = None) -> float:
-    """Classification accuracy of the plain (in-memory) forward pass."""
-    return float((model.predict(x, nm) == y).mean())
+def evaluate(model: TinyMlp, x: np.ndarray, y: np.ndarray) -> float:
+    """Classification accuracy of the noise-free in-memory forward pass (quantized unless bits >= 16)."""
+    return _accuracy(model.forward(x)[0], y)
 
 
 def _encode(a, name: str, bits: int, out: np.ndarray | None = None) -> tuple[np.ndarray, QuantizerParams, float]:

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from operator import attrgetter
@@ -25,6 +27,13 @@ from ptcsim.cli import main
 
 ARCH_SMALL = ["--tiles", "2", "--cores", "3", "-k", "4"]
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = (SRC.parent / "README.md").read_text()
+#: The `ptcsim ...` lines of README's Quick start block, each split into its arguments.
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in re.search(r"## Quick start\n\n```sh\n(.*?)```", README, re.S)[1].splitlines()
+    if line.startswith("ptcsim ")
+]
 
 
 def run(args, capsys):
@@ -187,6 +196,20 @@ class TestCost:
         assert pareto[0] == "name,category,tops_per_w,tops_per_mm2"
         assert pareto[-1].startswith("this_work_")
 
+    def test_unpriced_component_prints_a_dash(self, tmp_path, capsys):
+        # Each breakdown leaves some components out: their cells read "-",
+        # right-aligned in the column's 14 characters, never nan.
+        code, out, _ = run(["cost", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "nan" not in out
+        report = strict_json(tmp_path / "cost.json")
+        rows = {line[:16].strip(): line[16:] for line in out.split("\n\n")[1].splitlines()[1:]}
+        for column, part in enumerate((report["area_mm2"], report["power_w"])):
+            unpriced = [key for key in rows if key not in part]
+            assert len(unpriced) == 2
+            for key in unpriced:
+                assert rows[key][14 * column : 14 * column + 14] == f"{'-':>14}"
+
     def test_huge_power_keeps_its_columns(self, tmp_path, capsys):
         # An integrator of 1e200 W: its power, the total and the wall power
         # print in exponent form, 14 characters at most, so every line of
@@ -284,6 +307,14 @@ class TestSweep:
         assert code == 0
         assert "foundry vs custom_sl" in out
         assert "7.18x area" in out and "8.89x power" in out
+
+    def test_variant_sweep_rejects_a_catalog_file(self, tmp_path, capsys):
+        # The variant axis prices the built-in catalogs it names, so a --catalog
+        # it would not read is refused, even one that loads.
+        path = builtin_catalog_path("foundry")
+        code, _, err = run(["sweep", "--axis", "variant", "--catalog", str(path), "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert err.startswith("error: --catalog applies to --axis K or T")
 
     @pytest.mark.parametrize(
         "axis, values, message", [("K", "4,0", "k must be >= 1, got 0"), ("T", "0", "t_int must be >= 1, got 0")]
@@ -607,6 +638,7 @@ PROBES = {
     "rand-unallocatable": ["simulate", "--workload", "rand:10000000x10000000x1"],
     "sweep-values-8..4": ["sweep", "--axis", "K", "--values", "8..4"],
     "sweep-values-a,b": ["sweep", "--axis", "K", "--values", "a,b"],
+    "sweep-variant-catalog": ["sweep", "--axis", "variant", "--catalog", "{d}/none.json"],
     "engine-loss-simulate": ["simulate", "--workload", "rand:4x4x4", "--catalog", "{d}/loss_1e6.json"],
     "engine-loss-robustness": ["robustness", "--catalog", "{d}/loss_1e6.json"],
     "engine-laser-simulate": ["simulate", "--workload", "rand:4x4x4", "--catalog", "{d}/laser_1e-305.json"],
@@ -965,3 +997,31 @@ def test_no_flags_resolve_to_library_defaults(args, defaults):
     parsed = cli.build_parser().parse_args(args)
     resolved = SimpleNamespace(**inspect.getclosurevars(parsed.func(parsed)).nonlocals)  # what the run step works on
     assert {name: attrgetter(name)(resolved) for name in defaults} == defaults
+
+
+class TestReadme:
+    """README's examples run as written, from the repo root, each writing into its own --out directory."""
+
+    def test_quick_start_has_every_command(self):
+        assert [argv[0] for argv in README_COMMANDS] == [
+            "simulate", "cost", "sweep", "sweep", "robustness", "catalog-validate",
+        ]
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_quick_start_command_runs(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(SRC.parent)
+        argv = list(argv)
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "run")
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        written = sorted((tmp_path / "run").glob("*.json"))
+        assert bool(written) == ("--out" in argv)
+        for path in written:
+            strict_json(path)
+
+    def test_library_example_runs(self):
+        block = re.search(r"available as a library:\n\n```python\n(.*?)```", README, re.S)[1]
+        namespace = {}
+        exec(block, namespace)
+        assert namespace["z_hat"].shape == (64, 64) and namespace["report"].tops > 0

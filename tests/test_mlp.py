@@ -19,6 +19,8 @@ from scheduler_oracle import assert_engine_rows_match_oracle, oracle_engine_rows
 
 from ptcsim import (
     ArchConfig,
+    CatalogVariant,
+    DeviceKind,
     MlpConfig,
     NoiseModel,
     TinyMlp,
@@ -71,7 +73,6 @@ class TestTraining:
     def test_full_precision_matches_plain_float_training(self):
         quant = trained_model(bits=6, train_sigma=0.0)
         plain = trained_model(bits=16, train_sigma=0.0)
-        assert not plain.quantized
         tx, ty = make_blobs(256, 8, 4, seed=100)
         assert abs(evaluate(quant, tx, ty) - evaluate(plain, tx, ty)) <= 0.01
 
@@ -149,6 +150,16 @@ class TestCoreForward:
         tx, ty = make_blobs(128, 8, 4, seed=100)
         acc_core = (forward_via_core(model, tx, ARCH, CAT, sigma=0.0, seed=0).argmax(axis=1) == ty).mean()
         assert acc_core >= evaluate(model, tx, ty) - 0.01
+
+    def test_engine_error_raises_before_any_product(self, monkeypatch):
+        # A 1e6 dB fiber coupling loss leaves no full-scale current to size
+        # the integrator for: the pass resolves the engine before its first product.
+        fiber = CAT.device(DeviceKind.FIBER_COUPLING)
+        cat = CatalogVariant(CAT.name, {**CAT.devices, DeviceKind.FIBER_COUPLING: dataclasses.replace(fiber, insertion_loss_db=1e6)})
+        products = count_calls(monkeypatch, mlp, "_product")
+        with pytest.raises(ValueError, match="outside the float range the integrator can be sized for"):
+            forward_via_core(trained_model(), make_blobs(4, 8, 4, seed=100)[0], ARCH, cat, sigma=0.0031, seed=0)
+        assert not products
 
 
 class TestRobustnessTable:

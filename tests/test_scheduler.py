@@ -297,6 +297,16 @@ class TestEngineConfigFor:
             return
         assert cfg.normalization() * arch.c_cores * arch.t_int == pytest.approx(cfg.v_dd, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_simulate_gemm_raises_the_engine_error_in_every_mode(self, monkeypatch, mode):
+        # A 1e6 dB fiber coupling loss leaves no full-scale current to size
+        # the integrator for, whatever the mode, and no product runs.
+        fiber = CAT.device(DeviceKind.FIBER_COUPLING)
+        cat = CatalogVariant(CAT.name, {**CAT.devices, DeviceKind.FIBER_COUPLING: dataclasses.replace(fiber, insertion_loss_db=1e6)})
+        monkeypatch.setattr(scheduler, "_product", mock.Mock(side_effect=AssertionError("a product ran")))
+        with pytest.raises(ValueError, match="outside the float range the integrator can be sized for"):
+            simulate_gemm(GemmWorkload.random(4, 4, 4), SMALL, cat, nm=NoiseModel(sigma=0.0031), mode=mode)
+
 
 class TestSimulateIdeal:
     @settings(max_examples=25, deadline=None)
