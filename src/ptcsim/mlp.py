@@ -41,7 +41,7 @@ from .quantize import (
 )
 from .scheduler import (
     ArchConfig,
-    GemmWorkload,
+    _check_shapes,
     _product,
     _readout,
     _real,
@@ -276,7 +276,7 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     for w in model.weights:
         layers.append(_encode(w, "y", arch.bits_in))
         codes = layers[-1][0]
-        GemmWorkload(np.zeros(shape), np.zeros(codes.shape))  # simulate_gemm's shape checks
+        _check_shapes(shape, codes.shape)  # GemmWorkload's, on shapes alone
         shape = shape[0], codes.shape[1]
     x0 = _encode(x, "x", arch.bits_in)  # layer 0's input in every trial
     logits = {}  # sigma -> its trial's input to the running layer, then its logits

@@ -143,6 +143,14 @@ def _real(a, name: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _check_shapes(x_shape: tuple, y_shape: tuple) -> None:
+    """Raise unless x_shape and y_shape are those of two matrices that multiply."""
+    if len(x_shape) != 2 or len(y_shape) != 2:
+        raise ValueError("operands must be 2-D matrices")
+    if x_shape[1] != y_shape[0]:
+        raise ValueError(f"inner dimensions disagree: {x_shape} x {y_shape}")
+
+
 @dataclass(frozen=True)
 class GemmWorkload:
     """An M x N x Q matrix product with operands pre-normalized to [-1, 1]."""
@@ -153,12 +161,7 @@ class GemmWorkload:
     def __post_init__(self):
         object.__setattr__(self, "x", _real(self.x, "x"))
         object.__setattr__(self, "y", _real(self.y, "y"))
-        if self.x.ndim != 2 or self.y.ndim != 2:
-            raise ValueError("operands must be 2-D matrices")
-        if self.x.shape[1] != self.y.shape[0]:
-            raise ValueError(
-                f"inner dimensions disagree: {self.x.shape} x {self.y.shape}"
-            )
+        _check_shapes(self.x.shape, self.y.shape)
         for name, a in (("x", self.x), ("y", self.y)):
             peak = np.abs(a).max(initial=0.0)
             if not np.isfinite(peak):

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from operator import attrgetter
@@ -21,7 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcsim import MODES, ArchConfig, MlpConfig, NoiseModel, builtin_catalog_path, cli, costs, load_builtin_catalog
+from ptcsim import (
+    MODES,
+    ArchConfig,
+    GemmWorkload,
+    MlpConfig,
+    NoiseModel,
+    builtin_catalog_path,
+    cli,
+    costs,
+    load_builtin_catalog,
+    simulate_gemm,
+)
 from ptcsim.catalog import _FIELD_RULES, _KIND_RULES
 from ptcsim.cli import main
 
@@ -115,6 +127,28 @@ class TestSimulate:
         assert code == 0
         z = np.loadtxt(tmp_path / "o" / "z_hat.csv", delimiter=",")
         assert np.allclose(z, x @ y, atol=1e-9)
+
+    @pytest.mark.parametrize("form", ["npz", "csv"])
+    def test_file_workload_gives_simulate_gemms_result(self, tmp_path, capsys, form):
+        rng = np.random.default_rng(4)
+        x, y = rng.uniform(-1, 1, (5, 7)), rng.uniform(-1, 1, (7, 3))
+        if form == "npz":
+            np.savez(tmp_path / "w.npz", x=x, y=y)
+            spec = f"{tmp_path}/w.npz"
+        else:  # savetxt's default %.18e reads back the same float64
+            np.savetxt(tmp_path / "x.csv", x, delimiter=",")
+            np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+            spec = f"{tmp_path}/x.csv,{tmp_path}/y.csv"
+        mode = "quantized+noise+adc"
+        code, _, err = run(
+            ["simulate", *ARCH_SMALL, "--workload", spec, "--mode", mode, "--sigma", "0.02", "--seed", "3",
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 0, err
+        want, _ = simulate_gemm(GemmWorkload(x, y), ArchConfig(r_tiles=2, c_cores=3, k=4), load_builtin_catalog(
+            "custom-sl"), nm=NoiseModel(sigma=0.02, seed=3), mode=mode)
+        assert np.array_equal(np.loadtxt(tmp_path / "o" / "z_hat.csv", delimiter=",", ndmin=2), want)
 
     def test_missing_catalog_exits_2(self, tmp_path, capsys):
         code, _, err = run(
@@ -608,6 +642,7 @@ def write_probe_files(d):
     (d / "epochs_0.json").write_text(json.dumps({"epochs": 0}))
     (d / "epochs_neg.json").write_text(json.dumps({"epochs": -1}))
     (d / "clock_401_digits.json").write_text(json.dumps({"clock_hz": 10**400}))
+    (d / "not_json.json").write_text("not json")
 
 
 #: Bad inputs that once exited 1, or 0 after pricing or training on nonsense.
@@ -629,6 +664,7 @@ PROBES = {
     "epochs-0": ["robustness", "--config", "{d}/epochs_0.json"],
     "epochs-neg": ["robustness", "--config", "{d}/epochs_neg.json"],
     "arch-file-missing": ["cost", "--arch", "{d}/none.json"],
+    "arch-file-not-json": ["cost", "--arch", "{d}/not_json.json"],
     "npz-missing": ["simulate", "--workload", "{d}/none.npz"],
     "npz-no-x-y": ["simulate", "--workload", "{d}/no_xy.npz"],
     "csv-operand-missing": ["simulate", "--workload", "{d}/x.csv,{d}/none.csv"],
@@ -676,6 +712,20 @@ PROBES.update(
     for command, args in CATALOG_COMMANDS.items()
 )
 
+#: The whole stderr of the probes whose fallbacks also exit 2 with one line:
+#: without the check that should raise, a later step fails with another message.
+PROBE_ERRORS = {
+    "arch-file-missing": "arch config not found: {d}/none.json",
+    "arch-file-not-json": "bad arch config {d}/not_json.json: Expecting value: line 1 column 1 (char 0)",
+    "npz-missing": "workload file not found: {d}/none.npz",
+    "npz-not-zip": "workload {d}/not_zip.npz is not an .npz archive",
+    "npz-no-x-y": "workload {d}/no_xy.npz must contain arrays 'x' and 'y'",
+    "npz-inner-dims": "inner dimensions disagree: (2, 3) x (2, 2)",
+    "csv-operand-missing": "workload file not found: {d}/none.csv",
+    "csv-empty": "workload file {d}/empty.csv has no data",
+    "sweep-values-8..4": "bad range '8..4'",
+}
+
 
 def no_work(*_, **__):
     raise AssertionError("work ran before every input was resolved")
@@ -695,6 +745,33 @@ class TestInputBoundary:
             args += ["--out", str(tmp_path / "o")]
         code, _, err = run(args, capsys)
         assert_one_line_exit_2(code, err, tmp_path / "o")
+
+    @pytest.mark.parametrize("probe", list(PROBE_ERRORS))
+    def test_bad_input_error_names_its_cause(self, tmp_path, capsys, probe):
+        write_probe_files(tmp_path)
+        args = [a.format(d=tmp_path) for a in PROBES[probe]]
+        code, _, err = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert err == f"error: {PROBE_ERRORS[probe].format(d=tmp_path)}\n"
+
+    def test_range_from_0_exits_2_rather_than_looping(self, tmp_path, capsys):
+        # Doubling from 0 never passes the upper bound, so without its check
+        # the range would grow forever.  One second of CPU time stops it.
+        class Looping(Exception):
+            pass
+
+        def stop(*_):
+            raise Looping("--values 0..8 ran for a CPU second")
+
+        previous = signal.signal(signal.SIGVTALRM, stop)
+        signal.setitimer(signal.ITIMER_VIRTUAL, 1.0)
+        try:
+            code, _, err = run(["sweep", "--axis", "K", "--values", "0..8", "--out", str(tmp_path / "o")], capsys)
+        finally:
+            signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+            signal.signal(signal.SIGVTALRM, previous)
+        assert_one_line_exit_2(code, err, tmp_path / "o")
+        assert err == "error: bad range '0..8'\n"
 
     @pytest.mark.parametrize("command", list(CATALOG_COMMANDS))
     @pytest.mark.parametrize("stem", list(BAD_CATALOGS))

@@ -440,6 +440,27 @@ class TestStudyPass:
             model, tx, ty, ARCH, CAT, sigmas, n_seeds
         )
 
+    def test_layer_draws_freed_before_the_next_draws(self, monkeypatch):
+        # A layer's draws are released before the next layer, or the next
+        # group, draws, and are not held across a yield: with two wide
+        # layers, (8, 1024, 1024, 1024, 4) at 256 test points, holding them
+        # raised the study's peak from 21.8 MB to 23.6 MB.
+        model = study_model((8, 13, 7, 4))
+        tx, _ = study_set((8, 13, 7, 4))
+        held, real = [], NoiseModel
+
+        def noise_model(*args, **kwargs):
+            held.append(study.gi_frame.f_locals.get("normals"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mlp, "NoiseModel", noise_model)
+        study = mlp._core_logits(model, tx, ARCH, CAT, [(0.02, 0), (0.02, 1)])
+        for _ in range(2):
+            next(study)
+            assert study.gi_frame.f_locals["normals"] is None
+        assert len(held) == 2 + 2 * 3  # each trial's check, then each group's layers
+        assert all(normals is None for normals in held)
+
     def test_study_peak_memory_stays_within_the_per_trial_pass(self):
         # The bench's study, in a fresh interpreter so that the tests run
         # before it cannot move the peak.  Its peak is layer 1's product in

@@ -907,6 +907,15 @@ class TestEngineOperands:
             else:  # sigma = 0: on the lattice every partial sum is exact
                 assert np.array_equal(bits_of(z), bits_of(zs["C"]))
 
+    def test_block_draws_not_kept_across_the_yield(self):
+        # A slice is yielded while the caller multiplies it; the last
+        # block's draws are released first, not held until the next slice.
+        a = np.random.default_rng(0).uniform(-1, 1, (6, 5))
+        rows = scheduler._engine_rows(a, minmax_params(a, 8), 0.02, np.random.default_rng(1), 4, np.float64)
+        for _ in range(2):
+            next(rows)
+            assert "n" not in rows.gi_frame.f_locals
+
 
 class TestPinnedOutputs:
     def test_outputs_match_pinned_digests(self):
