@@ -16,7 +16,8 @@ frequency and responsivity > 0; extinction ratio > 0 or +inf (ideal), with
 the engine's 1 - 10^(-ER/10) > 0; rated_bits in CONVERTER_BITS;
 fanout_n >= 2; the DAC's and the laser's power > 0.  A catalog holds every
 kind, one of mzm and slmzm being enough, and a photodetector with a length
-and width.
+and width.  _check_numbers is the package's one number rule: every config
+type declares its rules (name, type, low, strict, high) and checks by it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
@@ -96,6 +97,7 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 _VARIANT_NAMES = ("foundry", "foundry_sl", "custom_sl")
+_FLOAT_MAX = sys.float_info.max
 
 #: The bit-width range of a converter: a DAC's or ADC's rated_bits, and
 #: ArchConfig's bits_in and bits_out.
@@ -112,6 +114,33 @@ _CATALOG_KINDS = tuple(
     for kind in DeviceKind.ALL
     if kind != DeviceKind.SLMZM
 )
+
+
+def _check_numbers(obj, rules: Iterable[tuple], prefix: str = "", error: type = ValueError) -> None:
+    """Raise error, as "{prefix}{name} must be ...", unless obj.name keeps each rule (name, type, low, strict, high).
+
+    An int field holds an int, not a bool or a numpy integer; a float field a
+    finite int or float, not a bool, or +inf if high is +inf.  The value must
+    be > low when strict, else >= low (> -inf: no lower bound), and <= high
+    unless high is None.  An error names the bound that failed.  Rules are
+    flat tuples and fields are read by getattr, as ArchConfig is checked per
+    sweep point: vars(obj) would build the __dict__ a dataclass lacks.
+    """
+    for name, kind, low, strict, high in rules:
+        v = getattr(obj, name)
+        if type(v) is kind and (low < v if strict else low <= v) and v <= (_FLOAT_MAX if high is None else high):
+            continue
+        if kind is int:
+            if type(v) is not int:
+                raise error(f"{prefix}{name} must be an integer, got {v!r}")
+        elif isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+            abs(v) <= _FLOAT_MAX or v == high == math.inf  # NaN, and an int past the float range, fail
+        ):
+            raise error(f"{prefix}{name} must be a finite number, got {v!r}")
+        if not (low < v if strict else low <= v):
+            raise error(f"{prefix}{name} must be {'>' if strict else '>='} {low}, got {v}")
+        if high is not None and v > high:
+            raise error(f"{prefix}{name} must be <= {high}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -154,20 +183,8 @@ class DeviceSpec:
                 )
 
     def _check_physical(self):
-        for name, (number, low, strict, high) in _KIND_RULES[self.kind].items():
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if number is int:
-                if type(v) is not int:  # rejects bool too
-                    raise CatalogError(f"device {self.name!r}: {name} must be an integer, got {v!r}")
-            elif isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-                abs(v) <= sys.float_info.max or v == high == math.inf  # NaN, and an int past the float range, fail
-            ):
-                raise CatalogError(f"device {self.name!r}: {name} must be a finite number, got {v!r}")
-            if not (v > low if strict else v >= low) or (high is not None and v > high):
-                bound = f"{'>' if strict else '>='} {low}" if high in (None, math.inf) else f"in [{low}, {high}]"
-                raise CatalogError(f"device {self.name!r}: {name} must be {bound}, got {v!r}")
+        rules = [(name, *rule) for name, rule in _KIND_RULES[self.kind].items() if getattr(self, name) is not None]
+        _check_numbers(self, rules, f"device {self.name!r}: ", CatalogError)
         er = self.extinction_ratio_db
         if er is not None:
             try:
@@ -185,10 +202,8 @@ class DeviceSpec:
                 )
 
 
-#: The rule of each numeric field of DeviceSpec: (type, low, strict, high).
-#: An int field holds an integer and a float field a finite number, neither a
-#: bool; a high of +inf admits +inf itself (the ideal modulator).  The value
-#: must be > low when strict, else >= low, and <= high unless high is None.
+#: The rule (type, low, strict, high) of each numeric field of DeviceSpec (see
+#: _check_numbers); a high of +inf admits +inf itself, the ideal modulator.
 _FIELD_RULES: dict[str, tuple] = {
     "power_w": (float, 0, False, None),
     "rated_frequency_hz": (float, 0, True, None),
@@ -199,7 +214,7 @@ _FIELD_RULES: dict[str, tuple] = {
     "insertion_loss_db": (float, 0, False, None),
     "extinction_ratio_db": (float, 0, True, math.inf),
     "responsivity_a_per_w": (float, 0, True, None),
-    "sensitivity_dbm": (float, -math.inf, False, None),
+    "sensitivity_dbm": (float, -math.inf, True, None),
     "dark_current_a": (float, 0, False, None),
     "energy_per_bit_j": (float, 0, False, None),
     "fanout_n": (int, 2, False, None),

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import _VARIANT_NAMES, load_builtin_catalog, load_catalog, variant_name
+from .catalog import _VARIANT_NAMES, _check_numbers, load_builtin_catalog, load_catalog, variant_name
 from .costs import (
     CONVENTIONS,
     TOPOLOGIES,
@@ -307,11 +307,8 @@ def _cmd_robustness(args):
         arch = _arch_from_dict(cfg_file["arch"], args.config)
     if "catalog" in cfg_file:
         cat = load_builtin_catalog(cfg_file["catalog"])
-    trials = cfg_file.get("trials", args.trials)
-    if type(trials) is not int:
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    args.trials = cfg_file.get("trials", args.trials)
+    _check_numbers(args, [("trials", int, 1, False, None)])  # robustness_table's n_seeds rule
     cfg = MlpConfig(
         bits=cfg_file.get("bits", args.bits_in),
         train_sigma=cfg_file.get("sigma_train", args.train_sigma),
@@ -330,7 +327,7 @@ def _cmd_robustness(args):
         model = TinyMlp(cfg)
         train(model, train_x, train_y)
         test_x, test_y = make_blobs(256, sizes[0], sizes[-1], seed=cfg.seed + 100)
-        rows = robustness_table(model, test_x, test_y, arch, cat, sigmas, n_seeds=trials)
+        rows = robustness_table(model, test_x, test_y, arch, cat, sigmas, n_seeds=args.trials)
 
         out = _out_dir(args)
         buf = io.StringIO()
@@ -349,7 +346,7 @@ def _cmd_robustness(args):
                 "bits": cfg.bits,
                 "epochs": cfg.epochs,
                 "train_sigma": cfg.train_sigma + 0.0,  # -0.0 reads as 0.0
-                "trials": trials,
+                "trials": args.trials,
                 "seed": cfg.seed,
                 "rows": rows,
             },

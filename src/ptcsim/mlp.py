@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .catalog import CatalogVariant
+from .catalog import CatalogVariant, _check_numbers
 from .quantize import (
     QUANTIZER_BITS,
     NoiseModel,
     QuantizerParams,
+    _peak,
     fake_quantize,
     inject_noise,
     minmax_params,
@@ -88,15 +89,10 @@ class MlpConfig:
             raise ValueError(f"layer_sizes must be a tuple of integers >= 1, got {self.layer_sizes!r}")
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output widths")
-        for name in ("bits", "epochs", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        v = self.train_sigma
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-            raise ValueError(f"train_sigma must be a finite number, got {v!r}")
-        for name, low in (("bits", QUANTIZER_BITS[0]), ("epochs", 1), ("seed", 0), ("train_sigma", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        _check_numbers(self, [
+            ("bits", int, QUANTIZER_BITS[0], False, None), ("train_sigma", float, 0, False, None),
+            ("epochs", int, 1, False, None), ("seed", int, 0, False, None),
+        ])
         if QUANTIZER_BITS[1] < self.bits < 16:
             raise ValueError(f"bits must be at most {QUANTIZER_BITS[1]}, or >= 16 for full precision, got {self.bits}")
 
@@ -226,7 +222,7 @@ def _encode(a, name: str, bits: int, out: np.ndarray | None = None) -> tuple[np.
     or has a non-finite entry (s is then NaN or infinite).
     """
     a = _real(a, name)
-    peak = float(np.abs(a).max(initial=0.0))
+    peak = _peak(a)
     s = max(peak, 1e-30)
     if not math.isfinite(s):
         raise ValueError(f"operand {name} has non-finite entries")
@@ -271,7 +267,7 @@ def _core_logits(model: TinyMlp, x: np.ndarray, arch: ArchConfig, cat: CatalogVa
     groups = [(seed, [sigma for sigma, _ in group]) for seed, group in itertools.groupby(trials, key=lambda t: t[1])]
     for seed, sigmas in groups:
         for sigma in sigmas:
-            NoiseModel(sigma=sigma, seed=seed << 8)  # layer 0's; checks sigma and seed
+            NoiseModel(sigma=sigma, seed=seed)  # checks sigma and seed, before seed << 8 reads the seed
     layers, shape = [], np.shape(x)
     for w in model.weights:
         layers.append(_encode(w, "y", arch.bits_in))
@@ -339,11 +335,11 @@ def robustness_table(
     seed's noise once for all its sigmas; each trial's accuracy is taken as
     its seed's trials complete, and the accuracies are regrouped into one
     row per sigma.
-    Raises ValueError for n_seeds < 1, no sigma, an empty x or labels y
-    that are not one label per row of x, of shape (len(x),).
+    Raises ValueError for an n_seeds that is not an integer >= 1, no sigma,
+    an empty x or labels y that are not one label per row of x, of shape
+    (len(x),).
     """
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    _check_numbers(SimpleNamespace(n_seeds=n_seeds), [("n_seeds", int, 1, False, None)])
     if not len(sigmas):
         raise ValueError("sigmas must hold at least one noise level")
     if not len(x):  # the accuracy would be the mean of nothing

@@ -14,10 +14,11 @@ positive peak clips to code 2^(b-1) - 1, a gain error of -1/2^(b-1) (-3.1% at
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .catalog import _check_numbers
 
 __all__ = [
     "QuantizerParams",
@@ -38,13 +39,20 @@ QUANTIZER_BITS = (2, 8)
 ADC_BITS = (2, 12)
 
 
+#: QuantizerParams' rules, once alpha and zero_point are floats (see catalog._check_numbers).
+_QUANTIZER_RULES = (
+    ("bits", int, QUANTIZER_BITS[0], False, QUANTIZER_BITS[1]), ("alpha", float, 0, True, None),
+    ("zero_point", float, -math.inf, True, None),
+)
+
+
 @dataclass(frozen=True)
 class QuantizerParams:
     """Per-tensor learnable-step-size quantizer parameters.
 
     alpha (the step size) and zero_point are floats, one per tensor; a
-    size-1 array is taken as its one value.  b-bit signed codes span
-    [-2^(b-1), 2^(b-1)-1].
+    size-1 array is taken as its one value.  bits, b, is an int in
+    QUANTIZER_BITS; b-bit signed codes span [-2^(b-1), 2^(b-1)-1].
     """
 
     bits: int
@@ -61,12 +69,7 @@ class QuantizerParams:
                 if v.size != 1:
                     raise ValueError(f"{name} must be one number (the quantizer is per-tensor), got {v.size} values")
                 object.__setattr__(self, name, v.item())
-        if not QUANTIZER_BITS[0] <= self.bits <= QUANTIZER_BITS[1]:
-            raise ValueError(f"bits must be in [{QUANTIZER_BITS[0]}, {QUANTIZER_BITS[1]}], got {self.bits}")
-        if not 0 < self.alpha < math.inf:  # NaN fails too
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not math.isfinite(self.zero_point):
-            raise ValueError("zero_point must be finite")
+        _check_numbers(self, _QUANTIZER_RULES)
 
     @property
     def q_min(self) -> int:
@@ -148,12 +151,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        # type(v) is int rejects bool too; NaN, and an int past the float range, fail the chained comparison.
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        s = self.sigma
-        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 <= s <= sys.float_info.max:
-            raise ValueError(f"sigma must be finite and >= 0, got {s!r}")
+        _check_numbers(self, (("sigma", float, 0, False, None), ("seed", int, 0, False, None)))
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])
@@ -231,18 +229,17 @@ def _adc_half(v: np.ndarray, full_scale: float, bits: int) -> int:
     return 2 ** (bits - 1)
 
 
+def _peak(a: np.ndarray) -> float:
+    """max |a| of a float array as max(max a, -min a), with no |a| temporary: 0 if a is empty, NaN if a holds one."""
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+
+
 def minmax_params(x: np.ndarray, bits: int) -> QuantizerParams:
     """Min-max initialization of per-tensor quantizer parameters (z = 0).
 
-    alpha = peak |x| / 2^(b-1); an all-zero or empty tensor is given peak 1.
+    alpha = peak |x| / 2^(b-1); an all-zero or empty tensor, or one with a
+    NaN, is given peak 1.
     """
-    x = np.asarray(x, dtype=float)
-    # max(max x, -min x) is max |x| without an |x| temporary; a NaN in x
-    # makes both NaN, so it still yields peak 1.
-    peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+    peak = _peak(np.asarray(x, dtype=float))
     alpha = (peak if peak > 0 else 1.0) / (2 ** (bits - 1))
-    return QuantizerParams(
-        bits=bits,
-        alpha=alpha,
-        zero_point=0.0,
-    )
+    return QuantizerParams(bits, alpha, 0.0)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind
+from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind, _check_numbers
 from .costs import insertion_loss
 from .engine import EngineConfig, size_capacitor
 from .quantize import (
@@ -63,6 +63,7 @@ from .quantize import (
     QUANTIZER_BITS,
     NoiseModel,
     QuantizerParams,
+    _peak,
     adc_readout,
     apply_noise,
     fake_quantize,  # noqa: F401  (unused here; bench/test_bench.py rebinds scheduler.fake_quantize)
@@ -88,18 +89,21 @@ MODES = ("ideal", "quantized", "quantized+noise", "quantized+noise+adc")
 #: range): far above any machine modeled, and low enough that every count
 #: the cost model derives (R*C*K^2, ...) stays a finite float.
 _ARCH_INT_MAX = 2**31 - 1
-#: Each integer field of ArchConfig with its range.  The bit widths' is the
-#: converter range the catalog allows for rated_bits; _readout narrows
-#: it to what each simulator mode can run.
-_ARCH_INT_FIELDS = (
-    ("r_tiles", 1, _ARCH_INT_MAX), ("c_cores", 1, _ARCH_INT_MAX), ("k", 1, _ARCH_INT_MAX), ("t_int", 1, _ARCH_INT_MAX),
-    ("t_rst", 0, _ARCH_INT_MAX), ("bits_in", *CONVERTER_BITS), ("bits_out", *CONVERTER_BITS),
-)
 #: The fastest clock, 1 PHz, past the optical carrier (194 THz at 1550 nm):
 #: with a builtin catalog, every rate and power the cost model derives is finite.
 _CLOCK_HZ_MAX = 1e15
 #: The slowest clock whose period 1 / clock_hz is a finite float (about 5.6e-309 Hz).
 _CLOCK_HZ_MIN = math.nextafter(1.0 / sys.float_info.max, math.inf)
+#: ArchConfig's rules (see catalog._check_numbers).  The bit widths' range is
+#: the converter range the catalog allows for rated_bits; _readout narrows
+#: it to what each simulator mode can run.
+_ARCH_RULES = (
+    ("r_tiles", int, 1, False, _ARCH_INT_MAX), ("c_cores", int, 1, False, _ARCH_INT_MAX),
+    ("k", int, 1, False, _ARCH_INT_MAX), ("clock_hz", float, 0, True, _CLOCK_HZ_MAX),
+    ("t_int", int, 1, False, _ARCH_INT_MAX), ("t_rst", int, 0, False, _ARCH_INT_MAX),
+    ("bits_in", int, CONVERTER_BITS[0], False, CONVERTER_BITS[1]),
+    ("bits_out", int, CONVERTER_BITS[0], False, CONVERTER_BITS[1]),
+)
 
 
 @dataclass(frozen=True)
@@ -116,19 +120,9 @@ class ArchConfig:
     bits_out: int = 6
 
     def __post_init__(self):
-        for name, low, high in _ARCH_INT_FIELDS:
-            v = getattr(self, name)
-            if type(v) is not int:  # rejects bool too
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if not low <= v <= high:
-                bound = f"in [{low}, {high}]" if high != _ARCH_INT_MAX else (f">= {low}" if v < low else f"<= {high}")
-                raise ValueError(f"{name} must be {bound}, got {v}")
-        if isinstance(self.clock_hz, bool) or not isinstance(self.clock_hz, (int, float)):
-            raise ValueError(f"clock_hz must be a number, got {self.clock_hz!r}")
-        if not _CLOCK_HZ_MIN <= self.clock_hz <= _CLOCK_HZ_MAX:  # NaN, and an int past the float range, too
-            if 0 < self.clock_hz < _CLOCK_HZ_MIN:
-                raise ValueError(f"clock_hz must have a finite period 1 / clock_hz, got {self.clock_hz}")
-            raise ValueError(f"clock_hz must be finite and > 0, at most {_CLOCK_HZ_MAX:g}, got {self.clock_hz}")
+        _check_numbers(self, _ARCH_RULES)
+        if self.clock_hz < _CLOCK_HZ_MIN:
+            raise ValueError(f"clock_hz must have a finite period 1 / clock_hz, got {self.clock_hz}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -163,8 +157,8 @@ class GemmWorkload:
         object.__setattr__(self, "y", _real(self.y, "y"))
         _check_shapes(self.x.shape, self.y.shape)
         for name, a in (("x", self.x), ("y", self.y)):
-            peak = np.abs(a).max(initial=0.0)
-            if not np.isfinite(peak):
+            peak = _peak(a)
+            if not math.isfinite(peak):
                 raise ValueError(f"operand {name} has non-finite entries")
             if peak > 1.0:
                 raise ValueError("operands must be pre-normalized to [-1, 1]")

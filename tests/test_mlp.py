@@ -161,6 +161,18 @@ class TestCoreForward:
             forward_via_core(trained_model(), make_blobs(4, 8, 4, seed=100)[0], ARCH, cat, sigma=0.0031, seed=0)
         assert not products
 
+    @pytest.mark.parametrize("seed, message", [(2.5, "an integer, got 2.5"), ("1", "an integer, got '1'"),
+                                               (True, "an integer, got True"), (-1, ">= 0, got -1")])
+    def test_bad_seed_names_the_given_seed(self, monkeypatch, seed, message):
+        # The seed is checked as given, not as the layer's seed << 8 (a
+        # TypeError for 2.5 and "1", seed 1 for True, -256 for -1).
+        model = study_model((8, 13, 7, 4))
+        tx, _ = study_set((8, 13, 7, 4))
+        products = count_calls(monkeypatch, mlp, "_product")
+        with pytest.raises(ValueError, match=f"^seed must be {re.escape(message)}$"):
+            forward_via_core(model, tx, ARCH, CAT, sigma=0.02, seed=seed)
+        assert not products
+
 
 class TestRobustnessTable:
     def test_rows_and_reproducibility(self):
@@ -190,11 +202,16 @@ class TestRobustnessTable:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             robustness_table(model, tx, ty, ARCH, CAT, [0.0, 0.02], n_seeds=2)
 
-    def test_invalid_seed_count_rejected(self):
-        model = trained_model()
-        tx, ty = make_blobs(16, 8, 4, seed=100)
-        with pytest.raises(ValueError):
-            robustness_table(model, tx, ty, ARCH, CAT, [0.0], n_seeds=0)
+    @pytest.mark.parametrize("n_seeds, message", [(0, ">= 1, got 0"), (2.5, "an integer, got 2.5"),
+                                                  ("2", "an integer, got '2'"), (True, "an integer, got True")])
+    def test_invalid_seed_count_rejected(self, monkeypatch, n_seeds, message):
+        # Before any product: 2.5 and "2" would fail in range(), and True would run one seed.
+        model = study_model((8, 13, 7, 4))
+        tx, ty = study_set((8, 13, 7, 4))
+        products = count_calls(monkeypatch, mlp, "_product")
+        with pytest.raises(ValueError, match=f"^n_seeds must be {re.escape(message)}$"):
+            robustness_table(model, tx, ty, ARCH, CAT, [0.0, 0.02], n_seeds=n_seeds)
+        assert not products
 
     @pytest.mark.parametrize("n, sigmas, message", [(16, [], "^sigmas must hold at least one noise level$"),
                                                     (0, [0.0], "^the test set x is empty$")])
@@ -400,7 +417,7 @@ class TestStudyPass:
         model = study_model((8, 13, 7, 4))
         tx, _ = study_set((8, 13, 7, 4))
         passes = count_calls(monkeypatch, mlp, "_product")
-        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        with pytest.raises(ValueError, match="sigma must be >= 0, got -0.01"):
             list(mlp._core_logits(model, tx, ARCH, CAT, [(0.02, 0), (0.0, 0), (-0.01, 0)]))
         assert not passes
 
@@ -410,7 +427,7 @@ class TestStudyPass:
         model = study_model((8, 13, 7, 4))
         tx, _ = study_set((8, 13, 7, 4))
         passes = count_calls(monkeypatch, mlp, "_product")
-        with pytest.raises(ValueError, match=r"^sigma must be finite and >= 0, got -0\.01$"):
+        with pytest.raises(ValueError, match=r"^sigma must be >= 0, got -0\.01$"):
             list(mlp._core_logits(model, tx, ARCH, CAT, [(0.02, 0), (0.0, 1), (-0.01, 1)]))
         assert not passes
         tx, ty = study_set(MlpConfig().layer_sizes)

@@ -1,5 +1,7 @@
 """Quantization, STE gradients, noise injection, and ADC conversion."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,12 @@ class TestRounding:
         assert_same_bits(quantize_codes(np.array([-0.0]), UNIT), [0.0])
         assert_same_bits(quantize_codes(np.array([-0.3]), UNIT), [-0.0])
 
+    def test_float32_input_is_divided_in_float64(self):
+        # float32(12.45) is 12.4499998...: its float32 quotient by 0.1 would
+        # round to the tie 124.5, and so to the code 125.
+        p = QuantizerParams(8, 0.1, 0.0)
+        assert_same_bits(quantize_codes(np.float32([-12.45, 12.45]), p), [-124.0, 124.0])
+
     @given(floats_with_signed_zeros)
     def test_matches_sign_floor_formula_on_random_arrays(self, x):
         assert_same_bits(quantize_codes(x, UNIT), formula_round_half_away(x))
@@ -116,6 +124,13 @@ class TestQuantizerParams:
         with pytest.raises(ValueError):
             scalar_params(bits=bits)
 
+    @pytest.mark.parametrize("bits", [6.5, "6", True, np.int64(6)], ids=repr)
+    def test_bits_must_be_an_integer(self, bits):
+        # A bits of 6.5 would give q_max = 44.25, off the code lattice; a
+        # numpy integer is refused as ArchConfig and MlpConfig refuse it.
+        with pytest.raises(ValueError, match=f"^bits must be an integer, got {re.escape(repr(bits))}$"):
+            QuantizerParams(bits=bits, alpha=0.1, zero_point=0.0)
+
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
             scalar_params(alpha=0.0)
@@ -128,8 +143,8 @@ class TestQuantizerParams:
     @pytest.mark.parametrize(
         "alpha, z, message",
         [(0.0, 0.0, "alpha"), (-0.1, 0.0, "alpha"), (0.1, np.inf, "zero_point"),
-         (0.1, np.nan, "zero_point"), (np.nan, 0.0, "alpha must be positive and finite, got nan"),
-         (np.inf, 0.0, "alpha must be positive and finite, got inf"), (0.1, -0.0, None),
+         (0.1, np.nan, "zero_point"), (np.nan, 0.0, "alpha must be a finite number, got nan"),
+         (np.inf, 0.0, "alpha must be a finite number, got inf"), (0.1, -0.0, None),
          ([0.1, 0.1, 0.1], 0.0, "alpha must be one number"), (0.1, [0.0, 0.0], "zero_point must be one number"),
          pytest.param(10**400, 0.0, "alpha must be finite", id="alpha-10**400"),
          pytest.param(0.1, -10**400, "zero_point must be finite", id="zero_point--10**400")],
@@ -243,17 +258,30 @@ class TestSteGradients:
         _, ga = quantize_grad_ste(upstream, x, p)
         assert_same_bits(ga, [(upstream * formula_grad_alpha_terms(x, p)).sum()])
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            quantize_grad_ste(np.ones(3), np.ones(4), scalar_params())
+    @pytest.mark.parametrize("upstream_shape, x_shape", [((3,), (4,)), ((3,), (1,)), ((1, 3), (2, 3))])
+    def test_shape_mismatch_rejected(self, upstream_shape, x_shape):
+        # The last two would broadcast into a gradient of another shape than x.
+        message = f"upstream shape {upstream_shape} != x shape {x_shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quantize_grad_ste(np.ones(upstream_shape), np.zeros(x_shape), scalar_params())
+
+    def test_array_likes_taken_as_float_arrays(self):
+        p = scalar_params(bits=4, alpha=0.1)
+        gx, ga = quantize_grad_ste([1, 2, 3], [0.0, 0.5, 5.0], p)
+        want_gx, want_ga = quantize_grad_ste(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.5, 5.0]), p)
+        assert gx.dtype == float
+        assert_same_bits(gx, want_gx)
+        assert_same_bits(ga, want_ga)
 
 
 class TestNoise:
-    def test_zero_sigma_or_disabled_is_identity_copy(self):
-        # sigma = 0 is how noise is disabled.
-        x = np.ones(10)
+    @pytest.mark.parametrize("x", [np.array([1.0, -0.0, np.inf, -np.inf]), [1, 0, -1]], ids=["floats", "int-list"])
+    def test_zero_sigma_or_disabled_is_identity_copy(self, x):
+        # sigma = 0 is how noise is disabled: no draw touches an entry, so
+        # -0.0 and an infinity (where 0 * draw * inf would be NaN) stay.
         out = inject_noise(x, NoiseModel(sigma=0.0))
-        assert np.array_equal(out, x) and out is not x
+        assert type(out) is np.ndarray and out.dtype == float and out is not x
+        assert_same_bits(out, x)
 
     def test_std_proportional_to_magnitude(self):
         nm = NoiseModel(sigma=0.05, seed=1)
@@ -298,23 +326,24 @@ class TestNoise:
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400")])
     def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        with pytest.raises(ValueError, match="sigma must be a finite number"):
             NoiseModel(sigma=sigma)
 
     @pytest.mark.parametrize("sigma", ["0.1", True, None])
     def test_non_number_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        with pytest.raises(ValueError, match="sigma must be a finite number"):
             NoiseModel(sigma=sigma)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1" if seed == -1 else "seed must be an integer, got "):
             NoiseModel(seed=seed)
 
 
 class TestAdc:
-    def test_codes_span_full_range(self):
-        codes = adc_sample(np.array([-10.0, 10.0]), full_scale=1.0, bits=6)
+    @pytest.mark.parametrize("v", [np.array([-10.0, 10.0]), [-10, 10]], ids=["array", "int-list"])
+    def test_codes_span_full_range(self, v):
+        codes = adc_sample(v, full_scale=1.0, bits=6)
         assert list(codes) == [0, 63]
 
     def test_value_is_bin_center_inverse(self):
@@ -389,7 +418,7 @@ class TestMinmaxParams:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_entry_rejected(self, bad):
         # Its step size would be infinite, and every code 0.
-        with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+        with pytest.raises(ValueError, match="alpha must be a finite number, got inf"):
             minmax_params(np.array([0.5, bad]), bits=6)
 
     def test_positive_peak_clips_one_code_short(self):
@@ -412,7 +441,7 @@ class TestMinmaxParams:
         # A subnormal peak underflows to a zero step size, an infinite one
         # gives an infinite step size.
         if not 0 < want < np.inf:
-            with pytest.raises(ValueError, match="alpha must be positive"):
+            with pytest.raises(ValueError, match="alpha must be > 0, got 0.0" if want == 0 else "alpha must be a finite number, got inf"):
                 minmax_params(x, bits)
             return
         p = minmax_params(x, bits)

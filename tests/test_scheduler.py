@@ -125,6 +125,21 @@ class TestWorkload:
         with pytest.raises(ValueError, match="2-D"):
             GemmWorkload(np.zeros(3), np.zeros((3, 2)))
 
+    def test_nested_lists_taken_as_float_arrays(self):
+        w = GemmWorkload([[1, 0]], [[0.5], [-1]])
+        assert w.x.dtype == w.y.dtype == float and (w.m, w.n, w.q) == (1, 2, 1)
+
+    def test_peak_check_makes_no_operand_sized_temporary(self):
+        # The check reads max a and min a; an |a| array would be 8 MiB here.
+        a = np.random.default_rng(0).uniform(-1, 1, (1024, 1024))
+        tracemalloc.start()
+        try:
+            GemmWorkload(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.shape[1] * a.itemsize  # less than one row of the operand
+
     def test_random_is_seeded_and_bounded(self):
         a = GemmWorkload.random(4, 4, 4, seed=3)
         b = GemmWorkload.random(4, 4, 4, seed=3)
@@ -191,7 +206,7 @@ def test_arch_config_dict_round_trip():
 @pytest.mark.parametrize("value", [0, -1, 17, 40])
 @pytest.mark.parametrize("field", ["bits_in", "bits_out"])
 def test_arch_config_rejects_bit_width_no_converter_has(field, value):
-    with pytest.raises(ValueError, match=rf"{field} must be in \[1, 16\], got {value}"):
+    with pytest.raises(ValueError, match=rf"^{field} must be {'>= 1' if value < 1 else '<= 16'}, got {value}$"):
         ArchConfig(**{field: value})
 
 
@@ -224,9 +239,13 @@ def test_arch_config_accepts_every_converter_bit_width(field, value):
     assert getattr(ArchConfig(**{field: value}), field) == value
 
 
-@pytest.mark.parametrize("clock_hz", [float("nan"), float("inf"), -float("inf"), 0.0, -5e9, 10**400, -(10**400)])
-def test_arch_config_rejects_bad_clock(clock_hz):
-    with pytest.raises(ValueError, match="clock_hz must be finite and > 0"):
+@pytest.mark.parametrize(
+    "clock_hz, message",
+    [*((v, "a finite number") for v in (float("nan"), float("inf"), -float("inf"), 10**400, -(10**400))),
+     (0.0, "> 0"), (-5e9, "> 0"), (2e15, "<= 1000000000000000.0")],
+)
+def test_arch_config_rejects_bad_clock(clock_hz, message):
+    with pytest.raises(ValueError, match=f"^clock_hz must be {message}, got "):
         ArchConfig(clock_hz=clock_hz)
 
 
@@ -250,7 +269,7 @@ def test_arch_config_rejects_non_integer_fields(field, value):
 
 @pytest.mark.parametrize("clock_hz", [True, False, "5e9", None, [5e9]])
 def test_arch_config_rejects_non_number_clock(clock_hz):
-    with pytest.raises(ValueError, match="clock_hz must be a number"):
+    with pytest.raises(ValueError, match="clock_hz must be a finite number, got "):
         ArchConfig(clock_hz=clock_hz)
 
 
@@ -699,9 +718,12 @@ class TestEpochStreaming:
             adc = (SMALL.c_cores * SMALL.t_int, SMALL.bits_out) if mode == "quantized+noise+adc" else None
             assert calls == [adc], mode
 
-    def test_peak_memory_is_bounded(self):
+    # The second shape has three readout epochs and a result larger than the
+    # bound's slack: a product buffer made anew for each epoch would pass it.
+    @pytest.mark.parametrize("m, n, q", [(256, 2048, 256), (512, 1080, 512)])
+    def test_peak_memory_is_bounded(self, m, n, q):
         rng = np.random.default_rng(0)
-        w = GemmWorkload(rng.uniform(-1, 1, (256, 2048)), rng.uniform(-1, 1, (2048, 256)))
+        w = GemmWorkload(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (n, q)))
         arch = ArchConfig()
         tracemalloc.start()
         try:
