@@ -13,11 +13,12 @@ NaN, and the CLI reports each as bad input.  Each kind has its required fields
 and each numeric field its type and range (_FIELD_RULES): powers, areas,
 losses, dark current and energy per bit >= 0; lengths, widths, rated
 frequency and responsivity > 0; extinction ratio > 0 or +inf (ideal), with
-the engine's 1 - 10^(-ER/10) > 0; rated_bits in CONVERTER_BITS;
-fanout_n >= 2; the DAC's and the laser's power > 0.  A catalog holds every
-kind, one of mzm and slmzm being enough, and a photodetector with a length
-and width.  _check_numbers is the package's one number rule: every config
-type declares its rules (name, type, low, strict, high) and checks by it.
+the power penalty 1 - 10^(-ER/10) > 0 (_er_power_factor); rated_bits in
+CONVERTER_BITS; fanout_n >= 2; the DAC's and the laser's power > 0.  A
+catalog holds every kind, one of mzm and slmzm being enough, and a
+photodetector with a length and width.  _check_numbers is the package's one
+number rule: every config type, and every public function for its raw
+numeric arguments, declares its rules (name, type, low, strict, high).
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
-
-from .engine import _er_power_factor
 
 __all__ = [
     "CatalogError",
@@ -143,6 +142,19 @@ def _check_numbers(obj, rules: Iterable[tuple], prefix: str = "", error: type = 
             raise error(f"{prefix}{name} must be <= {high}, got {v}")
 
 
+def _er_power_factor(extinction_ratio_db: float | None) -> float:
+    """1 - 10^(-ER/10), the engine's and cost model's laser power penalty; 1 for None or +inf ER (ideal).
+
+    An ER so close to 0 that the factor rounds to 0 is rejected as ER <= 0 is.
+    """
+    if extinction_ratio_db is None or extinction_ratio_db == math.inf:
+        return 1.0
+    factor = 1.0 - 10.0 ** (-extinction_ratio_db / 10.0) if extinction_ratio_db > 0 else 0.0
+    if not factor > 0:
+        raise ValueError(f"extinction ratio must be > 0 dB, got {extinction_ratio_db}")
+    return factor
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """Tabulated parameters of one component class.
@@ -188,7 +200,7 @@ class DeviceSpec:
         er = self.extinction_ratio_db
         if er is not None:
             try:
-                _er_power_factor(er)  # the engine's own rule, so the two cannot drift
+                _er_power_factor(er)  # the rule the engine and the cost model apply, so they cannot drift
             except ValueError:
                 raise CatalogError(f"device {self.name!r}: extinction_ratio_db must be > 0 with 1 - 10^(-ER/10) > 0, "
                                    f"got {er!r}") from None

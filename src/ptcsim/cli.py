@@ -310,7 +310,7 @@ def _cmd_robustness(args):
     args.trials = cfg_file.get("trials", args.trials)
     _check_numbers(args, [("trials", int, 1, False, None)])  # robustness_table's n_seeds rule
     cfg = MlpConfig(
-        bits=cfg_file.get("bits", args.bits_in),
+        bits=cfg_file.get("bits", arch.bits_in),
         train_sigma=cfg_file.get("sigma_train", args.train_sigma),
         epochs=cfg_file.get("epochs", MlpConfig.epochs),
         seed=cfg_file.get("seed", args.seed),

@@ -33,10 +33,11 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .catalog import CONVERTER_BITS, CatalogVariant, DeviceKind, DeviceSpec, variant_name
-from .engine import _er_power_factor
+from .catalog import (CONVERTER_BITS, CatalogVariant, DeviceKind, DeviceSpec, _check_numbers, _er_power_factor,
+                      variant_name)
 
 if TYPE_CHECKING:
     from .scheduler import ArchConfig
@@ -47,7 +48,6 @@ __all__ = [
     "insertion_loss",
     "min_laser_power",
     "laser_power_required",
-    "dac_power_scale",
     "area_estimate",
     "power_estimate",
     "metrics",
@@ -98,19 +98,18 @@ class LossBudget:
 
 
 def insertion_loss(
-    k: int, cat: CatalogVariant, topology: str = "embedded_uneven"
+    arch: ArchConfig, cat: CatalogVariant, topology: str = "embedded_uneven"
 ) -> LossBudget:
-    """Worst-path optical loss of a K x K core.
+    """Worst-path optical loss of one of arch's K x K cores.
 
     The embedded-uneven-splitter routing pays (K-1) crossings and K tap
     splitters per path; the double-layer alternative pays (K-1)^2 crossings
     but only one secondary 1xK splitter.  Both include the 10 log10 K^2
     ideal fanout split.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; options: {TOPOLOGIES}")
+    k = arch.k
     t = _terms(cat)
     fanout = 10.0 * math.log10(float(k) ** 2) if k > 1 else 0.0
     if topology == "embedded_uneven":
@@ -129,11 +128,17 @@ def min_laser_power(
 
     Solves P * (1 - 10^(-ER/10)) / 10^(IL/10) = I_noise/R_PD + 2^b * 10^(S/10)
     at equality, with the PD sensitivity S in dBm; the photodetector spec
-    brings its fields checked, and the ER penalty is the engine's.  Raises
+    brings its fields checked, and the ER penalty is the engine's.  bits_out
+    is an int in CONVERTER_BITS, ArchConfig's range for it.  Raises
     ValueError, naming the loss and the sensitivity, if P overflows a float.
     """
-    if bits_out < 1:
-        raise ValueError(f"bits_out must be >= 1, got {bits_out}")
+    rule = ("bits_out", int, CONVERTER_BITS[0], False, CONVERTER_BITS[1])  # ArchConfig's
+    _check_numbers(SimpleNamespace(bits_out=bits_out), [rule])
+    return _laser_power(il_db, pd, er_db, bits_out)
+
+
+def _laser_power(il_db: float, pd: DeviceSpec, er_db: float, bits_out: int) -> float:
+    """min_laser_power once bits_out is checked."""
     noise_floor_mw = pd.dark_current_a / pd.responsivity_a_per_w * 1e3
     try:  # 10^(x/10) raises past the float range; a product gives inf
         sensitivity_mw = 2.0**bits_out * 10.0 ** (pd.sensitivity_dbm / 10.0)
@@ -152,19 +157,7 @@ def laser_power_required(arch: ArchConfig, cat: CatalogVariant, il_db: float) ->
     """Laser power (W) of the R*C cores: per core, min_laser_power at il_db dB,
     bits_out bits and the catalog's photodetector and modulator ER."""
     t = _terms(cat)
-    return arch.r_tiles * arch.c_cores * min_laser_power(il_db, t.pd, t.er_db, arch.bits_out)
-
-
-def dac_power_scale(p0: float, b0: int, fs0: float, b: int, f: float) -> float:
-    """Rescale a rated DAC power to another bit width and update rate.
-
-    P = P0 * b0 * 2^b * f / (2^b0 * b * fs0).
-    """
-    if min(p0, fs0, f) <= 0 or b0 <= 0 or b <= 0:
-        raise ValueError("dac_power_scale arguments must be positive")
-    if b > CONVERTER_BITS[1]:
-        raise ValueError(f"bit width out of range: {b}")
-    return p0 * b0 * 2.0**b * f / (2.0**b0 * b * fs0)
+    return arch.r_tiles * arch.c_cores * _laser_power(il_db, t.pd, t.er_db, arch.bits_out)
 
 
 def _node_area_um2(cat: CatalogVariant) -> float:
@@ -283,9 +276,11 @@ def power_estimate(
     """Per-component on-chip power breakdown in W.
 
     Single-core closed form: P = 2K (P_DAC + P_mod) + K^2 (2 P_PD + P_PS
-    + P_int + P_TIA + P_ADC), with DAC power rescaled to the configured bit
-    width and clock, and TIA/ADC scaled by f / (T * f_rated); scaled to R*C
-    cores, except that the readout chains are counted per tile.
+    + P_int + P_TIA + P_ADC), with TIA/ADC scaled by f / (T * f_rated);
+    scaled to R*C cores, except that the readout chains are counted per
+    tile.  The DAC's rated power P0, at b0 bits and fs0 samples/s, is
+    rescaled to arch's bits_in b and clock f:
+    P_DAC = P0 * b0 * 2^b * f / (2^b0 * b * fs0).
     """
     k = arch.k
     n_cores = arch.r_tiles * arch.c_cores
@@ -293,9 +288,8 @@ def power_estimate(
     t = _terms(cat)
     dac, mod, tia, adc = t.dac, t.mod, t.tia, t.adc
 
-    p_dac = dac_power_scale(
-        dac.power_w, dac.rated_bits, dac.rated_frequency_hz, arch.bits_in, f
-    )
+    b, b0 = arch.bits_in, dac.rated_bits
+    p_dac = dac.power_w * b0 * 2.0**b * f / (2.0**b0 * b * dac.rated_frequency_hz)
     p_mod = mod.power_w + mod.energy_per_bit_j * f
     p_tia = tia.power_w * f / (arch.t_int * tia.rated_frequency_hz)
     p_adc = adc.power_w * f / (arch.t_int * adc.rated_frequency_hz)
@@ -415,7 +409,7 @@ def cost_report(
     fields of its largest (or first non-finite) component; and TOPS/W,
     TOPS/mm^2 and the wall power must stay in the float range.
     """
-    loss = insertion_loss(arch.k, cat, topology)
+    loss = insertion_loss(arch, cat, topology)
     laser_req = laser_power_required(arch, cat, loss.total_db)
     area = area_estimate(arch, cat, include_memory)
     power = power_estimate(arch, cat, include_memory)

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar
+
+from .catalog import _check_numbers, _er_power_factor
 
 __all__ = [
     "FieldPair",
@@ -49,19 +52,6 @@ class EngineOutput:
     """Balanced-detection result: the net photocurrent."""
 
     i_out: float
-
-
-def _er_power_factor(extinction_ratio_db: float | None) -> float:
-    """1 - 10^(-ER/10), the laser power penalty; 1 for None or +inf ER (ideal).
-
-    An ER so close to 0 that the factor rounds to 0 is rejected as ER <= 0 is.
-    """
-    if extinction_ratio_db is None or extinction_ratio_db == math.inf:
-        return 1.0
-    factor = 1.0 - 10.0 ** (-extinction_ratio_db / 10.0) if extinction_ratio_db > 0 else 0.0
-    if not factor > 0:
-        raise ValueError(f"extinction ratio must be > 0 dB, got {extinction_ratio_db}")
-    return factor
 
 
 def er_amplitude_factor(extinction_ratio_db: float | None) -> float:
@@ -114,10 +104,13 @@ def size_capacitor(i_pd_max: float, t_steps: int, clock_hz: float, v_dd: float) 
     """Integration capacitance that places a full-rate ramp exactly at the rail.
 
     C_int = I_max * T / (f * V_DD).  I_max is the post-aggregation maximum
-    current into the integrator: the C cores of a tile sum into one.
+    current into the integrator: the C cores of a tile sum into one.  t_steps
+    is bounded as ArchConfig bounds t_int, so that I_max * T stays a float.
     """
-    if i_pd_max <= 0 or t_steps <= 0 or clock_hz <= 0 or v_dd <= 0:
-        raise ValueError("size_capacitor arguments must all be > 0")
+    _check_numbers(SimpleNamespace(i_pd_max=i_pd_max, t_steps=t_steps, clock_hz=clock_hz, v_dd=v_dd), [
+        ("i_pd_max", float, 0, True, None), ("t_steps", int, 1, False, 2**31 - 1),
+        ("clock_hz", float, 0, True, None), ("v_dd", float, 0, True, None),
+    ])
     return i_pd_max * t_steps / (clock_hz * v_dd)
 
 

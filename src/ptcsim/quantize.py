@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ QUANTIZER_BITS = (2, 8)
 ADC_BITS = (2, 12)
 
 
-#: QuantizerParams' rules, once alpha and zero_point are floats (see catalog._check_numbers).
+#: QuantizerParams' rules, once alpha and zero_point are unwrapped (see catalog._check_numbers).
 _QUANTIZER_RULES = (
     ("bits", int, QUANTIZER_BITS[0], False, QUANTIZER_BITS[1]), ("alpha", float, 0, True, None),
     ("zero_point", float, -math.inf, True, None),
@@ -50,8 +51,9 @@ _QUANTIZER_RULES = (
 class QuantizerParams:
     """Per-tensor learnable-step-size quantizer parameters.
 
-    alpha (the step size) and zero_point are floats, one per tensor; a
-    size-1 array is taken as its one value.  bits, b, is an int in
+    alpha (the step size) and zero_point are floats, one per tensor: a size-1
+    value of integer or real numpy dtype is taken as its one value, and the
+    rule refuses any other (a str, a bool) as given.  bits, b, is an int in
     QUANTIZER_BITS; b-bit signed codes span [-2^(b-1), 2^(b-1)-1].
     """
 
@@ -62,13 +64,12 @@ class QuantizerParams:
     def __post_init__(self):
         if not type(self.alpha) is type(self.zero_point) is float:
             for name in ("alpha", "zero_point"):
-                try:
-                    v = np.asarray(getattr(self, name), dtype=float)
-                except OverflowError:  # an int past the float range
-                    raise ValueError(f"{name} must be finite, got an integer past the float range") from None
+                v = np.asarray(getattr(self, name))
+                if v.dtype.kind not in "iuf":  # not an integer or real value: the rule refuses it as given
+                    continue
                 if v.size != 1:
                     raise ValueError(f"{name} must be one number (the quantizer is per-tensor), got {v.size} values")
-                object.__setattr__(self, name, v.item())
+                object.__setattr__(self, name, float(v.item()))
         _check_numbers(self, _QUANTIZER_RULES)
 
     @property
@@ -220,10 +221,8 @@ def adc_readout(v: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
 
 def _adc_half(v: np.ndarray, full_scale: float, bits: int) -> int:
     """Half the ADC code count, 2^(bits-1), once the arguments are checked."""
-    if not ADC_BITS[0] <= bits <= ADC_BITS[1]:
-        raise ValueError(f"adc bits must be in [{ADC_BITS[0]}, {ADC_BITS[1]}], got {bits}")
-    if full_scale <= 0:
-        raise ValueError(f"full_scale must be > 0, got {full_scale}")
+    rules = [("bits", int, ADC_BITS[0], False, ADC_BITS[1]), ("full_scale", float, 0, True, None)]
+    _check_numbers(SimpleNamespace(bits=bits, full_scale=full_scale), rules)
     if not np.all(np.isfinite(v)):
         raise ValueError("adc input must be finite")
     return 2 ** (bits - 1)

@@ -281,7 +281,7 @@ def engine_config_for(arch: ArchConfig, cat: CatalogVariant) -> EngineConfig:
     Raises ValueError if the ramp misses V_DD by more than 1e-12 relative,
     which only a current outside the normal float range does.
     """
-    il = insertion_loss(arch.k, cat).total_db
+    il = insertion_loss(arch, cat).total_db
     pd = cat.device(DeviceKind.PHOTODETECTOR)
     laser = cat.device(DeviceKind.LASER)
     cfg = EngineConfig(

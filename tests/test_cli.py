@@ -429,6 +429,18 @@ class TestRobustness:
         report = json.loads((tmp_path / "o/robustness.json").read_text())
         assert report["arch"]["k"] == 8 and report["trials"] == 1
 
+    @pytest.mark.parametrize("source", ["--arch", "--config"])
+    def test_mlp_trains_at_the_resolved_arch_bits_in(self, tmp_path, capsys, source):
+        # --bits-in sets only the flags' arch; an arch from a file overrides it, for the MLP too.
+        arch = {"r_tiles": 1, "c_cores": 2, "k": 8, "bits_in": 4}
+        doc = {"arch": arch, "epochs": 1, "trials": 1, "sigmas_eval": [0.0]} if source == "--config" else arch
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        args = ["robustness", source, str(tmp_path / "in.json"), "--bits-in", "6", "--trials", "1", "--sigmas", "0"]
+        code, _, _ = run([*args, "--out", str(tmp_path / "o")], capsys)
+        assert code == 0
+        report = strict_json(tmp_path / "o/robustness.json")
+        assert report["arch"]["bits_in"] == report["bits"] == 4
+
     def test_negative_sigma_exits_2(self, tmp_path, capsys):
         code, _, _ = run(
             ["robustness", "--sigmas", "-0.1", "--out", str(tmp_path)], capsys
@@ -478,7 +490,7 @@ class TestRobustness:
             (["--bits-in", "12"], "bits must be at most 8, or >= 16"),
             (["--bits-in", "16"], "bits_in must be in [2, 8]"),
             (["--config", {"bits": 9}], "bits must be at most 8, or >= 16"),
-            (["--config", {"arch": {"bits_in": 9}}], "bits_in must be in [2, 8]"),
+            (["--config", {"arch": {"bits_in": 9}}], "bits must be at most 8, or >= 16"),
         ],
     )
     def test_bit_widths_checked_before_training(self, tmp_path, capsys, monkeypatch, args, message):

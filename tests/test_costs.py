@@ -1,5 +1,7 @@
 """Analytical cost model: loss chain, laser power, area/power, metrics, sweeps."""
 
+import ast
+import builtins
 import gc
 import hashlib
 import json
@@ -8,6 +10,7 @@ import re
 import sys
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from ptcsim import (
     comparison_points,
     cost_report,
     costs,
-    dac_power_scale,
     insertion_loss,
     laser_power_required,
     load_builtin_catalog,
@@ -57,16 +59,32 @@ def unchecked_report(arch, cat, include_memory=False, convention="peak", topolog
     """The report cost_report stands for, assembled from the pricing functions with no range check."""
     area = area_estimate(arch, cat, include_memory)
     power = power_estimate(arch, cat, include_memory)
-    loss = insertion_loss(arch.k, cat, topology)
+    loss = insertion_loss(arch, cat, topology)
     laser_req = laser_power_required(arch, cat, loss.total_db)
     tops, tpw, tpmm2 = metrics(arch, sum(area.values()), sum(power.values()), convention)
     return CostReport(cat.name, arch, convention, topology, include_memory, area, power, loss, laser_req,
                       cat.device(DeviceKind.LASER).power_w, tops, tpw, tpmm2)
 
 
+def test_annotations_name_only_bound_names():
+    # The pricing functions are annotated with scheduler's ArchConfig, which
+    # costs imports for type checkers only (scheduler imports costs).
+    tree = ast.parse(Path(costs.__file__).read_text())
+    bound = set(dir(builtins)) | {
+        alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))] + [
+        node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    ]
+    names = {n.id for a in annotations if a is not None for n in ast.walk(a) if isinstance(n, ast.Name)}
+    assert "ArchConfig" in names
+    assert names <= bound, names - bound
+
+
 class TestInsertionLoss:
     def test_budget_total_is_sum_of_parts(self):
-        lb = insertion_loss(32, CUSTOM)
+        lb = insertion_loss(ARCH, CUSTOM)
         parts = (
             lb.il_couple + lb.split_fanout_db + lb.il_mzm + lb.il_cross_total
             + lb.il_split_total + lb.il_ps + lb.il_dc
@@ -74,29 +92,28 @@ class TestInsertionLoss:
         assert lb.total_db == pytest.approx(parts, abs=1e-9)
 
     def test_k32_custom_worked_value(self):
-        assert insertion_loss(32, CUSTOM).total_db == pytest.approx(47.33, abs=0.01)
+        assert ARCH.k == 32
+        assert insertion_loss(ARCH, CUSTOM).total_db == pytest.approx(47.33, abs=0.01)
 
     def test_crossing_counts_by_topology(self):
         cross = CUSTOM.device(DeviceKind.CROSSING).insertion_loss_db
-        eu = insertion_loss(8, CUSTOM, "embedded_uneven")
-        dl = insertion_loss(8, CUSTOM, "double_layer")
+        eu = insertion_loss(ArchConfig(k=8), CUSTOM, "embedded_uneven")
+        dl = insertion_loss(ArchConfig(k=8), CUSTOM, "double_layer")
         assert eu.il_cross_total == pytest.approx(7 * cross)
         assert dl.il_cross_total == pytest.approx(49 * cross)
         # Double layer replaces K taps with one secondary splitter.
         assert dl.il_split_total == CUSTOM.device(DeviceKind.SPLITTER_1XN).insertion_loss_db
 
     def test_loss_monotone_in_k(self):
-        totals = [insertion_loss(k, CUSTOM).total_db for k in (2, 4, 8, 16, 32)]
+        totals = [insertion_loss(ArchConfig(k=k), CUSTOM).total_db for k in (2, 4, 8, 16, 32)]
         assert totals == sorted(totals)
 
     def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-            insertion_loss(0, CUSTOM)
         with pytest.raises(ValueError, match="topology"):
-            insertion_loss(8, CUSTOM, "mesh")
+            insertion_loss(ARCH, CUSTOM, "mesh")
 
     def test_k1_has_no_fanout_term(self):
-        assert insertion_loss(1, CUSTOM).split_fanout_db == 0.0
+        assert insertion_loss(ArchConfig(k=1), CUSTOM).split_fanout_db == 0.0
 
 
 class TestLaserPower:
@@ -119,13 +136,13 @@ class TestLaserPower:
             min_laser_power(20.0, CUSTOM.device(DeviceKind.PHOTODETECTOR), er, 6)
 
     def test_invalid_bits_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bits_out must be >= 1, got 0$"):
             min_laser_power(20.0, CUSTOM.device(DeviceKind.PHOTODETECTOR), 10.0, 0)
 
     @pytest.mark.parametrize("topology", ["embedded_uneven", "double_layer"])
     def test_report_prices_every_core_at_its_loss(self, topology):
         arch = ArchConfig(r_tiles=2, c_cores=3, k=8, bits_out=5)
-        il_db = insertion_loss(arch.k, CUSTOM, topology).total_db
+        il_db = insertion_loss(arch, CUSTOM, topology).total_db
         per_core = min_laser_power(
             il_db, CUSTOM.device(DeviceKind.PHOTODETECTOR), CUSTOM.modulator().extinction_ratio_db, 5
         )
@@ -146,22 +163,21 @@ class TestLaserPower:
             min_laser_power(il_db, pd, 10.0, 6)
 
 
-class TestDacPowerScale:
+class TestDacPower:
+    """power_estimate rescales the DAC's rated power to the arch's bits_in and clock."""
+
     def test_rated_point_is_identity(self):
-        assert dac_power_scale(0.05, 8, 14e9, 8, 14e9) == pytest.approx(0.05)
+        # One core of K = 1 has two input chains.
+        dac = CUSTOM.device(DeviceKind.DAC)
+        arch = ArchConfig(r_tiles=1, c_cores=1, k=1, clock_hz=dac.rated_frequency_hz, bits_in=dac.rated_bits)
+        assert power_estimate(arch, CUSTOM)["dac"] == pytest.approx(2 * dac.power_w)
 
     def test_headline_operating_point(self):
         # 8-bit 50 mW at 14 GS/s rescaled to 6 bits at 5 GHz.
-        p = dac_power_scale(0.05, 8, 14e9, 6, 5e9)
-        assert p * 1e3 == pytest.approx(5.952, abs=0.001)
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            dac_power_scale(0.05, 8, 14e9, 0, 5e9)
-        with pytest.raises(ValueError):
-            dac_power_scale(-0.05, 8, 14e9, 6, 5e9)
-        with pytest.raises(ValueError, match="bit width out of range: 17"):
-            dac_power_scale(0.05, 8, 14e9, 17, 5e9)
+        dac = CUSTOM.device(DeviceKind.DAC)
+        assert (dac.power_w, dac.rated_bits, dac.rated_frequency_hz) == (0.05, 8, 14e9)
+        inputs = 2 * ARCH.r_tiles * ARCH.c_cores * ARCH.k
+        assert power_estimate(ARCH, CUSTOM)["dac"] / inputs * 1e3 == pytest.approx(5.952, abs=0.001)
 
 
 class TestBreakdowns:
@@ -184,7 +200,8 @@ class TestBreakdowns:
         area = area_estimate(ARCH, CUSTOM)
         power = power_estimate(ARCH, CUSTOM)
         dac, mod = CUSTOM.device(DeviceKind.DAC), CUSTOM.modulator()
-        p_dac = dac_power_scale(dac.power_w, dac.rated_bits, dac.rated_frequency_hz, ARCH.bits_in, f)
+        p_dac = dac.power_w * dac.rated_bits * 2.0**ARCH.bits_in * f / (2.0**dac.rated_bits * ARCH.bits_in
+                                                                       * dac.rated_frequency_hz)
         assert area["dac"] * 1e6 == pytest.approx(inputs * dac.area_um2)
         assert area["modulator"] * 1e6 == pytest.approx(inputs * mod.area_um2)
         assert power["dac"] == pytest.approx(inputs * p_dac)

@@ -146,12 +146,17 @@ class TestQuantizerParams:
          (0.1, np.nan, "zero_point"), (np.nan, 0.0, "alpha must be a finite number, got nan"),
          (np.inf, 0.0, "alpha must be a finite number, got inf"), (0.1, -0.0, None),
          ([0.1, 0.1, 0.1], 0.0, "alpha must be one number"), (0.1, [0.0, 0.0], "zero_point must be one number"),
-         pytest.param(10**400, 0.0, "alpha must be finite", id="alpha-10**400"),
-         pytest.param(0.1, -10**400, "zero_point must be finite", id="zero_point--10**400")],
+         pytest.param(10**400, 0.0, "alpha must be a finite number, got ", id="alpha-10**400"),
+         pytest.param(0.1, -10**400, "zero_point must be a finite number, got ", id="zero_point--10**400"),
+         ("0.1", 0.0, "alpha must be a finite number, got "), (0.1, True, "zero_point must be a finite number, got "),
+         (0.1, "0", "zero_point must be a finite number, got "), (False, 0.0, "alpha must be a finite number, got "),
+         (np.bool_(False), 0.0, "alpha must be a finite number, got "), ([None], 0.0, "alpha must be a finite number"),
+         (0.1, b"1", "zero_point must be a finite number, got "), (0.1, 1j, "zero_point must be a finite number, got ")],
     )
     def test_per_tensor_checks(self, as_array, alpha, z, message):
         # Floats and size-1 arrays are checked alike; the params are
-        # per-tensor, so a longer array is rejected.
+        # per-tensor, so a longer array is rejected.  A str or bool is refused
+        # as given: converting would read "0.1" as 0.1 and True as 1.0.
         def make():
             if as_array:
                 return QuantizerParams(bits=6, alpha=np.atleast_1d(alpha), zero_point=np.atleast_1d(z))
@@ -163,6 +168,16 @@ class TestQuantizerParams:
         else:
             with pytest.raises(ValueError, match=message):
                 make()
+
+    @pytest.mark.parametrize(
+        "value",
+        [3, np.int64(3), np.uint8(3), np.float32(0.25), np.array([[0.25]], dtype=np.float16), np.longdouble(0.25)],
+        ids=repr,
+    )
+    def test_one_integer_or_real_value_is_taken_as_a_float(self, value):
+        p = QuantizerParams(6, value, value)
+        assert type(p.alpha) is type(p.zero_point) is float
+        assert p.alpha == p.zero_point == float(np.asarray(value).item())
 
 
 class TestFakeQuantize:
