@@ -187,11 +187,7 @@ def adc_sample(v, full_scale: float, bits: int):
     (code - (2^(bits-1) - 0.5)) * full_scale / 2^(bits-1), so adc_value is
     the documented inverse.
     """
-    v = np.asarray(v, dtype=float)
-    half = _adc_half(v, full_scale, bits)
-    delta = full_scale / half
-    code = np.floor(v / delta) + half
-    code = np.clip(code, 0, 2 * half - 1).astype(int)
+    code = (_adc_codes(np.array(v, dtype=float), full_scale, bits) + 2 ** (bits - 1)).astype(int)
     return code if code.ndim else int(code)
 
 
@@ -204,28 +200,31 @@ def adc_value(code, full_scale: float, bits: int):
 def adc_readout(v: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
     """adc_value(adc_sample(v)), in place on the float array v; returns v.
 
-    The same float operations in the same order, so the result is equal bit
-    for bit; the codes are never cast to integers and back, which is exact
-    for them anyway.
+    v's signed codes c (_adc_codes) read as (c + 1/2) * full_scale / 2^(bits-1),
+    adc_value's arithmetic on adc_sample's code bit for bit: c + 1/2 is exact.
     """
-    half = _adc_half(v, full_scale, bits)
-    v /= full_scale / half
-    np.floor(v, out=v)
-    v += half
-    np.clip(v, 0, 2 * half - 1, out=v)
-    v -= half - 0.5
+    _adc_codes(v, full_scale, bits)
+    v += 0.5
     v *= full_scale
-    v /= half
+    v /= 2 ** (bits - 1)
     return v
 
 
-def _adc_half(v: np.ndarray, full_scale: float, bits: int) -> int:
-    """Half the ADC code count, 2^(bits-1), once the arguments are checked."""
+def _adc_codes(v: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
+    """The ADC's signed codes of the float array v, in place; returns v.
+
+    c = clip(floor(v / delta), -2^(bits-1), 2^(bits-1) - 1), delta = full_scale
+    / 2^(bits-1): adc_sample's code less 2^(bits-1).  Raises for bits outside
+    ADC_BITS, a full_scale that is not a finite number > 0, or a non-finite v.
+    """
     rules = [("bits", int, ADC_BITS[0], False, ADC_BITS[1]), ("full_scale", float, 0, True, None)]
     _check_numbers(SimpleNamespace(bits=bits, full_scale=full_scale), rules)
-    if not np.all(np.isfinite(v)):
+    if not math.isfinite(_peak(v)):
         raise ValueError("adc input must be finite")
-    return 2 ** (bits - 1)
+    half = 2 ** (bits - 1)
+    v /= full_scale / half
+    np.floor(v, out=v)
+    return np.clip(v, -half, half - 1, out=v)
 
 
 def _peak(a: np.ndarray) -> float:

@@ -17,8 +17,8 @@ rows of y, and the K x K blocks only matter for cycle accounting.
 One kernel, _product, runs every mode.  Ideal mode is one x @ y; the others
 walk y a chunk of rows at a time.  Only the ADC reads an epoch, so only the
 ADC mode's chunks are epochs: y one epoch at a time in float64, each
-epoch's product digitized in place, in units of the product on a rail of
-C*T products, and added to the result.  Without the ADC the readouts are
+epoch's product turned in place into its ADC codes on a rail of C*T
+products, and the codes summed.  Without the ADC the readouts are
 summed linearly, over chunks of _LINEAR_ROWS rows of y whatever the
 machine, so z_hat does not depend on C, T or R, bit for bit.  Quantized
 mode (and quantized+noise at sigma = 0) sums the integer codes in float32,
@@ -35,7 +35,8 @@ chunk buffer of y, and in noise modes dequantized, perturbed and clipped in
 those rows.  Each operand draws its noise from its own generator in
 row-major order, so the values do not depend on the blocks or chunks.
 Working memory is the result, one product buffer, one copy of x and one
-chunk of y.  engine_config_for sizes the integration capacitor so that a
+chunk of y; the ADC mode's result is its product buffer, and it sums its
+codes in float32.  engine_config_for sizes the integration capacitor so that a
 full-scale ramp, C*T unit products, lands exactly on the rail; no operand
 passes 1, so no readout passes the rail and nothing is clamped.  That
 ramp is why the ADC reads in product units: the laser, the loss chain, the
@@ -63,8 +64,8 @@ from .quantize import (
     QUANTIZER_BITS,
     NoiseModel,
     QuantizerParams,
+    _adc_codes,
     _peak,
-    adc_readout,
     apply_noise,
     fake_quantize,  # noqa: F401  (unused here; bench/test_bench.py rebinds scheduler.fake_quantize)
     minmax_params,
@@ -384,15 +385,19 @@ def _product(x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: Quant
 
     Ideal mode (px None) is x @ y itself.  Otherwise x goes through the
     front end (_engine_rows) whole and y a chunk of rows at a time, and the
-    chunks' products are summed in float64.  adc is None, or the readout
-    (rail, bits) = (C*T, bits_out): a chunk is then one epoch, which
-    integrates at most C*T unit products, and its product is scaled to
-    products (codes only; perturbed operands are in [-1, 1] already) and
-    digitized in place before it is summed.  Without it a chunk is
-    _LINEAR_ROWS rows, of float32 codes (noise None) or perturbed float64
-    operands, and the code sum is scaled by alpha_x * alpha_y once.  When y
-    is one chunk its product is the result itself, with no second (M, Q)
-    buffer.
+    chunks' products are summed.  adc is None, or the readout (rail, bits)
+    = (C*T, bits_out): a chunk is then one epoch, which integrates at most
+    C*T unit products, and its product is scaled to products (codes only;
+    perturbed operands are in [-1, 1] already) and turned in place into its
+    ADC codes c, which are summed, exactly: in float32 while E * 2^(b-1) <=
+    2^24 for E epochs, else float64.  The product buffer then takes ((sum +
+    E/2) * C*T) / 2^(b-1), the float64 sum of the readouts (c + 1/2) * C*T /
+    2^(b-1) bit for bit: each is an odd multiple of C*T / 2^b, and C*T < N
+    if E >= 2, so each partial sum is exact while N * 2^13 < 2^53.  Without
+    the ADC a chunk is _LINEAR_ROWS rows, of float32 codes (noise None) or
+    perturbed float64 operands, summed in float64, and the code sum is
+    scaled by alpha_x * alpha_y once.  When y is one chunk its product is
+    the result itself, with no second (M, Q) buffer.
 
     At sigma = 0, with operand peaks of 1 (step sizes that are powers of
     two), an epoch's code sum S reads (code + 1/2) * C*T / 2^(b-1) exactly,
@@ -404,23 +409,29 @@ def _product(x: np.ndarray, y: np.ndarray, px: QuantizerParams | None, py: Quant
     m, q = len(x), y.shape[1]
     rows = _LINEAR_ROWS if adc is None else adc[0]
     dtype = np.float32 if noise is None and adc is None else np.float64
+    epochs = -(-len(y) // rows)
+    zdtype = np.float32 if adc is not None and epochs << (adc[1] - 1) <= 1 << 24 else np.float64
     sigma, rx, ry = noise or (0.0, None, None)
     (xe,) = _engine_rows(x, px, sigma, rx, m, dtype)
     z = v = None
     for n0, ye in zip(range(0, len(y), rows), _engine_rows(y, py, sigma, ry, rows, dtype)):
         if z is None and len(y) > rows:  # after y's first chunk, so its scratch is freed first
-            z, v = np.zeros((m, q)), np.empty((m, q), dtype)
+            z, v = np.zeros((m, q), zdtype), np.empty((m, q), dtype)
         w = np.matmul(xe[:, n0 : n0 + rows], ye, out=v)
         if adc is not None:
             if noise is None:
                 w *= px.alpha * py.alpha
-            adc_readout(w, *adc)
+            _adc_codes(w, *adc)
         if z is None:  # y is one chunk: its product is the result, -0.0 read as +0.0 as zeros + w reads it
             z = w.astype(float, copy=False)
             z += 0.0
         else:
             z += w
-    if noise is None and adc is None:
+    if adc is not None:  # every epoch's readout, (code + 1/2) * C*T / 2^(b-1), summed at once in the product buffer
+        z = np.add(z, epochs / 2, out=z if v is None else v, dtype=float)
+        z *= adc[0]
+        z /= 2 ** (adc[1] - 1)
+    elif noise is None:
         z *= px.alpha * py.alpha
     return z
 

@@ -1,6 +1,7 @@
 """Quantization, STE gradients, noise injection, and ADC conversion."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,25 @@ class TestAdc:
         v = np.array([[0.1, bad], [0.0, -0.2]])
         with pytest.raises(ValueError, match="finite"):
             adc_readout(v, 1.0, 6)
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_readout_finds_nonfinite_at_either_end(self, bad, at):
+        v = np.linspace(-0.5, 0.5, 12).reshape(3, 4)
+        v.flat[at] = bad
+        with pytest.raises(ValueError, match="^adc input must be finite$"):
+            adc_readout(v, 1.0, 6)
+
+    def test_readout_makes_no_temporary(self):
+        # The finite check reads v's extremes: no bool array of v's shape.
+        v = np.random.default_rng(0).uniform(-1, 1, (256, 256))
+        tracemalloc.start()
+        try:
+            adc_readout(v, 1.0, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < v.size // 8
 
     @pytest.mark.parametrize("fs, bits", [(1.0, 1), (1.0, 13), (0.0, 6), (-1.0, 6)])
     def test_in_place_readout_checks_its_arguments(self, fs, bits):

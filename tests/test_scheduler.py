@@ -644,6 +644,31 @@ class TestEpochStreaming:
             want += adc_readout(v, cols, arch.bits_out)
         assert np.array_equal(bits_of(z), bits_of(want))
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    @pytest.mark.parametrize("n, acc", [(2**13, np.float32), (2**13 + 1, np.float64)])
+    def test_adc_code_sum_past_float32_is_float64(self, n, acc, sigma):
+        # With C = T = 1 every column of x is a readout epoch, and a 12-bit
+        # code is at most 2^11 in magnitude: 2^13 epochs sum within 2^24,
+        # exact in float32, and one epoch more is summed in float64.  Either
+        # way z_hat is the float64 sum of the epochs' readouts, bit for bit.
+        arch = ArchConfig(c_cores=1, t_int=1, bits_out=12)
+        x, y = -np.ones((1, n)), np.random.default_rng(n).uniform(0.9, 1, (n, 1))
+        nm = NoiseModel(sigma=sigma, seed=n)
+        zeros, made = np.zeros, []
+        with mock.patch.object(np, "zeros", lambda shape, dtype=float: made.append((shape, dtype)) or zeros(shape, dtype)):
+            z, _ = simulate_gemm(GemmWorkload(x, y), arch, CAT, nm=nm, mode="quantized+noise+adc")
+        assert [np.dtype(dtype) for shape, dtype in made if shape == (1, 1)] == [np.dtype(acc)]  # the accumulator
+        px, py = minmax_params(x, arch.bits_in), minmax_params(y, arch.bits_in)
+        gens = (nm.rng(0), nm.rng(1)) if sigma else (None, None)
+        (xe,), (ye,) = (oracle_engine_rows(a, p, sigma, g, len(a), np.float64) for a, p, g in zip((x, y), (px, py), gens))
+        want = np.zeros((1, 1))
+        for j in range(n):
+            v = xe[:, j : j + 1] @ ye[j : j + 1]
+            if not sigma:
+                v *= px.alpha * py.alpha
+            want += adc_readout(v, 1, arch.bits_out)
+        assert z.dtype == want.dtype == np.float64 and z.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("arch", [ArchConfig(r_tiles=2, c_cores=3, k=4, t_int=5), ArchConfig()],
                              ids=["small", "default"])
     def test_adc_codes_are_exact_at_bin_edges(self, arch):
@@ -731,10 +756,11 @@ class TestEpochStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The accumulator and one readout, one copy of x, one readout epoch
-        # of y and a few blocks of front-end scratch.
+        # One float64 product buffer, a float32 code accumulator, one copy of
+        # x, one readout epoch of y and a few blocks of front-end scratch.
+        result = w.m * w.q * 8
         epoch_of_y = min(w.n, arch.c_cores * arch.t_int) * w.q * 8
-        assert peak <= 2 * w.m * w.q * 8 + w.x.nbytes + epoch_of_y + 3 * scheduler._OPERAND_BLOCK_ELEMS * 8
+        assert peak <= result + result // 2 + w.x.nbytes + epoch_of_y + 3 * scheduler._OPERAND_BLOCK_ELEMS * 8
 
 
 def bits_of(a):
@@ -838,7 +864,8 @@ class TestEngineOperands:
         # modes hold the result, one product buffer, one copy of x, one chunk
         # of y (_LINEAR_ROWS rows, a readout epoch of C*T rows in the ADC
         # mode) and a few blocks of scratch; without noise or the ADC the
-        # buffer and both copies are float32, half the size.
+        # buffer and both copies are float32, half the size.  The ADC mode's
+        # result is its product buffer, and it sums codes in float32.
         block = scheduler._OPERAND_BLOCK_ELEMS * 8
         result = w.m * w.q * 8
         chunk_of_y = min(w.n, scheduler._LINEAR_ROWS) * w.q * 8
@@ -846,7 +873,7 @@ class TestEngineOperands:
         assert peaks["ideal"] <= result + block, peaks
         assert peaks["quantized"] <= result + (result + w.x.nbytes + chunk_of_y) / 2 + 3 * block, peaks
         assert peaks["quantized+noise"] <= 2 * result + w.x.nbytes + chunk_of_y + 3 * block, peaks
-        assert peaks["quantized+noise+adc"] <= 2 * result + w.x.nbytes + epoch_of_y + 3 * block, peaks
+        assert peaks["quantized+noise+adc"] <= result + result // 2 + w.x.nbytes + epoch_of_y + 3 * block, peaks
 
     @staticmethod
     def one_chunk_operands(sigma):
